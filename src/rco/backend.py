@@ -5,6 +5,11 @@ Every response goes through strict structured-output parsing: the first JSON
 object embedded in the raw text is extracted and validated against the
 purpose's schema. Unknown tokens are rejections, never coercions, so a caller
 either sees a fully-parsed value or a SchemaViolation.
+
+A request carries the rendered prompt, which is all ``HttpBackend`` sends,
+and a payload holding only the routing fields (purpose and scenario key),
+which is all ``ScriptedBackend`` reads. Prompt templates are read from the
+package once per process.
 """
 
 from __future__ import annotations
@@ -13,8 +18,9 @@ import json
 import os
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from importlib import resources
-from typing import Any, Optional, Protocol, Union
+from typing import Any, Optional, Protocol, Sequence, Union
 
 from .domain import (
     Behavior,
@@ -73,7 +79,7 @@ class Purpose(str, Enum):
 class BackendRequest:
     purpose: Purpose
     prompt: str
-    payload: str  # canonical JSON of the request inputs
+    payload: str  # canonical JSON of the routing fields: purpose, scenario_key
     timeout_ms: int = 2000
 
     def __post_init__(self) -> None:
@@ -224,14 +230,28 @@ def parse_structured(raw: str, purpose: Purpose) -> Parsed:
 # Request builders (shared by planner and safety)
 # ---------------------------------------------------------------------------
 
+@cache
+def _template(name: str) -> str:
+    return resources.files("rco").joinpath(f"prompts/{name}.txt").read_text(encoding="utf-8")
+
+
 def _render_prompt(name: str, **subs: str) -> str:
-    text = resources.files("rco").joinpath(f"prompts/{name}.txt").read_text(encoding="utf-8")
+    text = _template(name)
     for key, value in subs.items():
         text = text.replace("{" + key + "}", value)
     return text
 
 
-def _history_text(history: list[EnvironmentSnapshot]) -> str:
+@cache
+def _routing_payload(purpose: Purpose, scenario_key: str) -> str:
+    return json.dumps(
+        {"purpose": purpose.value, "scenario_key": scenario_key},
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+
+
+def _history_text(history: Sequence[EnvironmentSnapshot]) -> str:
     lines = []
     for snap in history:
         parts = []
@@ -246,19 +266,11 @@ def _history_text(history: list[EnvironmentSnapshot]) -> str:
 
 
 def hazard_request(
-    history: list[EnvironmentSnapshot], scenario_key: str, timeout_ms: int = 2000
+    history: Sequence[EnvironmentSnapshot], scenario_key: str, timeout_ms: int = 2000
 ) -> BackendRequest:
-    payload = json.dumps(
-        {
-            "scenario_key": scenario_key,
-            "purpose": Purpose.HAZARD_AND_PLAN.value,
-            "history": [s.to_json() for s in history],
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    purpose = Purpose.HAZARD_AND_PLAN
     prompt = _render_prompt("hazard_inference", history=_history_text(history))
-    return BackendRequest(Purpose.HAZARD_AND_PLAN, prompt, payload, timeout_ms)
+    return BackendRequest(purpose, prompt, _routing_payload(purpose, scenario_key), timeout_ms)
 
 
 def motion_request(
@@ -269,25 +281,14 @@ def motion_request(
     scenario_key: str,
     timeout_ms: int = 2000,
 ) -> BackendRequest:
-    payload = json.dumps(
-        {
-            "scenario_key": scenario_key,
-            "purpose": Purpose.SHORT_TERM_MOTION.value,
-            "hazards": [h.to_json() for h in hazards],
-            "strategy": strategy.value,
-            "navi": navi.to_json(),
-            "snapshot": snapshot.to_json(),
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    purpose = Purpose.SHORT_TERM_MOTION
     prompt = _render_prompt(
         "short_term_motion",
         hazards=", ".join(f"{h.object.value} ({h.motion.value})" for h in hazards) or "none",
         strategy=strategy.value,
         geometry=navi.road_geometry.value,
     )
-    return BackendRequest(Purpose.SHORT_TERM_MOTION, prompt, payload, timeout_ms)
+    return BackendRequest(purpose, prompt, _routing_payload(purpose, scenario_key), timeout_ms)
 
 
 def constraints_request(
@@ -297,17 +298,7 @@ def constraints_request(
     scenario_key: str,
     timeout_ms: int = 2000,
 ) -> BackendRequest:
-    payload = json.dumps(
-        {
-            "scenario_key": scenario_key,
-            "purpose": Purpose.SAFETY_CONSTRAINTS.value,
-            "navi": navi.to_json(),
-            "surrounding": surrounding.to_json(),
-            "nearest_obstacle_m": nearest_obstacle_m,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    purpose = Purpose.SAFETY_CONSTRAINTS
     prompt = _render_prompt(
         "safety_constraints",
         weather=surrounding.weather.value,
@@ -316,7 +307,7 @@ def constraints_request(
         geometry=navi.road_geometry.value,
         obstacle="none" if nearest_obstacle_m is None else f"{nearest_obstacle_m:.1f} m",
     )
-    return BackendRequest(Purpose.SAFETY_CONSTRAINTS, prompt, payload, timeout_ms)
+    return BackendRequest(purpose, prompt, _routing_payload(purpose, scenario_key), timeout_ms)
 
 
 # ---------------------------------------------------------------------------
@@ -327,12 +318,16 @@ class ScriptedBackend:
     """Deterministic table lookup keyed by (purpose, scenario key).
 
     Table shape: ``{purpose_value: {scenario_key: response_object}}``. The
-    response object is serialized and re-parsed through the same structured
-    parser as real model output, so both paths share one schema.
+    key is read from the request's routing payload. The response object is
+    serialized and parsed through the same structured parser as real model
+    output, so both paths share one schema. The first successful parse of an
+    entry is memoised and returned by later calls; a missing or malformed
+    entry raises SchemaViolation on every call. ``table`` stays the raw dict.
     """
 
     def __init__(self, table: dict[str, dict[str, Any]]):
         self.table = table
+        self._answers: dict[tuple[Purpose, str], BackendResponse] = {}
 
     @classmethod
     def from_file(cls, path: str) -> "ScriptedBackend":
@@ -348,12 +343,15 @@ class ScriptedBackend:
 
     def call(self, req: BackendRequest) -> BackendResponse:
         key = req.scenario_key()
-        entry = self.table.get(req.purpose.value, {}).get(key)
-        if entry is None:
-            raise SchemaViolation(f"no scripted response for key {key!r}", field="scenario_key")
-        raw = json.dumps(entry, sort_keys=True, separators=(",", ":"))
-        parsed = parse_structured(raw, req.purpose)
-        return BackendResponse(raw=raw, parsed=parsed, latency_ms=0.0)
+        answer = self._answers.get((req.purpose, key))
+        if answer is None:
+            entry = self.table.get(req.purpose.value, {}).get(key)
+            if entry is None:
+                raise SchemaViolation(f"no scripted response for key {key!r}", field="scenario_key")
+            raw = json.dumps(entry, sort_keys=True, separators=(",", ":"))
+            answer = BackendResponse(raw=raw, parsed=parse_structured(raw, req.purpose))
+            self._answers[(req.purpose, key)] = answer
+        return answer
 
 
 _SYSTEM_PREAMBLES = {

@@ -27,6 +27,7 @@ from .domain import (
     Daylight,
     EnvironmentSnapshot,
     ExecutionCondition,
+    FAIL_SAFE_STOP,
     RoadGeometry,
     STOP_ACTION,
     SafetyConstraints,
@@ -38,8 +39,6 @@ from .domain import (
 from .planner import PlannerConfig
 from .safety import SafetyGains
 from .verifier import Classification, VerifierConfig
-
-FAIL_SAFE_STOP = Action(0.0, 0.8, 0.0)
 
 LOG_SCHEMA_VERSION = 1
 

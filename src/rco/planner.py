@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import backend as backend_mod
-from .backend import Backend, BackendError, HazardAndPlan, PlanSkeleton, Purpose
+from .backend import Backend, BackendError, HazardAndPlan, PlanSkeleton
 from .domain import (
     ActionSequence,
     ConditionActionPair,
@@ -45,15 +45,6 @@ class PlannerConfig:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
 
-@dataclass(frozen=True)
-class PlanningRequest:
-    """Inputs bundled for one backend consultation."""
-
-    history: tuple[EnvironmentSnapshot, ...]
-    navi: Navigation
-    purpose: Purpose
-
-
 FALLBACK_TRIGGER = ExecutionCondition.CONSISTENT_NO_IMMEDIATE_HAZARD
 
 
@@ -69,9 +60,8 @@ def infer_hazards(
         raise ValueError(
             f"hazard inference needs exactly {cfg.history_len} frames, got {len(history)}"
         )
-    request = PlanningRequest(tuple(history), history[-1].navi, Purpose.HAZARD_AND_PLAN)
     try:
-        req = backend_mod.hazard_request(list(request.history), scenario_key)
+        req = backend_mod.hazard_request(history, scenario_key)
         resp = backend.call(req)
     except BackendError as exc:
         log.info("hazard inference fell back to stop-observe-move: %s", exc)

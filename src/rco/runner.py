@@ -14,7 +14,7 @@ from typing import Any, Optional
 
 from . import metrics, orchestrator, simenv
 from .backend import Backend
-from .domain import Action
+from .domain import FAIL_SAFE_STOP
 from .orchestrator import OrchestratorConfig, OverrideState
 from .planner import PlannerConfig
 from .safety import SafetyGains
@@ -28,7 +28,7 @@ class Mode(str, Enum):
     ALWAYS_STOP = "always_stop"
 
 
-STOP = Action(0.0, 0.8, 0.0)
+STOP = FAIL_SAFE_STOP  # the always_stop halt
 
 
 @dataclass(frozen=True)

@@ -122,27 +122,51 @@ def generate_constraints(
     return default_constraints(navi, surrounding)
 
 
+# Names of the six envelope limits, in the order ``_fired`` evaluates them.
+_TRIGGER_NAMES = (
+    "max_speed",
+    "min_following_distance",
+    "max_acceleration",
+    "max_deceleration",
+    "max_yaw_rate",
+    "min_braking_distance",
+)
+
+
+def _fired(m: VehicleMeasurements, sc: SafetyConstraints) -> tuple[bool, ...]:
+    """Whether each envelope limit's trigger fires, in ``_TRIGGER_NAMES`` order."""
+    return (
+        m.v >= sc.v_max,
+        m.d_follow < sc.d_min,
+        m.a_x > sc.ac_max,
+        m.a_x < -sc.de_max,
+        abs(m.omega_z) > sc.psi_max,
+        m.v * m.v / (2.0 * sc.de_max) > sc.d_brake,
+    )
+
+
 def apply_constraints(
     a: Action, m: VehicleMeasurements, sc: SafetyConstraints, g: SafetyGains
 ) -> Action:
     """Clamp an action into the safety envelope. Untriggered limits leave the
     corresponding channel untouched; the result is always a valid Action."""
+    speed, follow, accel, decel, yaw, braking = _fired(m, sc)
     throttle = a.throttle
-    if m.v >= sc.v_max:
+    if speed:
         throttle -= g.delta_throttle
-    if m.d_follow < sc.d_min:
+    if follow:
         throttle -= g.delta_throttle
-    if m.a_x > sc.ac_max:
+    if accel:
         throttle -= g.delta_throttle * (m.a_x - sc.ac_max)
 
     brake = a.brake
-    if m.v * m.v / (2.0 * sc.de_max) > sc.d_brake:
+    if braking:
         brake += g.delta_brake
-    if m.a_x < -sc.de_max:
+    if decel:
         brake -= g.delta_brake * (-sc.de_max - m.a_x)
 
     steer = a.steer
-    if abs(m.omega_z) > sc.psi_max:
+    if yaw:
         steer = steer * (sc.psi_max / abs(m.omega_z))
 
     return Action(clamp(throttle, 0.0, 1.0), clamp(brake, 0.0, 1.0), clamp(steer, -1.0, 1.0))
@@ -150,17 +174,4 @@ def apply_constraints(
 
 def triggered_constraints(m: VehicleMeasurements, sc: SafetyConstraints) -> tuple[str, ...]:
     """Names of the envelope limits whose triggers currently fire (for logging)."""
-    names = []
-    if m.v >= sc.v_max:
-        names.append("max_speed")
-    if m.d_follow < sc.d_min:
-        names.append("min_following_distance")
-    if m.a_x > sc.ac_max:
-        names.append("max_acceleration")
-    if m.a_x < -sc.de_max:
-        names.append("max_deceleration")
-    if abs(m.omega_z) > sc.psi_max:
-        names.append("max_yaw_rate")
-    if m.v * m.v / (2.0 * sc.de_max) > sc.d_brake:
-        names.append("min_braking_distance")
-    return tuple(names)
+    return tuple(name for name, fired in zip(_TRIGGER_NAMES, _fired(m, sc)) if fired)

@@ -22,11 +22,13 @@ from typing import Any, Optional
 
 from .controlmap import clamp, compute_steer, wrap_angle, SteerControllerState
 from .domain import (
+    Action,
     Box,
     CameraView,
     Daylight,
     DeficitRegion,
     EnvironmentSnapshot,
+    FAIL_SAFE_STOP,
     Navigation,
     ObjectClass,
     RoadGeometry,
@@ -37,7 +39,6 @@ from .domain import (
     VisibleObject,
     Weather,
 )
-from .domain import Action
 
 STOPPED_SPEED = 0.1  # below this the vehicle counts as stopped (stop-sign rule)
 SIGN_ZONE_M = 5.0  # must have stopped within this distance before the line
@@ -734,11 +735,11 @@ def base_agent(w: WorldState, hidden: frozenset[int] = frozenset()) -> Action:
             if route.lateral_offset_of((x, y)) <= ROUTE_CORRIDOR_HALF_WIDTH_M:
                 brake = True
     if brake:
-        return Action(0.0, 0.8, 0.0)
+        return FAIL_SAFE_STOP
 
     target = route.target_point(progress)
     if (target[0], target[1]) == (w.ego.x, w.ego.y):
-        return Action(0.0, 0.8, 0.0)  # at route end
+        return FAIL_SAFE_STOP  # at route end
     steer, _ = compute_steer(w.ego.pose, target, _BASE_STEER, w.params.dt)
     if creep:
         return Action(0.25, 0.0, steer)

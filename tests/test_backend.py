@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -19,9 +21,14 @@ from rco.backend import (
     SchemaViolation,
     ScriptedBackend,
     TransportFailure,
+    constraints_request,
     extract_first_json_object,
+    hazard_request,
+    motion_request,
     parse_structured,
 )
+from rco import simenv
+from rco.cli import bundled_scenario_dir
 from rco.domain import (
     Behavior,
     ExecutionCondition,
@@ -175,12 +182,97 @@ class TestScriptedBackend:
         assert backend.call(req).latency_ms == 0.0
 
 
+REQUEST_SCENARIO = "stop_sign_hazard"
+
+
+def _bundled_requests() -> list[BackendRequest]:
+    """One request per purpose, built from the first five frames of a bundled
+    scenario that show a deficit and a visible object, with the scripted
+    table's hazard answer feeding the motion request."""
+    name = REQUEST_SCENARIO
+    sc = simenv.Scenario.load(str(bundled_scenario_dir() / f"{name}.json"))
+    w = simenv.world_from_scenario(sc)
+    history = []
+    while len(history) < 5:
+        assert w.tick < sc.time_limit_ticks, f"{name} has too few frames to build requests"
+        snap = simenv.perceive(w, sc.deficit_policy)
+        if snap.has_deficit and any(v.visible_objects for v in snap.perception):
+            history.append(snap)
+        w = simenv.tick(w, simenv.base_agent(w, simenv.masked_ids(w, sc.deficit_policy)))
+    last = history[-1]
+    nearest = min(o.range_m for v in last.perception for o in v.visible_objects)
+    hazard_req = hazard_request(history, name)
+    answer = ScriptedBackend.bundled().call(hazard_req).parsed
+    return [
+        hazard_req,
+        motion_request(answer.hazards, answer.strategy, last.navi, last, name),
+        constraints_request(last.navi, last.surrounding, nearest, name),
+    ]
+
+
+class TestScriptedMemo:
+    TABLE = {
+        "short_term_motion": {
+            "valid": {"strategy": "stop_observe_move", "wait": 3, "trigger": "consistent_immediate_hazard"},
+            "malformed": {"strategy": "stop_observe_move", "wait": -1, "trigger": "warp"},
+        },
+        "hazard_and_plan": {
+            "valid": {"hazards": [], "strategy": "move"},
+        },
+    }
+
+    def request(self, key: str, purpose: Purpose = Purpose.SHORT_TERM_MOTION) -> BackendRequest:
+        return BackendRequest(purpose, "p", payload_for(key))
+
+    def test_construction_does_not_raise(self):
+        ScriptedBackend(self.TABLE)
+
+    def test_repeated_calls_return_equal_values(self):
+        backend = ScriptedBackend(self.TABLE)
+        first = backend.call(self.request("valid"))
+        for _ in range(3):
+            again = backend.call(self.request("valid"))
+            assert again.parsed == first.parsed
+            assert again.raw == first.raw
+        assert first.parsed.wait == 3
+
+    def test_memo_is_per_purpose(self):
+        backend = ScriptedBackend(self.TABLE)
+        backend.call(self.request("valid"))
+        parsed = backend.call(self.request("valid", Purpose.HAZARD_AND_PLAN)).parsed
+        assert parsed == HazardAndPlan((), Strategy.MOVE)
+
+    @pytest.mark.parametrize("key", ["malformed", "missing"])
+    def test_failures_raise_on_every_call(self, key):
+        backend = ScriptedBackend(self.TABLE)
+        backend.call(self.request("valid"))
+        for _ in range(3):
+            with pytest.raises(SchemaViolation):
+                backend.call(self.request(key))
+        assert backend.call(self.request("valid")).parsed.wait == 3
+
+    def test_built_requests_carry_routing_fields_only(self):
+        backend = ScriptedBackend.bundled()
+        for req in _bundled_requests():
+            assert json.loads(req.payload) == {
+                "purpose": req.purpose.value,
+                "scenario_key": REQUEST_SCENARIO,
+            }
+            if REQUEST_SCENARIO in backend.table[req.purpose.value]:
+                assert backend.call(req).parsed is not None
+
+
 class _Handler(BaseHTTPRequestHandler):
-    """Chat-completions stub; behavior keyed by the requested model name."""
+    """Chat-completions stub; behavior keyed by the requested model name.
+    Every request body received is appended to ``bodies``."""
+
+    bodies: list[bytes] = []
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
-        body = json.loads(self.rfile.read(length))
+        raw = self.rfile.read(length)
+        self.bodies.append(raw)
+        body = json.loads(raw)
         model = body.get("model", "")
         if model == "malformed":
             out = {"nonsense": True}
@@ -255,6 +347,25 @@ class TestHttpBackend:
         assert backend.url == "http://example.invalid/api"
         assert backend.model == "tiny"
         assert backend.token == "tok"
+
+
+class TestHttpRequestBodies:
+    # sha256 of each purpose's POST body. Only the prompt and the preamble
+    # reach the wire, so a change to the request payload must not move these.
+    EXPECTED = {
+        Purpose.HAZARD_AND_PLAN: "e83e855d71092386c1ad2040a0d92828c34fd724f378d5771e41c850d715ff4e",
+        Purpose.SHORT_TERM_MOTION: "a7dab06b26118558e719c2545608dc5e6baadcd69db3cdcbea41432a3ecd08a7",
+        Purpose.SAFETY_CONSTRAINTS: "a181eafbd94c112f273cc8b67b06bcb172a206c393402ab277a4ffd01cad3c4c",
+    }
+
+    def test_bodies_are_byte_identical(self, chat_server):
+        backend = HttpBackend(chat_server, model="good", token="secret")
+        for req in _bundled_requests():
+            _Handler.bodies.clear()
+            with contextlib.suppress(SchemaViolation):  # canned answer fits one purpose
+                backend.call(req)
+            assert len(_Handler.bodies) == 1
+            assert hashlib.sha256(_Handler.bodies[0]).hexdigest() == self.EXPECTED[req.purpose]
 
 
 class TestBackendRequest:
