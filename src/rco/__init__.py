@@ -22,7 +22,7 @@ from .planner import PlannerConfig
 from .runner import Mode, Overrides, run_episode
 from .safety import SafetyGains, apply_constraints, generate_constraints
 from .simenv import Scenario, VehicleParams
-from .verifier import VerifierConfig, classify_condition, verify
+from .verifier import VerifierConfig, classify_condition
 
 __version__ = "0.1.0"
 
@@ -59,5 +59,4 @@ __all__ = [
     "generate_constraints",
     "run_episode",
     "step",
-    "verify",
 ]

@@ -1,9 +1,9 @@
 """Shared vocabulary types: actions, conditions, perception, hazards, constraints.
 
-All types are immutable values with validating constructors and a canonical
-JSON form (snake_case keys, enums as lowercase strings). Convention fixed
-once, package-wide: steer is negative for left, positive for right; the world
-frame is x-east / y-north with heading measured counter-clockwise from +x.
+All types are immutable values with validating constructors; enums carry
+lowercase string values. Convention fixed once, package-wide: steer is
+negative for left, positive for right; the world frame is x-east / y-north
+with heading measured counter-clockwise from +x.
 """
 
 from __future__ import annotations
@@ -128,10 +128,6 @@ class Action:
     def to_json(self) -> dict[str, Any]:
         return {"throttle": self.throttle, "brake": self.brake, "steer": self.steer}
 
-    @classmethod
-    def from_json(cls, d: dict[str, Any]) -> "Action":
-        return cls(float(d["throttle"]), float(d["brake"]), float(d["steer"]))
-
 
 def validate_action(a: Action) -> Action:
     """Return ``a`` unchanged if every field is within its closed range."""
@@ -161,13 +157,6 @@ class HighLevelAction:
         if self.behavior is Behavior.STOP and self.speed is not SpeedControl.DECELERATION_TO_ZERO:
             object.__setattr__(self, "speed", SpeedControl.DECELERATION_TO_ZERO)
 
-    def to_json(self) -> dict[str, Any]:
-        return {"behavior": self.behavior.value, "speed": self.speed.value}
-
-    @classmethod
-    def from_json(cls, d: dict[str, Any]) -> "HighLevelAction":
-        return cls(Behavior(d["behavior"]), SpeedControl(d["speed"]))
-
 
 STOP_ACTION = HighLevelAction(Behavior.STOP, SpeedControl.DECELERATION_TO_ZERO)
 
@@ -176,13 +165,6 @@ STOP_ACTION = HighLevelAction(Behavior.STOP, SpeedControl.DECELERATION_TO_ZERO)
 class ConditionActionPair:
     condition: ExecutionCondition
     action: HighLevelAction
-
-    def to_json(self) -> dict[str, Any]:
-        return {"condition": self.condition.value, "action": self.action.to_json()}
-
-    @classmethod
-    def from_json(cls, d: dict[str, Any]) -> "ConditionActionPair":
-        return cls(ExecutionCondition(d["condition"]), HighLevelAction.from_json(d["action"]))
 
 
 @dataclass(frozen=True)
@@ -207,16 +189,6 @@ class ActionSequence:
 
     def __len__(self) -> int:
         return len(self.pairs)
-
-    def to_json(self) -> dict[str, Any]:
-        return {"pairs": [p.to_json() for p in self.pairs], "created_tick": self.created_tick}
-
-    @classmethod
-    def from_json(cls, d: dict[str, Any]) -> "ActionSequence":
-        return cls(
-            tuple(ConditionActionPair.from_json(p) for p in d["pairs"]),
-            int(d["created_tick"]),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -254,13 +226,6 @@ class Box:
             and self.y1 >= other.y1
         )
 
-    def to_json(self) -> list[float]:
-        return [self.x0, self.y0, self.x1, self.y1]
-
-    @classmethod
-    def from_json(cls, v: list) -> "Box":
-        return cls(float(v[0]), float(v[1]), float(v[2]), float(v[3]))
-
 
 @dataclass(frozen=True)
 class DeficitRegion:
@@ -270,18 +235,6 @@ class DeficitRegion:
     view: ViewName
     box: Box
     masked_object_id: Optional[int] = None
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "view": self.view.value,
-            "box": self.box.to_json(),
-            "masked_object_id": self.masked_object_id,
-        }
-
-    @classmethod
-    def from_json(cls, d: dict[str, Any]) -> "DeficitRegion":
-        mid = d.get("masked_object_id")
-        return cls(ViewName(d["view"]), Box.from_json(d["box"]), None if mid is None else int(mid))
 
 
 @dataclass(frozen=True)
@@ -295,13 +248,6 @@ class VisibleObject:
             raise ValueError("visible objects must have a concrete class")
         if self.range_m < 0:
             raise OutOfRangeError("range_m", self.range_m)
-
-    def to_json(self) -> dict[str, Any]:
-        return {"class": self.cls.value, "box": self.box.to_json(), "range_m": self.range_m}
-
-    @classmethod
-    def from_json(cls, d: dict[str, Any]) -> "VisibleObject":
-        return cls(ObjectClass(d["class"]), Box.from_json(d["box"]), float(d["range_m"]))
 
 
 @dataclass(frozen=True)
@@ -325,43 +271,12 @@ class CameraView:
                         f"visible {o.cls.value} box lies fully inside a deficit region"
                     )
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "view": self.view.value,
-            "visible_objects": [o.to_json() for o in self.visible_objects],
-            "deficits": [d.to_json() for d in self.deficits],
-        }
-
-    @classmethod
-    def from_json(cls, d: dict[str, Any]) -> "CameraView":
-        return cls(
-            ViewName(d["view"]),
-            tuple(VisibleObject.from_json(o) for o in d["visible_objects"]),
-            tuple(DeficitRegion.from_json(x) for x in d["deficits"]),
-        )
-
 
 @dataclass(frozen=True)
 class Navigation:
     target_point: tuple[float, float]
     current_direction: float  # radians, CCW from +x
     road_geometry: RoadGeometry
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "target_point": [self.target_point[0], self.target_point[1]],
-            "current_direction": self.current_direction,
-            "road_geometry": self.road_geometry.value,
-        }
-
-    @classmethod
-    def from_json(cls, d: dict[str, Any]) -> "Navigation":
-        tp = d["target_point"]
-        return cls(
-            (float(tp[0]), float(tp[1])),
-            float(d["current_direction"]),
-            RoadGeometry(d["road_geometry"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -374,24 +289,6 @@ class Surrounding:
     def __post_init__(self) -> None:
         if self.nearest_obstacle_m is not None and self.nearest_obstacle_m < 0:
             raise OutOfRangeError("nearest_obstacle_m", self.nearest_obstacle_m)
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "weather": self.weather.value,
-            "daylight": self.daylight.value,
-            "traffic_density": self.traffic_density.value,
-            "nearest_obstacle_m": self.nearest_obstacle_m,
-        }
-
-    @classmethod
-    def from_json(cls, d: dict[str, Any]) -> "Surrounding":
-        nob = d.get("nearest_obstacle_m")
-        return cls(
-            Weather(d["weather"]),
-            Daylight(d["daylight"]),
-            TrafficDensity(d["traffic_density"]),
-            None if nob is None else float(nob),
-        )
 
 
 @dataclass(frozen=True)
@@ -417,24 +314,6 @@ class EnvironmentSnapshot:
     def has_deficit(self) -> bool:
         return any(v.deficits for v in self.perception)
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "tick": self.tick,
-            "perception": [v.to_json() for v in self.perception],
-            "navi": self.navi.to_json(),
-            "surrounding": self.surrounding.to_json(),
-        }
-
-    @classmethod
-    def from_json(cls, d: dict[str, Any]) -> "EnvironmentSnapshot":
-        views = tuple(CameraView.from_json(v) for v in d["perception"])
-        return cls(
-            int(d["tick"]),
-            views,  # type: ignore[arg-type]
-            Navigation.from_json(d["navi"]),
-            Surrounding.from_json(d["surrounding"]),
-        )
-
 
 # ---------------------------------------------------------------------------
 # Hazards and plans
@@ -446,13 +325,6 @@ class Hazard:
 
     object: ObjectClass
     motion: MotionKind
-
-    def to_json(self) -> dict[str, Any]:
-        return {"object": self.object.value, "motion": self.motion.value}
-
-    @classmethod
-    def from_json(cls, d: dict[str, Any]) -> "Hazard":
-        return cls(ObjectClass(d["object"]), MotionKind(d["motion"]))
 
 
 @dataclass(frozen=True)
@@ -476,26 +348,6 @@ class MotionPlan:
             if self.wait_ticks < 0:
                 raise OutOfRangeError("wait_ticks", self.wait_ticks)
 
-    def to_json(self) -> dict[str, Any]:
-        d: dict[str, Any] = {"strategy": self.strategy.value}
-        if self.strategy is Strategy.MOVE:
-            d["sequence"] = self.sequence.to_json()  # type: ignore[union-attr]
-        else:
-            d["wait_ticks"] = self.wait_ticks
-            d["move_trigger"] = self.move_trigger.value  # type: ignore[union-attr]
-        return d
-
-    @classmethod
-    def from_json(cls, d: dict[str, Any]) -> "MotionPlan":
-        strategy = Strategy(d["strategy"])
-        if strategy is Strategy.MOVE:
-            return cls(strategy, sequence=ActionSequence.from_json(d["sequence"]))
-        return cls(
-            strategy,
-            wait_ticks=int(d["wait_ticks"]),
-            move_trigger=ExecutionCondition(d["move_trigger"]),
-        )
-
 
 # ---------------------------------------------------------------------------
 # Safety envelope and measurements
@@ -518,27 +370,6 @@ class SafetyConstraints:
             if not (v > 0) or math.isnan(v):
                 raise OutOfRangeError(name, v)
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "v_max": self.v_max,
-            "d_min": self.d_min,
-            "ac_max": self.ac_max,
-            "de_max": self.de_max,
-            "psi_max": self.psi_max,
-            "d_brake": self.d_brake,
-        }
-
-    @classmethod
-    def from_json(cls, d: dict[str, Any]) -> "SafetyConstraints":
-        return cls(
-            float(d["v_max"]),
-            float(d["d_min"]),
-            float(d["ac_max"]),
-            float(d["de_max"]),
-            float(d["psi_max"]),
-            float(d["d_brake"]),
-        )
-
 
 @dataclass(frozen=True)
 class VehicleMeasurements:
@@ -553,21 +384,3 @@ class VehicleMeasurements:
     def __post_init__(self) -> None:
         if self.v < 0:
             raise OutOfRangeError("v", self.v)
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "v": self.v,
-            "a_x": self.a_x,
-            "omega_z": self.omega_z,
-            "d_follow": None if math.isinf(self.d_follow) else self.d_follow,
-        }
-
-    @classmethod
-    def from_json(cls, d: dict[str, Any]) -> "VehicleMeasurements":
-        df = d.get("d_follow")
-        return cls(
-            float(d["v"]),
-            float(d["a_x"]),
-            float(d["omega_z"]),
-            math.inf if df is None else float(df),
-        )

@@ -120,19 +120,6 @@ class EpisodeResult:
             "game_time_s": self.game_time_s,
         }
 
-    @classmethod
-    def from_json(cls, d: dict[str, Any]) -> "EpisodeResult":
-        return cls(
-            scenario=str(d["scenario"]),
-            mode=str(d["mode"]),
-            rc=float(d["rc"]),
-            is_score=float(d["is_score"]),
-            ds=float(d["ds"]),
-            as_speed=float(d["as_speed"]),
-            infractions=tuple(InfractionEvent.from_json(e) for e in d.get("infractions", [])),
-            game_time_s=float(d.get("game_time_s", 0.0)),
-        )
-
 
 @dataclass(frozen=True)
 class Summary:

@@ -84,25 +84,16 @@ def initial_state() -> OverrideState:
 def engage(deficit_present: bool, state: OverrideState) -> OverrideState:
     """Seize actuation when a deficit appears; release (and drop the plan)
     when perception recovers."""
-    if deficit_present and not state.active:
-        return replace(
-            state,
-            active=True,
-            sequence=ActionSequence((), 0),
-            consecutive_replans=0,
-            wait_trigger=None,
-            wait_elapsed=0,
-        )
-    if not deficit_present and state.active:
-        return replace(
-            state,
-            active=False,
-            sequence=ActionSequence((), 0),
-            consecutive_replans=0,
-            wait_trigger=None,
-            wait_elapsed=0,
-        )
-    return state
+    if deficit_present == state.active:
+        return state
+    return replace(
+        state,
+        active=deficit_present,
+        sequence=ActionSequence((), 0),
+        consecutive_replans=0,
+        wait_trigger=None,
+        wait_elapsed=0,
+    )
 
 
 def note_external_action(state: OverrideState, action: Action) -> OverrideState:
@@ -112,17 +103,13 @@ def note_external_action(state: OverrideState, action: Action) -> OverrideState:
 
 
 def _classify(
-    history: Sequence[EnvironmentSnapshot], cfg: VerifierConfig
-) -> tuple[Classification, float]:
-    """Classification plus the proximity ratio. A single frame has no
-    transitions to compare, so it is vacuously consistent and classified by
-    ratio alone."""
-    ratio = verifier.hazard_proximity_ratio(history[-1], cfg.front_view_only)
-    if len(history) < 2:
-        if ratio > cfg.hazard_ratio_threshold:
-            return Classification.CONSISTENT_IMMEDIATE_HAZARD, ratio
-        return Classification.CONSISTENT_NO_IMMEDIATE_HAZARD, ratio
-    return verifier.classify_condition(history, cfg), ratio
+    history: Sequence[EnvironmentSnapshot], ratio: float, cfg: VerifierConfig
+) -> Classification:
+    """A single frame has no transitions to compare, so it is vacuously
+    consistent and classified by ratio alone."""
+    if len(history) >= 2 and not verifier.check_deficit_consistency(history, cfg).consistent:
+        return Classification.REPLAN
+    return verifier.classify_ratio(ratio, cfg)
 
 
 def _padded_history(
@@ -136,6 +123,29 @@ def _padded_history(
     return window
 
 
+def _plan(
+    env: EnvironmentSnapshot,
+    history: Sequence[EnvironmentSnapshot],
+    backend: Backend,
+    cfg: OrchestratorConfig,
+) -> tuple[ActionSequence, Optional[ExecutionCondition]]:
+    """One planning round: the new sequence, plus the move trigger when the
+    plan is a stop-observe-move wait (None for a move plan)."""
+    window = _padded_history(history, cfg.planner.history_len)
+    hazards, strategy = planner.infer_hazards(window, backend, cfg.planner, cfg.scenario_key)
+    plan = planner.plan_motion(
+        hazards, strategy, env.navi, env, backend, cfg.planner, cfg.scenario_key
+    )
+    if plan.strategy is Strategy.MOVE:
+        return plan.sequence, None
+    seq = planner.expand_stop_observe_move(plan, cfg.planner.wait_cap, env.tick)
+    return seq, plan.move_trigger
+
+
+# Nominal stop pair, emitted when waiting continues past the expanded wait.
+_STOP_PAIR = ConditionActionPair(ExecutionCondition.CONSISTENT_NO_IMMEDIATE_HAZARD, STOP_ACTION)
+
+
 def step(
     state: OverrideState,
     env: EnvironmentSnapshot,
@@ -145,25 +155,29 @@ def step(
     backend: Backend,
     cfg: OrchestratorConfig,
 ) -> StepResult:
-    """Advance the override by one tick; always emits an action."""
+    """Advance the override by one tick; always emits an action.
+
+    One loop moves between three phases until it picks the emission:
+    waiting (a move trigger is set), moving (a planned sequence is pending)
+    and idle (nothing is pending, so plan). It ends on a pair to execute, or
+    on the fail-safe stop: under an inconsistent window, or once replans or
+    planning rounds run out. The next state and the record are built once,
+    after the loop.
+    """
     if not state.active:
         raise ValueError("step() requires an engaged override; call engage() first")
 
-    classification, ratio = _classify(history, cfg.verifier)
+    ratio = verifier.hazard_proximity_ratio(history[-1], cfg.verifier.front_view_only)
+    classification = _classify(history, ratio, cfg.verifier)
     context: _Context = (
         env.surrounding.weather,
         env.surrounding.daylight,
         env.surrounding.traffic_density,
         env.navi.road_geometry,
     )
-
-    backend_calls = 0
-    planning_events = 0
-    sc_refreshed = False
-    denied: list[str] = []
-
     constraints = state.constraints
-    if constraints is None or state.constraints_context != context:
+    sc_refreshed = constraints is None or state.constraints_context != context
+    if sc_refreshed:
         constraints = safety.generate_constraints(
             env.navi,
             env.surrounding,
@@ -171,160 +185,96 @@ def step(
             backend,
             scenario_key=cfg.scenario_key,
         )
-        backend_calls += 1
-        sc_refreshed = True
-    state = replace(state, constraints=constraints, constraints_context=context)
 
-    def plan(st: OverrideState) -> OverrideState:
-        nonlocal backend_calls, planning_events
-        planning_events += 1
-        backend_calls += 2
-        window = _padded_history(history, cfg.planner.history_len)
-        hazards, strategy = planner.infer_hazards(
-            window, backend, cfg.planner, cfg.scenario_key
-        )
-        plan_ = planner.plan_motion(
-            hazards, strategy, env.navi, env, backend, cfg.planner, cfg.scenario_key
-        )
-        if plan_.strategy is Strategy.MOVE:
-            return replace(st, sequence=plan_.sequence, wait_trigger=None, wait_elapsed=0)
-        seq = planner.expand_stop_observe_move(plan_, cfg.planner.wait_cap, env.tick)
-        return replace(st, sequence=seq, wait_trigger=plan_.move_trigger, wait_elapsed=0)
-
-    def emit_pair(st: OverrideState, pair, source: str, pop: bool) -> StepResult:
-        seq = st.sequence
-        if pop:
-            _, seq = st.sequence.pop_front()
-        resolved, ctrl, mismatch = controlmap.resolve_action(
-            pair.action, st.prev_action, ego_pose, env.navi, st.steer_ctrl, cfg.dt
-        )
-        final = safety.apply_constraints(resolved, measurements, constraints, cfg.gains)
-        new_state = replace(
-            st,
-            sequence=seq,
-            consecutive_replans=0,
-            prev_action=final,
-            steer_ctrl=ctrl,
-            wait_elapsed=st.wait_elapsed + (1 if st.wait_trigger is not None else 0),
-        )
-        record = _record(
-            env, classification, ratio, "execute", source, final, new_state,
-            planning_events, backend_calls, sc_refreshed, denied, mismatch,
-            safety.triggered_constraints(measurements, constraints),
-        )
-        return StepResult(final, new_state, record)
-
-    def emit_failsafe(st: OverrideState, reset_replans: bool = True) -> StepResult:
-        new_state = replace(
-            st,
-            consecutive_replans=0 if reset_replans else st.consecutive_replans,
-            prev_action=FAIL_SAFE_STOP,
-        )
-        if reset_replans:
-            new_state = replace(
-                new_state, sequence=ActionSequence((), env.tick), wait_trigger=None, wait_elapsed=0
-            )
-        record = _record(
-            env, classification, ratio, "deny", "failsafe", FAIL_SAFE_STOP, new_state,
-            planning_events, backend_calls, sc_refreshed, denied, False, (),
-        )
-        return StepResult(FAIL_SAFE_STOP, new_state, record)
-
-    # Nominal stop pair, emitted when waiting continues past the expanded wait.
-    stop_pair = ConditionActionPair(
-        ExecutionCondition.CONSISTENT_NO_IMMEDIATE_HAZARD, STOP_ACTION
-    )
-
-    def deny_inconsistent(st: OverrideState, label: str) -> StepResult:
-        # Under an inconsistent window no condition can match this tick, so
-        # replan once for the coming ticks and hold the fail-safe stop now.
-        # The replan counter persists across ticks until a pair executes.
-        denied.append(label)
-        st = replace(
-            st,
-            consecutive_replans=st.consecutive_replans + 1,
-            sequence=ActionSequence((), env.tick),
-            wait_trigger=None,
-            wait_elapsed=0,
-        )
-        if st.consecutive_replans > cfg.planner.replan_budget:
-            return emit_failsafe(st)
-        st = plan(st)
-        return emit_failsafe(st, reset_replans=False)
-
-    max_rounds = cfg.planner.replan_budget + 1
+    sequence, trigger, elapsed = state.sequence, state.wait_trigger, state.wait_elapsed
+    replans, rounds = state.consecutive_replans, 0
+    denied: list[str] = []
+    pair: Optional[ConditionActionPair] = None  # None emits the fail-safe stop
+    source = "failsafe"
+    hold_plan = False  # the fail-safe stop keeps this tick's new plan
     while True:
-        waiting = state.wait_trigger is not None
+        waiting = trigger is not None
+        if classification is Classification.REPLAN and (waiting or len(sequence) > 0):
+            # Under an inconsistent window no condition can match this tick, so
+            # replan once for the coming ticks and hold the fail-safe stop now.
+            # The replan counter persists across ticks until a pair executes.
+            denied.append("wait_inconsistent" if waiting else sequence.pairs[0].condition.value)
+            replans += 1
+            if replans <= cfg.planner.replan_budget:
+                sequence, trigger = _plan(env, history, backend, cfg)
+                elapsed, rounds, hold_plan = 0, rounds + 1, True
+            break
+        # The stop pairs of a wait execute under either consistent
+        # classification; a planned pair only under its own condition.
+        if len(sequence) > 0 and (
+            waiting or verifier.classification_matches(classification, sequence.pairs[0].condition)
+        ):
+            pair, sequence = sequence.pop_front()
+            source = "pair"
+            break
         if waiting:
-            if classification is Classification.REPLAN:
-                return deny_inconsistent(state, "wait_inconsistent")
-            if len(state.sequence) > 0:
-                return emit_pair(state, state.sequence.pairs[0], "pair", pop=True)
-            trigger_met = verifier.classification_matches(classification, state.wait_trigger)
-            if trigger_met or state.wait_elapsed >= cfg.planner.wait_cap:
-                state = replace(state, wait_trigger=None, wait_elapsed=0)
-                if planning_events >= max_rounds:
-                    return emit_failsafe(state)
-                state = plan(state)
-                continue
-            return emit_pair(state, stop_pair, "stop_wait", pop=False)
+            if not (
+                verifier.classification_matches(classification, trigger)
+                or elapsed >= cfg.planner.wait_cap
+            ):
+                pair, source = _STOP_PAIR, "stop_wait"
+                break
+            trigger, elapsed = None, 0
+        elif len(sequence) > 0:
+            # A denied pair discards the whole plan; the new round replaces it.
+            denied.append(sequence.pairs[0].condition.value)
+            replans += 1
+            if replans > cfg.planner.replan_budget:
+                break
+        if rounds > cfg.planner.replan_budget:  # at most budget + 1 rounds a tick
+            break
+        sequence, trigger = _plan(env, history, backend, cfg)
+        elapsed, rounds = 0, rounds + 1
 
-        if len(state.sequence) == 0:
-            if planning_events >= max_rounds:
-                return emit_failsafe(state)
-            state = plan(state)
-            continue
+    if pair is None:
+        action, ctrl, mismatch, triggered = FAIL_SAFE_STOP, state.steer_ctrl, False, ()
+        if not hold_plan:
+            sequence, trigger, elapsed, replans = ActionSequence((), env.tick), None, 0, 0
+    else:
+        resolved, ctrl, mismatch = controlmap.resolve_action(
+            pair.action, state.prev_action, ego_pose, env.navi, state.steer_ctrl, cfg.dt
+        )
+        action = safety.apply_constraints(resolved, measurements, constraints, cfg.gains)
+        triggered = safety.triggered_constraints(measurements, constraints)
+        replans = 0
+        if trigger is not None:
+            elapsed += 1
 
-        head = state.sequence.pairs[0]
-        if classification is Classification.REPLAN:
-            return deny_inconsistent(state, head.condition.value)
-        if verifier.classification_matches(classification, head.condition):
-            return emit_pair(state, head, "pair", pop=True)
-
-        denied.append(head.condition.value)
-        state = replace(state, consecutive_replans=state.consecutive_replans + 1)
-        if state.consecutive_replans > cfg.planner.replan_budget:
-            return emit_failsafe(state)
-        # A denied pair discards the whole plan; the new round replaces it.
-        state = replace(state, sequence=ActionSequence((), env.tick))
-        if planning_events >= max_rounds:
-            return emit_failsafe(state)
-        state = plan(state)
-
-
-def _record(
-    env: EnvironmentSnapshot,
-    classification: Classification,
-    ratio: float,
-    verdict: str,
-    source: str,
-    action: Action,
-    state: OverrideState,
-    planning_events: int,
-    backend_calls: int,
-    sc_refreshed: bool,
-    denied: list[str],
-    direction_mismatch: bool,
-    triggered: tuple[str, ...],
-) -> dict[str, Any]:
-    return {
+    new_state = OverrideState(
+        sequence=sequence,
+        consecutive_replans=replans,
+        active=True,
+        prev_action=action,
+        wait_trigger=trigger,
+        wait_elapsed=elapsed,
+        steer_ctrl=ctrl,
+        constraints=constraints,
+        constraints_context=context,
+    )
+    record = {
         "schema": LOG_SCHEMA_VERSION,
         "tick": env.tick,
         "active": True,
         "classification": classification.value,
         "hazard_ratio": ratio,
-        "verdict": verdict,
+        "verdict": "deny" if pair is None else "execute",
         "source": source,
         "action": action.to_json(),
         "triggered_constraints": list(triggered),
-        "planning_events": planning_events,
-        "backend_calls": backend_calls,
+        "planning_events": rounds,
+        "backend_calls": int(sc_refreshed) + 2 * rounds,
         "sc_refreshed": sc_refreshed,
         "denied": denied,
-        "direction_mismatch": direction_mismatch,
-        "sequence_len": len(state.sequence),
-        "wait_elapsed": state.wait_elapsed,
+        "direction_mismatch": mismatch,
+        "sequence_len": len(sequence),
+        "wait_elapsed": elapsed,
     }
+    return StepResult(action, new_state, record)
 
 
 def base_record(env_tick: int, action: Action) -> dict[str, Any]:

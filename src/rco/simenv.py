@@ -103,11 +103,6 @@ class InfractionEvent:
     def to_json(self) -> dict[str, Any]:
         return {"tick": self.tick, "kind": self.kind.value, "actor_id": self.actor_id}
 
-    @classmethod
-    def from_json(cls, d: dict[str, Any]) -> "InfractionEvent":
-        aid = d.get("actor_id")
-        return cls(int(d["tick"]), InfractionKind(d["kind"]), None if aid is None else int(aid))
-
 
 # ---------------------------------------------------------------------------
 # Static scenario pieces

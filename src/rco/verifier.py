@@ -16,7 +16,6 @@ from typing import Iterable, Sequence
 from .domain import (
     Box,
     CameraView,
-    ConditionActionPair,
     EnvironmentSnapshot,
     ExecutionCondition,
     ObjectClass,
@@ -53,11 +52,6 @@ class Classification(str, Enum):
     REPLAN = "replan"
     CONSISTENT_NO_IMMEDIATE_HAZARD = "consistent_no_immediate_hazard"
     CONSISTENT_IMMEDIATE_HAZARD = "consistent_immediate_hazard"
-
-
-class Verdict(str, Enum):
-    EXECUTE = "execute"
-    DENY = "deny"
 
 
 @dataclass(frozen=True)
@@ -187,10 +181,14 @@ def classify_condition(
 ) -> Classification:
     """Replan on inconsistency; otherwise immediate hazard iff the proximity
     ratio of the newest frame strictly exceeds the threshold."""
-    verdict = check_deficit_consistency(history, cfg)
-    if not verdict.consistent:
+    if not check_deficit_consistency(history, cfg).consistent:
         return Classification.REPLAN
-    ratio = hazard_proximity_ratio(history[-1], cfg.front_view_only)
+    return classify_ratio(hazard_proximity_ratio(history[-1], cfg.front_view_only), cfg)
+
+
+def classify_ratio(ratio: float, cfg: VerifierConfig) -> Classification:
+    """Classification of a consistent window: an immediate hazard iff the
+    proximity ratio strictly exceeds the threshold."""
     if ratio > cfg.hazard_ratio_threshold:
         return Classification.CONSISTENT_IMMEDIATE_HAZARD
     return Classification.CONSISTENT_NO_IMMEDIATE_HAZARD
@@ -205,14 +203,3 @@ _CONDITION_FOR = {
 def classification_matches(classification: Classification, condition: ExecutionCondition) -> bool:
     return _CONDITION_FOR.get(classification) is condition
 
-
-def verify(
-    pair: ConditionActionPair,
-    history: Sequence[EnvironmentSnapshot],
-    cfg: VerifierConfig,
-) -> Verdict:
-    """Execute iff the live classification matches the pair's condition."""
-    classification = classify_condition(history, cfg)
-    if classification_matches(classification, pair.condition):
-        return Verdict.EXECUTE
-    return Verdict.DENY

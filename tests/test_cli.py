@@ -46,8 +46,14 @@ class TestRunCommand:
         ])
         assert code == 0
         result = json.loads((out / "pedestrian_cross__baseline.result.json").read_text())
+        assert set(result) == {
+            "scenario", "mode", "rc", "is_score", "ds", "as_speed", "infractions", "game_time_s",
+        }
+        assert (result["scenario"], result["mode"]) == ("pedestrian_cross", "baseline")
         assert result["rc"] == 100.0
+        assert result["ds"] == pytest.approx(result["rc"] * result["is_score"])
         assert any(e["kind"] == "collision_pedestrian" for e in result["infractions"])
+        assert all(set(e) == {"tick", "kind", "actor_id"} for e in result["infractions"])
         assert (out / "summary.csv").exists()
         assert (out / "pedestrian_cross__baseline.decisions.jsonl").exists()
 

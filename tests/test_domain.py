@@ -1,4 +1,4 @@
-"""Domain type validation, normalization, and JSON round-trips."""
+"""Domain type validation and normalization."""
 
 from __future__ import annotations
 
@@ -14,27 +14,19 @@ from rco.domain import (
     Box,
     CameraView,
     ConditionActionPair,
-    Daylight,
     DeficitRegion,
     EnvironmentSnapshot,
     ExecutionCondition,
-    Hazard,
     HighLevelAction,
-    MotionKind,
     MotionPlan,
-    Navigation,
     ObjectClass,
     OutOfRangeError,
-    RoadGeometry,
     SafetyConstraints,
     SpeedControl,
     Strategy,
-    Surrounding,
-    TrafficDensity,
     VehicleMeasurements,
     ViewName,
     VisibleObject,
-    Weather,
     validate_action,
 )
 from conftest import snapshot
@@ -203,128 +195,3 @@ class TestSafetyTypes:
         m = VehicleMeasurements(5.0, 0.0, 0.0)
         assert math.isinf(m.d_follow)
         assert not (m.d_follow < 6.0)  # the following trigger stays false
-
-
-# ---------------------------------------------------------------------------
-# Round-trip serialization
-# ---------------------------------------------------------------------------
-
-unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
-steer_range = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
-
-
-@st.composite
-def boxes(draw):
-    x0 = draw(st.floats(min_value=0.0, max_value=0.9, allow_nan=False))
-    y0 = draw(st.floats(min_value=0.0, max_value=0.9, allow_nan=False))
-    x1 = draw(st.floats(min_value=x0 + 0.05, max_value=1.0, allow_nan=False))
-    y1 = draw(st.floats(min_value=y0 + 0.05, max_value=1.0, allow_nan=False))
-    return Box(x0, y0, x1, y1)
-
-
-@st.composite
-def actions(draw):
-    return Action(draw(unit), draw(unit), draw(steer_range))
-
-
-@st.composite
-def high_level_actions(draw):
-    return HighLevelAction(draw(st.sampled_from(Behavior)), draw(st.sampled_from(SpeedControl)))
-
-
-@st.composite
-def sequences(draw):
-    pairs = tuple(
-        ConditionActionPair(draw(st.sampled_from(ExecutionCondition)), draw(high_level_actions()))
-        for _ in range(draw(st.integers(0, 5)))
-    )
-    return ActionSequence(pairs, draw(st.integers(0, 1000)))
-
-
-@given(actions())
-def test_action_round_trip(a):
-    assert Action.from_json(a.to_json()) == a
-
-
-@given(high_level_actions())
-def test_high_level_action_round_trip(hla):
-    assert HighLevelAction.from_json(hla.to_json()) == hla
-
-
-@given(sequences())
-def test_action_sequence_round_trip(seq):
-    assert ActionSequence.from_json(seq.to_json()) == seq
-
-
-@given(boxes())
-def test_box_round_trip(box):
-    assert Box.from_json(box.to_json()) == box
-
-
-@given(st.sampled_from(ObjectClass), st.sampled_from(MotionKind))
-def test_hazard_round_trip(obj, motion):
-    h = Hazard(obj, motion)
-    assert Hazard.from_json(h.to_json()) == h
-
-
-@given(
-    st.floats(min_value=0.1, max_value=50, allow_nan=False),
-    st.floats(min_value=0.1, max_value=50, allow_nan=False),
-    st.floats(min_value=0.1, max_value=10, allow_nan=False),
-    st.floats(min_value=0.1, max_value=10, allow_nan=False),
-    st.floats(min_value=0.1, max_value=3, allow_nan=False),
-    st.floats(min_value=0.1, max_value=50, allow_nan=False),
-)
-def test_safety_constraints_round_trip(v_max, d_min, ac_max, de_max, psi_max, d_brake):
-    sc = SafetyConstraints(v_max, d_min, ac_max, de_max, psi_max, d_brake)
-    assert SafetyConstraints.from_json(sc.to_json()) == sc
-
-
-@given(
-    st.floats(min_value=0.0, max_value=40, allow_nan=False),
-    st.floats(min_value=-10, max_value=10, allow_nan=False),
-    st.floats(min_value=-2, max_value=2, allow_nan=False),
-    st.one_of(st.just(math.inf), st.floats(min_value=0.0, max_value=100, allow_nan=False)),
-)
-def test_measurements_round_trip(v, a_x, omega_z, d_follow):
-    m = VehicleMeasurements(v, a_x, omega_z, d_follow)
-    assert VehicleMeasurements.from_json(m.to_json()) == m
-
-
-def test_motion_plan_round_trip_both_strategies():
-    seq = ActionSequence(
-        (
-            ConditionActionPair(
-                ExecutionCondition.CONSISTENT_NO_IMMEDIATE_HAZARD,
-                HighLevelAction(Behavior.MOVE_FORWARD, SpeedControl.CONSTANT_SPEED),
-            ),
-        ),
-        7,
-    )
-    move = MotionPlan(Strategy.MOVE, sequence=seq)
-    wait = MotionPlan(
-        Strategy.STOP_OBSERVE_MOVE,
-        wait_ticks=4,
-        move_trigger=ExecutionCondition.CONSISTENT_IMMEDIATE_HAZARD,
-    )
-    assert MotionPlan.from_json(move.to_json()) == move
-    assert MotionPlan.from_json(wait.to_json()) == wait
-
-
-def test_snapshot_round_trip():
-    snap = snapshot(
-        tick=12,
-        front_deficits=[Box(0.1, 0.1, 0.2, 0.2)],
-        front_objects=[(ObjectClass.CAR, Box(0.5, 0.5, 0.7, 0.7))],
-        left_deficits=[Box(0.3, 0.3, 0.4, 0.4)],
-    )
-    assert EnvironmentSnapshot.from_json(snap.to_json()) == snap
-
-
-def test_navigation_and_surrounding_round_trip():
-    navi = Navigation((12.5, -3.0), 0.7, RoadGeometry.INTERSECTION)
-    assert Navigation.from_json(navi.to_json()) == navi
-    sur = Surrounding(Weather.RAIN, Daylight.NIGHT, TrafficDensity.HIGH, 7.5)
-    assert Surrounding.from_json(sur.to_json()) == sur
-    none_case = Surrounding(Weather.RAIN, Daylight.NIGHT, TrafficDensity.HIGH, None)
-    assert Surrounding.from_json(none_case.to_json()).nearest_obstacle_m is None

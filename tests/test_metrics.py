@@ -152,14 +152,6 @@ class TestEpisodeResult:
         r = EpisodeResult.build("s", "rco", rc, is_score, as_speed=1.0)
         assert abs(r.ds - rc * is_score) <= 1e-9
 
-    def test_json_round_trip(self):
-        r = EpisodeResult.build(
-            "s", "baseline", 90.0, 0.6, as_speed=2.5,
-            infractions=(ev(InfractionKind.RED_LIGHT, tick=12, actor=10),),
-            game_time_s=33.0,
-        )
-        assert EpisodeResult.from_json(r.to_json()) == r
-
 
 class TestSummary:
     def rows(self):

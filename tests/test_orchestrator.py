@@ -210,9 +210,9 @@ class TestWaitMode:
             sources.append(result.record["source"])
             assert result.action.brake == pytest.approx(0.8)
         # 3 expanded stops, then held stops past expiry (trigger unmet), then
-        # a forced replanning round at the cap which expands fresh stops.
-        assert sources[:3] == ["pair", "pair", "pair"]
-        assert "stop_wait" in sources
+        # a forced replanning round once wait_cap ticks have passed, which
+        # expands fresh stops.
+        assert sources == ["pair"] * 3 + ["stop_wait"] * 2 + ["pair"] * 2
 
 
 class TestRecords:
@@ -267,3 +267,45 @@ class TestFuzzLoop:
                 assert len(state.sequence) <= cfg.planner.max_steps
             else:
                 assert len(state.sequence) <= cfg.planner.wait_cap
+
+
+class TestStepCost:
+    def test_one_ratio_and_one_state_per_step(self, monkeypatch):
+        # Each tick computes the proximity ratio once and builds its next
+        # state once, whichever path it takes.
+        import rco.orchestrator as orch
+        from rco import verifier
+
+        calls = {"ratio": 0, "state": 0}
+        real_ratio, real_state = verifier.hazard_proximity_ratio, orch.OverrideState
+
+        def counting_ratio(*args):
+            calls["ratio"] += 1
+            return real_ratio(*args)
+
+        def counting_state(*args, **kwargs):
+            calls["state"] += 1
+            return real_state(*args, **kwargs)
+
+        def no_replace(*args, **kwargs):
+            raise AssertionError("step rebuilt its state through replace()")
+
+        rng = random.Random(3)
+        state = engaged()
+        monkeypatch.setattr(verifier, "hazard_proximity_ratio", counting_ratio)
+        monkeypatch.setattr(orch, "OverrideState", counting_state)
+        monkeypatch.setattr(orch, "replace", no_replace)
+        sources = set()
+        history = []
+        for tick in range(400):
+            boxes = [Box(0.45, 0.45, 0.5, 0.5)] * rng.choice((1, 1, 1, 2))
+            if rng.random() < 0.3:
+                boxes = [Box(0.2, 0.2, 0.8, 0.7)]
+            history = (history + [snapshot(tick=tick, front_deficits=boxes)])[-5:]
+            key = ("move2", "cautious", "wait3", "nope")[tick // 100]
+            calls.update(ratio=0, state=0)
+            result = step(state, history[-1], history, CALM, POSE, backend(), cfg_for(key))
+            state = result.state
+            sources.add(result.record["source"])
+            assert calls == {"ratio": 1, "state": 1}
+        assert sources == {"pair", "stop_wait", "failsafe"}

@@ -22,13 +22,12 @@ from rco.verifier import (
     ConsistencyReason,
     ConsistencyVerdict,
     InsufficientHistoryError,
-    Verdict,
     VerifierConfig,
     check_deficit_consistency,
+    classification_matches,
     classify_condition,
     hazard_proximity_ratio,
     union_area,
-    verify,
 )
 from conftest import history_of_counts, snapshot
 
@@ -263,17 +262,23 @@ class TestVerify:
             snapshot(tick=1, front_deficits=[box]),
         ]
 
+    @staticmethod
+    def executes(pair, frames):
+        # The control loop's gate: a pair runs iff the live classification
+        # matches its condition.
+        return classification_matches(classify_condition(frames, CFG), pair.condition)
+
     def test_matching_condition_executes(self):
-        assert verify(self.PAIR_NO_HAZ, self.quiet_history(), CFG) is Verdict.EXECUTE
+        assert self.executes(self.PAIR_NO_HAZ, self.quiet_history())
 
     def test_mismatched_condition_denied(self):
-        assert verify(self.PAIR_NO_HAZ, self.hazard_history(), CFG) is Verdict.DENY
-        assert verify(self.PAIR_HAZ, self.hazard_history(), CFG) is Verdict.EXECUTE
+        assert not self.executes(self.PAIR_NO_HAZ, self.hazard_history())
+        assert self.executes(self.PAIR_HAZ, self.hazard_history())
 
     def test_replan_denies_everything(self):
         frames = history_of_counts([2, 3])
-        assert verify(self.PAIR_NO_HAZ, frames, CFG) is Verdict.DENY
-        assert verify(self.PAIR_HAZ, frames, CFG) is Verdict.DENY
+        assert not self.executes(self.PAIR_NO_HAZ, frames)
+        assert not self.executes(self.PAIR_HAZ, frames)
 
     def test_execute_implies_classification_matches(self):
         rng = random.Random(7)
@@ -281,7 +286,7 @@ class TestVerify:
             n1, n2 = rng.randint(0, 2), rng.randint(0, 2)
             frames = history_of_counts([n1, n2])
             for pair in (self.PAIR_NO_HAZ, self.PAIR_HAZ):
-                if verify(pair, frames, CFG) is Verdict.EXECUTE:
+                if self.executes(pair, frames):
                     cls = classify_condition(frames, CFG)
                     assert cls.value == pair.condition.value
 
