@@ -48,6 +48,16 @@ def discover_scenarios(paths: Sequence[str]) -> list[Path]:
     return found
 
 
+def load_scenarios(paths: Sequence[Path]) -> list[Scenario]:
+    scenarios = []
+    for p in paths:
+        try:
+            scenarios.append(Scenario.load(str(p)))
+        except (OSError, AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"scenario file {p} failed to load: {exc!r}") from exc
+    return scenarios
+
+
 def build_backend(kind: str, scripted_table: Optional[str]) -> Backend:
     if kind == "scripted":
         if scripted_table:
@@ -107,22 +117,21 @@ def _merge_overrides(args: argparse.Namespace) -> Overrides:
         raise ConfigError(f"invalid override values: {exc}") from exc
 
 
-def _run_one(task: tuple[str, str, str, Optional[str], Overrides]) -> EpisodeOutcome:
-    scenario_path, mode, backend_kind, scripted_table, overrides = task
-    scenario = Scenario.load(scenario_path)
+def _run_one(task: tuple[Scenario, str, str, Optional[str], Overrides]) -> EpisodeOutcome:
+    scenario, mode, backend_kind, scripted_table, overrides = task
     backend = build_backend(backend_kind, scripted_table)
     return run_episode(scenario, Mode(mode), backend, overrides)
 
 
 def _execute(
-    scenario_paths: Sequence[Path],
+    scenarios: Sequence[Scenario],
     mode: str,
     backend_kind: str,
     scripted_table: Optional[str],
     overrides: Overrides,
     jobs: int,
 ) -> list[EpisodeOutcome]:
-    tasks = [(str(p), mode, backend_kind, scripted_table, overrides) for p in scenario_paths]
+    tasks = [(s, mode, backend_kind, scripted_table, overrides) for s in scenarios]
     if jobs <= 1 or len(tasks) <= 1:
         return [_run_one(t) for t in tasks]
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -151,11 +160,11 @@ def _write_outputs(
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    scenario_paths = discover_scenarios(args.scenarios)
+    scenarios = load_scenarios(discover_scenarios(args.scenarios))
     overrides = _merge_overrides(args)
     build_backend(args.backend, args.scripted_table)  # validate early
     outcomes = _execute(
-        scenario_paths, args.mode, args.backend, args.scripted_table, overrides, args.jobs
+        scenarios, args.mode, args.backend, args.scripted_table, overrides, args.jobs
     )
     run_config = {
         "mode": args.mode,
@@ -174,7 +183,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    scenario_paths = discover_scenarios(args.scenarios)
+    scenarios = load_scenarios(discover_scenarios(args.scenarios))
     overrides = _merge_overrides(args)
     try:
         limits = [int(x) for x in args.limits.split(",") if x.strip()]
@@ -184,7 +193,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError("--limits must name at least one step limit")
 
     baseline = _execute(
-        scenario_paths, Mode.BASELINE.value, args.backend, args.scripted_table, overrides, args.jobs
+        scenarios, Mode.BASELINE.value, args.backend, args.scripted_table, overrides, args.jobs
     )
     base_agg = metrics.Summary(tuple(o.result for o in baseline)).aggregate()
 
@@ -194,7 +203,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for limit in limits:
         limited = Overrides(**{**_overrides_dict(overrides), "n_max": limit})
         outcomes = _execute(
-            scenario_paths, Mode.RCO.value, args.backend, args.scripted_table, limited, args.jobs
+            scenarios, Mode.RCO.value, args.backend, args.scripted_table, limited, args.jobs
         )
         agg = metrics.Summary(tuple(o.result for o in outcomes)).aggregate()
         lines.append(

@@ -16,8 +16,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
+from itertools import accumulate
 from typing import Any, Optional
 
 from .controlmap import clamp, compute_steer, wrap_angle, SteerControllerState
@@ -116,46 +119,42 @@ class Actor:
     cls: ObjectClass
     script: tuple[tuple[float, float, float], ...]  # (t_s, x, y), times monotone
     static: bool = False  # True => collisions score as layout/static
+    # Derived once per actor: waypoint times and one heading per segment.
+    _times: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _headings: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.script:
             raise ValueError("actor script must contain at least one waypoint")
-        times = [p[0] for p in self.script]
+        times = tuple(p[0] for p in self.script)
         if any(b < a for a, b in zip(times, times[1:])):
             raise ValueError(f"actor {self.id} script times must be monotone")
+        headings = tuple(_heading(p, q) for p, q in zip(self.script, self.script[1:]))
+        object.__setattr__(self, "_times", times)
+        object.__setattr__(self, "_headings", headings or (0.0,))
 
     def state_at(self, t_s: float) -> tuple[float, float, float, float, float]:
         """(x, y, heading, vx, vy) at time ``t_s`` by linear interpolation."""
         pts = self.script
         if t_s <= pts[0][0] or len(pts) == 1:
-            x, y = pts[0][1], pts[0][2]
-            return x, y, self._segment_heading(0), 0.0, 0.0
+            return pts[0][1], pts[0][2], self._headings[0], 0.0, 0.0
         if t_s >= pts[-1][0]:
-            x, y = pts[-1][1], pts[-1][2]
-            return x, y, self._segment_heading(len(pts) - 2), 0.0, 0.0
-        for i in range(len(pts) - 1):
-            t0, x0, y0 = pts[i]
-            t1, x1, y1 = pts[i + 1]
-            if t0 <= t_s <= t1:
-                if t1 == t0:
-                    continue
-                a = (t_s - t0) / (t1 - t0)
-                vx = (x1 - x0) / (t1 - t0)
-                vy = (y1 - y0) / (t1 - t0)
-                return x0 + a * (x1 - x0), y0 + a * (y1 - y0), self._segment_heading(i), vx, vy
-        x, y = pts[-1][1], pts[-1][2]
-        return x, y, self._segment_heading(len(pts) - 2), 0.0, 0.0
+            return pts[-1][1], pts[-1][2], self._headings[-1], 0.0, 0.0
+        # The first segment whose closed time span holds t_s and is not empty.
+        i = bisect_left(self._times, t_s) - 1
+        t0, x0, y0 = pts[i]
+        t1, x1, y1 = pts[i + 1]
+        a = (t_s - t0) / (t1 - t0)
+        vx = (x1 - x0) / (t1 - t0)
+        vy = (y1 - y0) / (t1 - t0)
+        return x0 + a * (x1 - x0), y0 + a * (y1 - y0), self._headings[i], vx, vy
 
-    def _segment_heading(self, i: int) -> float:
-        pts = self.script
-        i = max(0, min(i, len(pts) - 2)) if len(pts) > 1 else 0
-        if len(pts) == 1:
-            return 0.0
-        dx = pts[i + 1][1] - pts[i][1]
-        dy = pts[i + 1][2] - pts[i][2]
-        if dx == 0.0 and dy == 0.0:
-            return 0.0
-        return math.atan2(dy, dx)
+
+def _heading(p: tuple[float, float, float], q: tuple[float, float, float]) -> float:
+    dx, dy = q[1] - p[1], q[2] - p[2]
+    if dx == 0.0 and dy == 0.0:
+        return 0.0
+    return math.atan2(dy, dx)
 
 
 @dataclass(frozen=True)
@@ -184,19 +183,39 @@ class StopSign:
 class Route:
     waypoints: tuple[tuple[float, float], ...]
     geometry: tuple[RoadGeometry, ...]  # one tag per segment
+    # Derived once per route: total arc length, and each segment's length and
+    # the arc length at its end.
+    length: float = field(init=False, repr=False, compare=False)
+    _lengths: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _ends: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    # Per segment for progress_of: (x0, y0, dx, dy, squared length, length,
+    # arc length at its start). These lengths are square roots of the squared
+    # lengths, which can differ from the hypot lengths above in the last bit;
+    # each method keeps the arithmetic it has always used.
+    _projection: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.waypoints) < 2:
             raise ValueError("route needs at least two waypoints")
         if len(self.geometry) != len(self.waypoints) - 1:
             raise ValueError("route needs one geometry tag per segment")
+        projection = []
+        start = 0.0
         for (x0, y0), (x1, y1) in zip(self.waypoints, self.waypoints[1:]):
-            if x0 == x1 and y0 == y1:
+            dx, dy = x1 - x0, y1 - y0
+            seg_len2 = dx * dx + dy * dy
+            # progress_of divides by it: distinct points whose squared
+            # distance underflows are rejected too.
+            if seg_len2 == 0.0:
                 raise ValueError("route waypoints must be strictly ordered")
-
-    @property
-    def length(self) -> float:
-        return sum(self._segment_lengths())
+            seg_len = math.sqrt(seg_len2)
+            projection.append((x0, y0, dx, dy, seg_len2, seg_len, start))
+            start += seg_len
+        object.__setattr__(self, "_projection", tuple(projection))
+        lengths = self._segment_lengths()
+        object.__setattr__(self, "length", sum(lengths))
+        object.__setattr__(self, "_lengths", tuple(lengths))
+        object.__setattr__(self, "_ends", tuple(accumulate(lengths)))
 
     def _segment_lengths(self) -> list[float]:
         return [
@@ -208,19 +227,15 @@ class Route:
         """Arc length of the closest point on the polyline."""
         best_d2 = math.inf
         best_s = 0.0
-        cum = 0.0
         px, py = point
-        for (x0, y0), (x1, y1) in zip(self.waypoints, self.waypoints[1:]):
-            dx, dy = x1 - x0, y1 - y0
-            seg_len2 = dx * dx + dy * dy
+        for x0, y0, dx, dy, seg_len2, seg_len, start in self._projection:
             t = ((px - x0) * dx + (py - y0) * dy) / seg_len2
             t = clamp(t, 0.0, 1.0)
             cx, cy = x0 + t * dx, y0 + t * dy
             d2 = (px - cx) ** 2 + (py - cy) ** 2
             if d2 < best_d2:
                 best_d2 = d2
-                best_s = cum + t * math.sqrt(seg_len2)
-            cum += math.sqrt(seg_len2)
+                best_s = start + t * seg_len
         return best_s
 
     def lateral_offset_of(self, point: tuple[float, float]) -> float:
@@ -231,26 +246,20 @@ class Route:
 
     def point_at(self, s: float) -> tuple[float, float]:
         s = clamp(s, 0.0, self.length)
-        cum = 0.0
-        for (x0, y0), (x1, y1), seg_len in zip(
-            self.waypoints, self.waypoints[1:], self._segment_lengths()
-        ):
-            if s <= cum + seg_len or seg_len == 0.0:
-                t = 0.0 if seg_len == 0.0 else (s - cum) / seg_len
-                return x0 + t * (x1 - x0), y0 + t * (y1 - y0)
-            cum += seg_len
-        return self.waypoints[-1]
+        i = bisect_left(self._ends, s)  # the first segment ending at or past s
+        if i == len(self._ends):
+            return self.waypoints[-1]
+        start = self._ends[i - 1] if i else 0.0
+        (x0, y0), (x1, y1) = self.waypoints[i], self.waypoints[i + 1]
+        t = (s - start) / self._lengths[i]
+        return x0 + t * (x1 - x0), y0 + t * (y1 - y0)
 
     def target_point(self, progress: float, lookahead: float = 8.0) -> tuple[float, float]:
         return self.point_at(min(progress + lookahead, self.length))
 
     def geometry_at(self, progress: float) -> RoadGeometry:
-        cum = 0.0
-        for tag, seg_len in zip(self.geometry, self._segment_lengths()):
-            cum += seg_len
-            if progress <= cum:
-                return tag
-        return self.geometry[-1]
+        i = bisect_left(self._ends, progress)
+        return self.geometry[min(i, len(self.geometry) - 1)]
 
     def initial_heading(self) -> float:
         (x0, y0), (x1, y1) = self.waypoints[0], self.waypoints[1]
@@ -275,12 +284,17 @@ class DeficitPolicy:
         bad = self.classes - self._ALLOWED
         if bad:
             raise ValueError(f"deficit classes must be safety-critical categories, got {bad}")
+        w = self.window
+        if not (
+            isinstance(w, tuple)
+            and len(w) == 2
+            and all(type(t) is int for t in w)
+            and 0 <= w[0] <= w[1]
+        ):
+            raise ValueError(f"deficit window must be two ints with 0 <= start <= end, got {w!r}")
 
     def active(self, tick: int) -> bool:
         return bool(self.classes) and self.window[0] <= tick < self.window[1]
-
-    def masks(self, cls: ObjectClass, tick: int) -> bool:
-        return self.active(tick) and cls in self.classes
 
 
 @dataclass(frozen=True)
@@ -381,7 +395,9 @@ class Scenario:
                 classes=frozenset(
                     ObjectClass(c) for c in d.get("deficit_policy", {}).get("classes", [])
                 ),
-                window=tuple(d.get("deficit_policy", {}).get("window", [0, 0])),  # type: ignore[arg-type]
+                window=tuple(  # type: ignore[arg-type]
+                    int(t) for t in d.get("deficit_policy", {}).get("window", [0, 0])
+                ),
             ),
             weather=Weather(d.get("weather", "clear")),
             daylight=Daylight(d.get("daylight", "day")),
@@ -430,9 +446,18 @@ class WorldState:
     def time_s(self) -> float:
         return self.tick * self.params.dt
 
-    def actor_states(self) -> list[tuple[Actor, float, float, float, float, float]]:
+    # A world state never changes, so what is derived from it is computed on
+    # first use and kept with it.
+    @cached_property
+    def actor_states(self) -> tuple[tuple[Actor, float, float, float, float, float], ...]:
+        """(actor, x, y, heading, vx, vy) of every actor at this tick."""
         t = self.time_s
-        return [(a, *a.state_at(t)) for a in self.scenario.actors]
+        return tuple((a, *a.state_at(t)) for a in self.scenario.actors)
+
+    @cached_property
+    def collisions(self) -> frozenset[int]:
+        """Ids of the actors whose footprint overlaps the ego's at this tick."""
+        return _collisions(self)
 
 
 def world_from_scenario(scenario: Scenario, params: VehicleParams = VehicleParams()) -> WorldState:
@@ -458,19 +483,14 @@ def tick(w: WorldState, a: Action) -> WorldState:
     ego_new = EgoState(x_new, y_new, heading_new, v_new, a_x, omega_z)
     progress = w.scenario.route.progress_of((x_new, y_new))
 
-    satisfied = set(w.sign_satisfied)
+    satisfied = w.sign_satisfied
     if v_new <= STOPPED_SPEED:
-        for sign in w.scenario.signs:
-            if sign.stop_line_s - SIGN_ZONE_M <= progress <= sign.stop_line_s:
-                satisfied.add(sign.id)
-
-    return replace(
-        w,
-        tick=w.tick + 1,
-        ego=ego_new,
-        ego_progress=progress,
-        sign_satisfied=frozenset(satisfied),
-    )
+        satisfied = satisfied.union(
+            sign.id
+            for sign in w.scenario.signs
+            if sign.stop_line_s - SIGN_ZONE_M <= progress <= sign.stop_line_s
+        )
+    return WorldState(w.tick + 1, ego_new, w.scenario, p, progress, satisfied)
 
 
 # ---------------------------------------------------------------------------
@@ -484,16 +504,23 @@ _VIEW_SPANS = {
 }
 
 
-def _project(
-    ego: EgoState, pos: tuple[float, float], width: float, height: float, p: VehicleParams
-) -> Optional[tuple[ViewName, Box, float]]:
-    """Project a world position to (view, normalized box, range); None if the
-    object is outside every camera sector."""
+def _bearing(
+    ego: EgoState, pos: tuple[float, float], p: VehicleParams
+) -> Optional[tuple[float, float]]:
+    """(range, bearing relative to the ego heading) of a world position; None
+    if it is out of camera range."""
     dx, dy = pos[0] - ego.x, pos[1] - ego.y
     rng = math.hypot(dx, dy)
     if rng < 1e-6 or rng > p.camera_range:
         return None
-    rel = wrap_angle(math.atan2(dy, dx) - ego.heading)
+    return rng, wrap_angle(math.atan2(dy, dx) - ego.heading)
+
+
+def _project(
+    rng: float, rel: float, width: float, height: float, p: VehicleParams
+) -> Optional[tuple[ViewName, Box]]:
+    """Project an object seen at (range, bearing) to (view, normalized box);
+    None if it is outside every camera sector."""
     for view, (lo, hi) in _VIEW_SPANS.items():
         if lo <= rel <= hi:
             span = hi - lo
@@ -504,19 +531,19 @@ def _project(
             y0, y1 = clamp(0.5 - half_h, 0.0, 1.0), clamp(0.5 + half_h, 0.0, 1.0)
             if x1 - x0 < 1e-9 or y1 - y0 < 1e-9:
                 return None
-            return view, Box(x0, y0, x1, y1), rng
+            return view, Box(x0, y0, x1, y1)
     return None
 
 
 def masked_ids(w: WorldState, policy: DeficitPolicy) -> frozenset[int]:
     """Ids of actors and signals hidden by the policy at the current tick."""
-    out = set()
-    for a in w.scenario.actors:
-        if policy.masks(a.cls, w.tick):
-            out.add(a.id)
-    if policy.masks(ObjectClass.TRAFFIC_LIGHT, w.tick):
+    if not policy.active(w.tick):
+        return frozenset()
+    classes = policy.classes
+    out = {a.id for a in w.scenario.actors if a.cls in classes}
+    if ObjectClass.TRAFFIC_LIGHT in classes:
         out.update(l.id for l in w.scenario.lights)
-    if policy.masks(ObjectClass.STOP_SIGN, w.tick):
+    if ObjectClass.STOP_SIGN in classes:
         out.update(s.id for s in w.scenario.signs)
     return frozenset(out)
 
@@ -530,20 +557,34 @@ def perceive(w: WorldState, policy: DeficitPolicy) -> EnvironmentSnapshot:
         v: ([], []) for v in ViewName
     }
 
-    def add(obj_id: int, cls: ObjectClass, pos: tuple[float, float]) -> None:
+    def add(
+        obj_id: int, cls: ObjectClass, pos: tuple[float, float]
+    ) -> Optional[tuple[float, float]]:
+        seen = _bearing(w.ego, pos, p)
+        if seen is None:
+            return None
         dims = _CLASS_DIMS[cls]
-        projected = _project(w.ego, pos, dims[2], dims[3], p)
-        if projected is None:
-            return
-        view, box, rng = projected
-        visibles, deficits = per_view[view]
-        if obj_id in hidden:
-            deficits.append(DeficitRegion(view, box, masked_object_id=obj_id))
-        else:
-            visibles.append(VisibleObject(cls, box, rng))
+        projected = _project(*seen, dims[2], dims[3], p)
+        if projected is not None:
+            view, box = projected
+            visibles, deficits = per_view[view]
+            if obj_id in hidden:
+                deficits.append(DeficitRegion(view, box, masked_object_id=obj_id))
+            else:
+                visibles.append(VisibleObject(cls, box, seen[0]))
+        return seen
 
-    for actor, x, y, _h, _vx, _vy in w.actor_states():
-        add(actor.id, actor.cls, (x, y))
+    # The nearest actor in the front view, masked or not, is the nearest
+    # obstacle; a 0.1 m probe box places it.
+    nearest = None
+    for actor, x, y, _h, _vx, _vy in w.actor_states:
+        seen = add(actor.id, actor.cls, (x, y))
+        if seen is None:
+            continue
+        probe = _project(*seen, 0.1, 0.1, p)
+        if probe is not None and probe[0] is ViewName.FRONT:
+            if nearest is None or seen[0] < nearest:
+                nearest = seen[0]
     for light in w.scenario.lights:
         add(light.id, ObjectClass.TRAFFIC_LIGHT, light.position)
     for sign in w.scenario.signs:
@@ -564,13 +605,6 @@ def perceive(w: WorldState, policy: DeficitPolicy) -> EnvironmentSnapshot:
         current_direction=w.ego.heading,
         road_geometry=w.scenario.route.geometry_at(progress),
     )
-    nearest = None
-    for actor, x, y, _h, _vx, _vy in w.actor_states():
-        proj = _project(w.ego, (x, y), 0.1, 0.1, p)
-        if proj is not None and proj[0] is ViewName.FRONT:
-            rng = proj[2]
-            if nearest is None or rng < nearest:
-                nearest = rng
     surrounding = Surrounding(
         weather=w.scenario.weather,
         daylight=w.scenario.daylight,
@@ -589,7 +623,7 @@ def measurements(w: WorldState) -> VehicleMeasurements:
     """IMU/speedometer readout plus lead-vehicle gap in the ego corridor."""
     d_follow = math.inf
     cos_h, sin_h = math.cos(w.ego.heading), math.sin(w.ego.heading)
-    for actor, x, y, _h, _vx, _vy in w.actor_states():
+    for actor, x, y, _h, _vx, _vy in w.actor_states:
         if actor.cls not in LEAD_VEHICLE_CLASSES:
             continue
         dx, dy = x - w.ego.x, y - w.ego.y
@@ -631,12 +665,12 @@ def _obb_overlap(a: list[tuple[float, float]], b: list[tuple[float, float]]) -> 
     return True
 
 
-def _collisions(w: WorldState) -> set[int]:
+def _collisions(w: WorldState) -> frozenset[int]:
     ego_quad = _obb_corners(
         w.ego.x, w.ego.y, w.ego.heading, w.params.ego_length, w.params.ego_width
     )
     hit = set()
-    for actor, x, y, heading, _vx, _vy in w.actor_states():
+    for actor, x, y, heading, _vx, _vy in w.actor_states:
         length, width, _pw, _ph = _CLASS_DIMS[actor.cls]
         if length == 0.0:
             continue
@@ -644,7 +678,7 @@ def _collisions(w: WorldState) -> set[int]:
             continue
         if _obb_overlap(ego_quad, _obb_corners(x, y, heading, length, width)):
             hit.add(actor.id)
-    return hit
+    return frozenset(hit)
 
 
 def _collision_kind(actor: Actor) -> InfractionKind:
@@ -664,12 +698,13 @@ def detect_infractions(w_prev: WorldState, w_next: WorldState) -> list[Infractio
     if w_next.tick != w_prev.tick + 1:
         raise ValueError("detect_infractions needs consecutive states")
     events: list[InfractionEvent] = []
-    before = _collisions(w_prev)
-    after = _collisions(w_next)
-    actors_by_id = {a.id: a for a in w_next.scenario.actors}
-    for actor_id in sorted(after - before):
-        actor = actors_by_id[actor_id]
-        events.append(InfractionEvent(w_next.tick, _collision_kind(actor), actor_id))
+    # w_prev's set was computed when it was the previous step's w_next.
+    started = w_next.collisions - w_prev.collisions
+    if started:
+        actors_by_id = {a.id: a for a in w_next.scenario.actors}
+        for actor_id in sorted(started):
+            kind = _collision_kind(actors_by_id[actor_id])
+            events.append(InfractionEvent(w_next.tick, kind, actor_id))
 
     p_prev, p_next = w_prev.ego_progress, w_next.ego_progress
     for light in w_next.scenario.lights:
@@ -722,7 +757,7 @@ def base_agent(w: WorldState, hidden: frozenset[int] = frozenset()) -> Action:
             brake = True
         else:
             creep = True
-    for actor, x, y, _h, _vx, _vy in w.actor_states():
+    for actor, x, y, _h, _vx, _vy in w.actor_states:
         if actor.cls is not ObjectClass.PEDESTRIAN or actor.id in hidden:
             continue
         s = route.progress_of((x, y))

@@ -113,12 +113,11 @@ def _validate_history(history: Sequence[EnvironmentSnapshot]) -> None:
 def _greedy_match_max_shift(prev: CameraView, cur: CameraView) -> float:
     """Greedy nearest-centroid matching of equal-count deficit lists; returns
     the largest matched centroid displacement."""
+    if len(prev.deficits) == 1:
+        return _dist(prev.deficits[0].box.centroid, cur.deficits[0].box.centroid)
     a = [d.box.centroid for d in prev.deficits]
     b = [d.box.centroid for d in cur.deficits]
-    pairs = sorted(
-        ((_dist(p, q), i, j) for i, p in enumerate(a) for j, q in enumerate(b)),
-        key=lambda t: (t[0], t[1], t[2]),
-    )
+    pairs = sorted((_dist(p, q), i, j) for i, p in enumerate(a) for j, q in enumerate(b))
     used_a: set[int] = set()
     used_b: set[int] = set()
     max_shift = 0.0
@@ -147,8 +146,8 @@ def check_deficit_consistency(
     _validate_history(history)
     window = history[-cfg.history_len:]
     for prev, cur in zip(window, window[1:]):
-        for name in (ViewName.LEFT, ViewName.FRONT, ViewName.RIGHT):
-            pv, cv = prev.view(name), cur.view(name)
+        # Views are ordered left, front, right in every snapshot.
+        for pv, cv in zip(prev.perception, cur.perception):
             n_prev, n_cur = len(pv.deficits), len(cv.deficits)
             if n_prev > 0 and n_cur == 0:
                 return ConsistencyVerdict(False, ConsistencyReason.DEFICIT_DISAPPEARED)

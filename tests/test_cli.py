@@ -82,6 +82,29 @@ class TestRunCommand:
         code = main(["run", "--scenarios", str(tmp_path / "nope"), "--out", str(tmp_path / "o")])
         assert code == 2
 
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--limits", "1"]])
+    @pytest.mark.parametrize(
+        "edit", ["one-element window", "reversed window", "not json", "missing route"]
+    )
+    def test_unloadable_scenario_is_config_error(self, tmp_path, capsys, command, edit):
+        d = json.loads(open(scenario_path("pedestrian_cross"), encoding="utf-8").read())
+        text = None
+        if edit == "one-element window":
+            d["deficit_policy"]["window"] = [0]
+        elif edit == "reversed window":
+            d["deficit_policy"]["window"] = [150, 0]
+        elif edit == "not json":
+            text = "{ not json"
+        else:
+            del d["route"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(text if text is not None else json.dumps(d), encoding="utf-8")
+        scenarios = [scenario_path("traffic_light_benign"), str(bad)]
+        code = main([*command, "--scenarios", *scenarios, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"scenario file {bad} failed to load" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_bad_override_is_config_error(self, tmp_path):
         code = main([
             "run", "--scenarios", scenario_path("pedestrian_cross"),

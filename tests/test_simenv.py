@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rco import simenv
+from rco.backend import ScriptedBackend
+from rco.cli import bundled_scenario_dir
 from rco.domain import Action, ObjectClass, RoadGeometry, ViewName
+from rco.runner import Mode, run_episode
 from rco.simenv import (
     Actor,
     DeficitPolicy,
@@ -19,6 +24,7 @@ from rco.simenv import (
     StopSign,
     TrafficLight,
     VehicleParams,
+    WorldState,
     base_agent,
     detect_infractions,
     masked_ids,
@@ -370,6 +376,12 @@ class TestScenarioIO:
         with pytest.raises(ValueError):
             Route(((0.0, 0.0), (1.0, 0.0)), ())
 
+    @pytest.mark.parametrize("end", [(0.0, 0.0), (0.0, 1e-200)])
+    def test_zero_length_segment_rejected(self, end):
+        # 1e-200 squared underflows to 0, which progress_of would divide by.
+        with pytest.raises(ValueError):
+            Route(((0.0, 0.0), end), (RoadGeometry.STRAIGHT,))
+
 
 class TestRouteGeometry:
     def test_progress_projection(self):
@@ -389,3 +401,216 @@ class TestRouteGeometry:
     def test_lateral_offset(self):
         r = Route(((0.0, 0.0), (10.0, 0.0)), (RoadGeometry.STRAIGHT,))
         assert r.lateral_offset_of((5.0, 2.5)) == pytest.approx(2.5)
+
+
+class TestDeficitWindow:
+    @pytest.mark.parametrize(
+        "window", [(5,), (10, 5), (-1, 5), (0.0, 5), (0, "5"), (True, 5), (1, 2, 3), [0, 5]]
+    )
+    def test_malformed_window_rejected(self, window):
+        with pytest.raises(ValueError):
+            DeficitPolicy(frozenset({ObjectClass.PEDESTRIAN}), window)
+
+    def test_empty_window_never_masks(self):
+        policy = DeficitPolicy(frozenset({ObjectClass.PEDESTRIAN}), (5, 5))
+        assert not any(policy.active(t) for t in range(10))
+
+    def test_from_json_coerces_window_to_ints(self):
+        d = straight_scenario(policy=DeficitPolicy(frozenset({ObjectClass.PEDESTRIAN}))).to_json()
+        d["deficit_policy"]["window"] = [5.0, "12"]
+        window = Scenario.from_json(d).deficit_policy.window
+        assert window == (5, 12)
+        assert all(type(t) is int for t in window)
+
+    @pytest.mark.parametrize("window", [[5], [150, 0]])
+    def test_from_json_rejects_malformed_window(self, window):
+        d = straight_scenario().to_json()
+        d["deficit_policy"]["window"] = window
+        with pytest.raises(ValueError, match="deficit window"):
+            Scenario.from_json(d)
+
+
+class TestWorldCost:
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_each_world_quantity_computed_once(self, monkeypatch, mode):
+        # Over one bundled episode, every world state (ticks + 1 of them)
+        # computes each actor's state and its collision set once, and the
+        # route computes its segment lengths once.
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(Actor, "state_at", counting("state_at", Actor.state_at))
+        monkeypatch.setattr(simenv, "_collisions", counting("collisions", simenv._collisions))
+        monkeypatch.setattr(
+            Route, "_segment_lengths", counting("segment_lengths", Route._segment_lengths)
+        )
+        sc = Scenario.load(str(bundled_scenario_dir() / "pedestrian_cross.json"))
+        worlds = run_episode(sc, mode, ScriptedBackend.bundled()).ticks + 1
+        assert sc.actors
+        assert calls == {
+            "state_at": len(sc.actors) * worlds,
+            "collisions": worlds,
+            "segment_lengths": 1,
+        }
+
+
+# Uncached references: the per-call computations the memoised values replace.
+
+
+def fresh_heading(script, i):
+    if len(script) == 1:
+        return 0.0
+    i = max(0, min(i, len(script) - 2))
+    dx = script[i + 1][1] - script[i][1]
+    dy = script[i + 1][2] - script[i][2]
+    if dx == 0.0 and dy == 0.0:
+        return 0.0
+    return math.atan2(dy, dx)
+
+
+def fresh_state_at(script, t_s):
+    if t_s <= script[0][0] or len(script) == 1:
+        return script[0][1], script[0][2], fresh_heading(script, 0), 0.0, 0.0
+    if t_s >= script[-1][0]:
+        return script[-1][1], script[-1][2], fresh_heading(script, len(script) - 2), 0.0, 0.0
+    for i in range(len(script) - 1):
+        t0, x0, y0 = script[i]
+        t1, x1, y1 = script[i + 1]
+        if t0 <= t_s <= t1 and t1 != t0:
+            a = (t_s - t0) / (t1 - t0)
+            vx = (x1 - x0) / (t1 - t0)
+            vy = (y1 - y0) / (t1 - t0)
+            return x0 + a * (x1 - x0), y0 + a * (y1 - y0), fresh_heading(script, i), vx, vy
+    raise AssertionError("no segment holds t_s")
+
+
+def fresh_collisions(w, states):
+    p = w.params
+    ego_quad = simenv._obb_corners(w.ego.x, w.ego.y, w.ego.heading, p.ego_length, p.ego_width)
+    hit = set()
+    for actor, x, y, heading, _vx, _vy in states:
+        length, width, _pw, _ph = simenv._CLASS_DIMS[actor.cls]
+        if length == 0.0 or math.hypot(x - w.ego.x, y - w.ego.y) > length + p.ego_length:
+            continue
+        if simenv._obb_overlap(ego_quad, simenv._obb_corners(x, y, heading, length, width)):
+            hit.add(actor.id)
+    return hit
+
+
+def fresh_segment_lengths(route):
+    pts = route.waypoints
+    return [math.hypot(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(pts, pts[1:])]
+
+
+def fresh_point_at(route, s):
+    s = min(max(s, 0.0), sum(fresh_segment_lengths(route)))
+    cum = 0.0
+    for (x0, y0), (x1, y1), seg_len in zip(
+        route.waypoints, route.waypoints[1:], fresh_segment_lengths(route)
+    ):
+        if s <= cum + seg_len:
+            t = (s - cum) / seg_len
+            return x0 + t * (x1 - x0), y0 + t * (y1 - y0)
+        cum += seg_len
+    return route.waypoints[-1]
+
+
+def fresh_geometry_at(route, progress):
+    cum = 0.0
+    for tag, seg_len in zip(route.geometry, fresh_segment_lengths(route)):
+        cum += seg_len
+        if progress <= cum:
+            return tag
+    return route.geometry[-1]
+
+
+def fresh_progress_of(route, point):
+    best_d2, best_s, cum = math.inf, 0.0, 0.0
+    px, py = point
+    for (x0, y0), (x1, y1) in zip(route.waypoints, route.waypoints[1:]):
+        dx, dy = x1 - x0, y1 - y0
+        seg_len2 = dx * dx + dy * dy
+        t = min(max(((px - x0) * dx + (py - y0) * dy) / seg_len2, 0.0), 1.0)
+        d2 = (px - (x0 + t * dx)) ** 2 + (py - (y0 + t * dy)) ** 2
+        if d2 < best_d2:
+            best_d2, best_s = d2, cum + t * math.sqrt(seg_len2)
+        cum += math.sqrt(seg_len2)
+    return best_s
+
+
+# Small coordinate and time sets make repeated waypoints and ticks that land
+# exactly on waypoint times common.
+# Rounding keeps squared segment lengths clear of underflow.
+_coords = st.one_of(
+    st.sampled_from([0.0, 1.5, -2.0]), st.floats(-8.0, 8.0).map(lambda v: round(v, 6))
+)
+_times = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.floats(0.0, 4.0))
+
+
+@st.composite
+def actor_scripts(draw):
+    n = draw(st.integers(1, 5))
+    times = sorted(draw(st.lists(_times, min_size=n, max_size=n)))
+    return tuple((t, draw(_coords), draw(_coords)) for t in times)
+
+
+@st.composite
+def routes(draw):
+    points = draw(st.lists(st.tuples(_coords, _coords), min_size=2, max_size=6))
+    points = [p for i, p in enumerate(points) if i == 0 or p != points[i - 1]]
+    if len(points) < 2:
+        points.append((points[0][0] + 1.0, points[0][1]))
+    tags = draw(st.lists(st.sampled_from(list(RoadGeometry)), min_size=len(points) - 1,
+                         max_size=len(points) - 1))
+    return Route(tuple(points), tuple(tags))
+
+
+_actor_classes = st.sampled_from(
+    [ObjectClass.PEDESTRIAN, ObjectClass.CAR, ObjectClass.BICYCLE, ObjectClass.TRUCK]
+)
+
+
+class TestMemoisedEqualsFresh:
+    @given(
+        scripts=st.lists(st.tuples(_actor_classes, actor_scripts()), min_size=1, max_size=4),
+        route=routes(),
+        start_tick=st.integers(0, 40),
+        ego=st.tuples(_coords, _coords, st.floats(-math.pi, math.pi)),
+        steers=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=5),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_world_quantities(self, scripts, route, start_tick, ego, steers):
+        actors = tuple(Actor(i, cls, script) for i, (cls, script) in enumerate(scripts))
+        sc = Scenario("gen", 0, route, actors)
+        w = WorldState(start_tick, simenv.EgoState(*ego, v=2.0), sc)
+        for steer in steers:
+            for a in actors:
+                assert a._headings == tuple(
+                    fresh_heading(a.script, i) for i in range(max(1, len(a.script) - 1))
+                )
+            fresh = tuple((a, *fresh_state_at(a.script, w.time_s)) for a in actors)
+            assert w.actor_states == fresh
+            assert w.actor_states is w.actor_states
+            assert w.collisions == fresh_collisions(w, fresh)
+            w_next = tick(w, Action(0.5, 0.0, steer))
+            assert [e.actor_id for e in detect_infractions(w, w_next)] == sorted(
+                fresh_collisions(w_next, w_next.actor_states) - fresh_collisions(w, fresh)
+            )
+            w = w_next
+
+    @given(route=routes(), s=st.floats(-5.0, 60.0), point=st.tuples(_coords, _coords))
+    @settings(max_examples=100, deadline=None)
+    def test_route_lengths(self, route, s, point):
+        lengths = fresh_segment_lengths(route)
+        assert route.length == sum(lengths)
+        ends = [sum(lengths[: i + 1]) for i in range(len(lengths))]
+        for arc in (s, *ends, *(e - 1e-9 for e in ends)):
+            assert route.point_at(arc) == fresh_point_at(route, arc)
+            assert route.geometry_at(arc) is fresh_geometry_at(route, arc)
+        assert route.progress_of(point) == fresh_progress_of(route, point)

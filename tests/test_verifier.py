@@ -16,6 +16,7 @@ from rco.domain import (
     Behavior,
     ObjectClass,
     SpeedControl,
+    ViewName,
 )
 from rco.verifier import (
     Classification,
@@ -23,6 +24,7 @@ from rco.verifier import (
     ConsistencyVerdict,
     InsufficientHistoryError,
     VerifierConfig,
+    _greedy_match_max_shift,
     check_deficit_consistency,
     classification_matches,
     classify_condition,
@@ -155,6 +157,79 @@ class TestDeficitConsistency:
 
     def test_no_deficits_is_consistent(self):
         assert check_deficit_consistency(history_of_counts([0, 0, 0]), CFG).consistent
+
+
+def fresh_max_shift(prev, cur):
+    """The general greedy matcher, with no one-deficit shortcut."""
+    a = [d.box.centroid for d in prev.deficits]
+    b = [d.box.centroid for d in cur.deficits]
+    dist = lambda p, q: ((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2) ** 0.5  # noqa: E731
+    pairs = sorted(
+        ((dist(p, q), i, j) for i, p in enumerate(a) for j, q in enumerate(b)),
+        key=lambda t: (t[0], t[1], t[2]),
+    )
+    used_a, used_b, max_shift = set(), set(), 0.0
+    for d, i, j in pairs:
+        if i not in used_a and j not in used_b:
+            used_a.add(i)
+            used_b.add(j)
+            max_shift = max(max_shift, d)
+    return max_shift
+
+
+def fresh_consistency(history, cfg):
+    """The scan looked up by view name, as a reference."""
+    window = history[-cfg.history_len:]
+    for prev, cur in zip(window, window[1:]):
+        for name in (ViewName.LEFT, ViewName.FRONT, ViewName.RIGHT):
+            pv, cv = prev.view(name), cur.view(name)
+            n_prev, n_cur = len(pv.deficits), len(cv.deficits)
+            if n_prev > 0 and n_cur == 0:
+                return ConsistencyVerdict(False, ConsistencyReason.DEFICIT_DISAPPEARED)
+            if n_prev != n_cur:
+                return ConsistencyVerdict(False, ConsistencyReason.QUANTITY_MISMATCH)
+            if n_prev and fresh_max_shift(pv, cv) > cfg.shift_threshold:
+                return ConsistencyVerdict(False, ConsistencyReason.SPATIAL_SHIFT_EXCEEDED)
+    return ConsistencyVerdict(True, ConsistencyReason.CONSISTENT)
+
+
+# Few distinct boxes, so that counts often match and shifts straddle the threshold.
+_deficit_lists = st.lists(
+    st.sampled_from([Box(0.1, 0.4, 0.2, 0.5), Box(0.15, 0.4, 0.25, 0.5), Box(0.5, 0.3, 0.7, 0.6)]),
+    max_size=3,
+)
+
+
+@st.composite
+def windows(draw):
+    n = draw(st.integers(2, 6))
+    if draw(st.booleans()):
+        # A stable window reaches the shift check on every transition.
+        left, front, right = draw(st.tuples(_deficit_lists, _deficit_lists, _deficit_lists))
+        return [
+            snapshot(tick=t, left_deficits=left, front_deficits=front, right_deficits=right)
+            for t in range(n)
+        ]
+    return [
+        snapshot(tick=t, left_deficits=draw(_deficit_lists), front_deficits=draw(_deficit_lists),
+                 right_deficits=draw(_deficit_lists))
+        for t in range(n)
+    ]
+
+
+class TestConsistencyScanEqualsReference:
+    @given(windows(), st.sampled_from([0.04, 0.05, 0.3]))
+    @settings(max_examples=150, deadline=None)
+    def test_verdict(self, frames, shift_threshold):
+        cfg = VerifierConfig(shift_threshold=shift_threshold)
+        assert check_deficit_consistency(frames, cfg) == fresh_consistency(frames, cfg)
+
+    @given(_deficit_lists, _deficit_lists)
+    def test_max_shift(self, a, b):
+        n = min(len(a), len(b))
+        prev = snapshot(tick=0, front_deficits=a[:n]).view(ViewName.FRONT)
+        cur = snapshot(tick=1, front_deficits=b[:n]).view(ViewName.FRONT)
+        assert _greedy_match_max_shift(prev, cur) == fresh_max_shift(prev, cur)
 
 
 class TestHazardProximityRatio:
