@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
+import functools
 import json
 import sys
 from importlib import resources
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Any, Optional, Sequence, get_args, get_type_hints
 
 from . import metrics
 from .backend import Backend, HttpBackend, ScriptedBackend
@@ -73,17 +75,14 @@ def build_backend(kind: str, scripted_table: Optional[str]) -> Backend:
     raise ConfigError(f"unknown backend kind: {kind}")
 
 
-_OVERRIDE_KEYS = (
-    "n_max",
-    "history_len",
-    "wait_cap",
-    "replan_budget",
-    "shift_threshold",
-    "hazard_ratio_threshold",
-    "delta_throttle",
-    "delta_brake",
-    "penalties",
-)
+@functools.cache
+def _flag_types() -> dict[str, type]:
+    """The ``Overrides`` fields that take a flag, each with its flag's type:
+    a field annotated ``Optional[int]`` or ``Optional[float]`` gets one, so
+    the penalty table stays config-file only."""
+    hints = get_type_hints(Overrides)
+    kinds = {f.name: get_args(hints[f.name])[0] for f in dataclasses.fields(Overrides)}
+    return {name: kind for name, kind in kinds.items() if kind in (int, float)}
 
 
 def _load_config_file(path: Optional[str]) -> dict[str, Any]:
@@ -96,7 +95,9 @@ def _load_config_file(path: Optional[str]) -> dict[str, Any]:
         data = json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-    unknown = set(data) - set(_OVERRIDE_KEYS)
+    if not isinstance(data, dict):
+        raise ConfigError("config file must hold a JSON object")
+    unknown = set(data) - {f.name for f in dataclasses.fields(Overrides)}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     return data
@@ -104,34 +105,36 @@ def _load_config_file(path: Optional[str]) -> dict[str, Any]:
 
 def _merge_overrides(args: argparse.Namespace) -> Overrides:
     merged = _load_config_file(getattr(args, "config", None))
-    for key in _OVERRIDE_KEYS:
-        flag_value = getattr(args, key, None)
+    for f in dataclasses.fields(Overrides):
+        flag_value = getattr(args, f.name, None)
         if flag_value is not None:
-            merged[key] = flag_value
+            merged[f.name] = flag_value
+    return _checked(Overrides(**merged))
+
+
+def _checked(overrides: Overrides) -> Overrides:
+    """``overrides`` once its types and ranges are checked, before any episode runs."""
     try:
-        overrides = Overrides(**merged)
-        overrides.orchestrator_config("probe", 0.1)  # validate ranges eagerly
+        overrides.orchestrator_config("probe", 0.1)
         overrides.penalty_table()
         return overrides
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid override values: {exc}") from exc
 
 
-def _run_one(task: tuple[Scenario, str, str, Optional[str], Overrides]) -> EpisodeOutcome:
-    scenario, mode, backend_kind, scripted_table, overrides = task
-    backend = build_backend(backend_kind, scripted_table)
+def _run_one(task: tuple[Scenario, str, Backend, Overrides]) -> EpisodeOutcome:
+    scenario, mode, backend, overrides = task
     return run_episode(scenario, Mode(mode), backend, overrides)
 
 
 def _execute(
     scenarios: Sequence[Scenario],
     mode: str,
-    backend_kind: str,
-    scripted_table: Optional[str],
+    backend: Backend,
     overrides: Overrides,
     jobs: int,
 ) -> list[EpisodeOutcome]:
-    tasks = [(s, mode, backend_kind, scripted_table, overrides) for s in scenarios]
+    tasks = [(s, mode, backend, overrides) for s in scenarios]
     if jobs <= 1 or len(tasks) <= 1:
         return [_run_one(t) for t in tasks]
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -162,10 +165,8 @@ def _write_outputs(
 def cmd_run(args: argparse.Namespace) -> int:
     scenarios = load_scenarios(discover_scenarios(args.scenarios))
     overrides = _merge_overrides(args)
-    build_backend(args.backend, args.scripted_table)  # validate early
-    outcomes = _execute(
-        scenarios, args.mode, args.backend, args.scripted_table, overrides, args.jobs
-    )
+    backend = build_backend(args.backend, args.scripted_table)
+    outcomes = _execute(scenarios, args.mode, backend, overrides, args.jobs)
     run_config = {
         "mode": args.mode,
         "backend": args.backend,
@@ -191,20 +192,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError(f"bad --limits: {exc}") from exc
     if not limits:
         raise ConfigError("--limits must name at least one step limit")
+    limited = [_checked(dataclasses.replace(overrides, n_max=limit)) for limit in limits]
+    backend = build_backend(args.backend, args.scripted_table)
 
-    baseline = _execute(
-        scenarios, Mode.BASELINE.value, args.backend, args.scripted_table, overrides, args.jobs
-    )
+    baseline = _execute(scenarios, Mode.BASELINE.value, backend, overrides, args.jobs)
     base_agg = metrics.Summary(tuple(o.result for o in baseline)).aggregate()
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["n_max,rc,is,ds,delta_rc,delta_is,delta_ds"]
-    for limit in limits:
-        limited = Overrides(**{**_overrides_dict(overrides), "n_max": limit})
-        outcomes = _execute(
-            scenarios, Mode.RCO.value, args.backend, args.scripted_table, limited, args.jobs
-        )
+    for limit, limit_overrides in zip(limits, limited):
+        outcomes = _execute(scenarios, Mode.RCO.value, backend, limit_overrides, args.jobs)
         agg = metrics.Summary(tuple(o.result for o in outcomes)).aggregate()
         lines.append(
             f"{limit},{agg['rc']:.6f},{agg['is_score']:.6f},{agg['ds']:.6f},"
@@ -218,7 +216,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _overrides_dict(o: Overrides) -> dict[str, Any]:
-    return {k: getattr(o, k) for k in _OVERRIDE_KEYS if getattr(o, k) is not None}
+    return {k: v for k, v in vars(o).items() if v is not None}
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
@@ -269,16 +267,8 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--config", default=None, help="JSON config file with override keys")
-        p.add_argument("--n-max", dest="n_max", type=int, default=None)
-        p.add_argument("--history-len", dest="history_len", type=int, default=None)
-        p.add_argument("--wait-cap", dest="wait_cap", type=int, default=None)
-        p.add_argument("--replan-budget", dest="replan_budget", type=int, default=None)
-        p.add_argument("--shift-threshold", dest="shift_threshold", type=float, default=None)
-        p.add_argument(
-            "--hazard-ratio-threshold", dest="hazard_ratio_threshold", type=float, default=None
-        )
-        p.add_argument("--delta-throttle", dest="delta_throttle", type=float, default=None)
-        p.add_argument("--delta-brake", dest="delta_brake", type=float, default=None)
+        for name, kind in _flag_types().items():
+            p.add_argument("--" + name.replace("_", "-"), dest=name, type=kind, default=None)
 
     p_run = sub.add_parser("run", help="run scenarios in one mode and write results")
     add_common(p_run)

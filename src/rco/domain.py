@@ -167,6 +167,10 @@ class ConditionActionPair:
     action: HighLevelAction
 
 
+# Nominal stop pair: each waiting tick of a stop-observe-move episode.
+STOP_PAIR = ConditionActionPair(ExecutionCondition.CONSISTENT_NO_IMMEDIATE_HAZARD, STOP_ACTION)
+
+
 @dataclass(frozen=True)
 class ActionSequence:
     """Plan-ahead queue of condition-action pairs, consumed strictly front-to-back."""

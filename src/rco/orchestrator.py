@@ -29,7 +29,7 @@ from .domain import (
     ExecutionCondition,
     FAIL_SAFE_STOP,
     RoadGeometry,
-    STOP_ACTION,
+    STOP_PAIR,
     SafetyConstraints,
     Strategy,
     TrafficDensity,
@@ -142,10 +142,6 @@ def _plan(
     return seq, plan.move_trigger
 
 
-# Nominal stop pair, emitted when waiting continues past the expanded wait.
-_STOP_PAIR = ConditionActionPair(ExecutionCondition.CONSISTENT_NO_IMMEDIATE_HAZARD, STOP_ACTION)
-
-
 def step(
     state: OverrideState,
     env: EnvironmentSnapshot,
@@ -217,7 +213,7 @@ def step(
                 verifier.classification_matches(classification, trigger)
                 or elapsed >= cfg.planner.wait_cap
             ):
-                pair, source = _STOP_PAIR, "stop_wait"
+                pair, source = STOP_PAIR, "stop_wait"
                 break
             trigger, elapsed = None, 0
         elif len(sequence) > 0:

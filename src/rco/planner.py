@@ -15,13 +15,12 @@ from . import backend as backend_mod
 from .backend import Backend, BackendError, HazardAndPlan, PlanSkeleton
 from .domain import (
     ActionSequence,
-    ConditionActionPair,
     EnvironmentSnapshot,
     ExecutionCondition,
     Hazard,
     MotionPlan,
     Navigation,
-    STOP_ACTION,
+    STOP_PAIR,
     Strategy,
 )
 
@@ -41,8 +40,11 @@ class PlannerConfig:
 
     def __post_init__(self) -> None:
         for name in ("history_len", "max_steps", "wait_cap", "replan_budget"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if type(value) is not int:  # a bool or a float is not a count
+                raise TypeError(f"{name} must be an int, got {value!r}")
+            if value <= 0:
+                raise ValueError(f"{name} must be positive, got {value}")
 
 
 FALLBACK_TRIGGER = ExecutionCondition.CONSISTENT_NO_IMMEDIATE_HAZARD
@@ -135,8 +137,4 @@ def expand_stop_observe_move(
     if wait > wait_cap:
         log.info("wait expansion truncated from %d to cap %d", wait, wait_cap)
         wait = wait_cap
-    pairs = tuple(
-        ConditionActionPair(ExecutionCondition.CONSISTENT_NO_IMMEDIATE_HAZARD, STOP_ACTION)
-        for _ in range(wait)
-    )
-    return ActionSequence(pairs, created_tick)
+    return ActionSequence((STOP_PAIR,) * wait, created_tick)

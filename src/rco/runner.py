@@ -46,40 +46,39 @@ class Overrides:
     penalties: Optional[dict[str, float]] = None
 
     def orchestrator_config(self, scenario_key: str, dt: float) -> OrchestratorConfig:
-        planner_kwargs: dict[str, Any] = {}
-        if self.n_max is not None:
-            planner_kwargs["max_steps"] = self.n_max
-        if self.history_len is not None:
-            planner_kwargs["history_len"] = self.history_len
-        if self.wait_cap is not None:
-            planner_kwargs["wait_cap"] = self.wait_cap
-        if self.replan_budget is not None:
-            planner_kwargs["replan_budget"] = self.replan_budget
-        verifier_kwargs: dict[str, Any] = {}
-        if self.shift_threshold is not None:
-            verifier_kwargs["shift_threshold"] = self.shift_threshold
-        if self.hazard_ratio_threshold is not None:
-            verifier_kwargs["hazard_ratio_threshold"] = self.hazard_ratio_threshold
-        if self.history_len is not None:
-            verifier_kwargs["history_len"] = max(2, self.history_len)
-        gains_kwargs: dict[str, Any] = {}
-        if self.delta_throttle is not None:
-            gains_kwargs["delta_throttle"] = self.delta_throttle
-        if self.delta_brake is not None:
-            gains_kwargs["delta_brake"] = self.delta_brake
+        history_len = None if self.history_len is None else max(2, self.history_len)
         return OrchestratorConfig(
-            planner=PlannerConfig(**planner_kwargs),
-            verifier=VerifierConfig(**verifier_kwargs),
-            gains=SafetyGains(**gains_kwargs),
+            planner=PlannerConfig(**_given(
+                max_steps=self.n_max,
+                history_len=self.history_len,
+                wait_cap=self.wait_cap,
+                replan_budget=self.replan_budget,
+            )),
+            verifier=VerifierConfig(**_given(
+                shift_threshold=self.shift_threshold,
+                hazard_ratio_threshold=self.hazard_ratio_threshold,
+                history_len=history_len,
+            )),
+            gains=SafetyGains(**_given(
+                delta_throttle=self.delta_throttle, delta_brake=self.delta_brake
+            )),
             dt=dt,
             scenario_key=scenario_key,
         )
 
     def penalty_table(self) -> dict[simenv.InfractionKind, float]:
         table = dict(metrics.DEFAULT_PENALTIES)
-        for name, value in (self.penalties or {}).items():
-            table[simenv.InfractionKind(name)] = float(value)
+        for name, value in dict(self.penalties or {}).items():
+            coefficient = float(value)
+            if not 0.0 <= coefficient <= 1.0:  # also rejects NaN
+                raise ValueError(f"penalty {name} out of [0,1]: {value}")
+            table[simenv.InfractionKind(name)] = coefficient
         return table
+
+
+def _given(**kwargs: Any) -> dict[str, Any]:
+    """The keyword arguments that are set; a None keeps the callee's default."""
+    return {k: v for k, v in kwargs.items() if v is not None}
 
 
 @dataclass(frozen=True)

@@ -518,9 +518,10 @@ def _bearing(
 
 def _project(
     rng: float, rel: float, width: float, height: float, p: VehicleParams
-) -> Optional[tuple[ViewName, Box]]:
+) -> Optional[tuple[ViewName, Optional[Box]]]:
     """Project an object seen at (range, bearing) to (view, normalized box);
-    None if it is outside every camera sector."""
+    the box is None if it is too small to draw, and the result None if the
+    object is outside every camera sector."""
     for view, (lo, hi) in _VIEW_SPANS.items():
         if lo <= rel <= hi:
             span = hi - lo
@@ -530,7 +531,7 @@ def _project(
             x0, x1 = clamp(u - half_w, 0.0, 1.0), clamp(u + half_w, 0.0, 1.0)
             y0, y1 = clamp(0.5 - half_h, 0.0, 1.0), clamp(0.5 + half_h, 0.0, 1.0)
             if x1 - x0 < 1e-9 or y1 - y0 < 1e-9:
-                return None
+                return view, None
             return view, Box(x0, y0, x1, y1)
     return None
 
@@ -559,32 +560,32 @@ def perceive(w: WorldState, policy: DeficitPolicy) -> EnvironmentSnapshot:
 
     def add(
         obj_id: int, cls: ObjectClass, pos: tuple[float, float]
-    ) -> Optional[tuple[float, float]]:
+    ) -> Optional[tuple[float, ViewName]]:
+        """Draw one object into its view; (range, view) if it lies in one."""
         seen = _bearing(w.ego, pos, p)
         if seen is None:
             return None
         dims = _CLASS_DIMS[cls]
         projected = _project(*seen, dims[2], dims[3], p)
-        if projected is not None:
-            view, box = projected
+        if projected is None:
+            return None
+        view, box = projected
+        if box is not None:
             visibles, deficits = per_view[view]
             if obj_id in hidden:
                 deficits.append(DeficitRegion(view, box, masked_object_id=obj_id))
             else:
                 visibles.append(VisibleObject(cls, box, seen[0]))
-        return seen
+        return seen[0], view
 
     # The nearest actor in the front view, masked or not, is the nearest
-    # obstacle; a 0.1 m probe box places it.
+    # obstacle.
     nearest = None
     for actor, x, y, _h, _vx, _vy in w.actor_states:
-        seen = add(actor.id, actor.cls, (x, y))
-        if seen is None:
-            continue
-        probe = _project(*seen, 0.1, 0.1, p)
-        if probe is not None and probe[0] is ViewName.FRONT:
-            if nearest is None or seen[0] < nearest:
-                nearest = seen[0]
+        placed = add(actor.id, actor.cls, (x, y))
+        if placed is not None and placed[1] is ViewName.FRONT:
+            if nearest is None or placed[0] < nearest:
+                nearest = placed[0]
     for light in w.scenario.lights:
         add(light.id, ObjectClass.TRAFFIC_LIGHT, light.position)
     for sign in w.scenario.signs:

@@ -78,6 +78,8 @@ class VerifierConfig:
             raise ValueError(
                 f"hazard_ratio_threshold out of (0,1): {self.hazard_ratio_threshold}"
             )
+        if type(self.history_len) is not int:  # a bool or a float is not a count
+            raise TypeError(f"history_len must be an int, got {self.history_len!r}")
         if self.history_len < 2:
             raise ValueError(f"history_len must be >= 2, got {self.history_len}")
 

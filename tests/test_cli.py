@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import argparse
+import dataclasses
 import json
 
 import pytest
 
+from rco import cli
 from rco.backend import ScriptedBackend
 from rco.cli import bundled_scenario_dir, main
 from rco.runner import Mode, Overrides, run_episode
-from rco.simenv import Scenario
+from rco.simenv import InfractionKind, Scenario
 
 
 def scenario_path(name: str) -> str:
@@ -135,6 +138,30 @@ class TestRunCommand:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "config, argv",
+        [
+            ('{"n_max": 2.5}', ["--mode", "rco"]),
+            ('{"n_max": true}', ["--mode", "rco"]),
+            ('{"wait_cap": 2.5}', ["--scenarios", scenario_path("pedestrian_cross")]),
+            ('{"history_len": 6.0}', ["--scenarios", scenario_path("pedestrian_cross")]),
+            ('{"penalties": {"collision_pedestrian": 5}}', ["--mode", "baseline"]),
+            ('{"penalties": {"collision_pedestrian": NaN}}', ["--mode", "baseline"]),
+            ('{"penalties": [1]}', ["--mode", "baseline"]),
+            ("5", ["--mode", "baseline"]),
+        ],
+    )
+    def test_config_value_of_wrong_type_or_range_is_config_error(
+        self, tmp_path, capsys, monkeypatch, config, argv
+    ):
+        monkeypatch.setattr(cli, "run_episode", None)  # no episode may start
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config)
+        code = main(["run", *argv, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_parallel_jobs_match_sequential(self, tmp_path):
         scenarios = [scenario_path("pedestrian_cross"), scenario_path("bicycle_cross")]
         main(["run", "--scenarios", *scenarios, "--mode", "baseline",
@@ -186,6 +213,97 @@ class TestSweepCommand:
     def test_empty_limits_rejected(self, tmp_path):
         code = main(["sweep", "--limits", ",", "--out", str(tmp_path / "o")])
         assert code == 2
+
+    def test_bad_limit_rejected_before_any_episode(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_episode", None)  # no episode may start
+        code = main(["sweep", "--limits", "3,0", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_parallel_jobs_match_sequential(self, tmp_path):
+        # Each worker process receives the one backend and every limit's
+        # overrides by pickling.
+        scenarios = [scenario_path("pedestrian_cross"), scenario_path("stale_plan")]
+        outs = {}
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            main(["sweep", "--scenarios", *scenarios, "--limits", "1,5",
+                  "--jobs", jobs, "--out", str(out)])
+            outs[jobs] = (out / "sweep.csv").read_bytes()
+        assert outs["1"] == outs["2"]
+
+
+class TestOneBackendPerCommand:
+    @pytest.mark.parametrize(
+        "argv", [["run", "--mode", "rco"], ["sweep", "--limits", "1,5"]]
+    )
+    def test_build_backend_called_once(self, tmp_path, monkeypatch, argv):
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return ScriptedBackend.bundled()
+
+        monkeypatch.setattr(cli, "build_backend", counting)
+        scenarios = [scenario_path("pedestrian_cross"), scenario_path("stop_sign_hazard")]
+        code = main([*argv, "--scenarios", *scenarios, "--out", str(tmp_path / "o")])
+        assert code == 0
+        assert built == [("scripted", None)]
+
+
+# Each knob's flag text (None: config-file only) and value, distinct from the
+# defaults, and every place it must land in the orchestrator config or the
+# penalty table.
+KNOBS = {
+    "n_max": ("7", 7, lambda c, p: (c.planner.max_steps,)),
+    "history_len": ("6", 6, lambda c, p: (c.planner.history_len, c.verifier.history_len)),
+    "wait_cap": ("11", 11, lambda c, p: (c.planner.wait_cap,)),
+    "replan_budget": ("4", 4, lambda c, p: (c.planner.replan_budget,)),
+    "shift_threshold": ("0.2", 0.2, lambda c, p: (c.verifier.shift_threshold,)),
+    "hazard_ratio_threshold": ("0.07", 0.07, lambda c, p: (c.verifier.hazard_ratio_threshold,)),
+    "delta_throttle": ("0.3", 0.3, lambda c, p: (c.gains.delta_throttle,)),
+    "delta_brake": ("0.4", 0.4, lambda c, p: (c.gains.delta_brake,)),
+    "penalties": (
+        None,
+        {"collision_pedestrian": 0.25},
+        lambda c, p: ({"collision_pedestrian": p[InfractionKind.COLLISION_PEDESTRIAN]},),
+    ),
+}
+
+
+class TestKnobDeclaration:
+    def test_knob_table_covers_every_field(self):
+        assert set(KNOBS) == {f.name for f in dataclasses.fields(Overrides)}
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_flags_are_the_fields_without_penalties(self, command):
+        parser = cli.make_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        flags = {a.dest: a.option_strings for a in sub.choices[command]._actions}
+        fields = {f.name for f in dataclasses.fields(Overrides)}
+        assert set(flags) & fields == fields - {"penalties"}
+        for name in fields - {"penalties"}:
+            assert flags[name] == ["--" + name.replace("_", "-")]
+
+    @pytest.mark.parametrize(
+        "name, source",
+        [(name, "config") for name in KNOBS]
+        + [(name, "flag") for name, knob in KNOBS.items() if knob[0] is not None],
+    )
+    def test_knob_reaches_config_unchanged(self, tmp_path, name, source):
+        flag, value, read = KNOBS[name]
+        if source == "flag":
+            argv = ["run", "--" + name.replace("_", "-"), flag]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({name: value}))
+            argv = ["run", "--config", str(cfg)]
+        overrides = cli._merge_overrides(cli.make_parser().parse_args(argv))
+        assert getattr(overrides, name) == value
+        assert type(getattr(overrides, name)) is type(value)
+        landed = read(overrides.orchestrator_config("k", 0.1), overrides.penalty_table())
+        assert landed == (value,) * len(landed)
 
 
 class TestReplayCommand:

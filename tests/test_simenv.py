@@ -460,6 +460,33 @@ class TestWorldCost:
         }
 
 
+class TestPerceiveCost:
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_each_in_range_object_projected_once(self, monkeypatch, mode):
+        # Over one bundled episode, perceive projects each object within
+        # camera range once per tick; the nearest obstacle is placed by the
+        # same projection.
+        calls = Counter()
+        bearing, project = simenv._bearing, simenv._project
+
+        def counting_bearing(*args):
+            seen = bearing(*args)
+            calls["in_range"] += seen is not None
+            return seen
+
+        def counting_project(*args):
+            calls["project"] += 1
+            return project(*args)
+
+        monkeypatch.setattr(simenv, "_bearing", counting_bearing)
+        monkeypatch.setattr(simenv, "_project", counting_project)
+        sc = Scenario.load(str(bundled_scenario_dir() / "stop_sign_hazard.json"))
+        run_episode(sc, mode, ScriptedBackend.bundled())
+        assert sc.actors and sc.signs
+        assert calls["in_range"] > 0
+        assert calls["project"] == calls["in_range"]
+
+
 # Uncached references: the per-call computations the memoised values replace.
 
 
