@@ -4,7 +4,9 @@ chat-completions HTTP client for real models.
 Every response goes through strict structured-output parsing: the first JSON
 object embedded in the raw text is extracted and validated against the
 purpose's schema. Unknown tokens are rejections, never coercions, so a caller
-either sees a fully-parsed value or a SchemaViolation.
+either sees a fully-parsed value or a SchemaViolation. ``ask`` is the one
+place a backend is called: it maps every failure to None, and each caller
+maps None to its risk-averse fallback.
 
 A request carries the rendered prompt, which is all ``HttpBackend`` sends,
 and a payload holding only the routing fields (purpose and scenario key),
@@ -15,14 +17,16 @@ package once per process.
 from __future__ import annotations
 
 import json
+import logging
 import os
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 from importlib import resources
-from typing import Any, Optional, Protocol, Sequence, Union
+from typing import Any, Callable, Optional, Protocol, Sequence, Union
 
 from .domain import (
+    ActionSequence,
     Behavior,
     ConditionActionPair,
     EnvironmentSnapshot,
@@ -30,6 +34,7 @@ from .domain import (
     Hazard,
     HighLevelAction,
     MotionKind,
+    MotionPlan,
     Navigation,
     ObjectClass,
     OutOfRangeError,
@@ -38,6 +43,8 @@ from .domain import (
     Strategy,
     Surrounding,
 )
+
+log = logging.getLogger(__name__)
 
 ENV_URL = "RCO_BACKEND_URL"
 ENV_MODEL = "RCO_BACKEND_MODEL"
@@ -99,17 +106,7 @@ class HazardAndPlan:
     strategy: Strategy
 
 
-@dataclass(frozen=True)
-class PlanSkeleton:
-    """Wire-level plan before the planner applies caps and truncation."""
-
-    strategy: Strategy
-    pairs: tuple[ConditionActionPair, ...] = ()
-    wait: Optional[int] = None
-    trigger: Optional[ExecutionCondition] = None
-
-
-Parsed = Union[HazardAndPlan, PlanSkeleton, SafetyConstraints]
+Parsed = Union[HazardAndPlan, MotionPlan, SafetyConstraints]
 
 
 @dataclass(frozen=True)
@@ -170,7 +167,9 @@ def _parse_hazard_and_plan(obj: dict[str, Any]) -> HazardAndPlan:
     return HazardAndPlan(tuple(hazards), strategy)
 
 
-def _parse_plan(obj: dict[str, Any]) -> PlanSkeleton:
+def _parse_plan(obj: dict[str, Any]) -> MotionPlan:
+    """The plan as sent: uncapped, with ``created_tick`` 0; the planner
+    applies the step limit and the wait cap."""
     strategy = _enum_field(obj, "strategy", Strategy, where="plan")
     if strategy is Strategy.MOVE:
         pairs_raw = obj.get("pairs")
@@ -189,12 +188,12 @@ def _parse_plan(obj: dict[str, Any]) -> PlanSkeleton:
                     ),
                 )
             )
-        return PlanSkeleton(strategy, pairs=tuple(pairs))
+        return MotionPlan(strategy, sequence=ActionSequence(tuple(pairs), 0))
     wait = obj.get("wait")
     if not isinstance(wait, int) or isinstance(wait, bool) or wait < 0:
         raise SchemaViolation("wait must be a non-negative integer", field="wait")
     trigger = _enum_field(obj, "trigger", ExecutionCondition, where="plan")
-    return PlanSkeleton(strategy, wait=wait, trigger=trigger)
+    return MotionPlan(strategy, wait_ticks=wait, move_trigger=trigger)
 
 
 def _parse_constraints(obj: dict[str, Any]) -> SafetyConstraints:
@@ -211,19 +210,37 @@ def _parse_constraints(obj: dict[str, Any]) -> SafetyConstraints:
         raise SchemaViolation(f"constraint out of range: {exc}", field=exc.field_name) from None
 
 
+# Each purpose's parser and the type of the answer it yields.
+_SCHEMAS: dict[Purpose, tuple[Callable[[dict[str, Any]], Parsed], type]] = {
+    Purpose.HAZARD_AND_PLAN: (_parse_hazard_and_plan, HazardAndPlan),
+    Purpose.SHORT_TERM_MOTION: (_parse_plan, MotionPlan),
+    Purpose.SAFETY_CONSTRAINTS: (_parse_constraints, SafetyConstraints),
+}
+
+
 def parse_structured(raw: str, purpose: Purpose) -> Parsed:
     """Extract and validate the first JSON object of ``raw`` per purpose."""
     obj, pos = extract_first_json_object(raw)
     try:
-        if purpose is Purpose.HAZARD_AND_PLAN:
-            return _parse_hazard_and_plan(obj)
-        if purpose is Purpose.SHORT_TERM_MOTION:
-            return _parse_plan(obj)
-        return _parse_constraints(obj)
+        return _SCHEMAS[purpose][0](obj)
     except SchemaViolation as exc:
         if exc.position is None:
             exc.position = pos
         raise
+
+
+def ask(backend: Backend, req: BackendRequest) -> Optional[Parsed]:
+    """The backend's answer to ``req``, or None when the call raises or the
+    answer is not of the purpose's type. The caller falls back on None."""
+    try:
+        parsed = backend.call(req).parsed
+    except BackendError as exc:
+        log.info("%s fell back: %s", req.purpose.value, exc)
+        return None
+    if not isinstance(parsed, _SCHEMAS[req.purpose][1]):
+        log.info("%s fell back: unusable answer %r", req.purpose.value, parsed)
+        return None
+    return parsed
 
 
 # ---------------------------------------------------------------------------

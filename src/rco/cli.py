@@ -122,19 +122,16 @@ def _checked(overrides: Overrides) -> Overrides:
         raise ConfigError(f"invalid override values: {exc}") from exc
 
 
-def _run_one(task: tuple[Scenario, str, Backend, Overrides]) -> EpisodeOutcome:
+_Task = tuple[Scenario, str, Backend, Overrides]
+
+
+def _run_one(task: _Task) -> EpisodeOutcome:
     scenario, mode, backend, overrides = task
     return run_episode(scenario, Mode(mode), backend, overrides)
 
 
-def _execute(
-    scenarios: Sequence[Scenario],
-    mode: str,
-    backend: Backend,
-    overrides: Overrides,
-    jobs: int,
-) -> list[EpisodeOutcome]:
-    tasks = [(s, mode, backend, overrides) for s in scenarios]
+def _execute(tasks: Sequence[_Task], jobs: int) -> list[EpisodeOutcome]:
+    """Run every episode of a command, in one process pool when ``jobs`` > 1."""
     if jobs <= 1 or len(tasks) <= 1:
         return [_run_one(t) for t in tasks]
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -166,7 +163,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     scenarios = load_scenarios(discover_scenarios(args.scenarios))
     overrides = _merge_overrides(args)
     backend = build_backend(args.backend, args.scripted_table)
-    outcomes = _execute(scenarios, args.mode, backend, overrides, args.jobs)
+    outcomes = _execute([(s, args.mode, backend, overrides) for s in scenarios], args.jobs)
     run_config = {
         "mode": args.mode,
         "backend": args.backend,
@@ -195,15 +192,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     limited = [_checked(dataclasses.replace(overrides, n_max=limit)) for limit in limits]
     backend = build_backend(args.backend, args.scripted_table)
 
-    baseline = _execute(scenarios, Mode.BASELINE.value, backend, overrides, args.jobs)
-    base_agg = metrics.Summary(tuple(o.result for o in baseline)).aggregate()
+    runs = [(Mode.BASELINE.value, overrides)]
+    runs += [(Mode.RCO.value, limit_overrides) for limit_overrides in limited]
+    tasks = [(s, mode, backend, o) for mode, o in runs for s in scenarios]
+    outcomes = _execute(tasks, args.jobs)
+    n = len(scenarios)
+    base_agg, *limit_aggs = [
+        metrics.Summary(tuple(o.result for o in outcomes[i:i + n])).aggregate()
+        for i in range(0, len(outcomes), n)
+    ]
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["n_max,rc,is,ds,delta_rc,delta_is,delta_ds"]
-    for limit, limit_overrides in zip(limits, limited):
-        outcomes = _execute(scenarios, Mode.RCO.value, backend, limit_overrides, args.jobs)
-        agg = metrics.Summary(tuple(o.result for o in outcomes)).aggregate()
+    for limit, agg in zip(limits, limit_aggs):
         lines.append(
             f"{limit},{agg['rc']:.6f},{agg['is_score']:.6f},{agg['ds']:.6f},"
             f"{agg['rc'] - base_agg['rc']:.6f},"

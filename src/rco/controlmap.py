@@ -10,7 +10,7 @@ package-wide steer convention (negative = left).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .domain import (
     Action,
@@ -96,7 +96,9 @@ def compute_steer(
     integral = clamp(ctrl.integral + error * dt, -ctrl.integral_bound, ctrl.integral_bound)
     derivative = (error - ctrl.prev_error) / dt
     steer = clamp(ctrl.kp * error + ctrl.ki * integral + ctrl.kd * derivative, -1.0, 1.0)
-    return steer, replace(ctrl, integral=integral, prev_error=error)
+    return steer, SteerControllerState(
+        ctrl.kp, ctrl.ki, ctrl.kd, integral, error, ctrl.integral_bound
+    )
 
 
 _DIRECTIONAL: dict[Behavior, tuple[RoadGeometry, ...]] = {

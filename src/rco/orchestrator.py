@@ -102,16 +102,6 @@ def note_external_action(state: OverrideState, action: Action) -> OverrideState:
     return replace(state, prev_action=action)
 
 
-def _classify(
-    history: Sequence[EnvironmentSnapshot], ratio: float, cfg: VerifierConfig
-) -> Classification:
-    """A single frame has no transitions to compare, so it is vacuously
-    consistent and classified by ratio alone."""
-    if len(history) >= 2 and not verifier.check_deficit_consistency(history, cfg).consistent:
-        return Classification.REPLAN
-    return verifier.classify_ratio(ratio, cfg)
-
-
 def _padded_history(
     history: Sequence[EnvironmentSnapshot], k: int
 ) -> list[EnvironmentSnapshot]:
@@ -163,8 +153,7 @@ def step(
     if not state.active:
         raise ValueError("step() requires an engaged override; call engage() first")
 
-    ratio = verifier.hazard_proximity_ratio(history[-1], cfg.verifier.front_view_only)
-    classification = _classify(history, ratio, cfg.verifier)
+    classification, ratio = verifier.classify(history, cfg.verifier)
     context: _Context = (
         env.surrounding.weather,
         env.surrounding.daylight,
@@ -235,8 +224,7 @@ def step(
         resolved, ctrl, mismatch = controlmap.resolve_action(
             pair.action, state.prev_action, ego_pose, env.navi, state.steer_ctrl, cfg.dt
         )
-        action = safety.apply_constraints(resolved, measurements, constraints, cfg.gains)
-        triggered = safety.triggered_constraints(measurements, constraints)
+        action, triggered = safety.constrain(resolved, measurements, constraints, cfg.gains)
         replans = 0
         if trigger is not None:
             elapsed += 1

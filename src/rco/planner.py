@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import backend as backend_mod
-from .backend import Backend, BackendError, HazardAndPlan, PlanSkeleton
+from .backend import Backend
 from .domain import (
     ActionSequence,
     EnvironmentSnapshot,
@@ -62,16 +62,10 @@ def infer_hazards(
         raise ValueError(
             f"hazard inference needs exactly {cfg.history_len} frames, got {len(history)}"
         )
-    try:
-        req = backend_mod.hazard_request(history, scenario_key)
-        resp = backend.call(req)
-    except BackendError as exc:
-        log.info("hazard inference fell back to stop-observe-move: %s", exc)
+    answer = backend_mod.ask(backend, backend_mod.hazard_request(history, scenario_key))
+    if answer is None:
         return (), Strategy.STOP_OBSERVE_MOVE
-    if not isinstance(resp.parsed, HazardAndPlan):
-        log.info("hazard inference got unusable parse; falling back")
-        return (), Strategy.STOP_OBSERVE_MOVE
-    return resp.parsed.hazards, resp.parsed.strategy
+    return answer.hazards, answer.strategy
 
 
 def _fallback_plan(cfg: PlannerConfig) -> MotionPlan:
@@ -89,36 +83,29 @@ def plan_motion(
     cfg: PlannerConfig,
     scenario_key: str = "",
 ) -> MotionPlan:
-    """Build a MotionPlan from the backend's skeleton.
+    """The backend's plan, capped for execution from the current tick.
 
     Move sequences are truncated to the step limit; waits are clamped to the
     cap; a degenerate or unparseable answer becomes a full-length wait.
     """
-    try:
-        req = backend_mod.motion_request(hazards, strategy, navi, current_snapshot, scenario_key)
-        resp = backend.call(req)
-    except BackendError as exc:
-        log.info("motion planning fell back to stop-observe-move: %s", exc)
+    req = backend_mod.motion_request(hazards, strategy, navi, current_snapshot, scenario_key)
+    plan = backend_mod.ask(backend, req)
+    if plan is None:
         return _fallback_plan(cfg)
-    skeleton = resp.parsed
-    if not isinstance(skeleton, PlanSkeleton):
-        log.info("motion planning got unusable parse; falling back")
-        return _fallback_plan(cfg)
-    if skeleton.strategy is Strategy.MOVE:
-        if not skeleton.pairs:
+    if plan.strategy is Strategy.MOVE:
+        pairs = plan.sequence.pairs
+        if not pairs:
             log.info("backend returned an empty move plan; falling back")
             return _fallback_plan(cfg)
-        if len(skeleton.pairs) > cfg.max_steps:
-            log.info(
-                "move plan truncated from %d to %d steps", len(skeleton.pairs), cfg.max_steps
-            )
-        seq = ActionSequence.capped(skeleton.pairs, current_snapshot.tick, cfg.max_steps)
+        if len(pairs) > cfg.max_steps:
+            log.info("move plan truncated from %d to %d steps", len(pairs), cfg.max_steps)
+        seq = ActionSequence.capped(pairs, current_snapshot.tick, cfg.max_steps)
         return MotionPlan(Strategy.MOVE, sequence=seq)
-    wait = min(skeleton.wait or 0, cfg.wait_cap)
-    if (skeleton.wait or 0) > cfg.wait_cap:
-        log.info("wait clamped from %d to cap %d", skeleton.wait, cfg.wait_cap)
+    if plan.wait_ticks <= cfg.wait_cap:
+        return plan
+    log.info("wait clamped from %d to cap %d", plan.wait_ticks, cfg.wait_cap)
     return MotionPlan(
-        Strategy.STOP_OBSERVE_MOVE, wait_ticks=wait, move_trigger=skeleton.trigger
+        Strategy.STOP_OBSERVE_MOVE, wait_ticks=cfg.wait_cap, move_trigger=plan.move_trigger
     )
 
 

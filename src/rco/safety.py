@@ -9,10 +9,10 @@ the trigger fires).
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
-from typing import Optional, TYPE_CHECKING
+from typing import Optional
 
+from . import backend as backend_mod
 from .controlmap import clamp
 from .domain import (
     Action,
@@ -26,11 +26,6 @@ from .domain import (
     Weather,
 )
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .backend import Backend
-
-log = logging.getLogger(__name__)
-
 
 @dataclass(frozen=True)
 class SafetyGains:
@@ -40,10 +35,12 @@ class SafetyGains:
     delta_brake: float = 0.1
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.delta_throttle <= 1.0:
-            raise ValueError(f"delta_throttle out of (0,1]: {self.delta_throttle}")
-        if not 0.0 < self.delta_brake <= 1.0:
-            raise ValueError(f"delta_brake out of (0,1]: {self.delta_brake}")
+        for name in ("delta_throttle", "delta_brake"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise TypeError(f"{name} must be a number, got {value!r}")
+            if not 0.0 < value <= 1.0:
+                raise ValueError(f"{name} out of (0,1]: {value}")
 
 
 BASE_CONSTRAINTS = SafetyConstraints(
@@ -101,25 +98,17 @@ def generate_constraints(
     navi: Navigation,
     surrounding: Surrounding,
     nearest_obstacle_m: Optional[float],
-    backend: "Backend",
+    backend: backend_mod.Backend,
     scenario_key: str = "",
     timeout_ms: int = 2000,
 ) -> SafetyConstraints:
     """Ask the reasoning backend for an envelope; fall back to the rule-based
     default table on any backend failure or invalid record. Never raises."""
-    from . import backend as backend_mod
-
-    try:
-        req = backend_mod.constraints_request(
-            navi, surrounding, nearest_obstacle_m, scenario_key, timeout_ms
-        )
-        resp = backend.call(req)
-        if isinstance(resp.parsed, SafetyConstraints):
-            return resp.parsed
-        log.info("constraints backend returned no usable record; using defaults")
-    except backend_mod.BackendError as exc:
-        log.info("constraints backend failed (%s); using defaults", exc)
-    return default_constraints(navi, surrounding)
+    req = backend_mod.constraints_request(
+        navi, surrounding, nearest_obstacle_m, scenario_key, timeout_ms
+    )
+    answer = backend_mod.ask(backend, req)
+    return default_constraints(navi, surrounding) if answer is None else answer
 
 
 # Names of the six envelope limits, in the order ``_fired`` evaluates them.
@@ -145,12 +134,14 @@ def _fired(m: VehicleMeasurements, sc: SafetyConstraints) -> tuple[bool, ...]:
     )
 
 
-def apply_constraints(
+def constrain(
     a: Action, m: VehicleMeasurements, sc: SafetyConstraints, g: SafetyGains
-) -> Action:
-    """Clamp an action into the safety envelope. Untriggered limits leave the
-    corresponding channel untouched; the result is always a valid Action."""
-    speed, follow, accel, decel, yaw, braking = _fired(m, sc)
+) -> tuple[Action, tuple[str, ...]]:
+    """Clamp an action into the safety envelope, and name the limits whose
+    triggers fired (for logging). Untriggered limits leave the corresponding
+    channel untouched; the result is always a valid Action."""
+    fired = _fired(m, sc)
+    speed, follow, accel, decel, yaw, braking = fired
     throttle = a.throttle
     if speed:
         throttle -= g.delta_throttle
@@ -169,9 +160,12 @@ def apply_constraints(
     if yaw:
         steer = steer * (sc.psi_max / abs(m.omega_z))
 
-    return Action(clamp(throttle, 0.0, 1.0), clamp(brake, 0.0, 1.0), clamp(steer, -1.0, 1.0))
+    action = Action(clamp(throttle, 0.0, 1.0), clamp(brake, 0.0, 1.0), clamp(steer, -1.0, 1.0))
+    return action, tuple(name for name, hit in zip(_TRIGGER_NAMES, fired) if hit)
 
 
-def triggered_constraints(m: VehicleMeasurements, sc: SafetyConstraints) -> tuple[str, ...]:
-    """Names of the envelope limits whose triggers currently fire (for logging)."""
-    return tuple(name for name, fired in zip(_TRIGGER_NAMES, _fired(m, sc)) if fired)
+def apply_constraints(
+    a: Action, m: VehicleMeasurements, sc: SafetyConstraints, g: SafetyGains
+) -> Action:
+    """The action of ``constrain``, without the names of the fired limits."""
+    return constrain(a, m, sc, g)[0]

@@ -72,12 +72,12 @@ class VerifierConfig:
     front_view_only: bool = True
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.shift_threshold < 1.0:
-            raise ValueError(f"shift_threshold out of (0,1): {self.shift_threshold}")
-        if not 0.0 < self.hazard_ratio_threshold < 1.0:
-            raise ValueError(
-                f"hazard_ratio_threshold out of (0,1): {self.hazard_ratio_threshold}"
-            )
+        for name in ("shift_threshold", "hazard_ratio_threshold"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise TypeError(f"{name} must be a number, got {value!r}")
+            if not 0.0 < value < 1.0:
+                raise ValueError(f"{name} out of (0,1): {value}")
         if type(self.history_len) is not int:  # a bool or a float is not a count
             raise TypeError(f"history_len must be an int, got {self.history_len!r}")
         if self.history_len < 2:
@@ -177,22 +177,29 @@ def hazard_proximity_ratio(
     return sum(ratios) / len(ratios)
 
 
+def classify(
+    history: Sequence[EnvironmentSnapshot], cfg: VerifierConfig
+) -> tuple[Classification, float]:
+    """The window's classification and the newest frame's proximity ratio.
+
+    Replan on inconsistency; otherwise immediate hazard iff the ratio strictly
+    exceeds the threshold. A single frame has no transitions to compare, so
+    it is vacuously consistent.
+    """
+    ratio = hazard_proximity_ratio(history[-1], cfg.front_view_only)
+    if len(history) >= 2 and not check_deficit_consistency(history, cfg).consistent:
+        return Classification.REPLAN, ratio
+    if ratio > cfg.hazard_ratio_threshold:
+        return Classification.CONSISTENT_IMMEDIATE_HAZARD, ratio
+    return Classification.CONSISTENT_NO_IMMEDIATE_HAZARD, ratio
+
+
 def classify_condition(
     history: Sequence[EnvironmentSnapshot], cfg: VerifierConfig
 ) -> Classification:
-    """Replan on inconsistency; otherwise immediate hazard iff the proximity
-    ratio of the newest frame strictly exceeds the threshold."""
-    if not check_deficit_consistency(history, cfg).consistent:
-        return Classification.REPLAN
-    return classify_ratio(hazard_proximity_ratio(history[-1], cfg.front_view_only), cfg)
-
-
-def classify_ratio(ratio: float, cfg: VerifierConfig) -> Classification:
-    """Classification of a consistent window: an immediate hazard iff the
-    proximity ratio strictly exceeds the threshold."""
-    if ratio > cfg.hazard_ratio_threshold:
-        return Classification.CONSISTENT_IMMEDIATE_HAZARD
-    return Classification.CONSISTENT_NO_IMMEDIATE_HAZARD
+    """The classification of ``classify`` for a window of at least two frames."""
+    _validate_history(history)
+    return classify(history, cfg)[0]
 
 
 _CONDITION_FOR = {

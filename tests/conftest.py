@@ -4,7 +4,13 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from rco.backend import BackendRequest, BackendResponse, BackendTimeout, TransportFailure
+from rco.backend import (
+    BackendRequest,
+    BackendResponse,
+    BackendTimeout,
+    SchemaViolation,
+    TransportFailure,
+)
 from rco.domain import (
     Box,
     CameraView,
@@ -92,3 +98,23 @@ class TimeoutBackend(StubBackend):
 class UnreachableBackend(StubBackend):
     def __init__(self):
         super().__init__(error=TransportFailure("simulated transport failure"))
+
+
+# Each way one backend call can leave its caller without a usable answer.
+FAILURE_KINDS = ("timeout", "transport", "schema", "parsed_none", "wrong_type")
+
+
+def failing_backend(kind: str, wrong_answer: object) -> StubBackend:
+    """A backend that fails in the given way; ``wrong_answer`` is the parsed
+    value of another purpose's type that ``wrong_type`` returns."""
+    if kind == "timeout":
+        return TimeoutBackend()
+    if kind == "transport":
+        return UnreachableBackend()
+    if kind == "schema":
+        return StubBackend(error=SchemaViolation("simulated schema violation"))
+    if kind == "parsed_none":
+        return StubBackend(parsed=None)
+    if kind == "wrong_type":
+        return StubBackend(parsed=wrong_answer)
+    raise ValueError(f"unknown failure kind: {kind}")

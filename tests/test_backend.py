@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import hashlib
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +18,6 @@ from rco.backend import (
     BackendTimeout,
     HazardAndPlan,
     HttpBackend,
-    PlanSkeleton,
     Purpose,
     SchemaViolation,
     ScriptedBackend,
@@ -27,12 +28,14 @@ from rco.backend import (
     motion_request,
     parse_structured,
 )
+import rco
 from rco import simenv
 from rco.cli import bundled_scenario_dir
 from rco.domain import (
     Behavior,
     ExecutionCondition,
     MotionKind,
+    MotionPlan,
     ObjectClass,
     SafetyConstraints,
     SpeedControl,
@@ -51,19 +54,19 @@ class TestParseStructured:
             '"behavior":"move_forward","speed":"constant_speed"}]}'
         )
         plan = parse_structured(raw, Purpose.SHORT_TERM_MOTION)
-        assert isinstance(plan, PlanSkeleton)
+        assert isinstance(plan, MotionPlan)
         assert plan.strategy is Strategy.MOVE
-        assert len(plan.pairs) == 1
-        assert plan.pairs[0].condition is ExecutionCondition.CONSISTENT_NO_IMMEDIATE_HAZARD
-        assert plan.pairs[0].action.behavior is Behavior.MOVE_FORWARD
-        assert plan.pairs[0].action.speed is SpeedControl.CONSTANT_SPEED
+        assert len(plan.sequence.pairs) == 1
+        assert plan.sequence.pairs[0].condition is ExecutionCondition.CONSISTENT_NO_IMMEDIATE_HAZARD
+        assert plan.sequence.pairs[0].action.behavior is Behavior.MOVE_FORWARD
+        assert plan.sequence.pairs[0].action.speed is SpeedControl.CONSTANT_SPEED
 
     def test_wait_plan(self):
         raw = '{"strategy":"stop_observe_move","wait":3,"trigger":"consistent_no_immediate_hazard"}'
         plan = parse_structured(raw, Purpose.SHORT_TERM_MOTION)
         assert plan.strategy is Strategy.STOP_OBSERVE_MOVE
-        assert plan.wait == 3
-        assert plan.trigger is ExecutionCondition.CONSISTENT_NO_IMMEDIATE_HAZARD
+        assert plan.wait_ticks == 3
+        assert plan.move_trigger is ExecutionCondition.CONSISTENT_NO_IMMEDIATE_HAZARD
 
     def test_hazards(self):
         raw = '{"hazards":[{"object":"pedestrian","motion":"crossing"}],"strategy":"stop_observe_move"}'
@@ -102,7 +105,7 @@ class TestParseStructured:
     def test_first_json_object_extracted_from_prose(self):
         raw = 'Sure! Here is the plan:\n```json\n{"strategy":"stop_observe_move","wait":2,"trigger":"consistent_immediate_hazard"}\n```\nthanks'
         plan = parse_structured(raw, Purpose.SHORT_TERM_MOTION)
-        assert plan.wait == 2
+        assert plan.wait_ticks == 2
 
     def test_extract_reports_offset(self):
         obj, pos = extract_first_json_object('xx {"a": 1} tail')
@@ -166,7 +169,7 @@ class TestScriptedBackend:
         req = BackendRequest(Purpose.SHORT_TERM_MOTION, "p", payload_for("pedestrian_cross"))
         parsed = backend.call(req).parsed
         assert parsed.strategy is Strategy.STOP_OBSERVE_MOVE
-        assert parsed.wait == 30
+        assert parsed.wait_ticks == 30
 
     def test_every_bundled_entry_parses(self):
         backend = ScriptedBackend.bundled()
@@ -234,7 +237,7 @@ class TestScriptedMemo:
             again = backend.call(self.request("valid"))
             assert again.parsed == first.parsed
             assert again.raw == first.raw
-        assert first.parsed.wait == 3
+        assert first.parsed.wait_ticks == 3
 
     def test_memo_is_per_purpose(self):
         backend = ScriptedBackend(self.TABLE)
@@ -249,7 +252,7 @@ class TestScriptedMemo:
         for _ in range(3):
             with pytest.raises(SchemaViolation):
                 backend.call(self.request(key))
-        assert backend.call(self.request("valid")).parsed.wait == 3
+        assert backend.call(self.request("valid")).parsed.wait_ticks == 3
 
     def test_built_requests_carry_routing_fields_only(self):
         backend = ScriptedBackend.bundled()
@@ -315,7 +318,7 @@ class TestHttpBackend:
     def test_parses_first_completion(self, chat_server):
         backend = HttpBackend(chat_server, model="good", token="secret")
         resp = backend.call(self.request())
-        assert resp.parsed.wait == 4
+        assert resp.parsed.wait_ticks == 4
         assert resp.latency_ms >= 0.0
 
     def test_malformed_envelope_is_schema_violation(self, chat_server):
@@ -377,3 +380,28 @@ class TestBackendRequest:
         req = BackendRequest(Purpose.HAZARD_AND_PLAN, "p", payload_for("abc"))
         assert req.scenario_key() == "abc"
         assert BackendRequest(Purpose.HAZARD_AND_PLAN, "p", "not json").scenario_key() == ""
+
+
+class TestOneCallPath:
+    ERRORS = {"BackendError", "BackendTimeout", "TransportFailure", "SchemaViolation"}
+
+    def test_only_the_backend_module_calls_a_backend(self):
+        # Every other module reaches a backend through ``backend.ask``, so a
+        # failed call maps to its caller's fallback in one place.
+        offenders = []
+        for path in sorted(Path(rco.__file__).parent.glob("*.py")):
+            if path.name == "backend.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                func = getattr(node, "func", None)
+                if isinstance(func, ast.Attribute) and func.attr == "call":
+                    offenders.append(f"{path.name}:{node.lineno} calls .call()")
+                if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                    names = {
+                        n.id if isinstance(n, ast.Name) else n.attr
+                        for n in ast.walk(node.type)
+                        if isinstance(n, (ast.Name, ast.Attribute))
+                    }
+                    if names & self.ERRORS:
+                        offenders.append(f"{path.name}:{node.lineno} catches {sorted(names)}")
+        assert offenders == []

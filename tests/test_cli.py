@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import dataclasses
 import json
 
@@ -149,6 +150,9 @@ class TestRunCommand:
             ('{"penalties": {"collision_pedestrian": NaN}}', ["--mode", "baseline"]),
             ('{"penalties": [1]}', ["--mode", "baseline"]),
             ("5", ["--mode", "baseline"]),
+            ('{"delta_throttle": true}', ["--mode", "rco"]),
+            ('{"delta_brake": true}', ["--mode", "rco"]),
+            ('{"hazard_ratio_threshold": "0.5"}', ["--mode", "rco"]),
         ],
     )
     def test_config_value_of_wrong_type_or_range_is_config_error(
@@ -232,6 +236,22 @@ class TestSweepCommand:
                   "--jobs", jobs, "--out", str(out)])
             outs[jobs] = (out / "sweep.csv").read_bytes()
         assert outs["1"] == outs["2"]
+
+
+    def test_parallel_sweep_starts_one_pool(self, tmp_path, monkeypatch):
+        pools = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        scenarios = [scenario_path("pedestrian_cross"), scenario_path("stale_plan")]
+        code = main(["sweep", "--scenarios", *scenarios, "--limits", "1,3,5",
+                     "--jobs", "2", "--out", str(tmp_path / "o")])
+        assert code == 0
+        assert pools == [{"max_workers": 2}]
 
 
 class TestOneBackendPerCommand:

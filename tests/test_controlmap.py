@@ -123,6 +123,31 @@ class TestComputeSteer:
         with pytest.raises(DegenerateTargetError):
             compute_steer((1.0, 2.0, 0.0), (1.0, 2.0), SteerControllerState(), 0.1)
 
+    def test_bundled_rco_episode_steers_without_replace(self, monkeypatch):
+        # The PID state is rebuilt by its constructor on every step, not
+        # through dataclasses.replace, which costs a field walk per call.
+        from rco import controlmap
+        from rco.backend import ScriptedBackend
+        from rco.cli import bundled_scenario_dir
+        from rco.runner import Mode, run_episode
+        from rco.simenv import Scenario
+
+        def no_replace(*args, **kwargs):
+            raise AssertionError("compute_steer rebuilt its state through replace()")
+
+        steps = []
+
+        def counting(*args):
+            steps.append(args)
+            return real_compute(*args)
+
+        real_compute = controlmap.compute_steer
+        monkeypatch.setattr(controlmap, "replace", no_replace, raising=False)
+        monkeypatch.setattr(controlmap, "compute_steer", counting)
+        scenario = Scenario.load(str(bundled_scenario_dir() / "bicycle_oncoming.json"))
+        run_episode(scenario, Mode.RCO, ScriptedBackend.bundled())
+        assert steps
+
     def test_integral_accumulates_and_clamps(self):
         ctrl = SteerControllerState(kp=0.0, ki=1.0, kd=0.0, integral_bound=0.5)
         for _ in range(100):

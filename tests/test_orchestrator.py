@@ -272,16 +272,22 @@ class TestFuzzLoop:
 class TestStepCost:
     def test_one_ratio_and_one_state_per_step(self, monkeypatch):
         # Each tick computes the proximity ratio once and builds its next
-        # state once, whichever path it takes.
+        # state once, whichever path it takes; it evaluates the envelope
+        # triggers once when it executes a pair and not at all otherwise.
         import rco.orchestrator as orch
-        from rco import verifier
+        from rco import safety, verifier
 
-        calls = {"ratio": 0, "state": 0}
+        calls = {"ratio": 0, "state": 0, "fired": 0}
         real_ratio, real_state = verifier.hazard_proximity_ratio, orch.OverrideState
+        real_fired = safety._fired
 
         def counting_ratio(*args):
             calls["ratio"] += 1
             return real_ratio(*args)
+
+        def counting_fired(*args):
+            calls["fired"] += 1
+            return real_fired(*args)
 
         def counting_state(*args, **kwargs):
             calls["state"] += 1
@@ -295,6 +301,7 @@ class TestStepCost:
         monkeypatch.setattr(verifier, "hazard_proximity_ratio", counting_ratio)
         monkeypatch.setattr(orch, "OverrideState", counting_state)
         monkeypatch.setattr(orch, "replace", no_replace)
+        monkeypatch.setattr(safety, "_fired", counting_fired)
         sources = set()
         history = []
         for tick in range(400):
@@ -303,9 +310,10 @@ class TestStepCost:
                 boxes = [Box(0.2, 0.2, 0.8, 0.7)]
             history = (history + [snapshot(tick=tick, front_deficits=boxes)])[-5:]
             key = ("move2", "cautious", "wait3", "nope")[tick // 100]
-            calls.update(ratio=0, state=0)
+            calls.update(ratio=0, state=0, fired=0)
             result = step(state, history[-1], history, CALM, POSE, backend(), cfg_for(key))
             state = result.state
             sources.add(result.record["source"])
-            assert calls == {"ratio": 1, "state": 1}
+            executed = result.record["verdict"] == "execute"
+            assert calls == {"ratio": 1, "state": 1, "fired": int(executed)}
         assert sources == {"pair", "stop_wait", "failsafe"}

@@ -7,7 +7,7 @@ import logging
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rco.backend import ScriptedBackend
+from rco.backend import HazardAndPlan, ScriptedBackend
 from rco.domain import (
     ActionSequence,
     Behavior,
@@ -19,13 +19,22 @@ from rco.domain import (
     Strategy,
 )
 from rco.planner import (
+    FALLBACK_TRIGGER,
     PlannerConfig,
     WrongStrategyError,
     expand_stop_observe_move,
     infer_hazards,
     plan_motion,
 )
-from conftest import DEFAULT_NAVI, StubBackend, TimeoutBackend, UnreachableBackend, snapshot
+from conftest import (
+    DEFAULT_NAVI,
+    FAILURE_KINDS,
+    StubBackend,
+    TimeoutBackend,
+    UnreachableBackend,
+    failing_backend,
+    snapshot,
+)
 
 CFG = PlannerConfig()
 
@@ -66,6 +75,13 @@ class TestInferHazards:
         hazards, strategy = infer_hazards(history(), UnreachableBackend(), CFG)
         assert (hazards, strategy) == ((), Strategy.STOP_OBSERVE_MOVE)
 
+    @pytest.mark.parametrize("kind", FAILURE_KINDS)
+    def test_every_failure_falls_back_after_one_call(self, kind):
+        wait = MotionPlan(Strategy.STOP_OBSERVE_MOVE, wait_ticks=3, move_trigger=FALLBACK_TRIGGER)
+        backend = failing_backend(kind, wrong_answer=wait)
+        assert infer_hazards(history(), backend, CFG) == ((), Strategy.STOP_OBSERVE_MOVE)
+        assert len(backend.requests) == 1
+
     def test_unknown_key_falls_back(self):
         hazards, strategy = infer_hazards(history(), scripted(), CFG, scenario_key="who")
         assert (hazards, strategy) == ((), Strategy.STOP_OBSERVE_MOVE)
@@ -97,9 +113,7 @@ class TestPlanMotion:
         assert plan.move_trigger is ExecutionCondition.CONSISTENT_NO_IMMEDIATE_HAZARD
 
     def test_empty_move_plan_falls_back(self):
-        from rco.backend import PlanSkeleton
-
-        backend = StubBackend(parsed=PlanSkeleton(Strategy.MOVE, pairs=()))
+        backend = StubBackend(parsed=MotionPlan(Strategy.MOVE, sequence=ActionSequence((), 0)))
         plan = self.plan(backend)
         assert plan.strategy is Strategy.STOP_OBSERVE_MOVE
         assert plan.wait_ticks == CFG.wait_cap
@@ -112,18 +126,26 @@ class TestPlanMotion:
             move_trigger=ExecutionCondition.CONSISTENT_NO_IMMEDIATE_HAZARD,
         )
 
-    def test_wait_clamped_to_cap(self):
-        from rco.backend import PlanSkeleton
+    @pytest.mark.parametrize("kind", FAILURE_KINDS)
+    def test_every_failure_falls_back_after_one_call(self, kind):
+        backend = failing_backend(kind, wrong_answer=HazardAndPlan((), Strategy.MOVE))
+        plan = self.plan(backend)
+        assert plan == MotionPlan(
+            Strategy.STOP_OBSERVE_MOVE, wait_ticks=CFG.wait_cap, move_trigger=FALLBACK_TRIGGER
+        )
+        assert len(backend.requests) == 1
 
+    def test_wait_clamped_to_cap(self):
         backend = StubBackend(
-            parsed=PlanSkeleton(
+            parsed=MotionPlan(
                 Strategy.STOP_OBSERVE_MOVE,
-                wait=120,
-                trigger=ExecutionCondition.CONSISTENT_IMMEDIATE_HAZARD,
+                wait_ticks=120,
+                move_trigger=ExecutionCondition.CONSISTENT_IMMEDIATE_HAZARD,
             )
         )
         plan = self.plan(backend, Strategy.STOP_OBSERVE_MOVE)
         assert plan.wait_ticks == CFG.wait_cap
+        assert plan.move_trigger is ExecutionCondition.CONSISTENT_IMMEDIATE_HAZARD
 
     @settings(max_examples=100, deadline=None)
     @given(raw=st.text(max_size=120))

@@ -8,13 +8,14 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from rco.backend import SchemaViolation
+from rco.backend import HazardAndPlan, SchemaViolation
 from rco.domain import (
     Action,
     Daylight,
     Navigation,
     RoadGeometry,
     SafetyConstraints,
+    Strategy,
     Surrounding,
     TrafficDensity,
     VehicleMeasurements,
@@ -24,11 +25,11 @@ from rco.safety import (
     BASE_CONSTRAINTS,
     SafetyGains,
     apply_constraints,
+    constrain,
     default_constraints,
     generate_constraints,
-    triggered_constraints,
 )
-from conftest import StubBackend, TimeoutBackend
+from conftest import FAILURE_KINDS, StubBackend, TimeoutBackend, failing_backend
 
 G = SafetyGains(0.1, 0.1)
 
@@ -241,6 +242,13 @@ class TestGenerateConstraints:
         out = generate_constraints(self.NAVI_CLEAR, self.CLEAR, None, backend)
         assert out == default_constraints(self.NAVI_CLEAR, self.CLEAR)
 
+    @pytest.mark.parametrize("kind", FAILURE_KINDS)
+    def test_every_failure_falls_back_after_one_call(self, kind):
+        backend = failing_backend(kind, wrong_answer=HazardAndPlan((), Strategy.MOVE))
+        out = generate_constraints(self.NAVI_CLEAR, self.CLEAR, None, backend)
+        assert out == default_constraints(self.NAVI_CLEAR, self.CLEAR)
+        assert len(backend.requests) == 1
+
     def test_never_raises(self):
         backend = StubBackend(parsed="not-a-constraints-record")
         out = generate_constraints(self.NAVI_CLEAR, self.CLEAR, None, backend)
@@ -249,10 +257,44 @@ class TestGenerateConstraints:
 
 class TestTriggeredNames:
     def test_names_reported_for_logging(self):
-        names = triggered_constraints(m(v=12.0, a_x=3.0), sc(v_max=10.0, ac_max=2.0))
+        _action, names = constrain(
+            Action(0.5, 0.0, 0.0), m(v=12.0, a_x=3.0), sc(v_max=10.0, ac_max=2.0), G
+        )
         assert "max_speed" in names
         assert "max_acceleration" in names
         assert "max_yaw_rate" not in names
+
+    @given(
+        throttle=st.floats(0, 1, allow_nan=False),
+        brake=st.floats(0, 1, allow_nan=False),
+        steer=st.floats(-1, 1, allow_nan=False),
+        v=st.floats(0, 30, allow_nan=False),
+        a_x=st.floats(-15, 15, allow_nan=False),
+        omega_z=st.floats(-2, 2, allow_nan=False),
+        d_follow=st.one_of(st.just(math.inf), st.floats(0, 40, allow_nan=False)),
+        limits=st.tuples(*[st.floats(0.05, 20, allow_nan=False)] * 6),
+    )
+    def test_constrain_equals_apply_and_reference_names(
+        self, throttle, brake, steer, v, a_x, omega_z, d_follow, limits
+    ):
+        a, meas, c = Action(throttle, brake, steer), m(v, a_x, omega_z, d_follow), sc(*limits)
+        action, names = constrain(a, meas, c, G)
+        assert action == apply_constraints(a, meas, c, G)
+        assert names == reference_triggered(meas, c)
+
+
+def reference_triggered(meas: VehicleMeasurements, c: SafetyConstraints) -> tuple[str, ...]:
+    """The names the control loop logged before ``constrain``, restated
+    trigger by trigger."""
+    fired = (
+        ("max_speed", meas.v >= c.v_max),
+        ("min_following_distance", meas.d_follow < c.d_min),
+        ("max_acceleration", meas.a_x > c.ac_max),
+        ("max_deceleration", meas.a_x < -c.de_max),
+        ("max_yaw_rate", abs(meas.omega_z) > c.psi_max),
+        ("min_braking_distance", meas.v * meas.v / (2.0 * c.de_max) > c.d_brake),
+    )
+    return tuple(name for name, hit in fired if hit)
 
 
 class TestSafetyGains:
@@ -261,3 +303,10 @@ class TestSafetyGains:
             SafetyGains(0.0, 0.1)
         with pytest.raises(ValueError):
             SafetyGains(0.1, 1.5)
+
+    @pytest.mark.parametrize("bad", [True, "0.5", None])
+    def test_gains_must_be_numbers(self, bad):
+        with pytest.raises(TypeError):
+            SafetyGains(delta_throttle=bad)
+        with pytest.raises(TypeError):
+            SafetyGains(delta_brake=bad)

@@ -27,6 +27,7 @@ from rco.verifier import (
     _greedy_match_max_shift,
     check_deficit_consistency,
     classification_matches,
+    classify,
     classify_condition,
     hazard_proximity_ratio,
     union_area,
@@ -201,8 +202,8 @@ _deficit_lists = st.lists(
 
 
 @st.composite
-def windows(draw):
-    n = draw(st.integers(2, 6))
+def windows(draw, min_frames=2, max_frames=6):
+    n = draw(st.integers(min_frames, max_frames))
     if draw(st.booleans()):
         # A stable window reaches the shift check on every transition.
         left, front, right = draw(st.tuples(_deficit_lists, _deficit_lists, _deficit_lists))
@@ -316,6 +317,31 @@ class TestClassifyCondition:
         frames = self.consistent_history_with_ratio(Box(0.4, 0.4, 0.75, 0.6))
         assert classify_condition(frames, CFG) == classify_condition(list(frames), CFG)
 
+    def test_single_frame_is_caller_error(self):
+        with pytest.raises(InsufficientHistoryError):
+            classify_condition([snapshot(tick=0)], CFG)
+
+
+def reference_classify(history, cfg):
+    """The ratio-first composition the control loop used before ``classify``:
+    a single frame is vacuously consistent and classified by ratio alone."""
+    ratio = hazard_proximity_ratio(history[-1], cfg.front_view_only)
+    if len(history) >= 2 and not check_deficit_consistency(history, cfg).consistent:
+        return Classification.REPLAN, ratio
+    if ratio > cfg.hazard_ratio_threshold:
+        return Classification.CONSISTENT_IMMEDIATE_HAZARD, ratio
+    return Classification.CONSISTENT_NO_IMMEDIATE_HAZARD, ratio
+
+
+class TestClassifyEqualsReference:
+    @given(windows(1, 5), st.sampled_from([0.005, 0.05, 0.07]), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_classification_and_ratio(self, frames, threshold, front_view_only):
+        cfg = VerifierConfig(hazard_ratio_threshold=threshold, front_view_only=front_view_only)
+        assert classify(frames, cfg) == reference_classify(frames, cfg)
+        if len(frames) >= 2:
+            assert classify_condition(frames, cfg) is classify(frames, cfg)[0]
+
 
 class TestVerify:
     PAIR_NO_HAZ = ConditionActionPair(
@@ -374,6 +400,13 @@ class TestVerifierConfig:
             VerifierConfig(hazard_ratio_threshold=1.0)
         with pytest.raises(ValueError):
             VerifierConfig(history_len=1)
+
+    @pytest.mark.parametrize("bad", [True, "0.5", None])
+    def test_thresholds_must_be_numbers(self, bad):
+        with pytest.raises(TypeError):
+            VerifierConfig(shift_threshold=bad)
+        with pytest.raises(TypeError):
+            VerifierConfig(hazard_ratio_threshold=bad)
 
     def test_verdict_flag_must_match_reason(self):
         with pytest.raises(ValueError):
