@@ -8,9 +8,14 @@ either sees a fully-parsed value or a SchemaViolation. ``ask`` is the one
 place a backend is called: it maps every failure to None, and each caller
 maps None to its risk-averse fallback.
 
-A request carries the rendered prompt, which is all ``HttpBackend`` sends,
-and a payload holding only the routing fields (purpose and scenario key),
-which is all ``ScriptedBackend`` reads. Prompt templates are read from the
+A request carries what the model is asked about, not the text of the
+question: one frozen record of structured inputs per purpose (the hazard frame
+window; hazards, strategy and road geometry; the driving context), plus a
+payload holding only the routing fields (purpose and scenario key). A plain
+string in place of the record is prompt text that is already rendered.
+``HttpBackend`` is the only backend that renders the prompt, through
+``BackendRequest.prompt``, and the only one that reads the inputs;
+``ScriptedBackend`` reads the payload alone. Prompt templates are read from the
 package once per process.
 """
 
@@ -29,6 +34,7 @@ from .domain import (
     ActionSequence,
     Behavior,
     ConditionActionPair,
+    Daylight,
     EnvironmentSnapshot,
     ExecutionCondition,
     Hazard,
@@ -38,10 +44,13 @@ from .domain import (
     Navigation,
     ObjectClass,
     OutOfRangeError,
+    RoadGeometry,
     SafetyConstraints,
     SpeedControl,
     Strategy,
     Surrounding,
+    TrafficDensity,
+    Weather,
 )
 
 log = logging.getLogger(__name__)
@@ -85,13 +94,19 @@ class Purpose(str, Enum):
 @dataclass(frozen=True)
 class BackendRequest:
     purpose: Purpose
-    prompt: str
+    inputs: Inputs  # the purpose's structured inputs, or rendered prompt text
     payload: str  # canonical JSON of the routing fields: purpose, scenario_key
     timeout_ms: int = 2000
 
     def __post_init__(self) -> None:
         if self.timeout_ms <= 0:
             raise ValueError(f"timeout_ms must be positive, got {self.timeout_ms}")
+
+    @property
+    def prompt(self) -> str:
+        """The user prompt, rendered from the inputs on each read."""
+        inputs = self.inputs
+        return inputs if isinstance(inputs, str) else inputs.render()
 
     def scenario_key(self) -> str:
         try:
@@ -244,7 +259,8 @@ def ask(backend: Backend, req: BackendRequest) -> Optional[Parsed]:
 
 
 # ---------------------------------------------------------------------------
-# Request builders (shared by planner and safety)
+# Structured inputs, their rendering, and the request builders (shared by
+# planner and safety)
 # ---------------------------------------------------------------------------
 
 @cache
@@ -282,12 +298,65 @@ def _history_text(history: Sequence[EnvironmentSnapshot]) -> str:
     return "\n".join(lines)
 
 
+@dataclass(frozen=True)
+class HazardInputs:
+    """What hazard inference reads: the frame window, oldest first."""
+
+    frames: tuple[EnvironmentSnapshot, ...]
+
+    def render(self) -> str:
+        return _render_prompt("hazard_inference", history=_history_text(self.frames))
+
+
+@dataclass(frozen=True)
+class MotionInputs:
+    """What the short-term motion planner reads."""
+
+    hazards: tuple[Hazard, ...]
+    strategy: Strategy
+    geometry: RoadGeometry
+
+    def render(self) -> str:
+        hazards = ", ".join(f"{h.object.value} ({h.motion.value})" for h in self.hazards)
+        return _render_prompt(
+            "short_term_motion",
+            hazards=hazards or "none",
+            strategy=self.strategy.value,
+            geometry=self.geometry.value,
+        )
+
+
+@dataclass(frozen=True)
+class ConstraintsInputs:
+    """What the safety-constraint generator reads: the driving context."""
+
+    weather: Weather
+    daylight: Daylight
+    traffic: TrafficDensity
+    geometry: RoadGeometry
+    nearest_obstacle_m: Optional[float]
+
+    def render(self) -> str:
+        obstacle = self.nearest_obstacle_m
+        return _render_prompt(
+            "safety_constraints",
+            weather=self.weather.value,
+            daylight=self.daylight.value,
+            traffic=self.traffic.value,
+            geometry=self.geometry.value,
+            obstacle="none" if obstacle is None else f"{obstacle:.1f} m",
+        )
+
+
+Inputs = Union[HazardInputs, MotionInputs, ConstraintsInputs, str]
+
+
 def hazard_request(
     history: Sequence[EnvironmentSnapshot], scenario_key: str, timeout_ms: int = 2000
 ) -> BackendRequest:
     purpose = Purpose.HAZARD_AND_PLAN
-    prompt = _render_prompt("hazard_inference", history=_history_text(history))
-    return BackendRequest(purpose, prompt, _routing_payload(purpose, scenario_key), timeout_ms)
+    inputs = HazardInputs(tuple(history))
+    return BackendRequest(purpose, inputs, _routing_payload(purpose, scenario_key), timeout_ms)
 
 
 def motion_request(
@@ -299,13 +368,8 @@ def motion_request(
     timeout_ms: int = 2000,
 ) -> BackendRequest:
     purpose = Purpose.SHORT_TERM_MOTION
-    prompt = _render_prompt(
-        "short_term_motion",
-        hazards=", ".join(f"{h.object.value} ({h.motion.value})" for h in hazards) or "none",
-        strategy=strategy.value,
-        geometry=navi.road_geometry.value,
-    )
-    return BackendRequest(purpose, prompt, _routing_payload(purpose, scenario_key), timeout_ms)
+    inputs = MotionInputs(hazards, strategy, navi.road_geometry)
+    return BackendRequest(purpose, inputs, _routing_payload(purpose, scenario_key), timeout_ms)
 
 
 def constraints_request(
@@ -316,15 +380,14 @@ def constraints_request(
     timeout_ms: int = 2000,
 ) -> BackendRequest:
     purpose = Purpose.SAFETY_CONSTRAINTS
-    prompt = _render_prompt(
-        "safety_constraints",
-        weather=surrounding.weather.value,
-        daylight=surrounding.daylight.value,
-        traffic=surrounding.traffic_density.value,
-        geometry=navi.road_geometry.value,
-        obstacle="none" if nearest_obstacle_m is None else f"{nearest_obstacle_m:.1f} m",
+    inputs = ConstraintsInputs(
+        surrounding.weather,
+        surrounding.daylight,
+        surrounding.traffic_density,
+        navi.road_geometry,
+        nearest_obstacle_m,
     )
-    return BackendRequest(purpose, prompt, _routing_payload(purpose, scenario_key), timeout_ms)
+    return BackendRequest(purpose, inputs, _routing_payload(purpose, scenario_key), timeout_ms)
 
 
 # ---------------------------------------------------------------------------
@@ -335,10 +398,12 @@ class ScriptedBackend:
     """Deterministic table lookup keyed by (purpose, scenario key).
 
     Table shape: ``{purpose_value: {scenario_key: response_object}}``. The
-    key is read from the request's routing payload. The response object is
-    serialized and parsed through the same structured parser as real model
-    output, so both paths share one schema. The first successful parse of an
-    entry is memoised and returned by later calls; a missing or malformed
+    key is read from the request's routing payload; the structured inputs are
+    never read, so no prompt is rendered. The response object is serialized
+    and parsed through the same structured parser as real model output, so
+    both paths share one schema. The first successful answer is memoised per
+    ``(purpose, payload)``: the builders pass the same cached payload string
+    every time, so a repeated call decodes no JSON. A missing or malformed
     entry raises SchemaViolation on every call. ``table`` stays the raw dict.
     """
 
@@ -359,15 +424,16 @@ class ScriptedBackend:
         return cls(json.loads(text))
 
     def call(self, req: BackendRequest) -> BackendResponse:
-        key = req.scenario_key()
-        answer = self._answers.get((req.purpose, key))
+        memo_key = (req.purpose, req.payload)
+        answer = self._answers.get(memo_key)
         if answer is None:
+            key = req.scenario_key()
             entry = self.table.get(req.purpose.value, {}).get(key)
             if entry is None:
                 raise SchemaViolation(f"no scripted response for key {key!r}", field="scenario_key")
             raw = json.dumps(entry, sort_keys=True, separators=(",", ":"))
             answer = BackendResponse(raw=raw, parsed=parse_structured(raw, req.purpose))
-            self._answers[(req.purpose, key)] = answer
+            self._answers[memo_key] = answer
         return answer
 
 

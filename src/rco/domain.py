@@ -359,7 +359,8 @@ class MotionPlan:
 
 @dataclass(frozen=True)
 class SafetyConstraints:
-    """Six-limit control envelope, SI units, all strictly positive."""
+    """Six-limit control envelope, SI units, all strictly positive and
+    finite: an infinite limit never fires, so it would switch its trigger off."""
 
     v_max: float
     d_min: float
@@ -371,7 +372,7 @@ class SafetyConstraints:
     def __post_init__(self) -> None:
         for name in ("v_max", "d_min", "ac_max", "de_max", "psi_max", "d_brake"):
             v = getattr(self, name)
-            if not (v > 0) or math.isnan(v):
+            if not 0 < v < math.inf:  # also rejects NaN
                 raise OutOfRangeError(name, v)
 
 

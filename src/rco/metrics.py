@@ -32,8 +32,12 @@ def route_completion(route: Route, ego_trajectory: Sequence[tuple[float, float]]
     """Percent of the route's arc length covered by the ego's best progress."""
     if not ego_trajectory:
         raise ValueError("trajectory must be nonempty")
-    best = max(route.progress_of(p) for p in ego_trajectory)
-    return clamp_pct(best / route.length * 100.0)
+    return completion_pct(route, max(route.progress_of(p) for p in ego_trajectory))
+
+
+def completion_pct(route: Route, best_progress: float) -> float:
+    """Route completion for the ego's best arc-length progress along ``route``."""
+    return clamp_pct(best_progress / route.length * 100.0)
 
 
 def clamp_pct(x: float) -> float:

@@ -103,7 +103,7 @@ def run_episode(
     state: OverrideState = orchestrator.initial_state()
     history: list = []
     history_cap = max(cfg.planner.history_len, cfg.verifier.history_len)
-    trajectory: list[tuple[float, float]] = [(w.ego.x, w.ego.y)]
+    best_progress = w.ego_progress
     events: list[simenv.InfractionEvent] = []
     records: list[dict[str, Any]] = []
     halted_forever = False
@@ -137,11 +137,11 @@ def run_episode(
 
         w_next = simenv.tick(w, action)
         events.extend(simenv.detect_infractions(w, w_next))
-        trajectory.append((w_next.ego.x, w_next.ego.y))
+        best_progress = max(best_progress, w_next.ego_progress)
         w = w_next
 
     game_time_s = w.tick * params.dt
-    rc = metrics.route_completion(scenario.route, trajectory)
+    rc = metrics.completion_pct(scenario.route, best_progress)
     is_score = metrics.infraction_score(events, policy, overrides.penalty_table())
     as_speed = metrics.average_speed(scenario.route.length, game_time_s)
     result = metrics.EpisodeResult.build(

@@ -7,12 +7,14 @@ import contextlib
 import hashlib
 import json
 import threading
+from collections import Counter
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rco import backend as backend_mod
 from rco.backend import (
     BackendRequest,
     BackendTimeout,
@@ -33,14 +35,29 @@ from rco import simenv
 from rco.cli import bundled_scenario_dir
 from rco.domain import (
     Behavior,
+    Box,
+    CameraView,
+    Daylight,
+    DeficitRegion,
+    EnvironmentSnapshot,
     ExecutionCondition,
+    Hazard,
     MotionKind,
     MotionPlan,
+    Navigation,
     ObjectClass,
+    RoadGeometry,
     SafetyConstraints,
     SpeedControl,
     Strategy,
+    Surrounding,
+    TrafficDensity,
+    ViewName,
+    VisibleObject,
+    Weather,
 )
+from rco.runner import Mode, run_episode
+from conftest import DEFAULT_NAVI, DEFAULT_SURROUNDING, snapshot
 
 
 def payload_for(key: str) -> str:
@@ -101,6 +118,25 @@ class TestParseStructured:
         with pytest.raises(SchemaViolation) as exc:
             parse_structured(raw, Purpose.SAFETY_CONSTRAINTS)
         assert exc.value.field == "v_max"
+
+    def test_infinite_constraints_rejected(self):
+        # The JSON parser accepts Infinity and 1e999; an infinite limit never
+        # fires, so a backend could switch the envelope off with it.
+        raw = (
+            '{"v_max": Infinity, "d_min": 1e999, "ac_max": 1e999, "de_max": 1e999, '
+            '"psi_max": Infinity, "d_brake": 1e999}'
+        )
+        with pytest.raises(SchemaViolation) as exc:
+            parse_structured(raw, Purpose.SAFETY_CONSTRAINTS)
+        assert exc.value.field == "v_max"
+
+    @pytest.mark.parametrize("field", ["v_max", "d_min", "ac_max", "de_max", "psi_max", "d_brake"])
+    def test_each_infinite_constraint_names_its_field(self, field):
+        obj = {"v_max": 10, "d_min": 5, "ac_max": 3, "de_max": 5, "psi_max": 0.6, "d_brake": 10}
+        raw = json.dumps(obj).replace(f'"{field}": {obj[field]}', f'"{field}": 1e999')
+        with pytest.raises(SchemaViolation) as exc:
+            parse_structured(raw, Purpose.SAFETY_CONSTRAINTS)
+        assert exc.value.field == field
 
     def test_first_json_object_extracted_from_prose(self):
         raw = 'Sure! Here is the plan:\n```json\n{"strategy":"stop_observe_move","wait":2,"trigger":"consistent_immediate_hazard"}\n```\nthanks'
@@ -263,6 +299,167 @@ class TestScriptedMemo:
             }
             if REQUEST_SCENARIO in backend.table[req.purpose.value]:
                 assert backend.call(req).parsed is not None
+
+
+# The eager rendering that built every prompt before requests carried
+# structured inputs, restated from the template files so that the lazy
+# ``BackendRequest.prompt`` is checked against an independent copy.
+_PROMPT_DIR = Path(rco.__file__).parent / "prompts"
+
+
+def _reference_fill(name: str, **subs: str) -> str:
+    text = (_PROMPT_DIR / f"{name}.txt").read_text(encoding="utf-8")
+    for key, value in subs.items():
+        text = text.replace("{" + key + "}", value)
+    return text
+
+
+def _reference_history_text(history) -> str:
+    lines = []
+    for snap in history:
+        parts = []
+        for v in snap.perception:
+            objs = ", ".join(
+                f"{o.cls.value}@{o.range_m:.0f}m" for o in v.visible_objects
+            ) or "nothing"
+            defs = f"{len(v.deficits)} deficit region(s)" if v.deficits else "no deficits"
+            parts.append(f"{v.view.value}: {objs}; {defs}")
+        lines.append(f"tick {snap.tick}: " + " | ".join(parts))
+    return "\n".join(lines)
+
+
+_CLASSES = [c for c in ObjectClass if c is not ObjectClass.UNKNOWN]
+_RANGES = st.floats(0.0, 120.0, allow_nan=False)
+
+
+@st.composite
+def _camera_view(draw, name: ViewName) -> CameraView:
+    objects = draw(st.lists(st.tuples(st.sampled_from(_CLASSES), _RANGES), max_size=3))
+    deficits = draw(st.integers(0, 3))
+    return CameraView(
+        name,
+        tuple(VisibleObject(cls, Box(0.1, 0.1, 0.2, 0.2), rng) for cls, rng in objects),
+        tuple(DeficitRegion(name, Box(0.5, 0.5, 0.7, 0.7)) for _ in range(deficits)),
+    )
+
+
+_SNAPSHOTS = st.builds(
+    EnvironmentSnapshot,
+    tick=st.integers(0, 100_000),
+    perception=st.tuples(
+        _camera_view(ViewName.LEFT), _camera_view(ViewName.FRONT), _camera_view(ViewName.RIGHT)
+    ),
+    navi=st.just(DEFAULT_NAVI),
+    surrounding=st.just(DEFAULT_SURROUNDING),
+)
+
+
+class TestStructuredRequests:
+    @settings(max_examples=100, deadline=None)
+    @given(history=st.lists(_SNAPSHOTS, min_size=1, max_size=6), later=_SNAPSHOTS)
+    def test_hazard_prompt_equals_eager_rendering(self, history, later):
+        want = _reference_fill("hazard_inference", history=_reference_history_text(history))
+        req = hazard_request(history, "k")
+        history.pop(0)  # the runner slides its window in place
+        history.append(later)
+        assert req.prompt == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        hazards=st.lists(
+            st.builds(Hazard, st.sampled_from(ObjectClass), st.sampled_from(MotionKind)), max_size=4
+        ),
+        strategy=st.sampled_from(Strategy),
+        geometry=st.sampled_from(RoadGeometry),
+    )
+    def test_motion_prompt_equals_eager_rendering(self, hazards, strategy, geometry):
+        navi = Navigation((50.0, 0.0), 0.0, geometry)
+        want = _reference_fill(
+            "short_term_motion",
+            hazards=", ".join(f"{h.object.value} ({h.motion.value})" for h in hazards) or "none",
+            strategy=strategy.value,
+            geometry=geometry.value,
+        )
+        req = motion_request(tuple(hazards), strategy, navi, snapshot(navi=navi), "k")
+        assert req.prompt == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        weather=st.sampled_from(Weather),
+        daylight=st.sampled_from(Daylight),
+        traffic=st.sampled_from(TrafficDensity),
+        geometry=st.sampled_from(RoadGeometry),
+        nearest=st.none() | _RANGES,
+    )
+    def test_constraints_prompt_equals_eager_rendering(
+        self, weather, daylight, traffic, geometry, nearest
+    ):
+        navi = Navigation((50.0, 0.0), 0.0, geometry)
+        want = _reference_fill(
+            "safety_constraints",
+            weather=weather.value,
+            daylight=daylight.value,
+            traffic=traffic.value,
+            geometry=geometry.value,
+            obstacle="none" if nearest is None else f"{nearest:.1f} m",
+        )
+        req = constraints_request(navi, Surrounding(weather, daylight, traffic), nearest, "k")
+        assert req.prompt == want
+
+    def test_text_inputs_are_the_prompt(self):
+        req = BackendRequest(Purpose.HAZARD_AND_PLAN, "as sent", payload_for("k"))
+        assert req.prompt == "as sent"
+
+    def test_scripted_episode_renders_no_prompt(self, monkeypatch):
+        def forbidden(*_args):
+            raise AssertionError("a scripted episode rendered prompt text")
+
+        monkeypatch.setattr(backend_mod, "_template", forbidden)
+        monkeypatch.setattr(backend_mod, "_history_text", forbidden)
+        sc = simenv.Scenario.load(str(bundled_scenario_dir() / f"{REQUEST_SCENARIO}.json"))
+        out = run_episode(sc, Mode.RCO, ScriptedBackend.bundled())
+        assert sum(r["planning_events"] for r in out.records) > 0
+
+    def test_scenario_key_decoded_once_per_distinct_payload(self, monkeypatch):
+        decoded = []
+        real = BackendRequest.scenario_key
+
+        def counting(req):
+            decoded.append((req.purpose, req.payload))
+            return real(req)
+
+        monkeypatch.setattr(BackendRequest, "scenario_key", counting)
+        # The one bundled scenario whose every purpose has a scripted entry,
+        # so no call fails (a failure decodes its key again on every call).
+        sc = simenv.Scenario.load(str(bundled_scenario_dir() / "traffic_light_hazard.json"))
+        out = run_episode(sc, Mode.RCO, ScriptedBackend.bundled())
+        assert sum(r["backend_calls"] for r in out.records) > len(Purpose)
+        assert Counter(decoded) == Counter(
+            (p, backend_mod._routing_payload(p, sc.name)) for p in Purpose
+        )
+
+    def test_failures_decode_on_every_call(self, monkeypatch):
+        decoded = []
+        real = BackendRequest.scenario_key
+        monkeypatch.setattr(
+            BackendRequest, "scenario_key", lambda req: decoded.append(1) or real(req)
+        )
+        backend = ScriptedBackend({})
+        for _ in range(3):
+            with pytest.raises(SchemaViolation):
+                backend.call(BackendRequest(Purpose.HAZARD_AND_PLAN, "", payload_for("k")))
+        assert len(decoded) == 3
+
+    def test_non_canonical_payload_gets_the_canonical_answer(self):
+        backend = ScriptedBackend.bundled()
+        for purpose_value, entries in backend.table.items():
+            purpose = Purpose(purpose_value)
+            for key in entries:
+                canonical = backend.call(
+                    BackendRequest(purpose, "", backend_mod._routing_payload(purpose, key))
+                )
+                loose = backend.call(BackendRequest(purpose, "", payload_for(key)))
+                assert loose == canonical
 
 
 class _Handler(BaseHTTPRequestHandler):

@@ -187,6 +187,11 @@ class TestSafetyTypes:
         with pytest.raises(OutOfRangeError):
             SafetyConstraints(0.0, 6.0, 2.5, 6.0, 0.5, 8.0)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_constraints_must_be_finite(self, bad):
+        with pytest.raises(OutOfRangeError):
+            SafetyConstraints(8.0, 6.0, 2.5, bad, 0.5, 8.0)
+
     def test_measurements_reject_negative_speed(self):
         with pytest.raises(OutOfRangeError):
             VehicleMeasurements(-1.0, 0.0, 0.0)

@@ -12,6 +12,7 @@ from rco.metrics import (
     Summary,
     ZeroTimeError,
     average_speed,
+    completion_pct,
     driving_score,
     infraction_score,
     route_completion,
@@ -41,6 +42,12 @@ class TestRouteCompletion:
     def test_best_progress_counted_even_if_later_points_regress(self):
         traj = [(0.0, 0.0), (700.0, 0.0), (650.0, 0.0)]
         assert route_completion(route(), traj) == 70.0
+
+    @pytest.mark.parametrize(
+        "progress, pct", [(-1.0, 0.0), (0.0, 0.0), (250.0, 25.0), (1e4, 100.0)]
+    )
+    def test_completion_pct_clamps_progress(self, progress, pct):
+        assert completion_pct(route(), progress) == pct
 
     def test_empty_trajectory_rejected(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from rco import metrics, simenv
 from rco.backend import ScriptedBackend
 from rco.cli import bundled_scenario_dir
 from rco.runner import Mode, Overrides, run_episode
@@ -107,6 +108,24 @@ class TestScoring:
         out = run_episode(load("pedestrian_cross"), Mode.BASELINE, backend())
         assert out.result.infractions == out.events
         assert out.result.is_score == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_route_completion_equals_trajectory_scoring(self, mode, monkeypatch):
+        # RC is read from the ego progress each tick computes; it must equal,
+        # bit for bit, the RC of the trajectory scored point by point.
+        sc = load("stop_sign_hazard")
+        trajectory = [sc.route.waypoints[0]]
+        real_tick = simenv.tick
+
+        def recording_tick(w, a):
+            w_next = real_tick(w, a)
+            trajectory.append((w_next.ego.x, w_next.ego.y))
+            return w_next
+
+        monkeypatch.setattr(simenv, "tick", recording_tick)
+        out = run_episode(sc, mode, backend())
+        assert len(trajectory) == out.ticks + 1
+        assert out.result.rc == metrics.route_completion(sc.route, trajectory)
 
     def test_episode_is_deterministic(self):
         sc = load("stop_sign_hazard")

@@ -8,7 +8,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from rco.backend import HazardAndPlan, SchemaViolation
+from rco.backend import HazardAndPlan, SchemaViolation, ScriptedBackend
 from rco.domain import (
     Action,
     Daylight,
@@ -248,6 +248,24 @@ class TestGenerateConstraints:
         out = generate_constraints(self.NAVI_CLEAR, self.CLEAR, None, backend)
         assert out == default_constraints(self.NAVI_CLEAR, self.CLEAR)
         assert len(backend.requests) == 1
+
+    def test_infinite_backend_envelope_falls_back(self):
+        # A scripted table entry of infinities would leave only the following
+        # distance able to fire; the default table fires five limits here.
+        limits = ("v_max", "d_min", "ac_max", "de_max", "psi_max", "d_brake")
+        entry = dict.fromkeys(limits, math.inf)
+        backend = ScriptedBackend({"safety_constraints": {"k": entry}})
+        out = generate_constraints(self.NAVI_CLEAR, self.CLEAR, None, backend, "k")
+        assert out == default_constraints(self.NAVI_CLEAR, self.CLEAR)
+        meas = m(v=30.0, a_x=9.0, omega_z=3.0, d_follow=3.0)
+        _action, names = constrain(Action(0.5, 0.0, 0.5), meas, out, G)
+        assert names == (
+            "max_speed",
+            "min_following_distance",
+            "max_acceleration",
+            "max_yaw_rate",
+            "min_braking_distance",
+        )
 
     def test_never_raises(self):
         backend = StubBackend(parsed="not-a-constraints-record")
