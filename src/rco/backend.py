@@ -109,10 +109,12 @@ class BackendRequest:
         return inputs if isinstance(inputs, str) else inputs.render()
 
     def scenario_key(self) -> str:
+        """The payload's routing key; "" when it is missing or not a string."""
         try:
-            return str(json.loads(self.payload).get("scenario_key", ""))
+            key = json.loads(self.payload).get("scenario_key")
         except (json.JSONDecodeError, AttributeError):
             return ""
+        return key if isinstance(key, str) else ""
 
 
 @dataclass(frozen=True)

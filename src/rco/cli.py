@@ -26,6 +26,9 @@ from .simenv import Scenario
 EXIT_OK = 0
 EXIT_CONFIG = 2
 
+# One decision-log record per line; the same bytes as json.dumps with these arguments.
+_RECORD_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 class ConfigError(Exception):
     pass
@@ -148,9 +151,10 @@ def _write_outputs(
             json.dumps(outcome.result.to_json(), sort_keys=True, indent=2) + "\n",
             encoding="utf-8",
         )
-        with open(out_dir / f"{stem}.decisions.jsonl", "w", encoding="utf-8") as fh:
-            for record in outcome.records:
-                fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+        (out_dir / f"{stem}.decisions.jsonl").write_text(
+            "".join(_RECORD_ENCODER.encode(record) + "\n" for record in outcome.records),
+            encoding="utf-8",
+        )
     summary = metrics.Summary(tuple(o.result for o in outcomes))
     (out_dir / "summary.csv").write_text(summary.to_csv(), encoding="utf-8")
     payload = {"run_config": run_config, **summary.to_json()}

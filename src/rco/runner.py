@@ -109,20 +109,11 @@ def run_episode(
     halted_forever = False
 
     while w.tick < scenario.time_limit_ticks and w.ego_progress < scenario.route.length:
-        snap = simenv.perceive(w, policy)
-        history.append(snap)
-        if len(history) > history_cap:
-            history.pop(0)
-        hidden = simenv.masked_ids(w, policy)
-
-        if mode is Mode.BASELINE:
-            action = simenv.base_agent(w, hidden)
-            records.append(orchestrator.base_record(w.tick, action))
-        elif mode is Mode.ALWAYS_STOP:
-            halted_forever = halted_forever or snap.has_deficit
-            action = STOP if halted_forever else simenv.base_agent(w, hidden)
-            records.append(orchestrator.base_record(w.tick, action))
-        else:
+        if mode is Mode.RCO:
+            snap = simenv.perceive(w, policy)
+            history.append(snap)
+            if len(history) > history_cap:
+                history.pop(0)
             state = orchestrator.engage(snap.has_deficit, state)
             if state.active:
                 step = orchestrator.step(
@@ -131,9 +122,17 @@ def run_episode(
                 action, state = step.action, step.state
                 records.append(step.record)
             else:
-                action = simenv.base_agent(w, hidden)
+                action = simenv.base_agent(w, simenv.masked_ids(w, policy))
                 state = orchestrator.note_external_action(state, action)
                 records.append(orchestrator.base_record(w.tick, action))
+        else:
+            # The baseline never looks; the stop protocol looks only until its
+            # first deficit, because the halt never lifts.
+            halted_forever = halted_forever or (
+                mode is Mode.ALWAYS_STOP and simenv.perceive(w, policy).has_deficit
+            )
+            action = STOP if halted_forever else simenv.base_agent(w, simenv.masked_ids(w, policy))
+            records.append(orchestrator.base_record(w.tick, action))
 
         w_next = simenv.tick(w, action)
         events.extend(simenv.detect_infractions(w, w_next))

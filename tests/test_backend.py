@@ -578,6 +578,16 @@ class TestBackendRequest:
         assert req.scenario_key() == "abc"
         assert BackendRequest(Purpose.HAZARD_AND_PLAN, "p", "not json").scenario_key() == ""
 
+    @pytest.mark.parametrize("payload", ['{"scenario_key": null}', '{"scenario_key": 5}'])
+    def test_non_string_key_reads_as_missing(self, payload):
+        req = BackendRequest(Purpose.HAZARD_AND_PLAN, "p", payload)
+        assert req.scenario_key() == ""
+        # A table entry under the key's str() form is never looked up.
+        entry = {"hazards": [], "strategy": "move"}
+        table = {Purpose.HAZARD_AND_PLAN.value: {"None": entry, "5": entry}}
+        with pytest.raises(SchemaViolation, match="no scripted response"):
+            ScriptedBackend(table).call(req)
+
 
 class TestOneCallPath:
     ERRORS = {"BackendError", "BackendTimeout", "TransportFailure", "SchemaViolation"}

@@ -14,6 +14,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import driver
 import gen_dense
 from rco import backend as backend_mod
+from rco import cli
 from rco.backend import ScriptedBackend
 from rco.runner import Mode, Overrides, run_episode
 from rco.simenv import Scenario
@@ -38,6 +39,21 @@ def test_driver_row_equals_run_episode(generated):
     out = run_episode(sc, Mode.RCO, ScriptedBackend(table), OVERRIDES)
     ep = driver.drive_episode(sc, Mode.RCO, ScriptedBackend(table), OVERRIDES)
     assert any(r["active"] for r in out.records)
+    assert ep.row == driver.summary_row(out.result)
+    assert ep.records == list(out.records)
+
+
+BUNDLED = sorted(cli.bundled_scenario_dir().glob("*.json"))
+
+
+@pytest.mark.parametrize("mode", [Mode.BASELINE, Mode.ALWAYS_STOP], ids=lambda m: m.value)
+@pytest.mark.parametrize("path", BUNDLED, ids=lambda p: p.stem)
+def test_driver_matches_run_episode_without_override(path, mode):
+    # The driver's loop still perceives and masks on every tick, so it is the
+    # reference for the work run_episode skips in these modes.
+    sc = Scenario.load(str(path))
+    out = run_episode(sc, mode, ScriptedBackend.bundled())
+    ep = driver.drive_episode(sc, mode, ScriptedBackend.bundled(), Overrides())
     assert ep.row == driver.summary_row(out.result)
     assert ep.records == list(out.records)
 

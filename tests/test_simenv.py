@@ -13,7 +13,7 @@ from rco import simenv
 from rco.backend import ScriptedBackend
 from rco.cli import bundled_scenario_dir
 from rco.domain import Action, ObjectClass, RoadGeometry, ViewName
-from rco.runner import Mode, run_episode
+from rco.runner import STOP, Mode, run_episode
 from rco.simenv import (
     Actor,
     DeficitPolicy,
@@ -461,7 +461,7 @@ class TestWorldCost:
 
 
 class TestPerceiveCost:
-    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("mode", [Mode.ALWAYS_STOP, Mode.RCO])
     def test_each_in_range_object_projected_once(self, monkeypatch, mode):
         # Over one bundled episode, perceive projects each object within
         # camera range once per tick; the nearest obstacle is placed by the
@@ -485,6 +485,68 @@ class TestPerceiveCost:
         assert sc.actors and sc.signs
         assert calls["in_range"] > 0
         assert calls["project"] == calls["in_range"]
+
+
+class TestModeWork:
+    """Each mode computes only what it reads. On bundled stop_sign_hazard the
+    stop protocol halts at tick 45."""
+
+    HALT_TICK = 45
+
+    @pytest.fixture
+    def run_counted(self, monkeypatch):
+        # Calls the loop makes; perceive's own masked_ids call is not counted.
+        calls = Counter()
+        perceive, masked_ids, base_agent = simenv.perceive, simenv.masked_ids, simenv.base_agent
+
+        def counting_perceive(*args):
+            calls["perceive"] += 1
+            calls["inside_perceive"] += 1
+            try:
+                return perceive(*args)
+            finally:
+                calls["inside_perceive"] -= 1
+
+        def counting_masked_ids(*args):
+            calls["masked_ids"] += not calls["inside_perceive"]
+            return masked_ids(*args)
+
+        def counting_base_agent(*args):
+            calls["base_agent"] += 1
+            return base_agent(*args)
+
+        monkeypatch.setattr(simenv, "perceive", counting_perceive)
+        monkeypatch.setattr(simenv, "masked_ids", counting_masked_ids)
+        monkeypatch.setattr(simenv, "base_agent", counting_base_agent)
+        sc = Scenario.load(str(bundled_scenario_dir() / "stop_sign_hazard.json"))
+
+        def run(mode):
+            calls.clear()
+            out = run_episode(sc, mode, ScriptedBackend.bundled())
+            return out, calls
+
+        return run
+
+    def test_baseline_never_perceives(self, run_counted):
+        out, calls = run_counted(Mode.BASELINE)
+        assert calls["perceive"] == 0
+        assert calls["masked_ids"] == calls["base_agent"] == out.ticks
+
+    def test_always_stop_perceives_until_the_halt(self, run_counted):
+        out, calls = run_counted(Mode.ALWAYS_STOP)
+        stop = STOP.to_json()
+        assert [r["action"] == stop for r in out.records].index(True) == self.HALT_TICK
+        assert all(r["action"] == stop for r in out.records[self.HALT_TICK:])
+        assert out.ticks > self.HALT_TICK + 1
+        assert calls["perceive"] == self.HALT_TICK + 1
+        assert calls["masked_ids"] == calls["base_agent"] == self.HALT_TICK
+
+    def test_rco_perceives_every_tick_and_masks_only_for_the_base_agent(self, run_counted):
+        out, calls = run_counted(Mode.RCO)
+        base_ticks = sum(not r["active"] for r in out.records)
+        assert 0 < base_ticks < out.ticks
+        assert calls["perceive"] == out.ticks
+        assert calls["masked_ids"] == calls["base_agent"] == base_ticks
 
 
 # Uncached references: the per-call computations the memoised values replace.
