@@ -31,6 +31,7 @@ from importlib import resources
 from typing import Any, Callable, Optional, Protocol, Sequence, Union
 
 from .domain import (
+    BASE_CONSTRAINTS,
     ActionSequence,
     Behavior,
     ConditionActionPair,
@@ -58,6 +59,11 @@ log = logging.getLogger(__name__)
 ENV_URL = "RCO_BACKEND_URL"
 ENV_MODEL = "RCO_BACKEND_MODEL"
 ENV_TOKEN = "RCO_BACKEND_TOKEN"
+HTTP_TIMEOUT_S = 2.0  # per request
+
+# A backend's envelope may loosen each base limit by at most this factor:
+# raise v_max, ac_max, de_max, psi_max and d_brake, or lower d_min.
+ENVELOPE_SLACK = 4.0
 
 
 class BackendError(Exception):
@@ -96,11 +102,6 @@ class BackendRequest:
     purpose: Purpose
     inputs: Inputs  # the purpose's structured inputs, or rendered prompt text
     payload: str  # canonical JSON of the routing fields: purpose, scenario_key
-    timeout_ms: int = 2000
-
-    def __post_init__(self) -> None:
-        if self.timeout_ms <= 0:
-            raise ValueError(f"timeout_ms must be positive, got {self.timeout_ms}")
 
     @property
     def prompt(self) -> str:
@@ -220,6 +221,9 @@ def _parse_constraints(obj: dict[str, Any]) -> SafetyConstraints:
         v = obj.get(f)
         if not isinstance(v, (int, float)) or isinstance(v, bool):
             raise SchemaViolation("constraint fields must be numbers", field=f)
+        base = getattr(BASE_CONSTRAINTS, f)
+        if (v < base / ENVELOPE_SLACK) if f == "d_min" else (v > base * ENVELOPE_SLACK):
+            raise SchemaViolation(f"constraint looser than {ENVELOPE_SLACK}x base", field=f)
         values[f] = float(v)
     try:
         return SafetyConstraints(**values)
@@ -354,11 +358,11 @@ Inputs = Union[HazardInputs, MotionInputs, ConstraintsInputs, str]
 
 
 def hazard_request(
-    history: Sequence[EnvironmentSnapshot], scenario_key: str, timeout_ms: int = 2000
+    history: Sequence[EnvironmentSnapshot], scenario_key: str
 ) -> BackendRequest:
     purpose = Purpose.HAZARD_AND_PLAN
     inputs = HazardInputs(tuple(history))
-    return BackendRequest(purpose, inputs, _routing_payload(purpose, scenario_key), timeout_ms)
+    return BackendRequest(purpose, inputs, _routing_payload(purpose, scenario_key))
 
 
 def motion_request(
@@ -367,11 +371,10 @@ def motion_request(
     navi: Navigation,
     snapshot: EnvironmentSnapshot,
     scenario_key: str,
-    timeout_ms: int = 2000,
 ) -> BackendRequest:
     purpose = Purpose.SHORT_TERM_MOTION
     inputs = MotionInputs(hazards, strategy, navi.road_geometry)
-    return BackendRequest(purpose, inputs, _routing_payload(purpose, scenario_key), timeout_ms)
+    return BackendRequest(purpose, inputs, _routing_payload(purpose, scenario_key))
 
 
 def constraints_request(
@@ -379,7 +382,6 @@ def constraints_request(
     surrounding: Surrounding,
     nearest_obstacle_m: Optional[float],
     scenario_key: str,
-    timeout_ms: int = 2000,
 ) -> BackendRequest:
     purpose = Purpose.SAFETY_CONSTRAINTS
     inputs = ConstraintsInputs(
@@ -389,7 +391,7 @@ def constraints_request(
         navi.road_geometry,
         nearest_obstacle_m,
     )
-    return BackendRequest(purpose, inputs, _routing_payload(purpose, scenario_key), timeout_ms)
+    return BackendRequest(purpose, inputs, _routing_payload(purpose, scenario_key))
 
 
 # ---------------------------------------------------------------------------
@@ -489,9 +491,8 @@ class HttpBackend:
         headers = {"Content-Type": "application/json"}
         if self.token:
             headers["Authorization"] = f"Bearer {self.token}"
-        timeout_s = req.timeout_ms / 1000.0
         try:
-            resp = requests.post(self.url, json=body, headers=headers, timeout=timeout_s)
+            resp = requests.post(self.url, json=body, headers=headers, timeout=HTTP_TIMEOUT_S)
         except requests.Timeout as exc:
             raise BackendTimeout(str(exc)) from exc
         except requests.RequestException as exc:

@@ -1,9 +1,8 @@
 """Scenario runner CLI: run episodes, sweep the plan-step limit, replay logs.
 
 Config precedence is flags > config file > defaults. With the scripted
-backend and a fixed seed every output byte is reproducible: results carry no
-wall-clock timestamps and floats are written with fixed precision in a fixed
-row order.
+backend every output byte is reproducible: results carry no wall-clock
+timestamps and floats are written with fixed precision in a fixed row order.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from typing import Any, Optional, Sequence, get_args, get_type_hints
 
 from . import metrics
 from .backend import Backend, HttpBackend, ScriptedBackend
-from .runner import EpisodeOutcome, Mode, Overrides, run_episode
+from .runner import EpisodeOutcome, Mode, Overrides, given, run_episode
 from .simenv import Scenario
 
 EXIT_OK = 0
@@ -171,8 +170,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     run_config = {
         "mode": args.mode,
         "backend": args.backend,
-        "seed": args.seed,
-        "overrides": _overrides_dict(overrides),
+        "overrides": given(**vars(overrides)),
     }
     _write_outputs(outcomes, Path(args.out), run_config)
     for o in outcomes:
@@ -221,10 +219,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _overrides_dict(o: Overrides) -> dict[str, Any]:
-    return {k: v for k, v in vars(o).items() if v is not None}
-
-
 def cmd_replay(args: argparse.Namespace) -> int:
     path = Path(args.log)
     if not path.is_file():
@@ -269,7 +263,6 @@ def make_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--backend", choices=["scripted", "http"], default="scripted")
         p.add_argument("--scripted-table", default=None, help="override scripted response table")
-        p.add_argument("--seed", type=int, default=0, help="recorded in outputs")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--config", default=None, help="JSON config file with override keys")

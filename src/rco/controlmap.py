@@ -1,9 +1,9 @@
 """Deterministic mapping from high-level actions to actuator commands.
 
 Speed tokens translate to throttle/brake by a fixed table; steering comes from
-a PID on the heading error toward the next navigation target point. Heading
-error is ``wrap(heading - bearing)``: positive when the vehicle points left of
-the target, so the corrective steer is positive (right), matching the
+a PD controller on the heading error toward the next navigation target point.
+Heading error is ``wrap(heading - bearing)``: positive when the vehicle points
+left of the target, so the corrective steer is positive (right), matching the
 package-wide steer convention (negative = left).
 """
 
@@ -40,22 +40,15 @@ def wrap_angle(a: float) -> float:
 
 @dataclass(frozen=True)
 class SteerControllerState:
-    """PID state for waypoint steering; integral is clamped for anti-windup."""
+    """PD state for waypoint steering: the gains and the last heading error."""
 
     kp: float = 0.9
-    ki: float = 0.0
     kd: float = 0.1
-    integral: float = 0.0
     prev_error: float = 0.0
-    integral_bound: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.kp < 0 or self.ki < 0 or self.kd < 0:
-            raise ValueError("PID gains must be non-negative")
-        if abs(self.integral) > self.integral_bound:
-            object.__setattr__(
-                self, "integral", clamp(self.integral, -self.integral_bound, self.integral_bound)
-            )
+        if self.kp < 0 or self.kd < 0:
+            raise ValueError("PD gains must be non-negative")
 
 
 def map_speed_control(speed: SpeedControl, prev_throttle: float) -> tuple[float, float]:
@@ -83,7 +76,7 @@ def compute_steer(
     ctrl: SteerControllerState,
     dt: float,
 ) -> tuple[float, SteerControllerState]:
-    """One PID step toward ``target_point``; returns (steer, updated state)."""
+    """One PD step toward ``target_point``; returns (steer, updated state)."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     x, y, heading = ego_pose
@@ -93,12 +86,9 @@ def compute_steer(
         raise DegenerateTargetError(f"target {target_point} coincides with ego position")
     bearing = math.atan2(dy, dx)
     error = wrap_angle(heading - bearing)
-    integral = clamp(ctrl.integral + error * dt, -ctrl.integral_bound, ctrl.integral_bound)
     derivative = (error - ctrl.prev_error) / dt
-    steer = clamp(ctrl.kp * error + ctrl.ki * integral + ctrl.kd * derivative, -1.0, 1.0)
-    return steer, SteerControllerState(
-        ctrl.kp, ctrl.ki, ctrl.kd, integral, error, ctrl.integral_bound
-    )
+    steer = clamp(ctrl.kp * error + ctrl.kd * derivative, -1.0, 1.0)
+    return steer, SteerControllerState(ctrl.kp, ctrl.kd, error)
 
 
 _DIRECTIONAL: dict[Behavior, tuple[RoadGeometry, ...]] = {

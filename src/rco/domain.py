@@ -376,6 +376,12 @@ class SafetyConstraints:
                 raise OutOfRangeError(name, v)
 
 
+# The rule-based envelope's limits before any context scaling.
+BASE_CONSTRAINTS = SafetyConstraints(
+    v_max=8.0, d_min=6.0, ac_max=2.5, de_max=6.0, psi_max=0.5, d_brake=8.0
+)
+
+
 @dataclass(frozen=True)
 class VehicleMeasurements:
     """IMU/speedometer readout; ``d_follow`` is +inf when there is no lead

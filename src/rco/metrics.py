@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
+from .controlmap import clamp
 from .domain import ObjectClass
 from .simenv import DeficitPolicy, InfractionEvent, InfractionKind, Route
 
@@ -37,11 +38,7 @@ def route_completion(route: Route, ego_trajectory: Sequence[tuple[float, float]]
 
 def completion_pct(route: Route, best_progress: float) -> float:
     """Route completion for the ego's best arc-length progress along ``route``."""
-    return clamp_pct(best_progress / route.length * 100.0)
-
-
-def clamp_pct(x: float) -> float:
-    return 0.0 if x < 0.0 else 100.0 if x > 100.0 else x
+    return clamp(best_progress / route.length * 100.0, 0.0, 100.0)
 
 
 def _excluded(kind: InfractionKind, deficit_policy: DeficitPolicy) -> bool:

@@ -241,14 +241,12 @@ def step(
         constraints_context=context,
     )
     record = {
-        "schema": LOG_SCHEMA_VERSION,
-        "tick": env.tick,
+        **base_record(env.tick, action),
         "active": True,
         "classification": classification.value,
         "hazard_ratio": ratio,
         "verdict": "deny" if pair is None else "execute",
         "source": source,
-        "action": action.to_json(),
         "triggered_constraints": list(triggered),
         "planning_events": rounds,
         "backend_calls": int(sc_refreshed) + 2 * rounds,
@@ -262,7 +260,8 @@ def step(
 
 
 def base_record(env_tick: int, action: Action) -> dict[str, Any]:
-    """Decision-log record for a tick driven by the base agent."""
+    """Decision-log record for a tick driven by the base agent; ``step``
+    writes the fields of an active tick over it."""
     return {
         "schema": LOG_SCHEMA_VERSION,
         "tick": env_tick,

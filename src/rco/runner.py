@@ -48,18 +48,18 @@ class Overrides:
     def orchestrator_config(self, scenario_key: str, dt: float) -> OrchestratorConfig:
         history_len = None if self.history_len is None else max(2, self.history_len)
         return OrchestratorConfig(
-            planner=PlannerConfig(**_given(
+            planner=PlannerConfig(**given(
                 max_steps=self.n_max,
                 history_len=self.history_len,
                 wait_cap=self.wait_cap,
                 replan_budget=self.replan_budget,
             )),
-            verifier=VerifierConfig(**_given(
+            verifier=VerifierConfig(**given(
                 shift_threshold=self.shift_threshold,
                 hazard_ratio_threshold=self.hazard_ratio_threshold,
                 history_len=history_len,
             )),
-            gains=SafetyGains(**_given(
+            gains=SafetyGains(**given(
                 delta_throttle=self.delta_throttle, delta_brake=self.delta_brake
             )),
             dt=dt,
@@ -76,7 +76,7 @@ class Overrides:
         return table
 
 
-def _given(**kwargs: Any) -> dict[str, Any]:
+def given(**kwargs: Any) -> dict[str, Any]:
     """The keyword arguments that are set; a None keeps the callee's default."""
     return {k: v for k, v in kwargs.items() if v is not None}
 
@@ -94,9 +94,9 @@ def run_episode(
     mode: Mode,
     backend: Backend,
     overrides: Overrides = Overrides(),
-    params: VehicleParams = VehicleParams(),
 ) -> EpisodeOutcome:
     """Run one deterministic closed-loop episode and score it."""
+    params = VehicleParams()
     cfg = overrides.orchestrator_config(scenario.name, params.dt)
     w: WorldState = simenv.world_from_scenario(scenario, params)
     policy = scenario.deficit_policy

@@ -15,6 +15,7 @@ from typing import Optional
 from . import backend as backend_mod
 from .controlmap import clamp
 from .domain import (
+    BASE_CONSTRAINTS,
     Action,
     Daylight,
     Navigation,
@@ -42,10 +43,6 @@ class SafetyGains:
             if not 0.0 < value <= 1.0:
                 raise ValueError(f"{name} out of (0,1]: {value}")
 
-
-BASE_CONSTRAINTS = SafetyConstraints(
-    v_max=8.0, d_min=6.0, ac_max=2.5, de_max=6.0, psi_max=0.5, d_brake=8.0
-)
 
 # Per-factor (speed multiplier, distance multiplier). The most restrictive
 # factor wins: combined v_max multiplier is the min, d_min multiplier the max.
@@ -100,13 +97,10 @@ def generate_constraints(
     nearest_obstacle_m: Optional[float],
     backend: backend_mod.Backend,
     scenario_key: str = "",
-    timeout_ms: int = 2000,
 ) -> SafetyConstraints:
     """Ask the reasoning backend for an envelope; fall back to the rule-based
     default table on any backend failure or invalid record. Never raises."""
-    req = backend_mod.constraints_request(
-        navi, surrounding, nearest_obstacle_m, scenario_key, timeout_ms
-    )
+    req = backend_mod.constraints_request(navi, surrounding, nearest_obstacle_m, scenario_key)
     answer = backend_mod.ask(backend, req)
     return default_constraints(navi, surrounding) if answer is None else answer
 

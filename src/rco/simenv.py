@@ -47,6 +47,7 @@ STOPPED_SPEED = 0.1  # below this the vehicle counts as stopped (stop-sign rule)
 SIGN_ZONE_M = 5.0  # must have stopped within this distance before the line
 BASE_AGENT_BRAKE_RANGE_M = 12.0
 ROUTE_CORRIDOR_HALF_WIDTH_M = 3.0
+TARGET_LOOKAHEAD_M = 8.0  # steering aims this far ahead along the route
 
 
 @dataclass(frozen=True)
@@ -254,8 +255,8 @@ class Route:
         t = (s - start) / self._lengths[i]
         return x0 + t * (x1 - x0), y0 + t * (y1 - y0)
 
-    def target_point(self, progress: float, lookahead: float = 8.0) -> tuple[float, float]:
-        return self.point_at(min(progress + lookahead, self.length))
+    def target_point(self, progress: float) -> tuple[float, float]:
+        return self.point_at(min(progress + TARGET_LOOKAHEAD_M, self.length))
 
     def geometry_at(self, progress: float) -> RoadGeometry:
         i = bisect_left(self._ends, progress)
@@ -300,7 +301,6 @@ class DeficitPolicy:
 @dataclass(frozen=True)
 class Scenario:
     name: str
-    seed: int
     route: Route
     actors: tuple[Actor, ...]
     lights: tuple[TrafficLight, ...] = ()
@@ -316,51 +316,10 @@ class Scenario:
         if len(ids) != len(set(ids)):
             raise ValueError(f"scenario {self.name}: actor/signal ids must be unique")
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "route": {
-                "waypoints": [[x, y] for x, y in self.route.waypoints],
-                "geometry": [g.value for g in self.route.geometry],
-            },
-            "actors": [
-                {
-                    "id": a.id,
-                    "class": a.cls.value,
-                    "script": [[t, x, y] for t, x, y in a.script],
-                    "static": a.static,
-                }
-                for a in self.actors
-            ],
-            "traffic_lights": [
-                {
-                    "id": l.id,
-                    "position": [l.position[0], l.position[1]],
-                    "stop_line_s": l.stop_line_s,
-                    "schedule": [[t, s.value] for t, s in l.schedule],
-                }
-                for l in self.lights
-            ],
-            "stop_signs": [
-                {"id": s.id, "position": [s.position[0], s.position[1]], "stop_line_s": s.stop_line_s}
-                for s in self.signs
-            ],
-            "deficit_policy": {
-                "classes": sorted(c.value for c in self.deficit_policy.classes),
-                "window": list(self.deficit_policy.window),
-            },
-            "weather": self.weather.value,
-            "daylight": self.daylight.value,
-            "traffic_density": self.traffic_density.value,
-            "time_limit_ticks": self.time_limit_ticks,
-        }
-
     @classmethod
     def from_json(cls, d: dict[str, Any]) -> "Scenario":
         return cls(
             name=str(d["name"]),
-            seed=int(d.get("seed", 0)),
             route=Route(
                 tuple((float(x), float(y)) for x, y in d["route"]["waypoints"]),
                 tuple(RoadGeometry(g) for g in d["route"]["geometry"]),
@@ -725,7 +684,7 @@ def detect_infractions(w_prev: WorldState, w_next: WorldState) -> list[Infractio
 # Base agent
 # ---------------------------------------------------------------------------
 
-_BASE_STEER = SteerControllerState(kp=0.9, ki=0.0, kd=0.0)
+_BASE_STEER = SteerControllerState(kp=0.9, kd=0.0)
 
 
 def base_agent(w: WorldState, hidden: frozenset[int] = frozenset()) -> Action:

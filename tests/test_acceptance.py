@@ -344,7 +344,7 @@ def test_acceptance_7_step_limit_sweep_degrades():
 
 def test_acceptance_8_full_suite_determinism(tmp_path):
     start = time.perf_counter()
-    args = ["run", "--mode", "rco", "--backend", "scripted", "--seed", "7"]
+    args = ["run", "--mode", "rco", "--backend", "scripted"]
     assert main(args + ["--out", str(tmp_path / "a")]) == 0
     assert main(args + ["--out", str(tmp_path / "b")]) == 0
     elapsed = time.perf_counter() - start

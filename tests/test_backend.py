@@ -138,6 +138,26 @@ class TestParseStructured:
             parse_structured(raw, Purpose.SAFETY_CONSTRAINTS)
         assert exc.value.field == field
 
+    # Each limit just past four times its base value in the loosening
+    # direction (base: v_max 8, d_min 6, ac_max 2.5, de_max 6, psi_max 0.5,
+    # d_brake 8), and the same limit exactly at the bound.
+    LOOSE = {"v_max": 32.5, "d_min": 1.4, "ac_max": 10.5, "de_max": 24.5, "psi_max": 2.1,
+             "d_brake": 32.5}
+    AT_BOUND = {"v_max": 32, "d_min": 1.5, "ac_max": 10, "de_max": 24, "psi_max": 2.0,
+                "d_brake": 32}
+
+    @pytest.mark.parametrize("field", sorted(LOOSE))
+    def test_each_loosened_constraint_names_its_field(self, field):
+        obj = {"v_max": 10, "d_min": 5, "ac_max": 3, "de_max": 5, "psi_max": 0.6, "d_brake": 10}
+        raw = json.dumps({**obj, field: self.LOOSE[field]})
+        with pytest.raises(SchemaViolation) as exc:
+            parse_structured(raw, Purpose.SAFETY_CONSTRAINTS)
+        assert exc.value.field == field
+
+    def test_constraints_at_the_loosening_bound_accepted(self):
+        parsed = parse_structured(json.dumps(self.AT_BOUND), Purpose.SAFETY_CONSTRAINTS)
+        assert parsed == SafetyConstraints(**self.AT_BOUND)
+
     def test_first_json_object_extracted_from_prose(self):
         raw = 'Sure! Here is the plan:\n```json\n{"strategy":"stop_observe_move","wait":2,"trigger":"consistent_immediate_hazard"}\n```\nthanks'
         plan = parse_structured(raw, Purpose.SHORT_TERM_MOTION)
@@ -510,7 +530,7 @@ def chat_server():
 
 class TestHttpBackend:
     def request(self):
-        return BackendRequest(Purpose.SHORT_TERM_MOTION, "plan please", payload_for("x"), 2000)
+        return BackendRequest(Purpose.SHORT_TERM_MOTION, "plan please", payload_for("x"))
 
     def test_parses_first_completion(self, chat_server):
         backend = HttpBackend(chat_server, model="good", token="secret")
@@ -537,7 +557,21 @@ class TestHttpBackend:
         # Connection refused on a closed local port maps to TransportFailure.
         backend = HttpBackend("http://127.0.0.1:9/v1/chat/completions", model="x")
         with pytest.raises((TransportFailure, BackendTimeout)):
-            backend.call(BackendRequest(Purpose.SHORT_TERM_MOTION, "p", payload_for("x"), 1500))
+            backend.call(BackendRequest(Purpose.SHORT_TERM_MOTION, "p", payload_for("x")))
+
+    def test_request_timeout_reaches_the_transport(self, monkeypatch):
+        import requests
+
+        sent = {}
+
+        def capture(url, **kwargs):
+            sent.update(kwargs)
+            raise requests.ConnectionError("captured")
+
+        monkeypatch.setattr(requests, "post", capture)
+        with pytest.raises(TransportFailure):
+            HttpBackend("http://127.0.0.1:9/v1/chat/completions", model="x").call(self.request())
+        assert sent["timeout"] == 2.0
 
     def test_from_env(self, monkeypatch):
         monkeypatch.setenv("RCO_BACKEND_URL", "http://example.invalid/api")
@@ -569,10 +603,6 @@ class TestHttpRequestBodies:
 
 
 class TestBackendRequest:
-    def test_timeout_must_be_positive(self):
-        with pytest.raises(ValueError):
-            BackendRequest(Purpose.HAZARD_AND_PLAN, "p", "{}", 0)
-
     def test_scenario_key_from_payload(self):
         req = BackendRequest(Purpose.HAZARD_AND_PLAN, "p", payload_for("abc"))
         assert req.scenario_key() == "abc"

@@ -75,7 +75,7 @@ class TestRunCommand:
             assert "action" in rec
 
     def test_same_command_twice_is_byte_identical(self, tmp_path):
-        args = ["run", "--mode", "rco", "--backend", "scripted", "--seed", "7"]
+        args = ["run", "--mode", "rco", "--backend", "scripted"]
         main(args + ["--out", str(tmp_path / "a")])
         main(args + ["--out", str(tmp_path / "b")])
         a = (tmp_path / "a" / "summary.csv").read_bytes()
@@ -305,6 +305,26 @@ class TestKnobDeclaration:
         assert set(flags) & fields == fields - {"penalties"}
         for name in fields - {"penalties"}:
             assert flags[name] == ["--" + name.replace("_", "-")]
+
+    @pytest.mark.parametrize("command, own", [("run", "--mode"), ("sweep", "--limits")])
+    def test_flag_set_is_pinned(self, command, own):
+        # Each flag is read by the command; a flag that changes nothing, such
+        # as a seed written to the outputs and read by nothing, cannot return.
+        parser = cli.make_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        flags = {flag for a in sub.choices[command]._actions for flag in a.option_strings}
+        assert flags == {
+            "-h", "--help", "--scenarios", "--backend", "--scripted-table", "--out", "--jobs",
+            "--config", "--n-max", "--history-len", "--wait-cap", "--replan-budget",
+            "--shift-threshold", "--hazard-ratio-threshold", "--delta-throttle", "--delta-brake",
+            own,
+        }
+
+    def test_seed_flag_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--seed", "7"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "name, source",

@@ -104,18 +104,18 @@ class TestComputeSteer:
 
     def test_p_only_step_response(self):
         # Heading error 0.3 rad with gains (1, 0, 0): steer = 0.3 exactly.
-        ctrl = SteerControllerState(kp=1.0, ki=0.0, kd=0.0)
+        ctrl = SteerControllerState(kp=1.0, kd=0.0)
         steer, _ = compute_steer((0.0, 0.0, 0.3), (10.0, 0.0), ctrl, 0.1)
         assert steer == pytest.approx(0.3)
 
     def test_zero_gains_always_zero(self):
-        ctrl = SteerControllerState(kp=0.0, ki=0.0, kd=0.0)
+        ctrl = SteerControllerState(kp=0.0, kd=0.0)
         for target in ((10.0, 5.0), (3.0, -8.0), (-2.0, 1.0)):
             steer, ctrl = compute_steer((0.0, 0.0, 0.4), target, ctrl, 0.1)
             assert steer == 0.0
 
     def test_output_clamped(self):
-        ctrl = SteerControllerState(kp=10.0, ki=0.0, kd=0.0)
+        ctrl = SteerControllerState(kp=10.0, kd=0.0)
         steer, _ = compute_steer((0.0, 0.0, 0.0), (0.0, -10.0), ctrl, 0.1)
         assert steer == 1.0
 
@@ -124,7 +124,7 @@ class TestComputeSteer:
             compute_steer((1.0, 2.0, 0.0), (1.0, 2.0), SteerControllerState(), 0.1)
 
     def test_bundled_rco_episode_steers_without_replace(self, monkeypatch):
-        # The PID state is rebuilt by its constructor on every step, not
+        # The PD state is rebuilt by its constructor on every step, not
         # through dataclasses.replace, which costs a field walk per call.
         from rco import controlmap
         from rco.backend import ScriptedBackend
@@ -148,17 +148,10 @@ class TestComputeSteer:
         run_episode(scenario, Mode.RCO, ScriptedBackend.bundled())
         assert steps
 
-    def test_integral_accumulates_and_clamps(self):
-        ctrl = SteerControllerState(kp=0.0, ki=1.0, kd=0.0, integral_bound=0.5)
-        for _ in range(100):
-            _, ctrl = compute_steer((0.0, 0.0, 1.0), (10.0, 0.0), ctrl, 0.1)
-        assert ctrl.integral == pytest.approx(0.5)
-
     def test_controller_state_updates(self):
         ctrl = SteerControllerState()
         _, ctrl2 = compute_steer((0.0, 0.0, 0.3), (10.0, 0.0), ctrl, 0.1)
         assert ctrl2.prev_error == pytest.approx(0.3)
-        assert ctrl2.integral == pytest.approx(0.03)
 
 
 class TestAlignment:

@@ -17,12 +17,12 @@ import test_acceptance
 from rco.cli import main
 
 SUITE_DIGESTS = {
-    "baseline": "ca4ff08e916e5504e5562f06374a19a307d47f5d8a28bfd823dcf70f3f478dd5",
-    "rco": "c0fe0330f9c09155e885354d301220ed195f6b74ae80ced0393a564860249f09",
-    "always_stop": "998d3c463697d9ff07ce8dbdbe9b9fdc0ebb2f5e68b90f038ced2e3a7c8eb833",
+    "baseline": "a239b306c4e99764722a884e4f0773a4cad74271f7b68443ae50b6d8124f2239",
+    "rco": "9665e4868e9151cbeefdfeeaedfb3247aeb805463d4737c78ac679e33b7b4e23",
+    "always_stop": "8467796a489a7fe159071862bd142f2c324b1d47c0b9ebd4dc4ce25ed2ef0274",
 }
 SWEEP_DIGEST = "e8e8e3fe40dcc285080653fb87d7ebe19399e4bce48c9eb76e546134e8640293"
-FUZZ_DIGEST = "194ffd24d27ab0d2422f726bdc7ea8a89f4e8f9cd92a5779301bbb16e0112153"
+FUZZ_DIGEST = "48d1ba17218262e26f03ff34e69160bfb8270659f38858ebcd37761001c24bf9"
 
 
 def digest_dir(out_dir) -> str:

@@ -267,6 +267,18 @@ class TestGenerateConstraints:
             "min_braking_distance",
         )
 
+    @pytest.mark.parametrize(
+        "field, loose",
+        [("v_max", 32.5), ("d_min", 1.4), ("ac_max", 10.5), ("de_max", 24.5), ("psi_max", 2.1),
+         ("d_brake", 32.5)],
+    )
+    def test_loosened_backend_envelope_falls_back(self, field, loose):
+        # Past four times a base limit, in the direction that loosens it.
+        entry = {"v_max": 10, "d_min": 5, "ac_max": 3, "de_max": 5, "psi_max": 0.6, "d_brake": 10}
+        backend = ScriptedBackend({"safety_constraints": {"k": {**entry, field: loose}}})
+        out = generate_constraints(self.NAVI_CLEAR, self.CLEAR, None, backend, "k")
+        assert out == default_constraints(self.NAVI_CLEAR, self.CLEAR)
+
     def test_never_raises(self):
         backend = StubBackend(parsed="not-a-constraints-record")
         out = generate_constraints(self.NAVI_CLEAR, self.CLEAR, None, backend)
