@@ -80,15 +80,12 @@ class TransportFailure(BackendError):
 
 
 class SchemaViolation(BackendError):
-    def __init__(self, message: str, field: Optional[str] = None, position: Optional[int] = None):
+    def __init__(self, message: str, field: Optional[str] = None):
         detail = message
         if field is not None:
             detail += f" (field: {field})"
-        if position is not None:
-            detail += f" (position: {position})"
         super().__init__(detail)
         self.field = field
-        self.position = position
 
 
 class Purpose(str, Enum):
@@ -142,8 +139,8 @@ class Backend(Protocol):
 # Structured-output parsing
 # ---------------------------------------------------------------------------
 
-def extract_first_json_object(raw: str) -> tuple[dict[str, Any], int]:
-    """Return the first balanced JSON object in ``raw`` and its start offset."""
+def extract_first_json_object(raw: str) -> dict[str, Any]:
+    """Return the first balanced JSON object in ``raw``."""
     decoder = json.JSONDecoder()
     idx = raw.find("{")
     while idx != -1:
@@ -153,9 +150,9 @@ def extract_first_json_object(raw: str) -> tuple[dict[str, Any], int]:
             idx = raw.find("{", idx + 1)
             continue
         if isinstance(obj, dict):
-            return obj, idx
+            return obj
         idx = raw.find("{", idx + 1)
-    raise SchemaViolation("no JSON object found in response", position=0)
+    raise SchemaViolation("no JSON object found in response")
 
 
 def _enum_field(d: dict[str, Any], key: str, enum_cls: type, *, where: str) -> Any:
@@ -241,13 +238,7 @@ _SCHEMAS: dict[Purpose, tuple[Callable[[dict[str, Any]], Parsed], type]] = {
 
 def parse_structured(raw: str, purpose: Purpose) -> Parsed:
     """Extract and validate the first JSON object of ``raw`` per purpose."""
-    obj, pos = extract_first_json_object(raw)
-    try:
-        return _SCHEMAS[purpose][0](obj)
-    except SchemaViolation as exc:
-        if exc.position is None:
-            exc.position = pos
-        raise
+    return _SCHEMAS[purpose][0](extract_first_json_object(raw))
 
 
 def ask(backend: Backend, req: BackendRequest) -> Optional[Parsed]:

@@ -133,10 +133,11 @@ def _run_one(task: _Task) -> EpisodeOutcome:
 
 
 def _execute(tasks: Sequence[_Task], jobs: int) -> list[EpisodeOutcome]:
-    """Run every episode of a command, in one process pool when ``jobs`` > 1."""
+    """Run every episode of a command, in one process pool when ``jobs`` > 1.
+    The pool starts all its workers at once, so it gets no more than tasks."""
     if jobs <= 1 or len(tasks) <= 1:
         return [_run_one(t) for t in tasks]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         return list(pool.map(_run_one, tasks))  # input order preserved
 
 
@@ -223,28 +224,32 @@ def cmd_replay(args: argparse.Namespace) -> int:
     path = Path(args.log)
     if not path.is_file():
         raise ConfigError(f"decision log does not exist: {args.log}")
-    for line in path.read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        rec = json.loads(line)
-        act = rec["action"]
-        if not rec.get("active"):
-            print(
-                f"tick {rec['tick']:>5}  base agent        "
-                f"throttle={act['throttle']:.2f} brake={act['brake']:.2f} steer={act['steer']:+.2f}"
-            )
-            continue
-        extra = ""
-        if rec.get("triggered_constraints"):
-            extra = "  constraints=" + "+".join(rec["triggered_constraints"])
-        if rec.get("planning_events"):
-            extra += f"  plans={rec['planning_events']}"
-        print(
-            f"tick {rec['tick']:>5}  {rec['source']:<10} {rec['classification'] or '':<32}"
-            f"throttle={act['throttle']:.2f} brake={act['brake']:.2f} "
-            f"steer={act['steer']:+.2f}{extra}"
-        )
+    trace = []
+    for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        if line.strip():
+            try:
+                trace.append(_trace_line(json.loads(line)))
+            except (KeyError, TypeError, ValueError) as exc:  # ValueError covers bad JSON
+                raise ConfigError(f"decision log {path} line {number} is malformed: {exc!r}") from exc
+    for text in trace:
+        print(text)
     return EXIT_OK
+
+
+def _trace_line(rec: dict[str, Any]) -> str:
+    act = rec["action"]
+    actuation = f"throttle={act['throttle']:.2f} brake={act['brake']:.2f} steer={act['steer']:+.2f}"
+    if not rec.get("active"):
+        return f"tick {rec['tick']:>5}  base agent        {actuation}"
+    extra = ""
+    if rec.get("triggered_constraints"):
+        extra = "  constraints=" + "+".join(rec["triggered_constraints"])
+    if rec.get("planning_events"):
+        extra += f"  plans={rec['planning_events']}"
+    return (
+        f"tick {rec['tick']:>5}  {rec['source']:<10} {rec['classification'] or '':<32}"
+        f"{actuation}{extra}"
+    )
 
 
 def make_parser() -> argparse.ArgumentParser:

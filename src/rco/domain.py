@@ -232,16 +232,6 @@ class Box:
 
 
 @dataclass(frozen=True)
-class DeficitRegion:
-    """Masked image region; the masked actor id is ground truth for scoring and
-    is never surfaced to the planning prompts."""
-
-    view: ViewName
-    box: Box
-    masked_object_id: Optional[int] = None
-
-
-@dataclass(frozen=True)
 class VisibleObject:
     cls: ObjectClass
     box: Box
@@ -256,21 +246,20 @@ class VisibleObject:
 
 @dataclass(frozen=True)
 class CameraView:
-    """One camera's symbolic frame: detections plus deficit regions.
+    """One camera's symbolic frame: detections plus deficit regions (the
+    masked image boxes).
 
-    An object fully covered by a same-view deficit region cannot be visible.
+    An object fully covered by a deficit region cannot be visible.
     """
 
     view: ViewName
     visible_objects: tuple[VisibleObject, ...]
-    deficits: tuple[DeficitRegion, ...]
+    deficits: tuple[Box, ...]
 
     def __post_init__(self) -> None:
         for d in self.deficits:
-            if d.view is not self.view:
-                raise ValueError(f"deficit tagged {d.view.value} inside {self.view.value} view")
             for o in self.visible_objects:
-                if d.box.contains(o.box):
+                if d.contains(o.box):
                     raise ValueError(
                         f"visible {o.cls.value} box lies fully inside a deficit region"
                     )
@@ -279,7 +268,6 @@ class CameraView:
 @dataclass(frozen=True)
 class Navigation:
     target_point: tuple[float, float]
-    current_direction: float  # radians, CCW from +x
     road_geometry: RoadGeometry
 
 

@@ -6,9 +6,9 @@ emission is one of: the resolved head of a verified pair, a waiting stop
 under a stop-observe-move episode, or the fail-safe stop. The per-tick
 record written to the decision log is the audit surface for that claim.
 
-While waiting, stop pairs execute under either consistent classification;
-only inconsistency denies them. After the planned wait expires, a live
-classification equal to the move trigger starts a new planning round,
+While waiting, stop pairs execute under either consistent condition; only
+inconsistency denies them. After the planned wait expires, a live
+condition equal to the move trigger starts a new planning round,
 otherwise waiting continues up to the configured cap.
 """
 
@@ -38,7 +38,7 @@ from .domain import (
 )
 from .planner import PlannerConfig
 from .safety import SafetyGains
-from .verifier import Classification, VerifierConfig
+from .verifier import VerifierConfig
 
 LOG_SCHEMA_VERSION = 1
 
@@ -153,7 +153,7 @@ def step(
     if not state.active:
         raise ValueError("step() requires an engaged override; call engage() first")
 
-    classification, ratio = verifier.classify(history, cfg.verifier)
+    condition, ratio = verifier.classify(history, cfg.verifier)
     context: _Context = (
         env.surrounding.weather,
         env.surrounding.daylight,
@@ -179,7 +179,7 @@ def step(
     hold_plan = False  # the fail-safe stop keeps this tick's new plan
     while True:
         waiting = trigger is not None
-        if classification is Classification.REPLAN and (waiting or len(sequence) > 0):
+        if condition is None and (waiting or len(sequence) > 0):
             # Under an inconsistent window no condition can match this tick, so
             # replan once for the coming ticks and hold the fail-safe stop now.
             # The replan counter persists across ticks until a pair executes.
@@ -190,18 +190,13 @@ def step(
                 elapsed, rounds, hold_plan = 0, rounds + 1, True
             break
         # The stop pairs of a wait execute under either consistent
-        # classification; a planned pair only under its own condition.
-        if len(sequence) > 0 and (
-            waiting or verifier.classification_matches(classification, sequence.pairs[0].condition)
-        ):
+        # condition; a planned pair only under its own.
+        if len(sequence) > 0 and (waiting or condition is sequence.pairs[0].condition):
             pair, sequence = sequence.pop_front()
             source = "pair"
             break
         if waiting:
-            if not (
-                verifier.classification_matches(classification, trigger)
-                or elapsed >= cfg.planner.wait_cap
-            ):
+            if not (condition is trigger or elapsed >= cfg.planner.wait_cap):
                 pair, source = STOP_PAIR, "stop_wait"
                 break
             trigger, elapsed = None, 0
@@ -243,7 +238,7 @@ def step(
     record = {
         **base_record(env.tick, action),
         "active": True,
-        "classification": classification.value,
+        "classification": "replan" if condition is None else condition.value,
         "hazard_ratio": ratio,
         "verdict": "deny" if pair is None else "execute",
         "source": source,

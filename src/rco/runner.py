@@ -85,8 +85,6 @@ def given(**kwargs: Any) -> dict[str, Any]:
 class EpisodeOutcome:
     result: metrics.EpisodeResult
     records: tuple[dict[str, Any], ...]
-    events: tuple[simenv.InfractionEvent, ...]
-    ticks: int
 
 
 def run_episode(
@@ -152,4 +150,4 @@ def run_episode(
         infractions=tuple(events),
         game_time_s=game_time_s,
     )
-    return EpisodeOutcome(result, tuple(records), tuple(events), w.tick)
+    return EpisodeOutcome(result, tuple(records))

@@ -29,7 +29,6 @@ from .domain import (
     Box,
     CameraView,
     Daylight,
-    DeficitRegion,
     EnvironmentSnapshot,
     FAIL_SAFE_STOP,
     Navigation,
@@ -61,7 +60,6 @@ class VehicleParams:
     max_wheel_angle: float = math.radians(35.0)
     dt: float = 0.1
     camera_range: float = 40.0
-    fov_h: float = math.radians(60.0)
     fov_v: float = math.radians(40.0)
     ego_length: float = 4.5
     ego_width: float = 2.0
@@ -164,6 +162,10 @@ class TrafficLight:
     position: tuple[float, float]
     stop_line_s: float  # arc length along the route
     schedule: tuple[tuple[int, LightState], ...] = ((0, LightState.GREEN),)
+
+    def __post_init__(self) -> None:
+        if not self.schedule:
+            raise ValueError(f"traffic light {self.id}: schedule must not be empty")
 
     def state_at(self, tick: int) -> LightState:
         state = self.schedule[0][1]
@@ -315,6 +317,8 @@ class Scenario:
         ids = [a.id for a in self.actors] + [l.id for l in self.lights] + [s.id for s in self.signs]
         if len(ids) != len(set(ids)):
             raise ValueError(f"scenario {self.name}: actor/signal ids must be unique")
+        if self.time_limit_ticks < 1:
+            raise ValueError(f"scenario {self.name}: time_limit_ticks must be >= 1")
 
     @classmethod
     def from_json(cls, d: dict[str, Any]) -> "Scenario":
@@ -396,10 +400,6 @@ class WorldState:
     params: VehicleParams = field(default_factory=VehicleParams)
     ego_progress: float = 0.0
     sign_satisfied: frozenset[int] = frozenset()
-
-    @property
-    def dt(self) -> float:
-        return self.params.dt
 
     @property
     def time_s(self) -> float:
@@ -513,7 +513,7 @@ def perceive(w: WorldState, policy: DeficitPolicy) -> EnvironmentSnapshot:
     deficit policy. Masking alters only the snapshot, never the world."""
     p = w.params
     hidden = masked_ids(w, policy)
-    per_view: dict[ViewName, tuple[list[VisibleObject], list[DeficitRegion]]] = {
+    per_view: dict[ViewName, tuple[list[VisibleObject], list[Box]]] = {
         v: ([], []) for v in ViewName
     }
 
@@ -532,7 +532,7 @@ def perceive(w: WorldState, policy: DeficitPolicy) -> EnvironmentSnapshot:
         if box is not None:
             visibles, deficits = per_view[view]
             if obj_id in hidden:
-                deficits.append(DeficitRegion(view, box, masked_object_id=obj_id))
+                deficits.append(box)
             else:
                 visibles.append(VisibleObject(cls, box, seen[0]))
         return seen[0], view
@@ -555,14 +555,13 @@ def perceive(w: WorldState, policy: DeficitPolicy) -> EnvironmentSnapshot:
         visibles, deficits = per_view[name]
         # Anything fully behind a mask cannot be detected.
         kept = tuple(
-            o for o in visibles if not any(d.box.contains(o.box) for d in deficits)
+            o for o in visibles if not any(d.contains(o.box) for d in deficits)
         )
         views.append(CameraView(name, kept, tuple(deficits)))
 
     progress = w.ego_progress
     navi = Navigation(
         target_point=w.scenario.route.target_point(progress),
-        current_direction=w.ego.heading,
         road_geometry=w.scenario.route.geometry_at(progress),
     )
     surrounding = Surrounding(

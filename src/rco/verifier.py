@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .domain import (
     Box,
@@ -46,22 +46,6 @@ class ConsistencyReason(str, Enum):
     SPATIAL_SHIFT_EXCEEDED = "spatial_shift_exceeded"
     DEFICIT_DISAPPEARED = "deficit_disappeared"
     CONSISTENT = "consistent"
-
-
-class Classification(str, Enum):
-    REPLAN = "replan"
-    CONSISTENT_NO_IMMEDIATE_HAZARD = "consistent_no_immediate_hazard"
-    CONSISTENT_IMMEDIATE_HAZARD = "consistent_immediate_hazard"
-
-
-@dataclass(frozen=True)
-class ConsistencyVerdict:
-    consistent: bool
-    reason: ConsistencyReason
-
-    def __post_init__(self) -> None:
-        if self.consistent != (self.reason is ConsistencyReason.CONSISTENT):
-            raise ValueError("consistent flag must match the reason")
 
 
 @dataclass(frozen=True)
@@ -116,9 +100,9 @@ def _greedy_match_max_shift(prev: CameraView, cur: CameraView) -> float:
     """Greedy nearest-centroid matching of equal-count deficit lists; returns
     the largest matched centroid displacement."""
     if len(prev.deficits) == 1:
-        return _dist(prev.deficits[0].box.centroid, cur.deficits[0].box.centroid)
-    a = [d.box.centroid for d in prev.deficits]
-    b = [d.box.centroid for d in cur.deficits]
+        return _dist(prev.deficits[0].centroid, cur.deficits[0].centroid)
+    a = [d.centroid for d in prev.deficits]
+    b = [d.centroid for d in cur.deficits]
     pairs = sorted((_dist(p, q), i, j) for i, p in enumerate(a) for j, q in enumerate(b))
     used_a: set[int] = set()
     used_b: set[int] = set()
@@ -138,7 +122,7 @@ def _dist(p: tuple[float, float], q: tuple[float, float]) -> float:
 
 def check_deficit_consistency(
     history: Sequence[EnvironmentSnapshot], cfg: VerifierConfig
-) -> ConsistencyVerdict:
+) -> ConsistencyReason:
     """Compare deficit regions across consecutive frames, per view.
 
     A count dropping to zero is a disappearance; any other count change is a
@@ -152,16 +136,16 @@ def check_deficit_consistency(
         for pv, cv in zip(prev.perception, cur.perception):
             n_prev, n_cur = len(pv.deficits), len(cv.deficits)
             if n_prev > 0 and n_cur == 0:
-                return ConsistencyVerdict(False, ConsistencyReason.DEFICIT_DISAPPEARED)
+                return ConsistencyReason.DEFICIT_DISAPPEARED
             if n_prev != n_cur:
-                return ConsistencyVerdict(False, ConsistencyReason.QUANTITY_MISMATCH)
+                return ConsistencyReason.QUANTITY_MISMATCH
             if n_prev and _greedy_match_max_shift(pv, cv) > cfg.shift_threshold:
-                return ConsistencyVerdict(False, ConsistencyReason.SPATIAL_SHIFT_EXCEEDED)
-    return ConsistencyVerdict(True, ConsistencyReason.CONSISTENT)
+                return ConsistencyReason.SPATIAL_SHIFT_EXCEEDED
+    return ConsistencyReason.CONSISTENT
 
 
 def _ratio_boxes(view: CameraView) -> list[Box]:
-    boxes = [d.box for d in view.deficits]
+    boxes = list(view.deficits)
     boxes.extend(o.box for o in view.visible_objects if o.cls in TRAFFIC_OBJECT_CLASSES)
     return boxes
 
@@ -179,35 +163,27 @@ def hazard_proximity_ratio(
 
 def classify(
     history: Sequence[EnvironmentSnapshot], cfg: VerifierConfig
-) -> tuple[Classification, float]:
-    """The window's classification and the newest frame's proximity ratio.
+) -> tuple[Optional[ExecutionCondition], float]:
+    """The condition the window satisfies (None: inconsistent, so replan) and
+    the newest frame's proximity ratio.
 
-    Replan on inconsistency; otherwise immediate hazard iff the ratio strictly
-    exceeds the threshold. A single frame has no transitions to compare, so
-    it is vacuously consistent.
+    Immediate hazard iff the ratio strictly exceeds the threshold. A single
+    frame has no transitions to compare, so it is vacuously consistent.
     """
     ratio = hazard_proximity_ratio(history[-1], cfg.front_view_only)
-    if len(history) >= 2 and not check_deficit_consistency(history, cfg).consistent:
-        return Classification.REPLAN, ratio
+    if (
+        len(history) >= 2
+        and check_deficit_consistency(history, cfg) is not ConsistencyReason.CONSISTENT
+    ):
+        return None, ratio
     if ratio > cfg.hazard_ratio_threshold:
-        return Classification.CONSISTENT_IMMEDIATE_HAZARD, ratio
-    return Classification.CONSISTENT_NO_IMMEDIATE_HAZARD, ratio
+        return ExecutionCondition.CONSISTENT_IMMEDIATE_HAZARD, ratio
+    return ExecutionCondition.CONSISTENT_NO_IMMEDIATE_HAZARD, ratio
 
 
 def classify_condition(
     history: Sequence[EnvironmentSnapshot], cfg: VerifierConfig
-) -> Classification:
-    """The classification of ``classify`` for a window of at least two frames."""
+) -> Optional[ExecutionCondition]:
+    """The condition of ``classify`` for a window of at least two frames."""
     _validate_history(history)
     return classify(history, cfg)[0]
-
-
-_CONDITION_FOR = {
-    Classification.CONSISTENT_NO_IMMEDIATE_HAZARD: ExecutionCondition.CONSISTENT_NO_IMMEDIATE_HAZARD,
-    Classification.CONSISTENT_IMMEDIATE_HAZARD: ExecutionCondition.CONSISTENT_IMMEDIATE_HAZARD,
-}
-
-
-def classification_matches(classification: Classification, condition: ExecutionCondition) -> bool:
-    return _CONDITION_FOR.get(classification) is condition
-

@@ -15,7 +15,6 @@ from rco.domain import (
     Box,
     CameraView,
     Daylight,
-    DeficitRegion,
     EnvironmentSnapshot,
     Navigation,
     ObjectClass,
@@ -27,7 +26,7 @@ from rco.domain import (
     Weather,
 )
 
-DEFAULT_NAVI = Navigation((50.0, 0.0), 0.0, RoadGeometry.STRAIGHT)
+DEFAULT_NAVI = Navigation((50.0, 0.0), RoadGeometry.STRAIGHT)
 DEFAULT_SURROUNDING = Surrounding(Weather.CLEAR, Daylight.DAY, TrafficDensity.LOW)
 
 
@@ -39,7 +38,7 @@ def view(
     return CameraView(
         name,
         tuple(VisibleObject(cls, box, 10.0) for cls, box in objects),
-        tuple(DeficitRegion(name, box) for box in deficits),
+        tuple(deficits),
     )
 
 

@@ -19,6 +19,7 @@ from rco.controlmap import map_speed_control
 from rco.domain import (
     Action,
     Box,
+    ExecutionCondition,
     ObjectClass,
     SafetyConstraints,
     SpeedControl,
@@ -31,7 +32,6 @@ from rco.runner import Mode, Overrides, run_episode
 from rco.safety import SafetyGains, apply_constraints
 from rco.simenv import DeficitPolicy, InfractionEvent, InfractionKind, Scenario
 from rco.verifier import (
-    Classification,
     ConsistencyReason,
     VerifierConfig,
     check_deficit_consistency,
@@ -155,17 +155,17 @@ def test_acceptance_3_verifier_threshold_semantics():
     # Strict boundary at 0.05: exactly at threshold is no hazard.
     at = [snapshot(tick=t, front_deficits=[Box(0.4, 0.4, 0.9, 0.5)]) for t in range(2)]
     assert hazard_proximity_ratio(at[-1]) == pytest.approx(0.05)
-    assert classify_condition(at, cfg) is Classification.CONSISTENT_NO_IMMEDIATE_HAZARD
+    assert classify_condition(at, cfg) is ExecutionCondition.CONSISTENT_NO_IMMEDIATE_HAZARD
     above = [snapshot(tick=t, front_deficits=[Box(0.4, 0.4, 0.902, 0.5)]) for t in range(2)]
-    assert classify_condition(above, cfg) is Classification.CONSISTENT_IMMEDIATE_HAZARD
+    assert classify_condition(above, cfg) is ExecutionCondition.CONSISTENT_IMMEDIATE_HAZARD
 
     # The three inconsistency modes classify correctly.
     assert (
-        check_deficit_consistency(history_of_counts([2, 2, 3]), cfg).reason
+        check_deficit_consistency(history_of_counts([2, 2, 3]), cfg)
         is ConsistencyReason.QUANTITY_MISMATCH
     )
     assert (
-        check_deficit_consistency(history_of_counts([1, 1, 0]), cfg).reason
+        check_deficit_consistency(history_of_counts([1, 1, 0]), cfg)
         is ConsistencyReason.DEFICIT_DISAPPEARED
     )
     shifted = [
@@ -173,11 +173,11 @@ def test_acceptance_3_verifier_threshold_semantics():
         snapshot(tick=1, front_deficits=[Box(0.5, 0.4, 0.6, 0.5)]),
     ]
     assert (
-        check_deficit_consistency(shifted, cfg).reason
+        check_deficit_consistency(shifted, cfg)
         is ConsistencyReason.SPATIAL_SHIFT_EXCEEDED
     )
     for frames in (history_of_counts([2, 2, 3]), history_of_counts([1, 1, 0]), shifted):
-        assert classify_condition(frames, cfg) is Classification.REPLAN
+        assert classify_condition(frames, cfg) is None
     print("\nACCEPTANCE 3 (verifier threshold semantics): PASS")
 
 

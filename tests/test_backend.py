@@ -25,7 +25,6 @@ from rco.backend import (
     ScriptedBackend,
     TransportFailure,
     constraints_request,
-    extract_first_json_object,
     hazard_request,
     motion_request,
     parse_structured,
@@ -38,7 +37,6 @@ from rco.domain import (
     Box,
     CameraView,
     Daylight,
-    DeficitRegion,
     EnvironmentSnapshot,
     ExecutionCondition,
     Hazard,
@@ -162,11 +160,6 @@ class TestParseStructured:
         raw = 'Sure! Here is the plan:\n```json\n{"strategy":"stop_observe_move","wait":2,"trigger":"consistent_immediate_hazard"}\n```\nthanks'
         plan = parse_structured(raw, Purpose.SHORT_TERM_MOTION)
         assert plan.wait_ticks == 2
-
-    def test_extract_reports_offset(self):
-        obj, pos = extract_first_json_object('xx {"a": 1} tail')
-        assert obj == {"a": 1}
-        assert pos == 3
 
     @settings(max_examples=300, deadline=None)
     @given(st.text(max_size=200), st.sampled_from(Purpose))
@@ -359,7 +352,7 @@ def _camera_view(draw, name: ViewName) -> CameraView:
     return CameraView(
         name,
         tuple(VisibleObject(cls, Box(0.1, 0.1, 0.2, 0.2), rng) for cls, rng in objects),
-        tuple(DeficitRegion(name, Box(0.5, 0.5, 0.7, 0.7)) for _ in range(deficits)),
+        (Box(0.5, 0.5, 0.7, 0.7),) * deficits,
     )
 
 
@@ -393,7 +386,7 @@ class TestStructuredRequests:
         geometry=st.sampled_from(RoadGeometry),
     )
     def test_motion_prompt_equals_eager_rendering(self, hazards, strategy, geometry):
-        navi = Navigation((50.0, 0.0), 0.0, geometry)
+        navi = Navigation((50.0, 0.0), geometry)
         want = _reference_fill(
             "short_term_motion",
             hazards=", ".join(f"{h.object.value} ({h.motion.value})" for h in hazards) or "none",
@@ -414,7 +407,7 @@ class TestStructuredRequests:
     def test_constraints_prompt_equals_eager_rendering(
         self, weather, daylight, traffic, geometry, nearest
     ):
-        navi = Navigation((50.0, 0.0), 0.0, geometry)
+        navi = Navigation((50.0, 0.0), geometry)
         want = _reference_fill(
             "safety_constraints",
             weather=weather.value,

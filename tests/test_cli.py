@@ -88,7 +88,11 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("command", [["run"], ["sweep", "--limits", "1"]])
     @pytest.mark.parametrize(
-        "edit", ["one-element window", "reversed window", "not json", "missing route"]
+        "edit",
+        [
+            "one-element window", "reversed window", "not json", "missing route",
+            "zero time limit", "empty light schedule",
+        ],
     )
     def test_unloadable_scenario_is_config_error(self, tmp_path, capsys, command, edit):
         d = json.loads(open(scenario_path("pedestrian_cross"), encoding="utf-8").read())
@@ -99,6 +103,12 @@ class TestRunCommand:
             d["deficit_policy"]["window"] = [150, 0]
         elif edit == "not json":
             text = "{ not json"
+        elif edit == "zero time limit":
+            d["time_limit_ticks"] = 0
+        elif edit == "empty light schedule":
+            d["traffic_lights"] = [
+                {"id": 10, "position": [60, 3.5], "stop_line_s": 60, "schedule": []}
+            ]
         else:
             del d["route"]
         bad = tmp_path / "bad.json"
@@ -175,6 +185,33 @@ class TestRunCommand:
         assert (tmp_path / "seq" / "summary.csv").read_bytes() == (
             tmp_path / "par" / "summary.csv"
         ).read_bytes()
+
+    def test_pool_has_no_more_workers_than_episodes(self, tmp_path, monkeypatch):
+        # The pool starts every worker on the first submit; this stand-in
+        # records its size and runs the episodes in this process instead.
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        assert main(["run", "--jobs", "64", "--out", str(tmp_path / "par")]) == 0
+        assert sizes == [len(list(bundled_scenario_dir().glob("*.json")))] == [9]
+        assert main(["run", "--jobs", "1", "--out", str(tmp_path / "seq")]) == 0
+        files = sorted(p.name for p in (tmp_path / "seq").iterdir())
+        assert files == sorted(p.name for p in (tmp_path / "par").iterdir())
+        for name in files:
+            assert (tmp_path / "seq" / name).read_bytes() == (tmp_path / "par" / name).read_bytes()
 
 
 class TestSweepCommand:
@@ -362,6 +399,18 @@ class TestReplayCommand:
 
     def test_missing_log_is_config_error(self, tmp_path):
         assert main(["replay", "--log", str(tmp_path / "missing.jsonl")]) == 2
+
+    @pytest.mark.parametrize(
+        "bad_line", ["{ not json", '{"tick": 1, "active": false}', "[1, 2]"]
+    )
+    def test_malformed_log_is_config_error(self, tmp_path, capsys, bad_line):
+        good = '{"tick": 0, "active": false, "action": {"throttle": 0, "brake": 0, "steer": 0}}'
+        log = tmp_path / "bad.decisions.jsonl"
+        log.write_text(f"{good}\n\n{bad_line}\n", encoding="utf-8")
+        assert main(["replay", "--log", str(log)]) == 2
+        captured = capsys.readouterr()
+        assert f"decision log {log} line 3 is malformed" in captured.err
+        assert captured.out == ""
 
 
 class TestAlwaysStopMode:

@@ -175,7 +175,7 @@ class TestAlignment:
 
 class TestResolveAction:
     def test_move_forward_constant_on_straight(self):
-        navi = Navigation((10.0, 0.0), 0.0, RoadGeometry.STRAIGHT)
+        navi = Navigation((10.0, 0.0), RoadGeometry.STRAIGHT)
         hla = HighLevelAction(Behavior.MOVE_FORWARD, SpeedControl.CONSTANT_SPEED)
         action, _, mismatch = resolve_action(
             hla, Action(0.0, 0.0, 0.0), (0.0, 0.0, 0.0), navi, SteerControllerState(), 0.1
@@ -185,7 +185,7 @@ class TestResolveAction:
         assert mismatch is False
 
     def test_stop_zeroes_steer(self):
-        navi = Navigation((10.0, 5.0), 0.0, RoadGeometry.STRAIGHT)
+        navi = Navigation((10.0, 5.0), RoadGeometry.STRAIGHT)
         hla = HighLevelAction(Behavior.STOP, SpeedControl.DECELERATION_TO_ZERO)
         action, ctrl, _ = resolve_action(
             hla, Action(0.5, 0.0, 0.0), (0.0, 0.0, 0.0), navi, SteerControllerState(), 0.1
@@ -195,7 +195,7 @@ class TestResolveAction:
 
     def test_turn_left_at_left_turning_intersection(self):
         # Route turns left: target is ahead-left of the ego.
-        navi = Navigation((8.0, 4.0), 0.0, RoadGeometry.INTERSECTION)
+        navi = Navigation((8.0, 4.0), RoadGeometry.INTERSECTION)
         hla = HighLevelAction(Behavior.TURN_LEFT, SpeedControl.DECELERATION)
         action, _, mismatch = resolve_action(
             hla, Action(0.5, 0.0, 0.0), (0.0, 0.0, 0.0), navi, SteerControllerState(), 0.1
@@ -205,7 +205,7 @@ class TestResolveAction:
         assert action.steer < 0.0  # left turn steers left
 
     def test_direction_mismatch_demotes_to_move_forward(self):
-        navi = Navigation((10.0, 0.0), 0.0, RoadGeometry.STRAIGHT)
+        navi = Navigation((10.0, 0.0), RoadGeometry.STRAIGHT)
         hla = HighLevelAction(Behavior.TURN_LEFT, SpeedControl.CONSTANT_SPEED)
         action, _, mismatch = resolve_action(
             hla, Action(0.0, 0.0, 0.0), (0.0, 0.0, 0.0), navi, SteerControllerState(), 0.1
@@ -226,7 +226,7 @@ class TestResolveAction:
     def test_resolved_actions_always_in_range(self, heading, tx, ty, prev, behavior, speed):
         if tx == 0.0 and ty == 0.0:
             tx = 1.0
-        navi = Navigation((tx, ty), heading, RoadGeometry.STRAIGHT)
+        navi = Navigation((tx, ty), RoadGeometry.STRAIGHT)
         action, _, _ = resolve_action(
             HighLevelAction(behavior, speed),
             Action(prev, 0.0, 0.0),

@@ -14,7 +14,6 @@ from rco.domain import (
     Box,
     CameraView,
     ConditionActionPair,
-    DeficitRegion,
     EnvironmentSnapshot,
     ExecutionCondition,
     HighLevelAction,
@@ -135,13 +134,13 @@ class TestBoxAndViews:
         assert Box(0.2, 0.2, 0.5, 0.4).area == pytest.approx(0.06)
 
     def test_view_rejects_object_fully_inside_deficit(self):
-        deficit = DeficitRegion(ViewName.FRONT, Box(0.1, 0.1, 0.6, 0.6))
+        deficit = Box(0.1, 0.1, 0.6, 0.6)
         obj = VisibleObject(ObjectClass.CAR, Box(0.2, 0.2, 0.4, 0.4), 12.0)
         with pytest.raises(ValueError):
             CameraView(ViewName.FRONT, (obj,), (deficit,))
 
     def test_view_allows_partial_overlap(self):
-        deficit = DeficitRegion(ViewName.FRONT, Box(0.1, 0.1, 0.3, 0.3))
+        deficit = Box(0.1, 0.1, 0.3, 0.3)
         obj = VisibleObject(ObjectClass.CAR, Box(0.2, 0.2, 0.5, 0.5), 12.0)
         CameraView(ViewName.FRONT, (obj,), (deficit,))
 

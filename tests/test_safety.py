@@ -187,7 +187,7 @@ def test_brute_force_oracle_equivalence_10k():
 
 
 class TestGenerateConstraints:
-    NAVI_CLEAR = Navigation((10.0, 0.0), 0.0, RoadGeometry.STRAIGHT)
+    NAVI_CLEAR = Navigation((10.0, 0.0), RoadGeometry.STRAIGHT)
     CLEAR = Surrounding(Weather.CLEAR, Daylight.DAY, TrafficDensity.LOW)
 
     def test_default_table_clear_day(self):
@@ -195,7 +195,7 @@ class TestGenerateConstraints:
         assert out == SafetyConstraints(8.0, 6.0, 2.5, 6.0, 0.5, 8.0)
 
     def test_default_table_worst_context_scales(self):
-        navi = Navigation((10.0, 0.0), 0.0, RoadGeometry.INTERSECTION)
+        navi = Navigation((10.0, 0.0), RoadGeometry.INTERSECTION)
         ctx = Surrounding(Weather.RAIN, Daylight.NIGHT, TrafficDensity.HIGH)
         out = generate_constraints(navi, ctx, None, StubBackend(parsed=None))
         assert out.v_max == pytest.approx(8.0 * 0.6)
@@ -211,7 +211,7 @@ class TestGenerateConstraints:
             for daylight in Daylight:
                 for density in TrafficDensity:
                     for geometry in RoadGeometry:
-                        navi = Navigation((10.0, 0.0), 0.0, geometry)
+                        navi = Navigation((10.0, 0.0), geometry)
                         ctx = Surrounding(weather, daylight, density)
                         out = default_constraints(navi, ctx)
                         factors = [

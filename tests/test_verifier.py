@@ -19,14 +19,11 @@ from rco.domain import (
     ViewName,
 )
 from rco.verifier import (
-    Classification,
     ConsistencyReason,
-    ConsistencyVerdict,
     InsufficientHistoryError,
     VerifierConfig,
     _greedy_match_max_shift,
     check_deficit_consistency,
-    classification_matches,
     classify,
     classify_condition,
     hazard_proximity_ratio,
@@ -107,11 +104,11 @@ class TestUnionArea:
 class TestDeficitConsistency:
     def test_quantity_mismatch(self):
         verdict = check_deficit_consistency(history_of_counts([2, 2, 3]), CFG)
-        assert verdict == ConsistencyVerdict(False, ConsistencyReason.QUANTITY_MISMATCH)
+        assert verdict is ConsistencyReason.QUANTITY_MISMATCH
 
     def test_deficit_disappeared(self):
         verdict = check_deficit_consistency(history_of_counts([1, 1, 0]), CFG)
-        assert verdict == ConsistencyVerdict(False, ConsistencyReason.DEFICIT_DISAPPEARED)
+        assert verdict is ConsistencyReason.DEFICIT_DISAPPEARED
 
     def test_small_shift_is_consistent(self):
         frames = [
@@ -119,7 +116,7 @@ class TestDeficitConsistency:
             snapshot(tick=1, front_deficits=[Box(0.42, 0.4, 0.52, 0.5)]),  # shift 0.02
         ]
         verdict = check_deficit_consistency(frames, VerifierConfig(shift_threshold=0.10))
-        assert verdict.consistent
+        assert verdict is ConsistencyReason.CONSISTENT
 
     def test_large_shift_exceeds_threshold(self):
         frames = [
@@ -127,7 +124,7 @@ class TestDeficitConsistency:
             snapshot(tick=1, front_deficits=[Box(0.40, 0.4, 0.50, 0.5)]),  # shift 0.30
         ]
         verdict = check_deficit_consistency(frames, VerifierConfig(shift_threshold=0.10))
-        assert verdict == ConsistencyVerdict(False, ConsistencyReason.SPATIAL_SHIFT_EXCEEDED)
+        assert verdict is ConsistencyReason.SPATIAL_SHIFT_EXCEEDED
 
     def test_matching_is_by_nearest_centroid(self):
         # Two deficits swap list order between frames; nearest matching sees
@@ -137,7 +134,7 @@ class TestDeficitConsistency:
             snapshot(tick=0, front_deficits=[a, b]),
             snapshot(tick=1, front_deficits=[b, a]),
         ]
-        assert check_deficit_consistency(frames, CFG).consistent
+        assert check_deficit_consistency(frames, CFG) is ConsistencyReason.CONSISTENT
 
     def test_checks_all_views(self):
         frames = [
@@ -145,7 +142,7 @@ class TestDeficitConsistency:
             snapshot(tick=1, left_deficits=[]),
         ]
         verdict = check_deficit_consistency(frames, CFG)
-        assert verdict.reason is ConsistencyReason.DEFICIT_DISAPPEARED
+        assert verdict is ConsistencyReason.DEFICIT_DISAPPEARED
 
     def test_insufficient_history(self):
         with pytest.raises(InsufficientHistoryError):
@@ -157,13 +154,13 @@ class TestDeficitConsistency:
             check_deficit_consistency(frames, CFG)
 
     def test_no_deficits_is_consistent(self):
-        assert check_deficit_consistency(history_of_counts([0, 0, 0]), CFG).consistent
+        assert check_deficit_consistency(history_of_counts([0, 0, 0]), CFG) is ConsistencyReason.CONSISTENT
 
 
 def fresh_max_shift(prev, cur):
     """The general greedy matcher, with no one-deficit shortcut."""
-    a = [d.box.centroid for d in prev.deficits]
-    b = [d.box.centroid for d in cur.deficits]
+    a = [d.centroid for d in prev.deficits]
+    b = [d.centroid for d in cur.deficits]
     dist = lambda p, q: ((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2) ** 0.5  # noqa: E731
     pairs = sorted(
         ((dist(p, q), i, j) for i, p in enumerate(a) for j, q in enumerate(b)),
@@ -186,12 +183,12 @@ def fresh_consistency(history, cfg):
             pv, cv = prev.view(name), cur.view(name)
             n_prev, n_cur = len(pv.deficits), len(cv.deficits)
             if n_prev > 0 and n_cur == 0:
-                return ConsistencyVerdict(False, ConsistencyReason.DEFICIT_DISAPPEARED)
+                return ConsistencyReason.DEFICIT_DISAPPEARED
             if n_prev != n_cur:
-                return ConsistencyVerdict(False, ConsistencyReason.QUANTITY_MISMATCH)
+                return ConsistencyReason.QUANTITY_MISMATCH
             if n_prev and fresh_max_shift(pv, cv) > cfg.shift_threshold:
-                return ConsistencyVerdict(False, ConsistencyReason.SPATIAL_SHIFT_EXCEEDED)
-    return ConsistencyVerdict(True, ConsistencyReason.CONSISTENT)
+                return ConsistencyReason.SPATIAL_SHIFT_EXCEEDED
+    return ConsistencyReason.CONSISTENT
 
 
 # Few distinct boxes, so that counts often match and shifts straddle the threshold.
@@ -223,7 +220,7 @@ class TestConsistencyScanEqualsReference:
     @settings(max_examples=150, deadline=None)
     def test_verdict(self, frames, shift_threshold):
         cfg = VerifierConfig(shift_threshold=shift_threshold)
-        assert check_deficit_consistency(frames, cfg) == fresh_consistency(frames, cfg)
+        assert check_deficit_consistency(frames, cfg) is fresh_consistency(frames, cfg)
 
     @given(_deficit_lists, _deficit_lists)
     def test_max_shift(self, a, b):
@@ -291,17 +288,17 @@ class TestClassifyCondition:
 
     def test_ratio_above_threshold_is_immediate_hazard(self):
         frames = self.consistent_history_with_ratio(Box(0.4, 0.4, 0.75, 0.6))  # 0.07
-        assert classify_condition(frames, CFG) is Classification.CONSISTENT_IMMEDIATE_HAZARD
+        assert classify_condition(frames, CFG) is ExecutionCondition.CONSISTENT_IMMEDIATE_HAZARD
 
     def test_ratio_exactly_at_threshold_is_not_hazard(self):
         # Strict inequality: 0.05 exactly stays below the bar.
         frames = self.consistent_history_with_ratio(Box(0.4, 0.4, 0.9, 0.5))  # 0.5 * 0.1
         assert hazard_proximity_ratio(frames[-1]) == pytest.approx(0.05)
-        assert classify_condition(frames, CFG) is Classification.CONSISTENT_NO_IMMEDIATE_HAZARD
+        assert classify_condition(frames, CFG) is ExecutionCondition.CONSISTENT_NO_IMMEDIATE_HAZARD
 
     def test_ratio_below_threshold_is_no_hazard(self):
         frames = self.consistent_history_with_ratio(Box(0.4, 0.4, 0.5, 0.5))  # 0.01
-        assert classify_condition(frames, CFG) is Classification.CONSISTENT_NO_IMMEDIATE_HAZARD
+        assert classify_condition(frames, CFG) is ExecutionCondition.CONSISTENT_NO_IMMEDIATE_HAZARD
 
     def test_inconsistency_wins_over_ratio(self):
         frames = [
@@ -311,7 +308,7 @@ class TestClassifyCondition:
                 front_deficits=[Box(0.1, 0.1, 0.9, 0.9), Box(0.0, 0.0, 0.05, 0.05)],
             ),
         ]
-        assert classify_condition(frames, CFG) is Classification.REPLAN
+        assert classify_condition(frames, CFG) is None
 
     def test_pure_function_of_window(self):
         frames = self.consistent_history_with_ratio(Box(0.4, 0.4, 0.75, 0.6))
@@ -326,11 +323,12 @@ def reference_classify(history, cfg):
     """The ratio-first composition the control loop used before ``classify``:
     a single frame is vacuously consistent and classified by ratio alone."""
     ratio = hazard_proximity_ratio(history[-1], cfg.front_view_only)
-    if len(history) >= 2 and not check_deficit_consistency(history, cfg).consistent:
-        return Classification.REPLAN, ratio
+    consistent = ConsistencyReason.CONSISTENT
+    if len(history) >= 2 and check_deficit_consistency(history, cfg) is not consistent:
+        return None, ratio
     if ratio > cfg.hazard_ratio_threshold:
-        return Classification.CONSISTENT_IMMEDIATE_HAZARD, ratio
-    return Classification.CONSISTENT_NO_IMMEDIATE_HAZARD, ratio
+        return ExecutionCondition.CONSISTENT_IMMEDIATE_HAZARD, ratio
+    return ExecutionCondition.CONSISTENT_NO_IMMEDIATE_HAZARD, ratio
 
 
 class TestClassifyEqualsReference:
@@ -365,9 +363,9 @@ class TestVerify:
 
     @staticmethod
     def executes(pair, frames):
-        # The control loop's gate: a pair runs iff the live classification
-        # matches its condition.
-        return classification_matches(classify_condition(frames, CFG), pair.condition)
+        # The control loop's gate: a pair runs iff the live condition is its
+        # condition.
+        return classify_condition(frames, CFG) is pair.condition
 
     def test_matching_condition_executes(self):
         assert self.executes(self.PAIR_NO_HAZ, self.quiet_history())
@@ -407,7 +405,3 @@ class TestVerifierConfig:
             VerifierConfig(shift_threshold=bad)
         with pytest.raises(TypeError):
             VerifierConfig(hazard_ratio_threshold=bad)
-
-    def test_verdict_flag_must_match_reason(self):
-        with pytest.raises(ValueError):
-            ConsistencyVerdict(True, ConsistencyReason.QUANTITY_MISMATCH)
