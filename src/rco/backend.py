@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import time
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
@@ -469,7 +470,12 @@ class HttpBackend:
         )
 
     def call(self, req: BackendRequest) -> BackendResponse:
-        import requests
+        # Imported here, not at module top: urllib.request loads ssl, which
+        # costs every run tens of milliseconds and megabytes even when it
+        # never makes an HTTP call.
+        import http.client
+        import urllib.request
+        from urllib.error import HTTPError, URLError
 
         body = {
             "model": self.model,
@@ -482,18 +488,33 @@ class HttpBackend:
         headers = {"Content-Type": "application/json"}
         if self.token:
             headers["Authorization"] = f"Bearer {self.token}"
+        data = json.dumps(body, allow_nan=False).encode("utf-8")
+        start = time.perf_counter()
         try:
-            resp = requests.post(self.url, json=body, headers=headers, timeout=HTTP_TIMEOUT_S)
-        except requests.Timeout as exc:
+            post = urllib.request.Request(self.url, data=data, headers=headers, method="POST")
+            with urllib.request.urlopen(post, timeout=HTTP_TIMEOUT_S) as resp:
+                status = resp.status
+                text = resp.read()
+        except HTTPError as exc:  # 4xx and 5xx
+            raise TransportFailure(f"HTTP {exc.code}: {exc.reason}") from exc
+        except TimeoutError as exc:  # read timeout
             raise BackendTimeout(str(exc)) from exc
-        except requests.RequestException as exc:
+        except URLError as exc:  # connect failures; a connect timeout is its reason
+            if isinstance(exc.reason, TimeoutError):
+                raise BackendTimeout(str(exc.reason)) from exc
             raise TransportFailure(str(exc)) from exc
-        if resp.status_code != 200:
-            raise TransportFailure(f"HTTP {resp.status_code}: {resp.text[:200]}")
+        # A truncated body raises IncompleteRead, an HTTPException; a URL
+        # without a scheme raises ValueError.
+        except (OSError, http.client.HTTPException, ValueError) as exc:
+            raise TransportFailure(f"{type(exc).__name__}: {exc}") from exc
+        latency_ms = (time.perf_counter() - start) * 1000.0
+        if status != 200:
+            raise TransportFailure(f"HTTP {status}")
         try:
-            content = resp.json()["choices"][0]["message"]["content"]
+            content = json.loads(text)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise SchemaViolation(f"malformed completion envelope: {exc}") from exc
-        latency_ms = resp.elapsed.total_seconds() * 1000.0
+        if not isinstance(content, str):
+            raise SchemaViolation(f"completion content is {type(content).__name__}", field="content")
         parsed = parse_structured(content, req.purpose)
         return BackendResponse(raw=content, parsed=parsed, latency_ms=latency_ms)

@@ -8,7 +8,7 @@ policy replaces masked detections with deficit regions without ever touching
 the dynamics.
 
 Units: world coordinates in meters (x east, y north), headings in radians
-CCW from +x, actor scripts and light schedules keyed by seconds, deficit
+CCW from +x, actor scripts keyed by seconds, light schedules and deficit
 windows by tick index.
 """
 
@@ -166,6 +166,9 @@ class TrafficLight:
     def __post_init__(self) -> None:
         if not self.schedule:
             raise ValueError(f"traffic light {self.id}: schedule must not be empty")
+        starts = [start for start, _ in self.schedule]
+        if any(a >= b for a, b in zip(starts, starts[1:])):
+            raise ValueError(f"traffic light {self.id}: schedule starts must be strictly increasing")
 
     def state_at(self, tick: int) -> LightState:
         state = self.schedule[0][1]

@@ -6,10 +6,13 @@ import ast
 import contextlib
 import hashlib
 import json
+import pickle
 import threading
+import time
 from collections import Counter
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
+from urllib.error import URLError
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -491,10 +494,25 @@ class _Handler(BaseHTTPRequestHandler):
             out = {"nonsense": True}
         elif model == "prose":
             out = {"choices": [{"message": {"content": "no json here"}}]}
+        elif model == "null_content":
+            out = {"choices": [{"message": {"content": None, "tool_calls": []}}]}
         elif model == "http500":
             self.send_response(500)
             self.end_headers()
             self.wfile.write(b"boom")
+            return
+        elif model == "http204":
+            self.send_response(204)
+            self.end_headers()
+            return
+        elif model == "truncated":  # a body shorter than its Content-Length
+            self.send_response(200)
+            self.send_header("Content-Length", "100")
+            self.end_headers()
+            self.wfile.write(b'{"choices": [')
+            return
+        elif model == "slow":  # answers nothing until past the patched timeout
+            time.sleep(0.5)
             return
         else:
             content = json.dumps(
@@ -519,6 +537,7 @@ def chat_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
     server.shutdown()
+    server.server_close()
 
 
 class TestHttpBackend:
@@ -541,30 +560,88 @@ class TestHttpBackend:
         with pytest.raises(SchemaViolation):
             backend.call(self.request())
 
+    def test_null_content_is_schema_violation(self, chat_server):
+        # Tool-call answers carry ``content: null``; it must fall back, not crash.
+        backend = HttpBackend(chat_server, model="null_content")
+        with pytest.raises(SchemaViolation) as info:
+            backend.call(self.request())
+        assert info.value.field == "content"
+        assert backend_mod.ask(backend, self.request()) is None
+
     def test_http_error_is_transport_failure(self, chat_server):
         backend = HttpBackend(chat_server, model="http500")
+        with pytest.raises(TransportFailure, match="HTTP 500"):
+            backend.call(self.request())
+        assert backend_mod.ask(backend, self.request()) is None
+
+    @pytest.mark.parametrize("model", ["http204", "truncated"])
+    def test_bad_answer_is_transport_failure(self, chat_server, model):
+        backend = HttpBackend(chat_server, model=model)
         with pytest.raises(TransportFailure):
             backend.call(self.request())
+        assert backend_mod.ask(backend, self.request()) is None
+
+    def test_slow_server_is_timeout(self, chat_server, monkeypatch):
+        monkeypatch.setattr(backend_mod, "HTTP_TIMEOUT_S", 0.2)
+        backend = HttpBackend(chat_server, model="slow")
+        start = time.perf_counter()
+        with pytest.raises(BackendTimeout):
+            backend.call(self.request())
+        assert time.perf_counter() - start < 0.45
 
     def test_unreachable_endpoint_fails_within_timeout(self):
         # Connection refused on a closed local port maps to TransportFailure.
         backend = HttpBackend("http://127.0.0.1:9/v1/chat/completions", model="x")
-        with pytest.raises((TransportFailure, BackendTimeout)):
+        start = time.perf_counter()
+        with pytest.raises(TransportFailure):
             backend.call(BackendRequest(Purpose.SHORT_TERM_MOTION, "p", payload_for("x")))
+        assert time.perf_counter() - start < backend_mod.HTTP_TIMEOUT_S
+
+    @pytest.mark.parametrize("url", ["localhost/v1/chat/completions", "127.0.0.1:9/v1"])
+    def test_url_without_scheme_is_transport_failure(self, url):
+        # urllib raises ValueError for the first and URLError for the second.
+        backend = HttpBackend(url, model="x")
+        with pytest.raises(TransportFailure):
+            backend.call(self.request())
+
+    @pytest.mark.parametrize(
+        "error, mapped",
+        [
+            # Rows the loopback servers above cannot produce.
+            (URLError(TimeoutError("timed out")), BackendTimeout),
+            (ConnectionResetError(104, "reset"), TransportFailure),
+        ],
+        ids=["connect timeout", "connection reset"],
+    )
+    def test_transport_error_map(self, monkeypatch, error, mapped):
+        import urllib.request
+
+        def fail(req, timeout):
+            raise error
+
+        monkeypatch.setattr(urllib.request, "urlopen", fail)
+        with pytest.raises(mapped):
+            HttpBackend("http://127.0.0.1:9/v1/chat/completions", model="x").call(self.request())
 
     def test_request_timeout_reaches_the_transport(self, monkeypatch):
-        import requests
+        import urllib.request
 
         sent = {}
 
-        def capture(url, **kwargs):
+        def capture(req, **kwargs):
             sent.update(kwargs)
-            raise requests.ConnectionError("captured")
+            raise URLError("captured")
 
-        monkeypatch.setattr(requests, "post", capture)
+        monkeypatch.setattr(urllib.request, "urlopen", capture)
         with pytest.raises(TransportFailure):
             HttpBackend("http://127.0.0.1:9/v1/chat/completions", model="x").call(self.request())
         assert sent["timeout"] == 2.0
+
+    def test_pickle_round_trip_keeps_settings(self):
+        # ``--jobs N --backend http`` ships the backend to worker processes.
+        backend = HttpBackend("http://127.0.0.1:9/v1/chat/completions", model="m", token="t")
+        copy = pickle.loads(pickle.dumps(backend))
+        assert (copy.url, copy.model, copy.token) == (backend.url, backend.model, backend.token)
 
     def test_from_env(self, monkeypatch):
         monkeypatch.setenv("RCO_BACKEND_URL", "http://example.invalid/api")

@@ -91,7 +91,7 @@ class TestRunCommand:
         "edit",
         [
             "one-element window", "reversed window", "not json", "missing route",
-            "zero time limit", "empty light schedule",
+            "zero time limit", "empty light schedule", "unsorted light schedule",
         ],
     )
     def test_unloadable_scenario_is_config_error(self, tmp_path, capsys, command, edit):
@@ -108,6 +108,11 @@ class TestRunCommand:
         elif edit == "empty light schedule":
             d["traffic_lights"] = [
                 {"id": 10, "position": [60, 3.5], "stop_line_s": 60, "schedule": []}
+            ]
+        elif edit == "unsorted light schedule":
+            d["traffic_lights"] = [
+                {"id": 10, "position": [60, 3.5], "stop_line_s": 60,
+                 "schedule": [[50, "red"], [0, "green"]]}
             ]
         else:
             del d["route"]

@@ -376,6 +376,12 @@ class TestScenarioIO:
         with pytest.raises(ValueError):
             Route(((0.0, 0.0), (1.0, 0.0)), ())
 
+    def test_duplicate_light_start_rejected(self):
+        # ``state_at`` takes the last entry whose start has passed, in list order.
+        schedule = ((0, LightState.RED), (0, LightState.GREEN))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            TrafficLight(10, (30.0, 3.0), 30.0, schedule)
+
     @pytest.mark.parametrize("end", [(0.0, 0.0), (0.0, 1e-200)])
     def test_zero_length_segment_rejected(self, end):
         # 1e-200 squared underflows to 0, which progress_of would divide by.
