@@ -11,12 +11,11 @@ maps None to its risk-averse fallback.
 A request carries what the model is asked about, not the text of the
 question: one frozen record of structured inputs per purpose (the hazard frame
 window; hazards, strategy and road geometry; the driving context), plus a
-payload holding only the routing fields (purpose and scenario key). A plain
-string in place of the record is prompt text that is already rendered.
-``HttpBackend`` is the only backend that renders the prompt, through
-``BackendRequest.prompt``, and the only one that reads the inputs;
-``ScriptedBackend`` reads the payload alone. Prompt templates are read from the
-package once per process.
+payload holding only the routing field, the scenario key. ``HttpBackend`` is
+the only backend that renders the prompt, through ``BackendRequest.prompt``,
+and the only one that reads the inputs; ``ScriptedBackend`` reads the purpose
+and the payload alone. Prompt templates are read from the package once per
+process.
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ import json
 import logging
 import os
 import time
+import urllib.parse
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
@@ -98,14 +98,13 @@ class Purpose(str, Enum):
 @dataclass(frozen=True)
 class BackendRequest:
     purpose: Purpose
-    inputs: Inputs  # the purpose's structured inputs, or rendered prompt text
-    payload: str  # canonical JSON of the routing fields: purpose, scenario_key
+    inputs: Inputs  # the purpose's structured inputs
+    payload: str  # canonical JSON of the routing field: scenario_key
 
     @property
     def prompt(self) -> str:
         """The user prompt, rendered from the inputs on each read."""
-        inputs = self.inputs
-        return inputs if isinstance(inputs, str) else inputs.render()
+        return self.inputs.render()
 
     def scenario_key(self) -> str:
         """The payload's routing key; "" when it is missing or not a string."""
@@ -185,7 +184,7 @@ def _parse_hazard_and_plan(obj: dict[str, Any]) -> HazardAndPlan:
 
 def _parse_plan(obj: dict[str, Any]) -> MotionPlan:
     """The plan as sent: uncapped, with ``created_tick`` 0; the planner
-    applies the step limit and the wait cap."""
+    applies the step limit, and the wait expansion the wait cap."""
     strategy = _enum_field(obj, "strategy", Strategy, where="plan")
     if strategy is Strategy.MOVE:
         pairs_raw = obj.get("pairs")
@@ -274,12 +273,8 @@ def _render_prompt(name: str, **subs: str) -> str:
 
 
 @cache
-def _routing_payload(purpose: Purpose, scenario_key: str) -> str:
-    return json.dumps(
-        {"purpose": purpose.value, "scenario_key": scenario_key},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+def _routing_payload(scenario_key: str) -> str:
+    return json.dumps({"scenario_key": scenario_key})
 
 
 def _history_text(history: Sequence[EnvironmentSnapshot]) -> str:
@@ -346,15 +341,14 @@ class ConstraintsInputs:
         )
 
 
-Inputs = Union[HazardInputs, MotionInputs, ConstraintsInputs, str]
+Inputs = Union[HazardInputs, MotionInputs, ConstraintsInputs]
 
 
 def hazard_request(
     history: Sequence[EnvironmentSnapshot], scenario_key: str
 ) -> BackendRequest:
-    purpose = Purpose.HAZARD_AND_PLAN
     inputs = HazardInputs(tuple(history))
-    return BackendRequest(purpose, inputs, _routing_payload(purpose, scenario_key))
+    return BackendRequest(Purpose.HAZARD_AND_PLAN, inputs, _routing_payload(scenario_key))
 
 
 def motion_request(
@@ -364,9 +358,8 @@ def motion_request(
     snapshot: EnvironmentSnapshot,
     scenario_key: str,
 ) -> BackendRequest:
-    purpose = Purpose.SHORT_TERM_MOTION
     inputs = MotionInputs(hazards, strategy, navi.road_geometry)
-    return BackendRequest(purpose, inputs, _routing_payload(purpose, scenario_key))
+    return BackendRequest(Purpose.SHORT_TERM_MOTION, inputs, _routing_payload(scenario_key))
 
 
 def constraints_request(
@@ -375,7 +368,6 @@ def constraints_request(
     nearest_obstacle_m: Optional[float],
     scenario_key: str,
 ) -> BackendRequest:
-    purpose = Purpose.SAFETY_CONSTRAINTS
     inputs = ConstraintsInputs(
         surrounding.weather,
         surrounding.daylight,
@@ -383,7 +375,7 @@ def constraints_request(
         navi.road_geometry,
         nearest_obstacle_m,
     )
-    return BackendRequest(purpose, inputs, _routing_payload(purpose, scenario_key))
+    return BackendRequest(Purpose.SAFETY_CONSTRAINTS, inputs, _routing_payload(scenario_key))
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +447,9 @@ class HttpBackend:
     bearer token, parse the first completion's content."""
 
     def __init__(self, url: str, model: str, token: str = ""):
-        if not url:
-            raise ValueError("backend url must be non-empty")
+        parts = urllib.parse.urlsplit(url)
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ValueError(f"backend url must be http(s)://host/..., got {url!r}")
         self.url = url
         self.model = model
         self.token = token
@@ -503,8 +496,8 @@ class HttpBackend:
             if isinstance(exc.reason, TimeoutError):
                 raise BackendTimeout(str(exc.reason)) from exc
             raise TransportFailure(str(exc)) from exc
-        # A truncated body raises IncompleteRead, an HTTPException; a URL
-        # without a scheme raises ValueError.
+        # A truncated body raises IncompleteRead, an HTTPException; a token
+        # containing a newline raises ValueError (invalid header value).
         except (OSError, http.client.HTTPException, ValueError) as exc:
             raise TransportFailure(f"{type(exc).__name__}: {exc}") from exc
         latency_ms = (time.perf_counter() - start) * 1000.0

@@ -53,13 +53,18 @@ def discover_scenarios(paths: Sequence[str]) -> list[Path]:
 
 
 def load_scenarios(paths: Sequence[Path]) -> list[Scenario]:
-    scenarios = []
+    """Each file's scenario; names must be distinct, since a name keys both
+    the output files and the scripted table."""
+    scenarios: dict[str, Scenario] = {}
     for p in paths:
         try:
-            scenarios.append(Scenario.load(str(p)))
+            sc = Scenario.load(str(p))
         except (OSError, AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"scenario file {p} failed to load: {exc!r}") from exc
-    return scenarios
+        if sc.name in scenarios:
+            raise ConfigError(f"scenario file {p} repeats the scenario name {sc.name!r}")
+        scenarios[sc.name] = sc
+    return list(scenarios.values())
 
 
 def build_backend(kind: str, scripted_table: Optional[str]) -> Backend:

@@ -10,7 +10,6 @@ package-wide steer convention (negative = left).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .domain import (
     Action,
@@ -38,17 +37,9 @@ def wrap_angle(a: float) -> float:
     return a - math.pi
 
 
-@dataclass(frozen=True)
-class SteerControllerState:
-    """PD state for waypoint steering: the gains and the last heading error."""
-
-    kp: float = 0.9
-    kd: float = 0.1
-    prev_error: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.kp < 0 or self.kd < 0:
-            raise ValueError("PD gains must be non-negative")
+# PD gains for waypoint steering; the base agent passes kd=0.0. The state the
+# callers thread from tick to tick is the last heading error alone.
+KP, KD = 0.9, 0.1
 
 
 def map_speed_control(speed: SpeedControl, prev_throttle: float) -> tuple[float, float]:
@@ -73,10 +64,11 @@ def map_speed_control(speed: SpeedControl, prev_throttle: float) -> tuple[float,
 def compute_steer(
     ego_pose: tuple[float, float, float],
     target_point: tuple[float, float],
-    ctrl: SteerControllerState,
+    prev_error: float,
     dt: float,
-) -> tuple[float, SteerControllerState]:
-    """One PD step toward ``target_point``; returns (steer, updated state)."""
+    kd: float = KD,
+) -> tuple[float, float]:
+    """One PD step toward ``target_point``; returns (steer, heading error)."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     x, y, heading = ego_pose
@@ -86,9 +78,9 @@ def compute_steer(
         raise DegenerateTargetError(f"target {target_point} coincides with ego position")
     bearing = math.atan2(dy, dx)
     error = wrap_angle(heading - bearing)
-    derivative = (error - ctrl.prev_error) / dt
-    steer = clamp(ctrl.kp * error + ctrl.kd * derivative, -1.0, 1.0)
-    return steer, SteerControllerState(ctrl.kp, ctrl.kd, error)
+    derivative = (error - prev_error) / dt
+    steer = clamp(KP * error + kd * derivative, -1.0, 1.0)
+    return steer, error
 
 
 _DIRECTIONAL: dict[Behavior, tuple[RoadGeometry, ...]] = {
@@ -111,15 +103,15 @@ def resolve_action(
     prev: Action,
     ego_pose: tuple[float, float, float],
     navi: Navigation,
-    ctrl: SteerControllerState,
+    prev_error: float,
     dt: float,
-) -> tuple[Action, SteerControllerState, bool]:
+) -> tuple[Action, float, bool]:
     """Resolve a high-level action to an actuator Action.
 
-    Returns (action, updated controller state, direction_mismatch). A
-    directional behavior that contradicts the navigation geometry is demoted
-    to move-forward and flagged; the caller records the flag in the episode
-    log rather than failing.
+    Returns (action, heading error for the next tick, direction_mismatch); a
+    stop keeps ``prev_error``. A directional behavior that contradicts the
+    navigation geometry is demoted to move-forward and flagged; the caller
+    records the flag in the episode log rather than failing.
     """
     behavior = hla.behavior
     mismatch = not aligns_with_navigation(behavior, navi.road_geometry)
@@ -127,6 +119,6 @@ def resolve_action(
         behavior = Behavior.MOVE_FORWARD
     throttle, brake = map_speed_control(hla.speed, prev.throttle)
     if behavior is Behavior.STOP:
-        return Action(throttle, brake, 0.0), ctrl, mismatch
-    steer, ctrl2 = compute_steer(ego_pose, navi.target_point, ctrl, dt)
-    return Action(throttle, brake, steer), ctrl2, mismatch
+        return Action(throttle, brake, 0.0), prev_error, mismatch
+    steer, error = compute_steer(ego_pose, navi.target_point, prev_error, dt)
+    return Action(throttle, brake, steer), error, mismatch

@@ -322,8 +322,8 @@ class Hazard:
 @dataclass(frozen=True)
 class MotionPlan:
     """Either a move sequence or a stop-observe-move wait; exactly the fields
-    for the chosen strategy are present. The wait cap is enforced where the
-    cap is configured (the planner), not here."""
+    for the chosen strategy are present. The wait cap is applied where a
+    wait becomes stop pairs (``planner.expand_stop_observe_move``), not here."""
 
     strategy: Strategy
     sequence: Optional[ActionSequence] = None

@@ -19,7 +19,6 @@ from typing import Any, Optional, Sequence
 
 from . import controlmap, planner, safety, verifier
 from .backend import Backend
-from .controlmap import SteerControllerState
 from .domain import (
     Action,
     ActionSequence,
@@ -57,7 +56,7 @@ class OrchestratorConfig:
 @dataclass(frozen=True)
 class OverrideState:
     """Per-episode override lifecycle: the pending sequence, wait bookkeeping,
-    cached constraints, and the threaded steering controller."""
+    cached constraints, and the steering controller's last heading error."""
 
     sequence: ActionSequence = field(default_factory=lambda: ActionSequence((), 0))
     consecutive_replans: int = 0
@@ -65,7 +64,7 @@ class OverrideState:
     prev_action: Action = field(default_factory=lambda: Action(0.0, 0.0, 0.0))
     wait_trigger: Optional[ExecutionCondition] = None
     wait_elapsed: int = 0
-    steer_ctrl: SteerControllerState = field(default_factory=SteerControllerState)
+    steer_ctrl: float = 0.0
     constraints: Optional[SafetyConstraints] = None
     constraints_context: Optional[_Context] = None
 
@@ -212,11 +211,11 @@ def step(
         elapsed, rounds = 0, rounds + 1
 
     if pair is None:
-        action, ctrl, mismatch, triggered = FAIL_SAFE_STOP, state.steer_ctrl, False, ()
+        action, heading_error, mismatch, triggered = FAIL_SAFE_STOP, state.steer_ctrl, False, ()
         if not hold_plan:
             sequence, trigger, elapsed, replans = ActionSequence((), env.tick), None, 0, 0
     else:
-        resolved, ctrl, mismatch = controlmap.resolve_action(
+        resolved, heading_error, mismatch = controlmap.resolve_action(
             pair.action, state.prev_action, ego_pose, env.navi, state.steer_ctrl, cfg.dt
         )
         action, triggered = safety.constrain(resolved, measurements, constraints, cfg.gains)
@@ -231,7 +230,7 @@ def step(
         prev_action=action,
         wait_trigger=trigger,
         wait_elapsed=elapsed,
-        steer_ctrl=ctrl,
+        steer_ctrl=heading_error,
         constraints=constraints,
         constraints_context=context,
     )

@@ -85,8 +85,9 @@ def plan_motion(
 ) -> MotionPlan:
     """The backend's plan, capped for execution from the current tick.
 
-    Move sequences are truncated to the step limit; waits are clamped to the
-    cap; a degenerate or unparseable answer becomes a full-length wait.
+    Move sequences are truncated to the step limit; a wait is returned as
+    sent, for ``expand_stop_observe_move`` to cap. A degenerate or
+    unparseable answer becomes a full-length wait.
     """
     req = backend_mod.motion_request(hazards, strategy, navi, current_snapshot, scenario_key)
     plan = backend_mod.ask(backend, req)
@@ -101,18 +102,13 @@ def plan_motion(
             log.info("move plan truncated from %d to %d steps", len(pairs), cfg.max_steps)
         seq = ActionSequence.capped(pairs, current_snapshot.tick, cfg.max_steps)
         return MotionPlan(Strategy.MOVE, sequence=seq)
-    if plan.wait_ticks <= cfg.wait_cap:
-        return plan
-    log.info("wait clamped from %d to cap %d", plan.wait_ticks, cfg.wait_cap)
-    return MotionPlan(
-        Strategy.STOP_OBSERVE_MOVE, wait_ticks=cfg.wait_cap, move_trigger=plan.move_trigger
-    )
+    return plan
 
 
 def expand_stop_observe_move(
     plan: MotionPlan, wait_cap: int, created_tick: int = 0
 ) -> ActionSequence:
-    """Expand a wait into stop pairs, truncated to the cap.
+    """Expand a wait into stop pairs, truncated to the cap (its one place).
 
     The stored condition on each stop pair is nominal: a waiting stop is safe
     under either consistent classification, and the control loop verifies
@@ -120,7 +116,7 @@ def expand_stop_observe_move(
     """
     if plan.strategy is not Strategy.STOP_OBSERVE_MOVE:
         raise WrongStrategyError(f"cannot expand a {plan.strategy.value} plan")
-    wait = plan.wait_ticks or 0
+    wait = plan.wait_ticks
     if wait > wait_cap:
         log.info("wait expansion truncated from %d to cap %d", wait, wait_cap)
         wait = wait_cap

@@ -69,10 +69,11 @@ class Overrides:
     def penalty_table(self) -> dict[simenv.InfractionKind, float]:
         table = dict(metrics.DEFAULT_PENALTIES)
         for name, value in dict(self.penalties or {}).items():
-            coefficient = float(value)
-            if not 0.0 <= coefficient <= 1.0:  # also rejects NaN
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise TypeError(f"penalty {name} must be a number, got {value!r}")
+            if not 0.0 <= value <= 1.0:  # also rejects NaN
                 raise ValueError(f"penalty {name} out of [0,1]: {value}")
-            table[simenv.InfractionKind(name)] = coefficient
+            table[simenv.InfractionKind(name)] = float(value)
         return table
 
 

@@ -23,7 +23,7 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Any, Optional
 
-from .controlmap import clamp, compute_steer, wrap_angle, SteerControllerState
+from .controlmap import clamp, compute_steer, wrap_angle
 from .domain import (
     Action,
     Box,
@@ -303,6 +303,19 @@ class DeficitPolicy:
         return bool(self.classes) and self.window[0] <= tick < self.window[1]
 
 
+def _typed(value: Any, kind: type) -> Any:
+    """``value`` if its JSON type is ``kind``; a bool is no number, and an
+    int is a float (returned as one)."""
+    if type(value) is not kind and not (kind is float and type(value) is int):
+        raise TypeError(f"expected a JSON {kind.__name__}, got {value!r}")
+    return float(value) if kind is float else value
+
+
+def _point(xy: Any) -> tuple[float, float]:
+    x, y = xy
+    return _typed(x, float), _typed(y, float)
+
+
 @dataclass(frozen=True)
 class Scenario:
     name: str
@@ -325,35 +338,37 @@ class Scenario:
 
     @classmethod
     def from_json(cls, d: dict[str, Any]) -> "Scenario":
+        """The scenario a JSON object describes; a value of the wrong JSON
+        type is rejected, never coerced."""
         return cls(
             name=str(d["name"]),
             route=Route(
-                tuple((float(x), float(y)) for x, y in d["route"]["waypoints"]),
+                tuple(_point(p) for p in d["route"]["waypoints"]),
                 tuple(RoadGeometry(g) for g in d["route"]["geometry"]),
             ),
             actors=tuple(
                 Actor(
-                    id=int(a["id"]),
+                    id=_typed(a["id"], int),
                     cls=ObjectClass(a["class"]),
-                    script=tuple((float(t), float(x), float(y)) for t, x, y in a["script"]),
-                    static=bool(a.get("static", False)),
+                    script=tuple((_typed(t, float), *_point(xy)) for t, *xy in a["script"]),
+                    static=_typed(a.get("static", False), bool),
                 )
                 for a in d.get("actors", [])
             ),
             lights=tuple(
                 TrafficLight(
-                    id=int(l["id"]),
-                    position=(float(l["position"][0]), float(l["position"][1])),
-                    stop_line_s=float(l["stop_line_s"]),
-                    schedule=tuple((int(t), LightState(s)) for t, s in l["schedule"]),
+                    id=_typed(l["id"], int),
+                    position=_point(l["position"]),
+                    stop_line_s=_typed(l["stop_line_s"], float),
+                    schedule=tuple((_typed(t, int), LightState(s)) for t, s in l["schedule"]),
                 )
                 for l in d.get("traffic_lights", [])
             ),
             signs=tuple(
                 StopSign(
-                    id=int(s["id"]),
-                    position=(float(s["position"][0]), float(s["position"][1])),
-                    stop_line_s=float(s["stop_line_s"]),
+                    id=_typed(s["id"], int),
+                    position=_point(s["position"]),
+                    stop_line_s=_typed(s["stop_line_s"], float),
                 )
                 for s in d.get("stop_signs", [])
             ),
@@ -362,13 +377,13 @@ class Scenario:
                     ObjectClass(c) for c in d.get("deficit_policy", {}).get("classes", [])
                 ),
                 window=tuple(  # type: ignore[arg-type]
-                    int(t) for t in d.get("deficit_policy", {}).get("window", [0, 0])
+                    _typed(t, int) for t in d.get("deficit_policy", {}).get("window", [0, 0])
                 ),
             ),
             weather=Weather(d.get("weather", "clear")),
             daylight=Daylight(d.get("daylight", "day")),
             traffic_density=TrafficDensity(d.get("traffic_density", "low")),
-            time_limit_ticks=int(d.get("time_limit_ticks", 600)),
+            time_limit_ticks=_typed(d.get("time_limit_ticks", 600), int),
         )
 
     @classmethod
@@ -686,9 +701,6 @@ def detect_infractions(w_prev: WorldState, w_next: WorldState) -> list[Infractio
 # Base agent
 # ---------------------------------------------------------------------------
 
-_BASE_STEER = SteerControllerState(kp=0.9, kd=0.0)
-
-
 def base_agent(w: WorldState, hidden: frozenset[int] = frozenset()) -> Action:
     """Waypoint following with visible-hazard braking.
 
@@ -732,7 +744,7 @@ def base_agent(w: WorldState, hidden: frozenset[int] = frozenset()) -> Action:
     target = route.target_point(progress)
     if (target[0], target[1]) == (w.ego.x, w.ego.y):
         return FAIL_SAFE_STOP  # at route end
-    steer, _ = compute_steer(w.ego.pose, target, _BASE_STEER, w.params.dt)
+    steer, _ = compute_steer(w.ego.pose, target, 0.0, w.params.dt, kd=0.0)
     if creep:
         return Action(0.25, 0.0, steer)
     return Action(0.7, 0.0, steer)

@@ -23,6 +23,7 @@ from rco.backend import (
     BackendTimeout,
     HazardAndPlan,
     HttpBackend,
+    MotionInputs,
     Purpose,
     SchemaViolation,
     ScriptedBackend,
@@ -309,10 +310,7 @@ class TestScriptedMemo:
     def test_built_requests_carry_routing_fields_only(self):
         backend = ScriptedBackend.bundled()
         for req in _bundled_requests():
-            assert json.loads(req.payload) == {
-                "purpose": req.purpose.value,
-                "scenario_key": REQUEST_SCENARIO,
-            }
+            assert json.loads(req.payload) == {"scenario_key": REQUEST_SCENARIO}
             if REQUEST_SCENARIO in backend.table[req.purpose.value]:
                 assert backend.call(req).parsed is not None
 
@@ -422,10 +420,6 @@ class TestStructuredRequests:
         req = constraints_request(navi, Surrounding(weather, daylight, traffic), nearest, "k")
         assert req.prompt == want
 
-    def test_text_inputs_are_the_prompt(self):
-        req = BackendRequest(Purpose.HAZARD_AND_PLAN, "as sent", payload_for("k"))
-        assert req.prompt == "as sent"
-
     def test_scripted_episode_renders_no_prompt(self, monkeypatch):
         def forbidden(*_args):
             raise AssertionError("a scripted episode rendered prompt text")
@@ -451,7 +445,7 @@ class TestStructuredRequests:
         out = run_episode(sc, Mode.RCO, ScriptedBackend.bundled())
         assert sum(r["backend_calls"] for r in out.records) > len(Purpose)
         assert Counter(decoded) == Counter(
-            (p, backend_mod._routing_payload(p, sc.name)) for p in Purpose
+            (p, backend_mod._routing_payload(sc.name)) for p in Purpose
         )
 
     def test_failures_decode_on_every_call(self, monkeypatch):
@@ -472,9 +466,10 @@ class TestStructuredRequests:
             purpose = Purpose(purpose_value)
             for key in entries:
                 canonical = backend.call(
-                    BackendRequest(purpose, "", backend_mod._routing_payload(purpose, key))
+                    BackendRequest(purpose, "", backend_mod._routing_payload(key))
                 )
-                loose = backend.call(BackendRequest(purpose, "", payload_for(key)))
+                compact = json.dumps({"scenario_key": key}, separators=(",", ":"))
+                loose = backend.call(BackendRequest(purpose, "", compact))
                 assert loose == canonical
 
 
@@ -542,7 +537,8 @@ def chat_server():
 
 class TestHttpBackend:
     def request(self):
-        return BackendRequest(Purpose.SHORT_TERM_MOTION, "plan please", payload_for("x"))
+        inputs = MotionInputs((), Strategy.MOVE, RoadGeometry.STRAIGHT)
+        return BackendRequest(Purpose.SHORT_TERM_MOTION, inputs, payload_for("x"))
 
     def test_parses_first_completion(self, chat_server):
         backend = HttpBackend(chat_server, model="good", token="secret")
@@ -594,14 +590,30 @@ class TestHttpBackend:
         backend = HttpBackend("http://127.0.0.1:9/v1/chat/completions", model="x")
         start = time.perf_counter()
         with pytest.raises(TransportFailure):
-            backend.call(BackendRequest(Purpose.SHORT_TERM_MOTION, "p", payload_for("x")))
+            backend.call(self.request())
         assert time.perf_counter() - start < backend_mod.HTTP_TIMEOUT_S
 
-    @pytest.mark.parametrize("url", ["localhost/v1/chat/completions", "127.0.0.1:9/v1"])
-    def test_url_without_scheme_is_transport_failure(self, url):
-        # urllib raises ValueError for the first and URLError for the second.
-        backend = HttpBackend(url, model="x")
-        with pytest.raises(TransportFailure):
+    @pytest.mark.parametrize(
+        "url",
+        [
+            "", "localhost/v1/chat/completions", "localhost:8000/v1/chat/completions",
+            "127.0.0.1:9/v1", "file:///etc/hostname", "ftp://127.0.0.1/v1", "http:///v1",
+        ],
+    )
+    def test_unusable_url_rejected_at_construction(self, url):
+        # Each of these would fall back on every call: no scheme, a scheme
+        # urllib reads without HTTP, or no host.
+        with pytest.raises(ValueError, match="http"):
+            HttpBackend(url, model="x")
+
+    @pytest.mark.parametrize("url", ["http://127.0.0.1:9/v1", "HTTPS://[::1]:8443/v1"])
+    def test_http_urls_accepted(self, url):
+        assert HttpBackend(url, model="x").url == url
+
+    def test_token_with_newline_is_transport_failure(self):
+        # http.client refuses the header value on every call.
+        backend = HttpBackend("http://127.0.0.1:9/v1", model="x", token="a\nb")
+        with pytest.raises(TransportFailure, match="ValueError"):
             backend.call(self.request())
 
     @pytest.mark.parametrize(

@@ -92,6 +92,7 @@ class TestRunCommand:
         [
             "one-element window", "reversed window", "not json", "missing route",
             "zero time limit", "empty light schedule", "unsorted light schedule",
+            "string static flag", "float window tick", "bool time limit", "string time limit",
         ],
     )
     def test_unloadable_scenario_is_config_error(self, tmp_path, capsys, command, edit):
@@ -105,6 +106,14 @@ class TestRunCommand:
             text = "{ not json"
         elif edit == "zero time limit":
             d["time_limit_ticks"] = 0
+        elif edit == "string static flag":
+            d["actors"][0]["static"] = "false"
+        elif edit == "float window tick":
+            d["deficit_policy"]["window"] = [0.9, 150]
+        elif edit == "bool time limit":
+            d["time_limit_ticks"] = True
+        elif edit == "string time limit":
+            d["time_limit_ticks"] = "300"
         elif edit == "empty light schedule":
             d["traffic_lights"] = [
                 {"id": 10, "position": [60, 3.5], "stop_line_s": 60, "schedule": []}
@@ -122,6 +131,21 @@ class TestRunCommand:
         code = main([*command, "--scenarios", *scenarios, "--out", str(tmp_path / "o")])
         assert code == 2
         assert f"scenario file {bad} failed to load" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--limits", "1"]])
+    @pytest.mark.parametrize("twice", ["same file", "same name"])
+    def test_repeated_scenario_name_is_config_error(self, tmp_path, capsys, command, twice):
+        # Outputs and scripted answers are keyed by name: a second episode
+        # under the same name would overwrite the first one's files.
+        first = scenario_path("pedestrian_cross")
+        second = first
+        if twice == "same name":
+            second = tmp_path / "copy.json"
+            second.write_text(open(first, encoding="utf-8").read(), encoding="utf-8")
+        code = main([*command, "--scenarios", first, str(second), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "repeats the scenario name 'pedestrian_cross'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_bad_override_is_config_error(self, tmp_path):
@@ -177,6 +201,28 @@ class TestRunCommand:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(config)
         code = main(["run", *argv, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--limits", "1"]])
+    @pytest.mark.parametrize("penalty", ["true", '"0.5"'])
+    def test_penalty_of_wrong_type_is_config_error(
+        self, tmp_path, capsys, monkeypatch, command, penalty
+    ):
+        # A bool or a string is no coefficient, even where float() reads one.
+        monkeypatch.setattr(cli, "run_episode", None)  # no episode may start
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"penalties": {"red_light": %s}}' % penalty)
+        code = main([*command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "penalty red_light must be a number" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("url", ["file:///etc/hostname", "localhost:8000/v1/chat/completions"])
+    def test_unusable_backend_url_is_config_error(self, tmp_path, capsys, monkeypatch, url):
+        monkeypatch.setenv("RCO_BACKEND_URL", url)
+        code = main(["run", "--backend", "http", "--out", str(tmp_path / "o")])
         assert code == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()

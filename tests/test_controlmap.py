@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rco.controlmap import (
+    KD,
+    KP,
     DegenerateTargetError,
-    SteerControllerState,
     aligns_with_navigation,
     compute_steer,
     map_speed_control,
@@ -89,43 +90,45 @@ class TestSpeedControlTable:
 
 class TestComputeSteer:
     def test_zero_heading_error_gives_zero_steer(self):
-        steer, _ = compute_steer((0.0, 0.0, 0.0), (10.0, 0.0), SteerControllerState(), 0.1)
+        steer, _ = compute_steer((0.0, 0.0, 0.0), (10.0, 0.0), 0.0, 0.1)
         assert steer == 0.0
 
     def test_target_left_steers_left(self):
         # x-east / y-north frame: +y from a +x heading is to the left, and
         # the package convention is negative steer = left.
-        steer, _ = compute_steer((0.0, 0.0, 0.0), (10.0, 5.0), SteerControllerState(), 0.1)
+        steer, _ = compute_steer((0.0, 0.0, 0.0), (10.0, 5.0), 0.0, 0.1)
         assert steer < 0.0
 
     def test_target_right_steers_right(self):
-        steer, _ = compute_steer((0.0, 0.0, 0.0), (10.0, -5.0), SteerControllerState(), 0.1)
+        steer, _ = compute_steer((0.0, 0.0, 0.0), (10.0, -5.0), 0.0, 0.1)
         assert steer > 0.0
 
     def test_p_only_step_response(self):
-        # Heading error 0.3 rad with gains (1, 0, 0): steer = 0.3 exactly.
-        ctrl = SteerControllerState(kp=1.0, kd=0.0)
-        steer, _ = compute_steer((0.0, 0.0, 0.3), (10.0, 0.0), ctrl, 0.1)
-        assert steer == pytest.approx(0.3)
+        # Heading error 0.3 rad with kd 0 (the base agent's steer): KP * 0.3.
+        steer, _ = compute_steer((0.0, 0.0, 0.3), (10.0, 0.0), 0.0, 0.1, kd=0.0)
+        assert steer == pytest.approx(KP * 0.3)
 
-    def test_zero_gains_always_zero(self):
-        ctrl = SteerControllerState(kp=0.0, kd=0.0)
-        for target in ((10.0, 5.0), (3.0, -8.0), (-2.0, 1.0)):
-            steer, ctrl = compute_steer((0.0, 0.0, 0.4), target, ctrl, 0.1)
-            assert steer == 0.0
+    def test_derivative_term(self):
+        # The derivative acts on the change of heading error since the last
+        # tick: no change leaves the proportional term alone.
+        steer, _ = compute_steer((0.0, 0.0, 0.3), (10.0, 0.0), 0.3, 0.1)
+        assert steer == pytest.approx(KP * 0.3)
+        steer, _ = compute_steer((0.0, 0.0, 0.3), (10.0, 0.0), 0.25, 0.1)
+        assert steer == pytest.approx(KP * 0.3 + KD * 0.05 / 0.1)
 
     def test_output_clamped(self):
-        ctrl = SteerControllerState(kp=10.0, kd=0.0)
-        steer, _ = compute_steer((0.0, 0.0, 0.0), (0.0, -10.0), ctrl, 0.1)
+        # The target lies square to the right: error pi/2, and KP alone
+        # already asks for more than full lock.
+        steer, _ = compute_steer((0.0, 0.0, 0.0), (0.0, -10.0), 0.0, 0.1, kd=0.0)
         assert steer == 1.0
 
     def test_degenerate_target_rejected(self):
         with pytest.raises(DegenerateTargetError):
-            compute_steer((1.0, 2.0, 0.0), (1.0, 2.0), SteerControllerState(), 0.1)
+            compute_steer((1.0, 2.0, 0.0), (1.0, 2.0), 0.0, 0.1)
 
     def test_bundled_rco_episode_steers_without_replace(self, monkeypatch):
-        # The PD state is rebuilt by its constructor on every step, not
-        # through dataclasses.replace, which costs a field walk per call.
+        # The PD state is the last heading error, a plain float: no state
+        # object is rebuilt, through dataclasses.replace or otherwise.
         from rco import controlmap
         from rco.backend import ScriptedBackend
         from rco.cli import bundled_scenario_dir
@@ -147,11 +150,11 @@ class TestComputeSteer:
         scenario = Scenario.load(str(bundled_scenario_dir() / "bicycle_oncoming.json"))
         run_episode(scenario, Mode.RCO, ScriptedBackend.bundled())
         assert steps
+        assert all(type(args[2]) is float for args in steps)
 
     def test_controller_state_updates(self):
-        ctrl = SteerControllerState()
-        _, ctrl2 = compute_steer((0.0, 0.0, 0.3), (10.0, 0.0), ctrl, 0.1)
-        assert ctrl2.prev_error == pytest.approx(0.3)
+        _, error = compute_steer((0.0, 0.0, 0.3), (10.0, 0.0), 0.0, 0.1)
+        assert error == pytest.approx(0.3)
 
 
 class TestAlignment:
@@ -178,7 +181,7 @@ class TestResolveAction:
         navi = Navigation((10.0, 0.0), RoadGeometry.STRAIGHT)
         hla = HighLevelAction(Behavior.MOVE_FORWARD, SpeedControl.CONSTANT_SPEED)
         action, _, mismatch = resolve_action(
-            hla, Action(0.0, 0.0, 0.0), (0.0, 0.0, 0.0), navi, SteerControllerState(), 0.1
+            hla, Action(0.0, 0.0, 0.0), (0.0, 0.0, 0.0), navi, 0.0, 0.1
         )
         assert (action.throttle, action.brake) == (0.7, 0.0)
         assert action.steer == pytest.approx(0.0, abs=1e-9)
@@ -187,18 +190,18 @@ class TestResolveAction:
     def test_stop_zeroes_steer(self):
         navi = Navigation((10.0, 5.0), RoadGeometry.STRAIGHT)
         hla = HighLevelAction(Behavior.STOP, SpeedControl.DECELERATION_TO_ZERO)
-        action, ctrl, _ = resolve_action(
-            hla, Action(0.5, 0.0, 0.0), (0.0, 0.0, 0.0), navi, SteerControllerState(), 0.1
+        action, error, _ = resolve_action(
+            hla, Action(0.5, 0.0, 0.0), (0.0, 0.0, 0.0), navi, 0.2, 0.1
         )
         assert action == Action(0.0, 0.8, 0.0)
-        assert ctrl == SteerControllerState()  # untouched while stopped
+        assert error == 0.2  # untouched while stopped
 
     def test_turn_left_at_left_turning_intersection(self):
         # Route turns left: target is ahead-left of the ego.
         navi = Navigation((8.0, 4.0), RoadGeometry.INTERSECTION)
         hla = HighLevelAction(Behavior.TURN_LEFT, SpeedControl.DECELERATION)
         action, _, mismatch = resolve_action(
-            hla, Action(0.5, 0.0, 0.0), (0.0, 0.0, 0.0), navi, SteerControllerState(), 0.1
+            hla, Action(0.5, 0.0, 0.0), (0.0, 0.0, 0.0), navi, 0.0, 0.1
         )
         assert mismatch is False
         assert (action.throttle, action.brake) == (max(0.0, 0.5 - 0.2), 0.2)
@@ -208,7 +211,7 @@ class TestResolveAction:
         navi = Navigation((10.0, 0.0), RoadGeometry.STRAIGHT)
         hla = HighLevelAction(Behavior.TURN_LEFT, SpeedControl.CONSTANT_SPEED)
         action, _, mismatch = resolve_action(
-            hla, Action(0.0, 0.0, 0.0), (0.0, 0.0, 0.0), navi, SteerControllerState(), 0.1
+            hla, Action(0.0, 0.0, 0.0), (0.0, 0.0, 0.0), navi, 0.0, 0.1
         )
         assert mismatch is True
         assert (action.throttle, action.brake) == (0.7, 0.0)
@@ -232,7 +235,7 @@ class TestResolveAction:
             Action(prev, 0.0, 0.0),
             (0.0, 0.0, heading),
             navi,
-            SteerControllerState(),
+            0.0,
             0.1,
         )
         assert 0.0 <= action.throttle <= 1.0

@@ -22,7 +22,7 @@ SUITE_DIGESTS = {
     "always_stop": "8467796a489a7fe159071862bd142f2c324b1d47c0b9ebd4dc4ce25ed2ef0274",
 }
 SWEEP_DIGEST = "e8e8e3fe40dcc285080653fb87d7ebe19399e4bce48c9eb76e546134e8640293"
-FUZZ_DIGEST = "48d1ba17218262e26f03ff34e69160bfb8270659f38858ebcd37761001c24bf9"
+FUZZ_DIGEST = "7b1451fe1b3a3d46b9cc2a86fdf4050c49765d0c1b7aae1e5a576a601b6091a7"
 
 
 def digest_dir(out_dir) -> str:

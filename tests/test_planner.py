@@ -135,17 +135,15 @@ class TestPlanMotion:
         )
         assert len(backend.requests) == 1
 
-    def test_wait_clamped_to_cap(self):
-        backend = StubBackend(
-            parsed=MotionPlan(
-                Strategy.STOP_OBSERVE_MOVE,
-                wait_ticks=120,
-                move_trigger=ExecutionCondition.CONSISTENT_IMMEDIATE_HAZARD,
-            )
+    def test_long_wait_is_capped_by_its_expansion(self):
+        sent = MotionPlan(
+            Strategy.STOP_OBSERVE_MOVE,
+            wait_ticks=120,
+            move_trigger=ExecutionCondition.CONSISTENT_IMMEDIATE_HAZARD,
         )
-        plan = self.plan(backend, Strategy.STOP_OBSERVE_MOVE)
-        assert plan.wait_ticks == CFG.wait_cap
-        assert plan.move_trigger is ExecutionCondition.CONSISTENT_IMMEDIATE_HAZARD
+        plan = self.plan(StubBackend(parsed=sent), Strategy.STOP_OBSERVE_MOVE)
+        assert plan == sent
+        assert len(expand_stop_observe_move(plan, CFG.wait_cap)) == CFG.wait_cap
 
     @settings(max_examples=100, deadline=None)
     @given(raw=st.text(max_size=120))

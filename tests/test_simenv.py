@@ -421,12 +421,14 @@ class TestDeficitWindow:
         policy = DeficitPolicy(frozenset({ObjectClass.PEDESTRIAN}), (5, 5))
         assert not any(policy.active(t) for t in range(10))
 
-    def test_from_json_coerces_window_to_ints(self):
+    @pytest.mark.parametrize("window", [[5.0, 12], [5, "12"], [True, 12], [0.9, 150]])
+    def test_from_json_rejects_non_integer_window(self, window):
+        # A tick is a JSON integer; a float, a string or a bool is rejected,
+        # not coerced.
         d = bundled_dict("pedestrian_cross")
-        d["deficit_policy"]["window"] = [5.0, "12"]
-        window = Scenario.from_json(d).deficit_policy.window
-        assert window == (5, 12)
-        assert all(type(t) is int for t in window)
+        d["deficit_policy"]["window"] = window
+        with pytest.raises(TypeError, match="JSON int"):
+            Scenario.from_json(d)
 
     @pytest.mark.parametrize("window", [[5], [150, 0]])
     def test_from_json_rejects_malformed_window(self, window):
