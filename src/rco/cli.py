@@ -19,6 +19,8 @@ from typing import Any, Optional, Sequence, get_args, get_type_hints
 
 from . import metrics
 from .backend import Backend, HttpBackend, ScriptedBackend
+from .domain import FAIL_SAFE_STOP
+from .orchestrator import base_record
 from .runner import EpisodeOutcome, Mode, Overrides, given, run_episode
 from .simenv import Scenario
 
@@ -146,6 +148,35 @@ def _execute(tasks: Sequence[_Task], jobs: int) -> list[EpisodeOutcome]:
         return list(pool.map(_run_one, tasks))  # input order preserved
 
 
+@functools.cache
+def _base_line_parts() -> tuple[str, str, str]:
+    """The encoder's line for a base-agent record, cut around its action and
+    its tick, the only two fields such a record varies in."""
+    line = _RECORD_ENCODER.encode(
+        {**base_record(0, FAIL_SAFE_STOP), "action": "<action>", "tick": "<tick>"}
+    )
+    head, rest = line.split('"<action>"')
+    mid, tail = rest.split('"<tick>"')
+    return head, mid, tail
+
+
+def _record_line(record: dict[str, Any]) -> str:
+    """``record``'s decision-log line, the bytes ``_RECORD_ENCODER`` writes.
+
+    A base-agent record fills the template cut from the encoder: for a finite
+    float ``repr`` is what ``json`` writes, and ``validate_action`` keeps an
+    action finite. An active record takes the full encode.
+    """
+    if record["active"]:
+        return _RECORD_ENCODER.encode(record)
+    head, mid, tail = _base_line_parts()
+    action = record["action"]
+    return (
+        f'{head}{{"brake":{action["brake"]!r},"steer":{action["steer"]!r},'
+        f'"throttle":{action["throttle"]!r}}}{mid}{record["tick"]}{tail}'
+    )
+
+
 def _write_outputs(
     outcomes: list[EpisodeOutcome], out_dir: Path, run_config: dict[str, Any]
 ) -> None:
@@ -157,7 +188,7 @@ def _write_outputs(
             encoding="utf-8",
         )
         (out_dir / f"{stem}.decisions.jsonl").write_text(
-            "".join(_RECORD_ENCODER.encode(record) + "\n" for record in outcome.records),
+            "".join(_record_line(record) + "\n" for record in outcome.records),
             encoding="utf-8",
         )
     summary = metrics.Summary(tuple(o.result for o in outcomes))

@@ -330,6 +330,8 @@ class Scenario:
     time_limit_ticks: int = 600
 
     def __post_init__(self) -> None:
+        if not self.name:  # the name keys the output files and the scripted table
+            raise ValueError("scenario name must not be empty")
         ids = [a.id for a in self.actors] + [l.id for l in self.lights] + [s.id for s in self.signs]
         if len(ids) != len(set(ids)):
             raise ValueError(f"scenario {self.name}: actor/signal ids must be unique")
@@ -341,7 +343,7 @@ class Scenario:
         """The scenario a JSON object describes; a value of the wrong JSON
         type is rejected, never coerced."""
         return cls(
-            name=str(d["name"]),
+            name=_typed(d["name"], str),
             route=Route(
                 tuple(_point(p) for p in d["route"]["waypoints"]),
                 tuple(RoadGeometry(g) for g in d["route"]["geometry"]),
@@ -643,9 +645,9 @@ def _obb_overlap(a: list[tuple[float, float]], b: list[tuple[float, float]]) -> 
 
 
 def _collisions(w: WorldState) -> frozenset[int]:
-    ego_quad = _obb_corners(
-        w.ego.x, w.ego.y, w.ego.heading, w.params.ego_length, w.params.ego_width
-    )
+    # The broad phase rejects every actor on most ticks, so the ego's quad is
+    # built only once an actor passes it.
+    ego_quad = None
     hit = set()
     for actor, x, y, heading, _vx, _vy in w.actor_states:
         length, width, _pw, _ph = _CLASS_DIMS[actor.cls]
@@ -653,6 +655,10 @@ def _collisions(w: WorldState) -> frozenset[int]:
             continue
         if math.hypot(x - w.ego.x, y - w.ego.y) > (length + w.params.ego_length):
             continue
+        if ego_quad is None:
+            ego_quad = _obb_corners(
+                w.ego.x, w.ego.y, w.ego.heading, w.params.ego_length, w.params.ego_width
+            )
         if _obb_overlap(ego_quad, _obb_corners(x, y, heading, length, width)):
             hit.add(actor.id)
     return frozenset(hit)

@@ -21,7 +21,9 @@ from rco import backend as backend_mod
 from rco.backend import (
     BackendRequest,
     BackendTimeout,
+    ConstraintsInputs,
     HazardAndPlan,
+    HazardInputs,
     HttpBackend,
     MotionInputs,
     Purpose,
@@ -64,6 +66,20 @@ from conftest import DEFAULT_NAVI, DEFAULT_SURROUNDING, snapshot
 
 def payload_for(key: str) -> str:
     return json.dumps({"scenario_key": key})
+
+
+# One inputs record per purpose; the scripted backend answers by key alone.
+INPUTS = {
+    Purpose.HAZARD_AND_PLAN: HazardInputs((snapshot(),)),
+    Purpose.SHORT_TERM_MOTION: MotionInputs((), Strategy.MOVE, RoadGeometry.STRAIGHT),
+    Purpose.SAFETY_CONSTRAINTS: ConstraintsInputs(
+        Weather.CLEAR, Daylight.DAY, TrafficDensity.LOW, RoadGeometry.STRAIGHT, None
+    ),
+}
+
+
+def request_for(purpose: Purpose, payload: str) -> BackendRequest:
+    return BackendRequest(purpose, INPUTS[purpose], payload)
 
 
 class TestParseStructured:
@@ -197,7 +213,7 @@ class TestScriptedBackend:
 
     def test_lookup_is_pure_and_deterministic(self):
         backend = ScriptedBackend(self.TABLE)
-        req = BackendRequest(Purpose.HAZARD_AND_PLAN, "p", payload_for("pedestrian_cross"))
+        req = request_for(Purpose.HAZARD_AND_PLAN, payload_for("pedestrian_cross"))
         r1, r2 = backend.call(req), backend.call(req)
         assert r1.raw == r2.raw
         assert r1.parsed == r2.parsed
@@ -206,20 +222,20 @@ class TestScriptedBackend:
 
     def test_move_key(self):
         backend = ScriptedBackend(self.TABLE)
-        req = BackendRequest(Purpose.HAZARD_AND_PLAN, "p", payload_for("bicycle_oncoming"))
+        req = request_for(Purpose.HAZARD_AND_PLAN, payload_for("bicycle_oncoming"))
         parsed = backend.call(req).parsed
         assert parsed.hazards[0].object is ObjectClass.BICYCLE
         assert parsed.strategy is Strategy.MOVE
 
     def test_unknown_key_is_schema_violation(self):
         backend = ScriptedBackend(self.TABLE)
-        req = BackendRequest(Purpose.HAZARD_AND_PLAN, "p", payload_for("nope"))
+        req = request_for(Purpose.HAZARD_AND_PLAN, payload_for("nope"))
         with pytest.raises(SchemaViolation):
             backend.call(req)
 
     def test_bundled_table_loads(self):
         backend = ScriptedBackend.bundled()
-        req = BackendRequest(Purpose.SHORT_TERM_MOTION, "p", payload_for("pedestrian_cross"))
+        req = request_for(Purpose.SHORT_TERM_MOTION, payload_for("pedestrian_cross"))
         parsed = backend.call(req).parsed
         assert parsed.strategy is Strategy.STOP_OBSERVE_MOVE
         assert parsed.wait_ticks == 30
@@ -229,12 +245,12 @@ class TestScriptedBackend:
         for purpose_value, entries in backend.table.items():
             purpose = Purpose(purpose_value)
             for key in entries:
-                req = BackendRequest(purpose, "p", payload_for(key))
+                req = request_for(purpose, payload_for(key))
                 assert backend.call(req).parsed is not None
 
     def test_zero_latency_for_reproducibility(self):
         backend = ScriptedBackend(self.TABLE)
-        req = BackendRequest(Purpose.SHORT_TERM_MOTION, "p", payload_for("pedestrian_cross"))
+        req = request_for(Purpose.SHORT_TERM_MOTION, payload_for("pedestrian_cross"))
         assert backend.call(req).latency_ms == 0.0
 
 
@@ -278,7 +294,7 @@ class TestScriptedMemo:
     }
 
     def request(self, key: str, purpose: Purpose = Purpose.SHORT_TERM_MOTION) -> BackendRequest:
-        return BackendRequest(purpose, "p", payload_for(key))
+        return request_for(purpose, payload_for(key))
 
     def test_construction_does_not_raise(self):
         ScriptedBackend(self.TABLE)
@@ -457,7 +473,7 @@ class TestStructuredRequests:
         backend = ScriptedBackend({})
         for _ in range(3):
             with pytest.raises(SchemaViolation):
-                backend.call(BackendRequest(Purpose.HAZARD_AND_PLAN, "", payload_for("k")))
+                backend.call(request_for(Purpose.HAZARD_AND_PLAN, payload_for("k")))
         assert len(decoded) == 3
 
     def test_non_canonical_payload_gets_the_canonical_answer(self):
@@ -466,10 +482,10 @@ class TestStructuredRequests:
             purpose = Purpose(purpose_value)
             for key in entries:
                 canonical = backend.call(
-                    BackendRequest(purpose, "", backend_mod._routing_payload(key))
+                    request_for(purpose, backend_mod._routing_payload(key))
                 )
                 compact = json.dumps({"scenario_key": key}, separators=(",", ":"))
-                loose = backend.call(BackendRequest(purpose, "", compact))
+                loose = backend.call(request_for(purpose, compact))
                 assert loose == canonical
 
 
@@ -686,13 +702,13 @@ class TestHttpRequestBodies:
 
 class TestBackendRequest:
     def test_scenario_key_from_payload(self):
-        req = BackendRequest(Purpose.HAZARD_AND_PLAN, "p", payload_for("abc"))
+        req = request_for(Purpose.HAZARD_AND_PLAN, payload_for("abc"))
         assert req.scenario_key() == "abc"
-        assert BackendRequest(Purpose.HAZARD_AND_PLAN, "p", "not json").scenario_key() == ""
+        assert request_for(Purpose.HAZARD_AND_PLAN, "not json").scenario_key() == ""
 
     @pytest.mark.parametrize("payload", ['{"scenario_key": null}', '{"scenario_key": 5}'])
     def test_non_string_key_reads_as_missing(self, payload):
-        req = BackendRequest(Purpose.HAZARD_AND_PLAN, "p", payload)
+        req = request_for(Purpose.HAZARD_AND_PLAN, payload)
         assert req.scenario_key() == ""
         # A table entry under the key's str() form is never looked up.
         entry = {"hazards": [], "strategy": "move"}

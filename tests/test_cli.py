@@ -8,10 +8,13 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rco import cli
 from rco.backend import ScriptedBackend
 from rco.cli import bundled_scenario_dir, main
+from rco.domain import FAIL_SAFE_STOP, Action
+from rco.orchestrator import base_record
 from rco.runner import Mode, Overrides, run_episode
 from rco.simenv import InfractionKind, Scenario
 
@@ -93,6 +96,7 @@ class TestRunCommand:
             "one-element window", "reversed window", "not json", "missing route",
             "zero time limit", "empty light schedule", "unsorted light schedule",
             "string static flag", "float window tick", "bool time limit", "string time limit",
+            "null name", "number name", "empty name",
         ],
     )
     def test_unloadable_scenario_is_config_error(self, tmp_path, capsys, command, edit):
@@ -114,6 +118,12 @@ class TestRunCommand:
             d["time_limit_ticks"] = True
         elif edit == "string time limit":
             d["time_limit_ticks"] = "300"
+        elif edit == "null name":
+            d["name"] = None  # str() would read it as "None"
+        elif edit == "number name":
+            d["name"] = 5
+        elif edit == "empty name":
+            d["name"] = ""
         elif edit == "empty light schedule":
             d["traffic_lights"] = [
                 {"id": 10, "position": [60, 3.5], "stop_line_s": 60, "schedule": []}
@@ -470,3 +480,53 @@ class TestAlwaysStopMode:
         out = run_episode(sc, Mode.ALWAYS_STOP, ScriptedBackend.bundled(), Overrides())
         assert out.result.rc == pytest.approx(0.0, abs=1.0)
         assert out.result.infractions == ()
+
+
+# Signed zeros, subnormals, the largest subnormal, a sum that is not its
+# shortest decimal, and the range ends.
+_EDGE_FLOATS = [-0.0, 0.0, 5e-324, 2.225073858507201e-308, 0.1 + 0.2, 1.0]
+_unit = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(0.0, 1.0))
+_steer = st.one_of(
+    st.sampled_from(_EDGE_FLOATS + [-x for x in _EDGE_FLOATS]), st.floats(-1.0, 1.0)
+)
+
+
+class TestRecordLine:
+    """A base-agent record's line comes from a template cut from the
+    encoder; it must be the encoder's bytes."""
+
+    @given(tick=st.integers(0, 10**6), throttle=_unit, brake=_unit, steer=_steer)
+    @example(tick=10**6, throttle=-0.0, brake=5e-324, steer=-(0.1 + 0.2))
+    @settings(max_examples=300, deadline=None)
+    def test_base_record_line_is_the_encoders(self, tick, throttle, brake, steer):
+        record = base_record(tick, Action(throttle, brake, steer))
+        assert cli._record_line(record) == cli._RECORD_ENCODER.encode(record)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_every_bundled_record_line_is_the_encoders(self, mode):
+        backend = ScriptedBackend.bundled()
+        active = 0
+        for path in sorted(bundled_scenario_dir().glob("*.json")):
+            for record in run_episode(Scenario.load(str(path)), mode, backend).records:
+                active += record["active"]
+                assert cli._record_line(record) == cli._RECORD_ENCODER.encode(record)
+        assert (active > 0) is (mode is Mode.RCO)
+
+    def test_active_record_takes_the_full_encode(self, monkeypatch):
+        encoded = []
+
+        class Spy(json.JSONEncoder):
+            def encode(self, o):
+                encoded.append(o)
+                return super().encode(o)
+
+        monkeypatch.setattr(cli, "_RECORD_ENCODER", Spy(sort_keys=True, separators=(",", ":")))
+        record = {
+            **base_record(7, FAIL_SAFE_STOP),
+            "active": True,
+            "source": "failsafe",
+            "denied": ["wait_inconsistent"],
+        }
+        line = cli._record_line(record)
+        assert encoded == [record]
+        assert line == json.dumps(record, sort_keys=True, separators=(",", ":"))

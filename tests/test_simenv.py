@@ -467,6 +467,54 @@ class TestWorldCost:
             "segment_lengths": 1,
         }
 
+    @staticmethod
+    def near_count(w):
+        # Actors that pass the collision broad phase, counted afresh.
+        near = 0
+        for actor, x, y, _h, _vx, _vy in w.actor_states:
+            length = simenv._CLASS_DIMS[actor.cls][0]
+            near += length != 0.0 and math.hypot(x - w.ego.x, y - w.ego.y) <= length + PARAMS.ego_length
+        return near
+
+    @staticmethod
+    def count_footprints(monkeypatch):
+        calls = Counter()
+        obb_corners = simenv._obb_corners
+
+        def counting(*args):
+            calls["obb_corners"] += 1
+            return obb_corners(*args)
+
+        monkeypatch.setattr(simenv, "_obb_corners", counting)
+        return calls
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_ego_footprint_built_only_when_an_actor_is_near(self, monkeypatch, mode):
+        # Over one bundled episode, a footprint is built for each actor that
+        # passes the broad phase, plus the ego's once per world state that
+        # has such an actor. bicycle_oncoming brings the bicycle near in
+        # every mode.
+        worlds = []
+        collisions = simenv._collisions
+        monkeypatch.setattr(simenv, "_collisions", lambda w: worlds.append(w) or collisions(w))
+        calls = self.count_footprints(monkeypatch)
+        sc = Scenario.load(str(bundled_scenario_dir() / "bicycle_oncoming.json"))
+        run_episode(sc, mode, ScriptedBackend.bundled())
+        near = [self.near_count(w) for w in worlds]
+        assert sum(near) > 0
+        assert calls["obb_corners"] == sum(near) + sum(1 for n in near if n)
+
+    @pytest.mark.parametrize("near", [0, 1, 2])
+    def test_ego_footprint_built_once_per_state(self, monkeypatch, near):
+        actors = [standing(ObjectClass.CAR, 3.0 + 2.0 * i, 0.0, actor_id=i) for i in range(near)]
+        actors.append(standing(ObjectClass.CAR, 60.0, 0.0, actor_id=9))  # far
+        w = world_from_scenario(straight_scenario(actors=actors))
+        assert self.near_count(w) == near
+        calls = self.count_footprints(monkeypatch)
+        hit = w.collisions
+        assert calls["obb_corners"] == near + (near > 0)
+        assert hit == fresh_collisions(w, w.actor_states)
+
 
 class TestPerceiveCost:
     @pytest.mark.parametrize("mode", [Mode.ALWAYS_STOP, Mode.RCO])
