@@ -295,30 +295,32 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--scenarios",
-            nargs="+",
-            default=[str(bundled_scenario_dir())],
-            help="scenario JSON files or directories (default: bundled library)",
-        )
-        p.add_argument("--backend", choices=["scripted", "http"], default="scripted")
-        p.add_argument("--scripted-table", default=None, help="override scripted response table")
-        p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--config", default=None, help="JSON config file with override keys")
-        for name, kind in _flag_types().items():
-            p.add_argument("--" + name.replace("_", "-"), dest=name, type=kind, default=None)
+    # The options run and sweep share, declared once: argparse builds a help
+    # formatter for each add_argument, and parents copies the actions.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument(
+        "--scenarios",
+        nargs="+",
+        default=[str(bundled_scenario_dir())],
+        help="scenario JSON files or directories (default: bundled library)",
+    )
+    common.add_argument("--backend", choices=["scripted", "http"], default="scripted")
+    common.add_argument("--scripted-table", default=None, help="override scripted response table")
+    common.add_argument("--out", default="out", help="output directory")
+    common.add_argument("--jobs", type=int, default=1)
+    common.add_argument("--config", default=None, help="JSON config file with override keys")
+    for name, kind in _flag_types().items():
+        common.add_argument("--" + name.replace("_", "-"), dest=name, type=kind, default=None)
 
-    p_run = sub.add_parser("run", help="run scenarios in one mode and write results")
-    add_common(p_run)
+    p_run = sub.add_parser(
+        "run", parents=[common], help="run scenarios in one mode and write results"
+    )
     p_run.add_argument(
         "--mode", choices=[m.value for m in Mode], default=Mode.RCO.value
     )
     p_run.set_defaults(func=cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="sweep the plan-step limit")
-    add_common(p_sweep)
+    p_sweep = sub.add_parser("sweep", parents=[common], help="sweep the plan-step limit")
     p_sweep.add_argument("--limits", default="1,3,5,8", help="comma-separated step limits")
     p_sweep.set_defaults(func=cmd_sweep)
 

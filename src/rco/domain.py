@@ -59,6 +59,10 @@ class ViewName(str, Enum):
     RIGHT = "right"
 
 
+# The order of a snapshot's views.
+VIEW_ORDER = (ViewName.LEFT, ViewName.FRONT, ViewName.RIGHT)
+
+
 class ObjectClass(str, Enum):
     CAR = "car"
     TRUCK = "truck"
@@ -294,13 +298,12 @@ class EnvironmentSnapshot:
     surrounding: Surrounding
 
     def __post_init__(self) -> None:
-        expected = (ViewName.LEFT, ViewName.FRONT, ViewName.RIGHT)
         got = tuple(v.view for v in self.perception)
-        if got != expected:
+        if got != VIEW_ORDER:
             raise ValueError(f"perception views must be ordered left/front/right, got {got}")
 
     def view(self, name: ViewName) -> CameraView:
-        return self.perception[(ViewName.LEFT, ViewName.FRONT, ViewName.RIGHT).index(name)]
+        return self.perception[VIEW_ORDER.index(name)]
 
     @property
     def has_deficit(self) -> bool:

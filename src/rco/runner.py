@@ -106,9 +106,12 @@ def run_episode(
     events: list[simenv.InfractionEvent] = []
     records: list[dict[str, Any]] = []
     halted_forever = False
+    # Tested once: each Mode.X read in the loop is a class attribute lookup.
+    is_rco = mode is Mode.RCO
+    is_always_stop = mode is Mode.ALWAYS_STOP
 
     while w.tick < scenario.time_limit_ticks and w.ego_progress < scenario.route.length:
-        if mode is Mode.RCO:
+        if is_rco:
             snap = simenv.perceive(w, policy)
             history.append(snap)
             if len(history) > history_cap:
@@ -128,7 +131,7 @@ def run_episode(
             # The baseline never looks; the stop protocol looks only until its
             # first deficit, because the halt never lifts.
             halted_forever = halted_forever or (
-                mode is Mode.ALWAYS_STOP and simenv.perceive(w, policy).has_deficit
+                is_always_stop and simenv.perceive(w, policy).has_deficit
             )
             action = STOP if halted_forever else simenv.base_agent(w, simenv.masked_ids(w, policy))
             records.append(orchestrator.base_record(w.tick, action))

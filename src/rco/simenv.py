@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from itertools import accumulate
 from typing import Any, Optional
 
@@ -36,6 +36,7 @@ from .domain import (
     RoadGeometry,
     Surrounding,
     TrafficDensity,
+    VIEW_ORDER,
     VehicleMeasurements,
     ViewName,
     VisibleObject,
@@ -316,6 +317,9 @@ def _point(xy: Any) -> tuple[float, float]:
     return _typed(x, float), _typed(y, float)
 
 
+_SCENARIO_NAME = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9_.-]*")
+
+
 @dataclass(frozen=True)
 class Scenario:
     name: str
@@ -330,8 +334,13 @@ class Scenario:
     time_limit_ticks: int = 600
 
     def __post_init__(self) -> None:
-        if not self.name:  # the name keys the output files and the scripted table
-            raise ValueError("scenario name must not be empty")
+        # The name keys the scripted table and is the stem of the output
+        # files and a summary.csv cell, so it must be one plain file name.
+        if not _SCENARIO_NAME.fullmatch(self.name):
+            raise ValueError(
+                "scenario name must be ASCII letters, digits, '_', '-' and '.', not starting"
+                f" with '.', got {self.name!r}"
+            )
         ids = [a.id for a in self.actors] + [l.id for l in self.lights] + [s.id for s in self.signs]
         if len(ids) != len(set(ids)):
             raise ValueError(f"scenario {self.name}: actor/signal ids must be unique")
@@ -420,23 +429,22 @@ class WorldState:
     params: VehicleParams = field(default_factory=VehicleParams)
     ego_progress: float = 0.0
     sign_satisfied: frozenset[int] = frozenset()
+    # Derived once per state, as every state is read by detect_infractions:
+    # (actor, x, y, heading, vx, vy) of every actor at this tick, and the ids
+    # of the actors whose footprint overlaps the ego's. Fields, not
+    # cached_property: on CPython 3.11 its first read creates the instance
+    # __dict__, and every later attribute read on the state then leaves the
+    # specialised fast path.
+    actor_states: tuple[tuple[Actor, float, float, float, float, float], ...] = field(
+        init=False, repr=False, compare=False
+    )
+    collisions: frozenset[int] = field(init=False, repr=False, compare=False)
 
-    @property
-    def time_s(self) -> float:
-        return self.tick * self.params.dt
-
-    # A world state never changes, so what is derived from it is computed on
-    # first use and kept with it.
-    @cached_property
-    def actor_states(self) -> tuple[tuple[Actor, float, float, float, float, float], ...]:
-        """(actor, x, y, heading, vx, vy) of every actor at this tick."""
-        t = self.time_s
-        return tuple((a, *a.state_at(t)) for a in self.scenario.actors)
-
-    @cached_property
-    def collisions(self) -> frozenset[int]:
-        """Ids of the actors whose footprint overlaps the ego's at this tick."""
-        return _collisions(self)
+    def __post_init__(self) -> None:
+        t = self.tick * self.params.dt
+        states = tuple((a, *a.state_at(t)) for a in self.scenario.actors)
+        object.__setattr__(self, "actor_states", states)
+        object.__setattr__(self, "collisions", _collisions(self))
 
 
 def world_from_scenario(scenario: Scenario, params: VehicleParams = VehicleParams()) -> WorldState:
@@ -534,7 +542,7 @@ def perceive(w: WorldState, policy: DeficitPolicy) -> EnvironmentSnapshot:
     p = w.params
     hidden = masked_ids(w, policy)
     per_view: dict[ViewName, tuple[list[VisibleObject], list[Box]]] = {
-        v: ([], []) for v in ViewName
+        v: ([], []) for v in VIEW_ORDER
     }
 
     def add(
@@ -571,7 +579,7 @@ def perceive(w: WorldState, policy: DeficitPolicy) -> EnvironmentSnapshot:
         add(sign.id, ObjectClass.STOP_SIGN, sign.position)
 
     views = []
-    for name in (ViewName.LEFT, ViewName.FRONT, ViewName.RIGHT):
+    for name in VIEW_ORDER:
         visibles, deficits = per_view[name]
         # Anything fully behind a mask cannot be detected.
         kept = tuple(

@@ -6,6 +6,7 @@ import argparse
 import concurrent.futures
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -96,11 +97,12 @@ class TestRunCommand:
             "one-element window", "reversed window", "not json", "missing route",
             "zero time limit", "empty light schedule", "unsorted light schedule",
             "string static flag", "float window tick", "bool time limit", "string time limit",
-            "null name", "number name", "empty name",
+            "null name", "number name", "empty name", "slash name", "dot-dot name",
+            "comma name",
         ],
     )
     def test_unloadable_scenario_is_config_error(self, tmp_path, capsys, command, edit):
-        d = json.loads(open(scenario_path("pedestrian_cross"), encoding="utf-8").read())
+        d = json.loads(Path(scenario_path("pedestrian_cross")).read_text(encoding="utf-8"))
         text = None
         if edit == "one-element window":
             d["deficit_policy"]["window"] = [0]
@@ -124,6 +126,12 @@ class TestRunCommand:
             d["name"] = 5
         elif edit == "empty name":
             d["name"] = ""
+        elif edit == "slash name":
+            d["name"] = "sub/dir"  # its output files would name a missing directory
+        elif edit == "dot-dot name":
+            d["name"] = "../escaped"  # its output files would land outside --out
+        elif edit == "comma name":
+            d["name"] = "a,b"  # its summary.csv row would gain a column
         elif edit == "empty light schedule":
             d["traffic_lights"] = [
                 {"id": 10, "position": [60, 3.5], "stop_line_s": 60, "schedule": []}
@@ -152,7 +160,7 @@ class TestRunCommand:
         second = first
         if twice == "same name":
             second = tmp_path / "copy.json"
-            second.write_text(open(first, encoding="utf-8").read(), encoding="utf-8")
+            second.write_text(Path(first).read_text(encoding="utf-8"), encoding="utf-8")
         code = main([*command, "--scenarios", first, str(second), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "repeats the scenario name 'pedestrian_cross'" in capsys.readouterr().err

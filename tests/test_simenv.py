@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import functools
+import importlib
 import json
 import math
+import pkgutil
 from collections import Counter
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rco
 from rco import simenv
 from rco.backend import ScriptedBackend
 from rco.cli import bundled_scenario_dir
@@ -508,12 +512,32 @@ class TestWorldCost:
     def test_ego_footprint_built_once_per_state(self, monkeypatch, near):
         actors = [standing(ObjectClass.CAR, 3.0 + 2.0 * i, 0.0, actor_id=i) for i in range(near)]
         actors.append(standing(ObjectClass.CAR, 60.0, 0.0, actor_id=9))  # far
+        # The collision set is built with the state, so counting starts before it.
+        calls = self.count_footprints(monkeypatch)
         w = world_from_scenario(straight_scenario(actors=actors))
         assert self.near_count(w) == near
-        calls = self.count_footprints(monkeypatch)
         hit = w.collisions
         assert calls["obb_corners"] == near + (near > 0)
         assert hit == fresh_collisions(w, w.actor_states)
+
+    def test_no_class_defines_a_cached_property(self):
+        """On CPython 3.11 the first read of a ``functools.cached_property``
+        creates the instance ``__dict__``; from then on every attribute read
+        on that instance leaves the specialised fast path
+        (``LOAD_ATTR_WITH_HINT`` instead of the inline-values read), which
+        slows each later read on the per-tick path. Derived values are
+        fields set in ``__post_init__`` instead."""
+        found = []
+        for info in pkgutil.iter_modules(rco.__path__):
+            module = importlib.import_module(f"rco.{info.name}")
+            for cls in vars(module).values():
+                if isinstance(cls, type) and cls.__module__ == module.__name__:
+                    found.extend(
+                        f"{cls.__qualname__}.{name}"
+                        for name, attr in vars(cls).items()
+                        if isinstance(attr, functools.cached_property)
+                    )
+        assert found == []
 
 
 class TestPerceiveCost:
@@ -739,7 +763,7 @@ class TestMemoisedEqualsFresh:
                 assert a._headings == tuple(
                     fresh_heading(a.script, i) for i in range(max(1, len(a.script) - 1))
                 )
-            fresh = tuple((a, *fresh_state_at(a.script, w.time_s)) for a in actors)
+            fresh = tuple((a, *fresh_state_at(a.script, w.tick * w.params.dt)) for a in actors)
             assert w.actor_states == fresh
             assert w.actor_states is w.actor_states
             assert w.collisions == fresh_collisions(w, fresh)
@@ -748,6 +772,24 @@ class TestMemoisedEqualsFresh:
                 fresh_collisions(w_next, w_next.actor_states) - fresh_collisions(w, fresh)
             )
             w = w_next
+
+    @given(
+        scripts=st.lists(st.tuples(_actor_classes, actor_scripts()), min_size=1, max_size=4),
+        route=routes(),
+        start_tick=st.integers(0, 40),
+        ego=st.tuples(_coords, _coords, st.floats(-math.pi, math.pi)),
+        moved=st.tuples(_coords, _coords, st.floats(-math.pi, math.pi)),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_replaced_state_recomputes(self, scripts, route, start_tick, ego, moved):
+        # dataclasses.replace builds a new state, so nothing derived from the
+        # old ego can be carried over.
+        actors = tuple(Actor(i, cls, script) for i, (cls, script) in enumerate(scripts))
+        w = WorldState(start_tick, simenv.EgoState(*ego), Scenario("gen", route, actors))
+        w_moved = replace(w, ego=simenv.EgoState(*moved))
+        fresh = tuple((a, *fresh_state_at(a.script, start_tick * PARAMS.dt)) for a in actors)
+        assert w_moved.actor_states == fresh
+        assert w_moved.collisions == fresh_collisions(w_moved, fresh)
 
     @given(route=routes(), s=st.floats(-5.0, 60.0), point=st.tuples(_coords, _coords))
     @settings(max_examples=100, deadline=None)
