@@ -177,10 +177,20 @@ def _record_line(record: dict[str, Any]) -> str:
     )
 
 
+def _output_dir(raw: str) -> Path:
+    """The ``--out`` directory, created before any episode runs, so that a
+    path that cannot be a directory is a config error, not a late crash."""
+    out_dir = Path(raw)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # an existing file, or a path through one
+        raise ConfigError(f"output directory {raw} cannot be created: {exc}") from exc
+    return out_dir
+
+
 def _write_outputs(
     outcomes: list[EpisodeOutcome], out_dir: Path, run_config: dict[str, Any]
 ) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     for outcome in outcomes:
         stem = f"{outcome.result.scenario}__{outcome.result.mode}"
         (out_dir / f"{stem}.result.json").write_text(
@@ -203,13 +213,14 @@ def cmd_run(args: argparse.Namespace) -> int:
     scenarios = load_scenarios(discover_scenarios(args.scenarios))
     overrides = _merge_overrides(args)
     backend = build_backend(args.backend, args.scripted_table)
+    out_dir = _output_dir(args.out)
     outcomes = _execute([(s, args.mode, backend, overrides) for s in scenarios], args.jobs)
     run_config = {
         "mode": args.mode,
         "backend": args.backend,
         "overrides": given(**vars(overrides)),
     }
-    _write_outputs(outcomes, Path(args.out), run_config)
+    _write_outputs(outcomes, out_dir, run_config)
     for o in outcomes:
         r = o.result
         print(
@@ -230,6 +241,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError("--limits must name at least one step limit")
     limited = [_checked(dataclasses.replace(overrides, n_max=limit)) for limit in limits]
     backend = build_backend(args.backend, args.scripted_table)
+    out_dir = _output_dir(args.out)
 
     runs = [(Mode.BASELINE.value, overrides)]
     runs += [(Mode.RCO.value, limit_overrides) for limit_overrides in limited]
@@ -241,8 +253,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for i in range(0, len(outcomes), n)
     ]
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["n_max,rc,is,ds,delta_rc,delta_is,delta_ds"]
     for limit, agg in zip(limits, limit_aggs):
         lines.append(

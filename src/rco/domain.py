@@ -9,7 +9,7 @@ with heading measured counter-clockwise from +x.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Optional
 
@@ -73,6 +73,11 @@ class ObjectClass(str, Enum):
     TRAFFIC_LIGHT = "traffic_light"
     STOP_SIGN = "stop_sign"
     UNKNOWN = "unknown"  # hazard inference only; never a visible object
+
+
+# Read once per visible object: a member read off an Enum class is a class
+# attribute lookup that CPython 3.11 does not specialise.
+_UNKNOWN_CLASS = ObjectClass.UNKNOWN
 
 
 class MotionKind(str, Enum):
@@ -242,7 +247,7 @@ class VisibleObject:
     range_m: float
 
     def __post_init__(self) -> None:
-        if self.cls is ObjectClass.UNKNOWN:
+        if self.cls is _UNKNOWN_CLASS:
             raise ValueError("visible objects must have a concrete class")
         if self.range_m < 0:
             raise OutOfRangeError("range_m", self.range_m)
@@ -296,18 +301,23 @@ class EnvironmentSnapshot:
     perception: tuple[CameraView, CameraView, CameraView]  # left, front, right
     navi: Navigation
     surrounding: Surrounding
+    # Whether any view holds a deficit region; derived once, read every tick.
+    has_deficit: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        got = tuple(v.view for v in self.perception)
+        views = []
+        has_deficit = False
+        for v in self.perception:
+            views.append(v.view)
+            if v.deficits:
+                has_deficit = True
+        got = tuple(views)
         if got != VIEW_ORDER:
             raise ValueError(f"perception views must be ordered left/front/right, got {got}")
+        object.__setattr__(self, "has_deficit", has_deficit)
 
     def view(self, name: ViewName) -> CameraView:
         return self.perception[VIEW_ORDER.index(name)]
-
-    @property
-    def has_deficit(self) -> bool:
-        return any(v.deficits for v in self.perception)
 
 
 # ---------------------------------------------------------------------------

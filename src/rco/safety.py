@@ -135,6 +135,9 @@ def constrain(
     triggers fired (for logging). Untriggered limits leave the corresponding
     channel untouched; the result is always a valid Action."""
     fired = _fired(m, sc)
+    if not any(fired):
+        # Clamping a valid Action is the identity, so ``a`` is the result.
+        return a, ()
     speed, follow, accel, decel, yaw, braking = fired
     throttle = a.throttle
     if speed:

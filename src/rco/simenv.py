@@ -168,6 +168,10 @@ class TrafficLight:
         if not self.schedule:
             raise ValueError(f"traffic light {self.id}: schedule must not be empty")
         starts = [start for start, _ in self.schedule]
+        # state_at holds the first entry's state from tick 0 on, so a later
+        # first start would show that state before it begins.
+        if starts[0] != 0:
+            raise ValueError(f"traffic light {self.id}: schedule must start at tick 0")
         if any(a >= b for a, b in zip(starts, starts[1:])):
             raise ValueError(f"traffic light {self.id}: schedule starts must be strictly increasing")
 
@@ -484,11 +488,21 @@ def tick(w: WorldState, a: Action) -> WorldState:
 # Perception
 # ---------------------------------------------------------------------------
 
-_VIEW_SPANS = {
-    ViewName.LEFT: (math.radians(30.0), math.radians(90.0)),
-    ViewName.FRONT: (math.radians(-30.0), math.radians(30.0)),
-    ViewName.RIGHT: (math.radians(-90.0), math.radians(-30.0)),
-}
+# (view, lo, hi) bearing spans in VIEW_ORDER; an object on a shared edge
+# lands in the first view that holds it.
+_VIEW_SPANS = (
+    (ViewName.LEFT, math.radians(30.0), math.radians(90.0)),
+    (ViewName.FRONT, math.radians(-30.0), math.radians(30.0)),
+    (ViewName.RIGHT, math.radians(-90.0), math.radians(-30.0)),
+)
+# A view that draws nothing. Views are immutable, so every snapshot shares
+# these; nothing relies on a view's identity.
+_EMPTY_VIEWS = {v: CameraView(v, (), ()) for v in VIEW_ORDER}
+# Enum members read per object, held as module constants: a member read off
+# an Enum class is a class attribute lookup CPython 3.11 does not specialise.
+_FRONT = ViewName.FRONT
+_TRAFFIC_LIGHT = ObjectClass.TRAFFIC_LIGHT
+_STOP_SIGN = ObjectClass.STOP_SIGN
 
 
 def _bearing(
@@ -509,7 +523,7 @@ def _project(
     """Project an object seen at (range, bearing) to (view, normalized box);
     the box is None if it is too small to draw, and the result None if the
     object is outside every camera sector."""
-    for view, (lo, hi) in _VIEW_SPANS.items():
+    for view, lo, hi in _VIEW_SPANS:
         if lo <= rel <= hi:
             span = hi - lo
             u = (hi - rel) / span
@@ -529,9 +543,9 @@ def masked_ids(w: WorldState, policy: DeficitPolicy) -> frozenset[int]:
         return frozenset()
     classes = policy.classes
     out = {a.id for a in w.scenario.actors if a.cls in classes}
-    if ObjectClass.TRAFFIC_LIGHT in classes:
+    if _TRAFFIC_LIGHT in classes:
         out.update(l.id for l in w.scenario.lights)
-    if ObjectClass.STOP_SIGN in classes:
+    if _STOP_SIGN in classes:
         out.update(s.id for s in w.scenario.signs)
     return frozenset(out)
 
@@ -540,25 +554,25 @@ def perceive(w: WorldState, policy: DeficitPolicy) -> EnvironmentSnapshot:
     """Project world contents into the three camera views, applying the
     deficit policy. Masking alters only the snapshot, never the world."""
     p = w.params
+    ego = w.ego
     hidden = masked_ids(w, policy)
-    per_view: dict[ViewName, tuple[list[VisibleObject], list[Box]]] = {
-        v: ([], []) for v in VIEW_ORDER
-    }
+    # (visible objects, deficit boxes) of each view that receives a box.
+    drawn: dict[ViewName, tuple[list[VisibleObject], list[Box]]] = {}
 
     def add(
         obj_id: int, cls: ObjectClass, pos: tuple[float, float]
     ) -> Optional[tuple[float, ViewName]]:
         """Draw one object into its view; (range, view) if it lies in one."""
-        seen = _bearing(w.ego, pos, p)
+        seen = _bearing(ego, pos, p)
         if seen is None:
             return None
         dims = _CLASS_DIMS[cls]
-        projected = _project(*seen, dims[2], dims[3], p)
+        projected = _project(seen[0], seen[1], dims[2], dims[3], p)
         if projected is None:
             return None
         view, box = projected
         if box is not None:
-            visibles, deficits = per_view[view]
+            visibles, deficits = drawn.get(view) or drawn.setdefault(view, ([], []))
             if obj_id in hidden:
                 deficits.append(box)
             else:
@@ -570,39 +584,33 @@ def perceive(w: WorldState, policy: DeficitPolicy) -> EnvironmentSnapshot:
     nearest = None
     for actor, x, y, _h, _vx, _vy in w.actor_states:
         placed = add(actor.id, actor.cls, (x, y))
-        if placed is not None and placed[1] is ViewName.FRONT:
+        if placed is not None and placed[1] is _FRONT:
             if nearest is None or placed[0] < nearest:
                 nearest = placed[0]
-    for light in w.scenario.lights:
-        add(light.id, ObjectClass.TRAFFIC_LIGHT, light.position)
-    for sign in w.scenario.signs:
-        add(sign.id, ObjectClass.STOP_SIGN, sign.position)
+    scenario = w.scenario
+    for light in scenario.lights:
+        add(light.id, _TRAFFIC_LIGHT, light.position)
+    for sign in scenario.signs:
+        add(sign.id, _STOP_SIGN, sign.position)
 
     views = []
     for name in VIEW_ORDER:
-        visibles, deficits = per_view[name]
-        # Anything fully behind a mask cannot be detected.
-        kept = tuple(
-            o for o in visibles if not any(d.contains(o.box) for d in deficits)
-        )
-        views.append(CameraView(name, kept, tuple(deficits)))
+        lists = drawn.get(name)
+        if lists is None:
+            views.append(_EMPTY_VIEWS[name])
+            continue
+        visibles, deficits = lists
+        if deficits:
+            # Anything fully behind a mask cannot be detected.
+            visibles = [o for o in visibles if not any(d.contains(o.box) for d in deficits)]
+        views.append(CameraView(name, tuple(visibles), tuple(deficits)))
 
-    progress = w.ego_progress
-    navi = Navigation(
-        target_point=w.scenario.route.target_point(progress),
-        road_geometry=w.scenario.route.geometry_at(progress),
-    )
-    surrounding = Surrounding(
-        weather=w.scenario.weather,
-        daylight=w.scenario.daylight,
-        traffic_density=w.scenario.traffic_density,
-        nearest_obstacle_m=nearest,
-    )
+    route, progress = scenario.route, w.ego_progress
     return EnvironmentSnapshot(
-        tick=w.tick,
-        perception=tuple(views),  # type: ignore[arg-type]
-        navi=navi,
-        surrounding=surrounding,
+        w.tick,
+        tuple(views),  # type: ignore[arg-type]
+        Navigation(route.target_point(progress), route.geometry_at(progress)),
+        Surrounding(scenario.weather, scenario.daylight, scenario.traffic_density, nearest),
     )
 
 

@@ -98,7 +98,7 @@ class TestRunCommand:
             "zero time limit", "empty light schedule", "unsorted light schedule",
             "string static flag", "float window tick", "bool time limit", "string time limit",
             "null name", "number name", "empty name", "slash name", "dot-dot name",
-            "comma name",
+            "comma name", "late light schedule",
         ],
     )
     def test_unloadable_scenario_is_config_error(self, tmp_path, capsys, command, edit):
@@ -141,6 +141,11 @@ class TestRunCommand:
                 {"id": 10, "position": [60, 3.5], "stop_line_s": 60,
                  "schedule": [[50, "red"], [0, "green"]]}
             ]
+        elif edit == "late light schedule":
+            d["traffic_lights"] = [  # its red would show from tick 0, not 50
+                {"id": 10, "position": [60, 3.5], "stop_line_s": 60,
+                 "schedule": [[50, "red"], [80, "green"]]}
+            ]
         else:
             del d["route"]
         bad = tmp_path / "bad.json"
@@ -165,6 +170,25 @@ class TestRunCommand:
         assert code == 2
         assert "repeats the scenario name 'pedestrian_cross'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--limits", "1"]])
+    @pytest.mark.parametrize("out", ["existing file", "path through a file"])
+    def test_unusable_out_is_config_error_before_any_episode(
+        self, tmp_path, capsys, monkeypatch, command, out
+    ):
+        def forbidden(*_args):
+            raise AssertionError("an episode ran before --out was checked")
+
+        monkeypatch.setattr(cli, "run_episode", forbidden)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("", encoding="utf-8")
+        target = blocker if out == "existing file" else blocker / "sub"
+        code = main([
+            *command, "--scenarios", scenario_path("pedestrian_cross"), "--out", str(target),
+        ])
+        assert code == 2
+        assert f"output directory {target} cannot be created" in capsys.readouterr().err
+        assert blocker.read_text(encoding="utf-8") == ""
 
     def test_bad_override_is_config_error(self, tmp_path):
         code = main([

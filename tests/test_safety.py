@@ -21,9 +21,12 @@ from rco.domain import (
     VehicleMeasurements,
     Weather,
 )
+from rco.controlmap import clamp
 from rco.safety import (
+    _TRIGGER_NAMES,
     BASE_CONSTRAINTS,
     SafetyGains,
+    _fired,
     apply_constraints,
     constrain,
     default_constraints,
@@ -78,6 +81,9 @@ class TestApplyConstraints:
     def test_no_triggers_is_identity(self):
         a = Action(0.4, 0.1, -0.3)
         assert apply_constraints(a, m(v=1.0, a_x=0.5, omega_z=0.1), sc(), G) == a
+        action, names = constrain(a, m(v=1.0, a_x=0.5, omega_z=0.1), sc(), G)
+        assert action is a  # returned as is, not rebuilt
+        assert names == ()
 
     def test_speed_trigger_boundary_is_inclusive(self):
         out = apply_constraints(Action(0.7, 0.0, 0.0), m(v=10.0), sc(v_max=10.0), G)
@@ -311,6 +317,61 @@ class TestTriggeredNames:
         action, names = constrain(a, meas, c, G)
         assert action == apply_constraints(a, meas, c, G)
         assert names == reference_triggered(meas, c)
+
+
+class TestConstrainReference:
+    @given(
+        throttle=st.one_of(st.just(-0.0), st.floats(0, 1)),
+        brake=st.one_of(st.just(-0.0), st.floats(0, 1)),
+        steer=st.one_of(st.just(-0.0), st.floats(-1, 1)),
+        v=st.one_of(st.just(0.0), st.floats(0, 30)),
+        a_x=st.one_of(st.just(0.0), st.floats(-15, 15)),
+        omega_z=st.one_of(st.just(0.0), st.floats(-2, 2)),
+        d_follow=st.one_of(st.just(math.inf), st.floats(0, 40)),
+        limits=st.tuples(*[st.floats(0.05, 20)] * 6),
+        gains=st.tuples(*[st.floats(0.01, 1.0)] * 2),
+    )
+    def test_equals_reference(
+        self, throttle, brake, steer, v, a_x, omega_z, d_follow, limits, gains
+    ):
+        a, meas, c = Action(throttle, brake, steer), m(v, a_x, omega_z, d_follow), sc(*limits)
+        g = SafetyGains(*gains)
+        action, names = constrain(a, meas, c, g)
+        expected, expected_names = reference_constrain(a, meas, c, g)
+        # repr tells the signed zeros apart, which == does not.
+        assert repr(action) == repr(expected)
+        assert names == expected_names
+        if not names:
+            assert action is a
+
+
+def reference_constrain(
+    a: Action, m: VehicleMeasurements, sc: SafetyConstraints, g: SafetyGains
+) -> tuple[Action, tuple[str, ...]]:
+    """``constrain`` as it was before it returned an untouched action as is:
+    every call rebuilds the action through the clamps."""
+    fired = _fired(m, sc)
+    speed, follow, accel, decel, yaw, braking = fired
+    throttle = a.throttle
+    if speed:
+        throttle -= g.delta_throttle
+    if follow:
+        throttle -= g.delta_throttle
+    if accel:
+        throttle -= g.delta_throttle * (m.a_x - sc.ac_max)
+
+    brake = a.brake
+    if braking:
+        brake += g.delta_brake
+    if decel:
+        brake -= g.delta_brake * (-sc.de_max - m.a_x)
+
+    steer = a.steer
+    if yaw:
+        steer = steer * (sc.psi_max / abs(m.omega_z))
+
+    action = Action(clamp(throttle, 0.0, 1.0), clamp(brake, 0.0, 1.0), clamp(steer, -1.0, 1.0))
+    return action, tuple(name for name, hit in zip(_TRIGGER_NAMES, fired) if hit)
 
 
 def reference_triggered(meas: VehicleMeasurements, c: SafetyConstraints) -> tuple[str, ...]:

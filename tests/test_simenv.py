@@ -7,8 +7,11 @@ import importlib
 import json
 import math
 import pkgutil
+import sys
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,8 +20,20 @@ import rco
 from rco import simenv
 from rco.backend import ScriptedBackend
 from rco.cli import bundled_scenario_dir
-from rco.domain import Action, ObjectClass, RoadGeometry, ViewName
-from rco.runner import STOP, Mode, run_episode
+from rco.domain import (
+    VIEW_ORDER,
+    Action,
+    Box,
+    CameraView,
+    EnvironmentSnapshot,
+    Navigation,
+    ObjectClass,
+    RoadGeometry,
+    Surrounding,
+    ViewName,
+    VisibleObject,
+)
+from rco.runner import STOP, Mode, Overrides, run_episode
 from rco.simenv import (
     Actor,
     DeficitPolicy,
@@ -386,6 +401,14 @@ class TestScenarioIO:
         with pytest.raises(ValueError, match="strictly increasing"):
             TrafficLight(10, (30.0, 3.0), 30.0, schedule)
 
+    @pytest.mark.parametrize("first_start", [50, -5])
+    def test_schedule_must_start_at_tick_zero(self, first_start):
+        # The first entry's state holds from tick 0 on, so a later first
+        # start would apply that state early.
+        schedule = ((first_start, LightState.RED), (80, LightState.GREEN))
+        with pytest.raises(ValueError, match="start at tick 0"):
+            TrafficLight(10, (30.0, 3.0), 30.0, schedule)
+
     @pytest.mark.parametrize("end", [(0.0, 0.0), (0.0, 1e-200)])
     def test_zero_length_segment_rejected(self, end):
         # 1e-200 squared underflows to 0, which progress_of would divide by.
@@ -565,6 +588,212 @@ class TestPerceiveCost:
         assert sc.actors and sc.signs
         assert calls["in_range"] > 0
         assert calls["project"] == calls["in_range"]
+
+
+    @pytest.fixture(scope="class")
+    def gen_dense_episode(self):
+        # The benchmark's generator, imported as tests/test_bench_contract.py does.
+        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+        import gen_dense
+
+        scenarios, table = gen_dense.generate(1)
+        return Scenario.from_json(scenarios[0]), ScriptedBackend(table), Overrides(n_max=1)
+
+    @pytest.mark.parametrize("episode", ["bundled", "gen-dense"])
+    def test_camera_view_built_only_for_a_view_with_a_box(
+        self, monkeypatch, gen_dense_episode, episode
+    ):
+        # An empty view is the shared constant; only a view that draws a
+        # visible object or a deficit region is built.
+        built = Counter()
+        camera_view, perceive = simenv.CameraView, simenv.perceive
+
+        def counting_camera_view(*args):
+            built["views"] += 1
+            return camera_view(*args)
+
+        def counting_perceive(*args):
+            snap = perceive(*args)
+            built["calls"] += 1
+            for v in snap.perception:
+                if v.visible_objects or v.deficits:
+                    built["with_a_box"] += 1
+                else:
+                    assert v == CameraView(v.view, (), ())
+            return snap
+
+        monkeypatch.setattr(simenv, "CameraView", counting_camera_view)
+        monkeypatch.setattr(simenv, "perceive", counting_perceive)
+        if episode == "bundled":
+            sc = Scenario.load(str(bundled_scenario_dir() / "stop_sign_hazard.json"))
+            run_episode(sc, Mode.RCO, ScriptedBackend.bundled())
+        else:
+            sc, backend, overrides = gen_dense_episode
+            run_episode(sc, Mode.RCO, backend, overrides)
+        assert 0 < built["with_a_box"] < 3 * built["calls"]
+        assert built["views"] == built["with_a_box"]
+
+    def test_each_empty_view_equals_a_fresh_one(self):
+        assert list(simenv._EMPTY_VIEWS) == list(VIEW_ORDER)
+        for name, v in simenv._EMPTY_VIEWS.items():
+            assert v == CameraView(name, (), ())
+
+
+# The parent's perception, kept verbatim as the reference for the version
+# that builds only what it draws.
+_REFERENCE_VIEW_SPANS = {
+    ViewName.LEFT: (math.radians(30.0), math.radians(90.0)),
+    ViewName.FRONT: (math.radians(-30.0), math.radians(30.0)),
+    ViewName.RIGHT: (math.radians(-90.0), math.radians(-30.0)),
+}
+
+
+def reference_bearing(ego, pos, p):
+    dx, dy = pos[0] - ego.x, pos[1] - ego.y
+    rng = math.hypot(dx, dy)
+    if rng < 1e-6 or rng > p.camera_range:
+        return None
+    return rng, simenv.wrap_angle(math.atan2(dy, dx) - ego.heading)
+
+
+def reference_project(rng, rel, width, height, p):
+    for view, (lo, hi) in _REFERENCE_VIEW_SPANS.items():
+        if lo <= rel <= hi:
+            span = hi - lo
+            u = (hi - rel) / span
+            half_w = math.atan2(width / 2.0, rng) / span
+            half_h = math.atan2(height / 2.0, rng) / p.fov_v
+            x0, x1 = simenv.clamp(u - half_w, 0.0, 1.0), simenv.clamp(u + half_w, 0.0, 1.0)
+            y0, y1 = simenv.clamp(0.5 - half_h, 0.0, 1.0), simenv.clamp(0.5 + half_h, 0.0, 1.0)
+            if x1 - x0 < 1e-9 or y1 - y0 < 1e-9:
+                return view, None
+            return view, Box(x0, y0, x1, y1)
+    return None
+
+
+def reference_masked_ids(w, policy):
+    if not policy.active(w.tick):
+        return frozenset()
+    classes = policy.classes
+    out = {a.id for a in w.scenario.actors if a.cls in classes}
+    if ObjectClass.TRAFFIC_LIGHT in classes:
+        out.update(l.id for l in w.scenario.lights)
+    if ObjectClass.STOP_SIGN in classes:
+        out.update(s.id for s in w.scenario.signs)
+    return frozenset(out)
+
+
+def reference_perceive(w, policy):
+    p = w.params
+    hidden = reference_masked_ids(w, policy)
+    per_view = {v: ([], []) for v in VIEW_ORDER}
+
+    def add(obj_id, cls, pos) -> Optional[tuple[float, ViewName]]:
+        seen = reference_bearing(w.ego, pos, p)
+        if seen is None:
+            return None
+        dims = simenv._CLASS_DIMS[cls]
+        projected = reference_project(*seen, dims[2], dims[3], p)
+        if projected is None:
+            return None
+        view, box = projected
+        if box is not None:
+            visibles, deficits = per_view[view]
+            if obj_id in hidden:
+                deficits.append(box)
+            else:
+                visibles.append(VisibleObject(cls, box, seen[0]))
+        return seen[0], view
+
+    nearest = None
+    for actor, x, y, _h, _vx, _vy in w.actor_states:
+        placed = add(actor.id, actor.cls, (x, y))
+        if placed is not None and placed[1] is ViewName.FRONT:
+            if nearest is None or placed[0] < nearest:
+                nearest = placed[0]
+    for light in w.scenario.lights:
+        add(light.id, ObjectClass.TRAFFIC_LIGHT, light.position)
+    for sign in w.scenario.signs:
+        add(sign.id, ObjectClass.STOP_SIGN, sign.position)
+
+    views = []
+    for name in VIEW_ORDER:
+        visibles, deficits = per_view[name]
+        kept = tuple(
+            o for o in visibles if not any(d.contains(o.box) for d in deficits)
+        )
+        views.append(CameraView(name, kept, tuple(deficits)))
+
+    progress = w.ego_progress
+    navi = Navigation(
+        target_point=w.scenario.route.target_point(progress),
+        road_geometry=w.scenario.route.geometry_at(progress),
+    )
+    surrounding = Surrounding(
+        weather=w.scenario.weather,
+        daylight=w.scenario.daylight,
+        traffic_density=w.scenario.traffic_density,
+        nearest_obstacle_m=nearest,
+    )
+    return EnvironmentSnapshot(
+        tick=w.tick, perception=tuple(views), navi=navi, surrounding=surrounding
+    )
+
+
+# Bearings on and next to each view edge, and straight behind.
+_EDGES = [math.radians(d) for d in (30.0, -30.0, 90.0, -90.0)]
+_bearings = st.one_of(
+    st.sampled_from(_EDGES + [math.nextafter(e, math.inf) for e in _EDGES]
+                    + [math.nextafter(e, -math.inf) for e in _EDGES] + [math.pi]),
+    st.floats(-math.pi, math.pi),
+)
+# Ranges inside, on and beyond the 40 m camera range, and below its 1e-6 floor.
+_ranges = st.one_of(st.sampled_from([1e-7, 0.3, 40.0, 40.000001, 55.0]), st.floats(0.0, 50.0))
+
+
+@st.composite
+def scenes(draw):
+    """A world state with objects of every class around the ego, and a
+    deficit policy whose window is active or not at its tick."""
+    ego = simenv.EgoState(draw(_coords), draw(_coords), draw(st.floats(-math.pi, math.pi)))
+
+    def placed():
+        rng, rel = draw(_ranges), draw(_bearings)
+        return (ego.x + rng * math.cos(ego.heading + rel), ego.y + rng * math.sin(ego.heading + rel))
+
+    n_actors = draw(st.integers(0, 8))
+    actor_classes = st.sampled_from(sorted(simenv._CLASS_DIMS))
+    actors = [Actor(i, draw(actor_classes), ((0.0, *placed()),)) for i in range(n_actors)]
+    lights = [TrafficLight(100 + i, placed(), 10.0) for i in range(draw(st.integers(0, 2)))]
+    signs = [StopSign(200 + i, placed(), 10.0) for i in range(draw(st.integers(0, 2)))]
+    tick_at = draw(st.integers(0, 20))
+    start = draw(st.integers(0, 20))
+    policy = DeficitPolicy(
+        draw(st.frozensets(st.sampled_from(sorted(DeficitPolicy._ALLOWED)))),
+        (start, start + draw(st.integers(0, 20))),
+    )
+    sc = straight_scenario(actors=actors, lights=lights, signs=signs, policy=policy)
+    w = WorldState(tick_at, ego, sc, ego_progress=draw(st.floats(0.0, 100.0)))
+    return w, policy
+
+
+class TestPerceiveEqualsReference:
+    @given(scene=scenes())
+    @settings(max_examples=300, deadline=None)
+    def test_snapshot_equals_reference(self, scene):
+        w, policy = scene
+        snap, expected = perceive(w, policy), reference_perceive(w, policy)
+        assert snap == expected
+        assert snap.has_deficit == any(v.deficits for v in expected.perception)
+        assert snap.has_deficit == any(v.deficits for v in snap.perception)
+
+    @given(rng=_ranges, rel=_bearings, cls=st.sampled_from(sorted(simenv._CLASS_DIMS)))
+    @settings(max_examples=300, deadline=None)
+    def test_projection_equals_reference(self, rng, rel, cls):
+        # Bearings exactly on an edge land in the first view in VIEW_ORDER.
+        dims = simenv._CLASS_DIMS[cls]
+        args = (max(rng, 1e-6), rel, dims[2], dims[3], PARAMS)
+        assert simenv._project(*args) == reference_project(*args)
 
 
 class TestModeWork:
