@@ -139,7 +139,7 @@ class TestRunCommand:
         elif edit == "unsorted light schedule":
             d["traffic_lights"] = [
                 {"id": 10, "position": [60, 3.5], "stop_line_s": 60,
-                 "schedule": [[50, "red"], [0, "green"]]}
+                 "schedule": [[0, "green"], [50, "red"], [20, "green"]]}
             ]
         elif edit == "late light schedule":
             d["traffic_lights"] = [  # its red would show from tick 0, not 50

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rco.backend import HazardAndPlan, SchemaViolation, ScriptedBackend
+from rco.controlmap import clamp
 from rco.domain import (
     Action,
     Daylight,
@@ -21,7 +22,6 @@ from rco.domain import (
     VehicleMeasurements,
     Weather,
 )
-from rco.controlmap import clamp
 from rco.safety import (
     _TRIGGER_NAMES,
     BASE_CONSTRAINTS,

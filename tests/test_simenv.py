@@ -11,7 +11,6 @@ import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
-from typing import Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -589,7 +588,6 @@ class TestPerceiveCost:
         assert calls["in_range"] > 0
         assert calls["project"] == calls["in_range"]
 
-
     @pytest.fixture(scope="class")
     def gen_dense_episode(self):
         # The benchmark's generator, imported as tests/test_bench_contract.py does.
@@ -639,8 +637,8 @@ class TestPerceiveCost:
             assert v == CameraView(name, (), ())
 
 
-# The parent's perception, kept verbatim as the reference for the version
-# that builds only what it draws.
+# Perception as it was when it built all three views on every call, kept
+# verbatim as the reference for the version that builds only what it draws.
 _REFERENCE_VIEW_SPANS = {
     ViewName.LEFT: (math.radians(30.0), math.radians(90.0)),
     ViewName.FRONT: (math.radians(-30.0), math.radians(30.0)),
@@ -688,7 +686,7 @@ def reference_perceive(w, policy):
     hidden = reference_masked_ids(w, policy)
     per_view = {v: ([], []) for v in VIEW_ORDER}
 
-    def add(obj_id, cls, pos) -> Optional[tuple[float, ViewName]]:
+    def add(obj_id, cls, pos):
         seen = reference_bearing(w.ego, pos, p)
         if seen is None:
             return None
@@ -759,7 +757,8 @@ def scenes(draw):
 
     def placed():
         rng, rel = draw(_ranges), draw(_bearings)
-        return (ego.x + rng * math.cos(ego.heading + rel), ego.y + rng * math.sin(ego.heading + rel))
+        bearing = ego.heading + rel
+        return ego.x + rng * math.cos(bearing), ego.y + rng * math.sin(bearing)
 
     n_actors = draw(st.integers(0, 8))
     actor_classes = st.sampled_from(sorted(simenv._CLASS_DIMS))
