@@ -21,10 +21,6 @@ from .domain import (
 )
 
 
-class DegenerateTargetError(ValueError):
-    """Steering target coincides with the ego position."""
-
-
 def clamp(x: float, lo: float, hi: float) -> float:
     return lo if x < lo else hi if x > hi else x
 
@@ -75,7 +71,7 @@ def compute_steer(
     dx = target_point[0] - x
     dy = target_point[1] - y
     if dx == 0.0 and dy == 0.0:
-        raise DegenerateTargetError(f"target {target_point} coincides with ego position")
+        raise ValueError(f"target {target_point} coincides with ego position")
     bearing = math.atan2(dy, dx)
     error = wrap_angle(heading - bearing)
     derivative = (error - prev_error) / dt

@@ -8,16 +8,12 @@ excluded from scoring (the agent could not have seen it).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
 from .controlmap import clamp
 from .domain import ObjectClass
 from .simenv import DeficitPolicy, InfractionEvent, InfractionKind, Route
-
-
-class ZeroTimeError(ValueError):
-    """Average speed is undefined for a non-positive game time."""
 
 
 DEFAULT_PENALTIES: dict[InfractionKind, float] = {
@@ -72,26 +68,25 @@ def driving_score(rc: float, is_score: float) -> float:
 
 def average_speed(route_length_m: float, game_time_s: float) -> float:
     if game_time_s <= 0.0:
-        raise ZeroTimeError(f"game time must be positive, got {game_time_s}")
+        raise ValueError(f"game time must be positive, got {game_time_s}")
     return route_length_m / game_time_s
 
 
 @dataclass(frozen=True)
 class EpisodeResult:
-    """Scores for one episode; ds is always rc * is_score."""
+    """Scores for one episode; ds is derived as rc * is_score."""
 
     scenario: str
     mode: str
     rc: float
     is_score: float
-    ds: float
+    ds: float = field(init=False)
     as_speed: float
     infractions: tuple[InfractionEvent, ...] = ()
     game_time_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if abs(self.ds - self.rc * self.is_score) > 1e-9:
-            raise ValueError(f"ds must equal rc*is within 1e-9, got {self.ds}")
+        object.__setattr__(self, "ds", driving_score(self.rc, self.is_score))
 
     @classmethod
     def build(
@@ -104,10 +99,7 @@ class EpisodeResult:
         infractions: tuple[InfractionEvent, ...] = (),
         game_time_s: float = 0.0,
     ) -> "EpisodeResult":
-        return cls(
-            scenario, mode, rc, is_score, driving_score(rc, is_score),
-            as_speed, infractions, game_time_s,
-        )
+        return cls(scenario, mode, rc, is_score, as_speed, infractions, game_time_s)
 
     def to_json(self) -> dict[str, Any]:
         return {

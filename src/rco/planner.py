@@ -27,10 +27,6 @@ from .domain import (
 log = logging.getLogger(__name__)
 
 
-class WrongStrategyError(ValueError):
-    """Stop-observe-move expansion applied to a move plan."""
-
-
 @dataclass(frozen=True)
 class PlannerConfig:
     history_len: int = 5  # frames fed to hazard inference
@@ -115,7 +111,7 @@ def expand_stop_observe_move(
     wait sequences accordingly (replan only on inconsistency).
     """
     if plan.strategy is not Strategy.STOP_OBSERVE_MOVE:
-        raise WrongStrategyError(f"cannot expand a {plan.strategy.value} plan")
+        raise ValueError(f"cannot expand a {plan.strategy.value} plan")
     wait = plan.wait_ticks
     if wait > wait_cap:
         log.info("wait expansion truncated from %d to cap %d", wait, wait_cap)

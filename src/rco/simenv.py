@@ -124,6 +124,8 @@ class Actor:
     _headings: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if self.cls not in _CLASS_DIMS:
+            raise ValueError(f"actor {self.id}: class {self.cls.value!r} has no footprint")
         if not self.script:
             raise ValueError("actor script must contain at least one waypoint")
         times = tuple(p[0] for p in self.script)
@@ -133,21 +135,19 @@ class Actor:
         object.__setattr__(self, "_times", times)
         object.__setattr__(self, "_headings", headings or (0.0,))
 
-    def state_at(self, t_s: float) -> tuple[float, float, float, float, float]:
-        """(x, y, heading, vx, vy) at time ``t_s`` by linear interpolation."""
+    def state_at(self, t_s: float) -> tuple[float, float, float]:
+        """(x, y, heading) at time ``t_s`` by linear interpolation."""
         pts = self.script
         if t_s <= pts[0][0] or len(pts) == 1:
-            return pts[0][1], pts[0][2], self._headings[0], 0.0, 0.0
+            return pts[0][1], pts[0][2], self._headings[0]
         if t_s >= pts[-1][0]:
-            return pts[-1][1], pts[-1][2], self._headings[-1], 0.0, 0.0
+            return pts[-1][1], pts[-1][2], self._headings[-1]
         # The first segment whose closed time span holds t_s and is not empty.
         i = bisect_left(self._times, t_s) - 1
         t0, x0, y0 = pts[i]
         t1, x1, y1 = pts[i + 1]
         a = (t_s - t0) / (t1 - t0)
-        vx = (x1 - x0) / (t1 - t0)
-        vy = (y1 - y0) / (t1 - t0)
-        return x0 + a * (x1 - x0), y0 + a * (y1 - y0), self._headings[i], vx, vy
+        return x0 + a * (x1 - x0), y0 + a * (y1 - y0), self._headings[i]
 
 
 def _heading(p: tuple[float, float, float], q: tuple[float, float, float]) -> float:
@@ -434,12 +434,11 @@ class WorldState:
     ego_progress: float = 0.0
     sign_satisfied: frozenset[int] = frozenset()
     # Derived once per state, as every state is read by detect_infractions:
-    # (actor, x, y, heading, vx, vy) of every actor at this tick, and the ids
-    # of the actors whose footprint overlaps the ego's. Fields, not
-    # cached_property: on CPython 3.11 its first read creates the instance
-    # __dict__, and every later attribute read on the state then leaves the
-    # specialised fast path.
-    actor_states: tuple[tuple[Actor, float, float, float, float, float], ...] = field(
+    # (actor, x, y, heading) of every actor at this tick, and the ids of the
+    # actors whose footprint overlaps the ego's. Fields, not cached_property:
+    # on CPython 3.11 its first read creates the instance __dict__, and every
+    # later attribute read on the state then leaves the specialised fast path.
+    actor_states: tuple[tuple[Actor, float, float, float], ...] = field(
         init=False, repr=False, compare=False
     )
     collisions: frozenset[int] = field(init=False, repr=False, compare=False)
@@ -582,7 +581,7 @@ def perceive(w: WorldState, policy: DeficitPolicy) -> EnvironmentSnapshot:
     # The nearest actor in the front view, masked or not, is the nearest
     # obstacle.
     nearest = None
-    for actor, x, y, _h, _vx, _vy in w.actor_states:
+    for actor, x, y, _h in w.actor_states:
         placed = add(actor.id, actor.cls, (x, y))
         if placed is not None and placed[1] is _FRONT:
             if nearest is None or placed[0] < nearest:
@@ -618,7 +617,7 @@ def measurements(w: WorldState) -> VehicleMeasurements:
     """IMU/speedometer readout plus lead-vehicle gap in the ego corridor."""
     d_follow = math.inf
     cos_h, sin_h = math.cos(w.ego.heading), math.sin(w.ego.heading)
-    for actor, x, y, _h, _vx, _vy in w.actor_states:
+    for actor, x, y, _h in w.actor_states:
         if actor.cls not in LEAD_VEHICLE_CLASSES:
             continue
         dx, dy = x - w.ego.x, y - w.ego.y
@@ -665,7 +664,7 @@ def _collisions(w: WorldState) -> frozenset[int]:
     # built only once an actor passes it.
     ego_quad = None
     hit = set()
-    for actor, x, y, heading, _vx, _vy in w.actor_states:
+    for actor, x, y, heading in w.actor_states:
         length, width, _pw, _ph = _CLASS_DIMS[actor.cls]
         if length == 0.0:
             continue
@@ -753,7 +752,7 @@ def base_agent(w: WorldState, hidden: frozenset[int] = frozenset()) -> Action:
             brake = True
         else:
             creep = True
-    for actor, x, y, _h, _vx, _vy in w.actor_states:
+    for actor, x, y, _h in w.actor_states:
         if actor.cls is not ObjectClass.PEDESTRIAN or actor.id in hidden:
             continue
         s = route.progress_of((x, y))

@@ -37,10 +37,6 @@ TRAFFIC_OBJECT_CLASSES = frozenset(
 )
 
 
-class InsufficientHistoryError(ValueError):
-    """Fewer than two frames (or non-increasing ticks) in the history window."""
-
-
 class ConsistencyReason(str, Enum):
     QUANTITY_MISMATCH = "quantity_mismatch"
     SPATIAL_SHIFT_EXCEEDED = "spatial_shift_exceeded"
@@ -90,10 +86,10 @@ def union_area(boxes: Iterable[Box]) -> float:
 
 def _validate_history(history: Sequence[EnvironmentSnapshot]) -> None:
     if len(history) < 2:
-        raise InsufficientHistoryError(f"need at least 2 frames, got {len(history)}")
+        raise ValueError(f"need at least 2 frames, got {len(history)}")
     ticks = [s.tick for s in history]
     if any(b <= a for a, b in zip(ticks, ticks[1:])):
-        raise InsufficientHistoryError(f"ticks must be strictly increasing, got {ticks}")
+        raise ValueError(f"ticks must be strictly increasing, got {ticks}")
 
 
 def _greedy_match_max_shift(prev: CameraView, cur: CameraView) -> float:

@@ -98,7 +98,7 @@ class TestRunCommand:
             "zero time limit", "empty light schedule", "unsorted light schedule",
             "string static flag", "float window tick", "bool time limit", "string time limit",
             "null name", "number name", "empty name", "slash name", "dot-dot name",
-            "comma name", "late light schedule",
+            "comma name", "late light schedule", "unknown actor class",
         ],
     )
     def test_unloadable_scenario_is_config_error(self, tmp_path, capsys, command, edit):
@@ -141,6 +141,8 @@ class TestRunCommand:
                 {"id": 10, "position": [60, 3.5], "stop_line_s": 60,
                  "schedule": [[0, "green"], [50, "red"], [20, "green"]]}
             ]
+        elif edit == "unknown actor class":
+            d["actors"][0]["class"] = "unknown"  # no footprint to collide with
         elif edit == "late light schedule":
             d["traffic_lights"] = [  # its red would show from tick 0, not 50
                 {"id": 10, "position": [60, 3.5], "stop_line_s": 60,

@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 from rco.controlmap import (
     KD,
     KP,
-    DegenerateTargetError,
     aligns_with_navigation,
     compute_steer,
     map_speed_control,
@@ -123,7 +122,7 @@ class TestComputeSteer:
         assert steer == 1.0
 
     def test_degenerate_target_rejected(self):
-        with pytest.raises(DegenerateTargetError):
+        with pytest.raises(ValueError, match="coincides with ego position"):
             compute_steer((1.0, 2.0, 0.0), (1.0, 2.0), 0.0, 0.1)
 
     def test_bundled_rco_episode_steers_without_replace(self, monkeypatch):

@@ -10,7 +10,6 @@ from rco.metrics import (
     DEFAULT_PENALTIES,
     EpisodeResult,
     Summary,
-    ZeroTimeError,
     average_speed,
     completion_pct,
     driving_score,
@@ -141,7 +140,7 @@ class TestAverageSpeed:
         assert average_speed(1000.0, 500.0) == 2.0
 
     def test_zero_time_rejected(self):
-        with pytest.raises(ZeroTimeError):
+        with pytest.raises(ValueError, match="game time must be positive"):
             average_speed(1000.0, 0.0)
 
 
@@ -150,9 +149,15 @@ class TestEpisodeResult:
         r = EpisodeResult.build("s", "rco", 80.0, 0.5, as_speed=2.0)
         assert r.ds == pytest.approx(40.0)
 
-    def test_inconsistent_ds_rejected(self):
-        with pytest.raises(ValueError):
-            EpisodeResult("s", "rco", 80.0, 0.5, ds=41.0, as_speed=2.0)
+    def test_ds_cannot_be_passed(self):
+        with pytest.raises(TypeError):
+            EpisodeResult("s", "rco", 80.0, 0.5, ds=40.0, as_speed=2.0)
+
+    @given(rc=st.floats(0, 100, allow_nan=False), is_score=st.floats(0, 1, allow_nan=False))
+    def test_ds_is_exactly_the_product(self, rc, is_score):
+        built = EpisodeResult.build("s", "rco", rc, is_score, as_speed=1.0)
+        constructed = EpisodeResult("s", "rco", rc, is_score, as_speed=1.0)
+        assert built.ds == constructed.ds == rc * is_score
 
     @given(rc=st.floats(0, 100, allow_nan=False), is_score=st.floats(0, 1, allow_nan=False))
     def test_identity_to_1e9(self, rc, is_score):

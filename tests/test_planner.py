@@ -21,7 +21,6 @@ from rco.domain import (
 from rco.planner import (
     FALLBACK_TRIGGER,
     PlannerConfig,
-    WrongStrategyError,
     expand_stop_observe_move,
     infer_hazards,
     plan_motion,
@@ -196,7 +195,7 @@ class TestExpandStopObserveMove:
 
     def test_wrong_strategy_rejected(self):
         plan = MotionPlan(Strategy.MOVE, sequence=ActionSequence((), 0))
-        with pytest.raises(WrongStrategyError):
+        with pytest.raises(ValueError, match="cannot expand a move plan"):
             expand_stop_observe_move(plan, wait_cap=50)
 
     @given(wait=st.integers(0, 200), cap=st.integers(1, 100))

@@ -143,16 +143,14 @@ class TestDynamics:
 class TestActors:
     def test_script_interpolation(self):
         a = Actor(id=1, cls=ObjectClass.PEDESTRIAN, script=((0.0, 0.0, 0.0), (10.0, 10.0, 0.0)))
-        x, y, heading, vx, vy = a.state_at(5.0)
+        x, y, heading = a.state_at(5.0)
         assert (x, y) == (5.0, 0.0)
-        assert vx == pytest.approx(1.0)
         assert heading == pytest.approx(0.0)
 
     def test_script_clamps_at_ends(self):
         a = Actor(id=1, cls=ObjectClass.CAR, script=((1.0, 2.0, 3.0), (2.0, 4.0, 3.0)))
         assert a.state_at(0.0)[:2] == (2.0, 3.0)
         assert a.state_at(99.0)[:2] == (4.0, 3.0)
-        assert a.state_at(99.0)[3:] == (0.0, 0.0)
 
     def test_monotone_script_required(self):
         with pytest.raises(ValueError):
@@ -381,6 +379,14 @@ class TestScenarioIO:
         d = bundled_dict("pedestrian_cross")
         assert Scenario.from_json({**d, "seed": 3}) == Scenario.from_json(d)
 
+    def test_unknown_actor_class_rejected(self):
+        # ObjectClass.UNKNOWN is for hazard inference only: it has no
+        # footprint, so the collision check could not place it.
+        d = bundled_dict("pedestrian_cross")
+        d["actors"][0]["class"] = "unknown"
+        with pytest.raises(ValueError, match="class 'unknown' has no footprint"):
+            Scenario.from_json(d)
+
     def test_unique_ids_enforced(self):
         with pytest.raises(ValueError):
             straight_scenario(
@@ -497,7 +503,7 @@ class TestWorldCost:
     def near_count(w):
         # Actors that pass the collision broad phase, counted afresh.
         near = 0
-        for actor, x, y, _h, _vx, _vy in w.actor_states:
+        for actor, x, y, _h in w.actor_states:
             length = simenv._CLASS_DIMS[actor.cls][0]
             near += length != 0.0 and math.hypot(x - w.ego.x, y - w.ego.y) <= length + PARAMS.ego_length
         return near
@@ -704,7 +710,7 @@ def reference_perceive(w, policy):
         return seen[0], view
 
     nearest = None
-    for actor, x, y, _h, _vx, _vy in w.actor_states:
+    for actor, x, y, _h in w.actor_states:
         placed = add(actor.id, actor.cls, (x, y))
         if placed is not None and placed[1] is ViewName.FRONT:
             if nearest is None or placed[0] < nearest:
@@ -873,17 +879,15 @@ def fresh_heading(script, i):
 
 def fresh_state_at(script, t_s):
     if t_s <= script[0][0] or len(script) == 1:
-        return script[0][1], script[0][2], fresh_heading(script, 0), 0.0, 0.0
+        return script[0][1], script[0][2], fresh_heading(script, 0)
     if t_s >= script[-1][0]:
-        return script[-1][1], script[-1][2], fresh_heading(script, len(script) - 2), 0.0, 0.0
+        return script[-1][1], script[-1][2], fresh_heading(script, len(script) - 2)
     for i in range(len(script) - 1):
         t0, x0, y0 = script[i]
         t1, x1, y1 = script[i + 1]
         if t0 <= t_s <= t1 and t1 != t0:
             a = (t_s - t0) / (t1 - t0)
-            vx = (x1 - x0) / (t1 - t0)
-            vy = (y1 - y0) / (t1 - t0)
-            return x0 + a * (x1 - x0), y0 + a * (y1 - y0), fresh_heading(script, i), vx, vy
+            return x0 + a * (x1 - x0), y0 + a * (y1 - y0), fresh_heading(script, i)
     raise AssertionError("no segment holds t_s")
 
 
@@ -891,7 +895,7 @@ def fresh_collisions(w, states):
     p = w.params
     ego_quad = simenv._obb_corners(w.ego.x, w.ego.y, w.ego.heading, p.ego_length, p.ego_width)
     hit = set()
-    for actor, x, y, heading, _vx, _vy in states:
+    for actor, x, y, heading in states:
         length, width, _pw, _ph = simenv._CLASS_DIMS[actor.cls]
         if length == 0.0 or math.hypot(x - w.ego.x, y - w.ego.y) > length + p.ego_length:
             continue

@@ -20,7 +20,6 @@ from rco.domain import (
 )
 from rco.verifier import (
     ConsistencyReason,
-    InsufficientHistoryError,
     VerifierConfig,
     _greedy_match_max_shift,
     check_deficit_consistency,
@@ -145,12 +144,12 @@ class TestDeficitConsistency:
         assert verdict is ConsistencyReason.DEFICIT_DISAPPEARED
 
     def test_insufficient_history(self):
-        with pytest.raises(InsufficientHistoryError):
+        with pytest.raises(ValueError, match="need at least 2 frames"):
             check_deficit_consistency([snapshot(tick=0)], CFG)
 
     def test_non_increasing_ticks_rejected(self):
         frames = [snapshot(tick=3), snapshot(tick=3)]
-        with pytest.raises(InsufficientHistoryError):
+        with pytest.raises(ValueError, match="ticks must be strictly increasing"):
             check_deficit_consistency(frames, CFG)
 
     def test_no_deficits_is_consistent(self):
@@ -315,7 +314,7 @@ class TestClassifyCondition:
         assert classify_condition(frames, CFG) == classify_condition(list(frames), CFG)
 
     def test_single_frame_is_caller_error(self):
-        with pytest.raises(InsufficientHistoryError):
+        with pytest.raises(ValueError, match="need at least 2 frames"):
             classify_condition([snapshot(tick=0)], CFG)
 
 
