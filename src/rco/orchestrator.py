@@ -56,7 +56,8 @@ class OrchestratorConfig:
 @dataclass(frozen=True)
 class OverrideState:
     """Per-episode override lifecycle: the pending sequence, wait bookkeeping,
-    cached constraints, and the steering controller's last heading error."""
+    cached constraints, the steering controller's last heading error, and the
+    consistency run of the last classified window."""
 
     sequence: ActionSequence = field(default_factory=lambda: ActionSequence((), 0))
     consecutive_replans: int = 0
@@ -67,6 +68,10 @@ class OverrideState:
     steer_ctrl: float = 0.0
     constraints: Optional[SafetyConstraints] = None
     constraints_context: Optional[_Context] = None
+    # Derived from the window and matched against the next one by value.
+    consistency: Optional[verifier.ConsistencyRun] = field(
+        default=None, repr=False, compare=False
+    )
 
 
 @dataclass(frozen=True)
@@ -81,8 +86,8 @@ def initial_state() -> OverrideState:
 
 
 def engage(deficit_present: bool, state: OverrideState) -> OverrideState:
-    """Seize actuation when a deficit appears; release (and drop the plan)
-    when perception recovers."""
+    """Seize actuation when a deficit appears; release (and drop the plan and
+    the consistency run) when perception recovers."""
     if deficit_present == state.active:
         return state
     return replace(
@@ -92,6 +97,7 @@ def engage(deficit_present: bool, state: OverrideState) -> OverrideState:
         consecutive_replans=0,
         wait_trigger=None,
         wait_elapsed=0,
+        consistency=None,
     )
 
 
@@ -152,7 +158,9 @@ def step(
     if not state.active:
         raise ValueError("step() requires an engaged override; call engage() first")
 
-    condition, ratio = verifier.classify(history, cfg.verifier)
+    condition, ratio, consistency = verifier.classify_carried(
+        history, cfg.verifier, state.consistency
+    )
     context: _Context = (
         env.surrounding.weather,
         env.surrounding.daylight,
@@ -233,6 +241,7 @@ def step(
         steer_ctrl=heading_error,
         constraints=constraints,
         constraints_context=context,
+        consistency=consistency,
     )
     record = {
         **base_record(env.tick, action),

@@ -4,7 +4,9 @@ Two checks gate execution of a planned pair: deficit consistency over the
 recent frame window (counts stable, centroids steady), and the hazard
 proximity ratio — the union area of front-view deficit regions and traffic
 object boxes as a fraction of the image. Inconsistency forces replanning;
-a ratio strictly above the threshold marks an immediate hazard.
+a ratio strictly above the threshold marks an immediate hazard. The control
+loop carries each window's consistency run to the next tick, so a window
+that extends the previous one by a frame checks only its newest transition.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .domain import (
     EnvironmentSnapshot,
     ExecutionCondition,
     ObjectClass,
+    VIEW_ORDER,
     ViewName,
 )
 
@@ -35,6 +38,7 @@ TRAFFIC_OBJECT_CLASSES = frozenset(
         ObjectClass.MOTORCYCLE,
     }
 )
+_FRONT_INDEX = VIEW_ORDER.index(ViewName.FRONT)
 
 
 class ConsistencyReason(str, Enum):
@@ -42,6 +46,11 @@ class ConsistencyReason(str, Enum):
     SPATIAL_SHIFT_EXCEEDED = "spatial_shift_exceeded"
     DEFICIT_DISAPPEARED = "deficit_disappeared"
     CONSISTENT = "consistent"
+
+
+_CONSISTENT = ConsistencyReason.CONSISTENT
+_IMMEDIATE = ExecutionCondition.CONSISTENT_IMMEDIATE_HAZARD
+_NO_IMMEDIATE = ExecutionCondition.CONSISTENT_NO_IMMEDIATE_HAZARD
 
 
 @dataclass(frozen=True)
@@ -70,6 +79,8 @@ def union_area(boxes: Iterable[Box]) -> float:
     boxes = list(boxes)
     if not boxes:
         return 0.0
+    if len(boxes) == 1:  # the sweep below would sum 0.0 + area
+        return boxes[0].area
     xs = sorted({b.x0 for b in boxes} | {b.x1 for b in boxes})
     ys = sorted({b.y0 for b in boxes} | {b.y1 for b in boxes})
     total = 0.0
@@ -87,9 +98,12 @@ def union_area(boxes: Iterable[Box]) -> float:
 def _validate_history(history: Sequence[EnvironmentSnapshot]) -> None:
     if len(history) < 2:
         raise ValueError(f"need at least 2 frames, got {len(history)}")
-    ticks = [s.tick for s in history]
-    if any(b <= a for a, b in zip(ticks, ticks[1:])):
-        raise ValueError(f"ticks must be strictly increasing, got {ticks}")
+    prev = history[0].tick
+    for s in history[1:]:
+        if s.tick <= prev:
+            ticks = [f.tick for f in history]
+            raise ValueError(f"ticks must be strictly increasing, got {ticks}")
+        prev = s.tick
 
 
 def _greedy_match_max_shift(prev: CameraView, cur: CameraView) -> float:
@@ -116,28 +130,82 @@ def _dist(p: tuple[float, float], q: tuple[float, float]) -> float:
     return ((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2) ** 0.5
 
 
-def check_deficit_consistency(
-    history: Sequence[EnvironmentSnapshot], cfg: VerifierConfig
+def check_transition(
+    prev: EnvironmentSnapshot, cur: EnvironmentSnapshot, shift_threshold: float
 ) -> ConsistencyReason:
-    """Compare deficit regions across consecutive frames, per view.
+    """Compare the deficit regions of two consecutive frames, per view.
 
     A count dropping to zero is a disappearance; any other count change is a
     quantity mismatch; matched deficits whose centroid moves more than the
     shift threshold fail the spatial check.
     """
+    # Views are ordered left, front, right in every snapshot.
+    for pv, cv in zip(prev.perception, cur.perception):
+        n_prev, n_cur = len(pv.deficits), len(cv.deficits)
+        if n_prev > 0 and n_cur == 0:
+            return ConsistencyReason.DEFICIT_DISAPPEARED
+        if n_prev != n_cur:
+            return ConsistencyReason.QUANTITY_MISMATCH
+        if n_prev and _greedy_match_max_shift(pv, cv) > shift_threshold:
+            return ConsistencyReason.SPATIAL_SHIFT_EXCEEDED
+    return _CONSISTENT
+
+
+def check_deficit_consistency(
+    history: Sequence[EnvironmentSnapshot], cfg: VerifierConfig
+) -> ConsistencyReason:
+    """The first inconsistent transition of the window, oldest first, or
+    ``CONSISTENT``."""
     _validate_history(history)
     window = history[-cfg.history_len:]
     for prev, cur in zip(window, window[1:]):
-        # Views are ordered left, front, right in every snapshot.
-        for pv, cv in zip(prev.perception, cur.perception):
-            n_prev, n_cur = len(pv.deficits), len(cv.deficits)
-            if n_prev > 0 and n_cur == 0:
-                return ConsistencyReason.DEFICIT_DISAPPEARED
-            if n_prev != n_cur:
-                return ConsistencyReason.QUANTITY_MISMATCH
-            if n_prev and _greedy_match_max_shift(pv, cv) > cfg.shift_threshold:
-                return ConsistencyReason.SPATIAL_SHIFT_EXCEEDED
-    return ConsistencyReason.CONSISTENT
+        reason = check_transition(prev, cur, cfg.shift_threshold)
+        if reason is not _CONSISTENT:
+            return reason
+    return _CONSISTENT
+
+
+@dataclass(frozen=True)
+class ConsistencyRun:
+    """The newest frames of a classified window, back to its newest
+    inconsistent transition or to its oldest frame, and the shift threshold
+    they were judged under.
+
+    Every transition between ``frames`` is consistent, except the first when
+    ``broken``: then ``frames[0] -> frames[1]`` is the window's newest
+    inconsistent transition. An unbroken run is the whole window.
+    """
+
+    shift_threshold: float
+    frames: tuple[EnvironmentSnapshot, ...]
+    broken: bool
+
+
+def _extend_run(
+    window: tuple[EnvironmentSnapshot, ...],
+    shift_threshold: float,
+    run: Optional[ConsistencyRun],
+) -> ConsistencyRun:
+    """The run of a window of at least two frames. Where the frames before
+    the newest equal the tail of ``run`` (by value, under the same
+    threshold), only the newest transition is checked; otherwise the window
+    is scanned newest first, up to its first inconsistent transition."""
+    n = len(window)
+    if run is not None and run.shift_threshold == shift_threshold:
+        frames = run.frames
+        k = min(len(frames), n - 1)
+        # An unbroken run must cover every older transition of the window.
+        if (run.broken or k == n - 1) and window[n - 1 - k:n - 1] == frames[len(frames) - k:]:
+            if check_transition(window[-2], window[-1], shift_threshold) is not _CONSISTENT:
+                return ConsistencyRun(shift_threshold, window[-2:], True)
+            # A break stays in the window unless its older frame slid out.
+            return ConsistencyRun(
+                shift_threshold, window[n - 1 - k:], run.broken and k == len(frames)
+            )
+    for i in range(n - 1, 0, -1):
+        if check_transition(window[i - 1], window[i], shift_threshold) is not _CONSISTENT:
+            return ConsistencyRun(shift_threshold, window[i - 1:], True)
+    return ConsistencyRun(shift_threshold, window, False)
 
 
 def _ratio_boxes(view: CameraView) -> list[Box]:
@@ -152,9 +220,17 @@ def hazard_proximity_ratio(
     """Union area of deficit regions and traffic-object boxes relative to the
     image. With ``front_view_only=False`` the per-view ratios are averaged."""
     if front_view_only:
-        return union_area(_ratio_boxes(snapshot.view(ViewName.FRONT)))
+        return union_area(_ratio_boxes(snapshot.perception[_FRONT_INDEX]))
     ratios = [union_area(_ratio_boxes(v)) for v in snapshot.perception]
     return sum(ratios) / len(ratios)
+
+
+def _condition(
+    consistent: bool, ratio: float, cfg: VerifierConfig
+) -> Optional[ExecutionCondition]:
+    if not consistent:
+        return None
+    return _IMMEDIATE if ratio > cfg.hazard_ratio_threshold else _NO_IMMEDIATE
 
 
 def classify(
@@ -167,14 +243,23 @@ def classify(
     frame has no transitions to compare, so it is vacuously consistent.
     """
     ratio = hazard_proximity_ratio(history[-1], cfg.front_view_only)
-    if (
-        len(history) >= 2
-        and check_deficit_consistency(history, cfg) is not ConsistencyReason.CONSISTENT
-    ):
-        return None, ratio
-    if ratio > cfg.hazard_ratio_threshold:
-        return ExecutionCondition.CONSISTENT_IMMEDIATE_HAZARD, ratio
-    return ExecutionCondition.CONSISTENT_NO_IMMEDIATE_HAZARD, ratio
+    consistent = len(history) < 2 or check_deficit_consistency(history, cfg) is _CONSISTENT
+    return _condition(consistent, ratio, cfg), ratio
+
+
+def classify_carried(
+    history: Sequence[EnvironmentSnapshot], cfg: VerifierConfig, run: Optional[ConsistencyRun]
+) -> tuple[Optional[ExecutionCondition], float, ConsistencyRun]:
+    """``classify``, plus the window's consistency run. Given the run of the
+    previous window, a window that extends it by one frame costs one
+    transition check instead of a scan."""
+    ratio = hazard_proximity_ratio(history[-1], cfg.front_view_only)
+    if len(history) < 2:
+        run = ConsistencyRun(cfg.shift_threshold, tuple(history), False)
+    else:
+        _validate_history(history)
+        run = _extend_run(tuple(history[-cfg.history_len:]), cfg.shift_threshold, run)
+    return _condition(not run.broken, ratio, cfg), ratio, run
 
 
 def classify_condition(

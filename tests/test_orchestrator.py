@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
+from rco import verifier
 from rco.backend import ScriptedBackend
 from rco.domain import (
     Action,
@@ -27,6 +30,8 @@ from rco.orchestrator import (
     step,
 )
 from rco.planner import PlannerConfig
+from rco.runner import Mode, Overrides, run_episode
+from rco.simenv import Scenario
 from conftest import snapshot
 
 POSE = (0.0, 0.0, 0.0)
@@ -268,6 +273,33 @@ class TestFuzzLoop:
             else:
                 assert len(state.sequence) <= cfg.planner.wait_cap
 
+    def test_carried_classification_equals_full_scan(self):
+        # Through engagements and releases, each active tick's logged
+        # classification and ratio are those of the full scan, and the state
+        # carries only frames of the current window.
+        rng = random.Random(17)
+        state, cfg, history = initial_state(), cfg_for("move2"), []
+        boxes = [Box(0.45, 0.45, 0.5, 0.5)]
+        for tick in range(400):
+            if rng.random() < 0.2:
+                boxes = rng.choice(([], [Box(0.45, 0.45, 0.5, 0.5)], [Box(0.2, 0.2, 0.8, 0.7)],
+                                    [Box(0.1, 0.1, 0.2, 0.2), Box(0.6, 0.6, 0.7, 0.7)]))
+            snap = snapshot(tick=tick, front_deficits=boxes)
+            history = (history + [snap])[-5:]
+            state = engage(snap.has_deficit, state)
+            if not state.active:
+                assert state.consistency is None
+                continue
+            result = step(state, snap, history, CALM, POSE, backend(), cfg)
+            state = result.state
+            condition, ratio = verifier.classify(history, cfg.verifier)
+            expected = "replan" if condition is None else condition.value
+            assert (result.record["classification"], result.record["hazard_ratio"]) == (
+                expected, ratio
+            )
+            frames = state.consistency.frames
+            assert frames == tuple(history[len(history) - len(frames):])
+
 
 class TestStepCost:
     def test_one_ratio_and_one_state_per_step(self, monkeypatch):
@@ -275,11 +307,11 @@ class TestStepCost:
         # state once, whichever path it takes; it evaluates the envelope
         # triggers once when it executes a pair and not at all otherwise.
         import rco.orchestrator as orch
-        from rco import safety, verifier
+        from rco import safety
 
-        calls = {"ratio": 0, "state": 0, "fired": 0}
+        calls = {"ratio": 0, "state": 0, "fired": 0, "transition": 0}
         real_ratio, real_state = verifier.hazard_proximity_ratio, orch.OverrideState
-        real_fired = safety._fired
+        real_fired, real_transition = safety._fired, verifier.check_transition
 
         def counting_ratio(*args):
             calls["ratio"] += 1
@@ -293,6 +325,10 @@ class TestStepCost:
             calls["state"] += 1
             return real_state(*args, **kwargs)
 
+        def counting_transition(*args):
+            calls["transition"] += 1
+            return real_transition(*args)
+
         def no_replace(*args, **kwargs):
             raise AssertionError("step rebuilt its state through replace()")
 
@@ -302,6 +338,7 @@ class TestStepCost:
         monkeypatch.setattr(orch, "OverrideState", counting_state)
         monkeypatch.setattr(orch, "replace", no_replace)
         monkeypatch.setattr(safety, "_fired", counting_fired)
+        monkeypatch.setattr(verifier, "check_transition", counting_transition)
         sources = set()
         history = []
         for tick in range(400):
@@ -310,10 +347,45 @@ class TestStepCost:
                 boxes = [Box(0.2, 0.2, 0.8, 0.7)]
             history = (history + [snapshot(tick=tick, front_deficits=boxes)])[-5:]
             key = ("move2", "cautious", "wait3", "nope")[tick // 100]
-            calls.update(ratio=0, state=0, fired=0)
+            calls.update(ratio=0, state=0, fired=0, transition=0)
             result = step(state, history[-1], history, CALM, POSE, backend(), cfg_for(key))
             state = result.state
             sources.add(result.record["source"])
             executed = result.record["verdict"] == "execute"
-            assert calls == {"ratio": 1, "state": 1, "fired": int(executed)}
+            # The window extends the previous step's by one frame, so only
+            # its newest transition is checked.
+            assert calls == {
+                "ratio": 1, "state": 1, "fired": int(executed), "transition": int(tick > 0)
+            }
         assert sources == {"pair", "stop_wait", "failsafe"}
+
+    def test_one_transition_check_per_gen_dense_step(self, monkeypatch):
+        # Over the benchmark's eight gen-dense seed 1 episodes, every step of
+        # a window of two or more frames checks exactly one transition: the
+        # newest of a continued lineage, or at engagement the newest one,
+        # which a deficit that just appeared breaks. The full scan checks
+        # 5,056 transitions for the same 1,352 steps.
+        import rco.orchestrator as orch
+
+        # The benchmark's generator, imported as tests/test_bench_contract.py does.
+        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+        import gen_dense
+
+        counts = {"transitions": 0, "steps": 0}
+        real_transition, real_step = verifier.check_transition, orch.step
+
+        def counting_transition(*args):
+            counts["transitions"] += 1
+            return real_transition(*args)
+
+        def counting_step(state, env, history, *args):
+            counts["steps"] += len(history) >= 2
+            return real_step(state, env, history, *args)
+
+        monkeypatch.setattr(verifier, "check_transition", counting_transition)
+        monkeypatch.setattr(orch, "step", counting_step)
+        scenarios, table = gen_dense.generate(1)
+        assert len(scenarios) == 8
+        for sc in scenarios:
+            run_episode(Scenario.from_json(sc), Mode.RCO, ScriptedBackend(table), Overrides(n_max=1))
+        assert counts == {"transitions": 1352, "steps": 1352}

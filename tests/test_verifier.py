@@ -18,12 +18,15 @@ from rco.domain import (
     SpeedControl,
     ViewName,
 )
+from rco import verifier
 from rco.verifier import (
     ConsistencyReason,
     VerifierConfig,
     _greedy_match_max_shift,
     check_deficit_consistency,
+    check_transition,
     classify,
+    classify_carried,
     classify_condition,
     hazard_proximity_ratio,
     union_area,
@@ -89,6 +92,12 @@ class TestUnionArea:
         shuffled = list(boxes)
         rng.shuffle(shuffled)
         assert union_area(shuffled) == pytest.approx(union_area(boxes), abs=1e-12)
+
+    @given(box_sets(max_boxes=1))
+    def test_lone_box_is_its_area(self, boxes):
+        # What the sweep sums for one box, bit for bit.
+        area = sum((b.x1 - b.x0) * (b.y1 - b.y0) for b in boxes)
+        assert union_area(boxes) == area
 
     @settings(max_examples=60, deadline=None)
     @given(box_sets(max_boxes=4))
@@ -227,6 +236,108 @@ class TestConsistencyScanEqualsReference:
         prev = snapshot(tick=0, front_deficits=a[:n]).view(ViewName.FRONT)
         cur = snapshot(tick=1, front_deficits=b[:n]).view(ViewName.FRONT)
         assert _greedy_match_max_shift(prev, cur) == fresh_max_shift(prev, cur)
+
+
+@st.composite
+def frame_feeds(draw):
+    """Frames to classify one per tick, each with what happens before it is
+    classified: nothing, or a break in the lineage of the carried run."""
+    stable = draw(st.tuples(_deficit_lists, _deficit_lists, _deficit_lists))
+    feed = []
+    for _ in range(draw(st.integers(1, 16))):
+        # Mostly the stable layout, so that consistent runs grow long.
+        layout = stable if draw(st.booleans()) else draw(
+            st.tuples(_deficit_lists, _deficit_lists, _deficit_lists)
+        )
+        event = draw(st.sampled_from(
+            ["none"] * 4 + ["disengaged", "fresh", "reconfigure", "rebuild", "one_frame"]
+        ))
+        cfg = VerifierConfig(
+            shift_threshold=draw(st.sampled_from([0.04, 0.05, 0.3])),
+            history_len=draw(st.sampled_from([2, 3, 5])),
+        )
+        feed.append((layout, event, cfg))
+    return feed
+
+
+class TestCarriedEqualsFullScan:
+    @staticmethod
+    def frame(tick, layout):
+        left, front, right = layout
+        return snapshot(tick=tick, left_deficits=left, front_deficits=front, right_deficits=right)
+
+    @given(frame_feeds())
+    @settings(max_examples=200, deadline=None)
+    def test_every_tick_equals_the_full_scan(self, feed):
+        cfg, run = CFG, None
+        history, layouts = [], []
+        for tick, (layout, event, other_cfg) in enumerate(feed):
+            history.append(self.frame(tick, layout))
+            layouts.append(layout)
+            if event == "disengaged":  # appended, never classified
+                continue
+            if event == "fresh":  # a new initial_state()
+                run = None
+            elif event == "reconfigure":  # the same run under another config
+                cfg = other_cfg
+            elif event == "rebuild":  # value-equal frames, new objects
+                history = [self.frame(f.tick, lay) for f, lay in zip(history, layouts)]
+            elif event == "one_frame":  # a history of one frame, under an old run
+                history, layouts = history[-1:], layouts[-1:]
+            condition, ratio, run = classify_carried(history, cfg, run)
+            assert (condition, ratio) == classify(history, cfg)
+            window = tuple(history[-cfg.history_len:])
+            assert 1 <= len(run.frames) <= len(window)
+            assert run.frames == window[len(window) - len(run.frames):]
+            assert run.broken is (condition is None)
+
+    def test_extending_the_run_checks_one_transition(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            verifier, "check_transition", lambda *a: calls.append(a) or check_transition(*a)
+        )
+        frames = history_of_counts([1, 1, 2, 2, 2, 2, 2, 2])
+        run = None
+        for n in range(1, len(frames) + 1):
+            calls.clear()
+            condition, _ratio, run = classify_carried(frames[:n], CFG, run)
+            assert len(calls) == (n >= 2)
+            assert (condition is None) is (3 <= n <= 6)  # while frames 1 and 2 are in the window
+
+    def test_a_new_run_scans_to_the_newest_break(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            verifier, "check_transition", lambda *a: calls.append(a) or check_transition(*a)
+        )
+        frames = history_of_counts([1, 2, 2, 2, 2])
+        condition, _ratio, run = classify_carried(frames, CFG, None)
+        assert condition is None and len(calls) == 4
+        assert run.broken and run.frames == tuple(frames)
+        calls.clear()
+        assert classify_carried(frames[1:], CFG, None)[0] is not None
+        assert len(calls) == 3
+
+    def test_a_run_is_not_reused_under_another_threshold(self):
+        # The front deficit moves 0.05 between the first two frames.
+        moved = [Box(0.1, 0.4, 0.2, 0.5)] + [Box(0.15, 0.4, 0.25, 0.5)] * 3
+        frames = [snapshot(tick=t, front_deficits=[b]) for t, b in enumerate(moved)]
+        loose, tight = VerifierConfig(shift_threshold=0.3), VerifierConfig(shift_threshold=0.04)
+        _, _, run = classify_carried(frames[:3], loose, None)
+        assert not run.broken
+        assert classify(frames, tight)[0] is None
+        assert classify_carried(frames, tight, run)[0] is None
+
+    def test_a_short_run_is_not_reused_for_a_longer_window(self):
+        frames = history_of_counts([2, 1, 1, 1])
+        _, _, run = classify_carried(frames[:3], VerifierConfig(history_len=2), None)
+        assert not run.broken and len(run.frames) == 2
+        assert classify_carried(frames, CFG, run)[0] is None
+
+    def test_invalid_history_still_rejected(self):
+        frames = history_of_counts([1, 1, 1])
+        _, _, run = classify_carried(frames[:2], CFG, None)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            classify_carried([frames[0], frames[1], frames[1]], CFG, run)
 
 
 class TestHazardProximityRatio:
