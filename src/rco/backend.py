@@ -343,12 +343,16 @@ class ConstraintsInputs:
 
 Inputs = Union[HazardInputs, MotionInputs, ConstraintsInputs]
 
+# Read every planning round; CPython 3.11 does not specialise Enum member reads.
+_HAZARD_AND_PLAN = Purpose.HAZARD_AND_PLAN
+_SHORT_TERM_MOTION = Purpose.SHORT_TERM_MOTION
+
 
 def hazard_request(
     history: Sequence[EnvironmentSnapshot], scenario_key: str
 ) -> BackendRequest:
     inputs = HazardInputs(tuple(history))
-    return BackendRequest(Purpose.HAZARD_AND_PLAN, inputs, _routing_payload(scenario_key))
+    return BackendRequest(_HAZARD_AND_PLAN, inputs, _routing_payload(scenario_key))
 
 
 def motion_request(
@@ -359,7 +363,7 @@ def motion_request(
     scenario_key: str,
 ) -> BackendRequest:
     inputs = MotionInputs(hazards, strategy, navi.road_geometry)
-    return BackendRequest(Purpose.SHORT_TERM_MOTION, inputs, _routing_payload(scenario_key))
+    return BackendRequest(_SHORT_TERM_MOTION, inputs, _routing_payload(scenario_key))
 
 
 def constraints_request(

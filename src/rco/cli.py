@@ -292,9 +292,14 @@ def _trace_line(rec: dict[str, Any]) -> str:
         extra = "  constraints=" + "+".join(rec["triggered_constraints"])
     if rec.get("planning_events"):
         extra += f"  plans={rec['planning_events']}"
+    if rec.get("denied"):
+        extra += "  denied=" + "+".join(rec["denied"])
+    ratio = rec["hazard_ratio"]
+    if isinstance(ratio, bool):  # JSON true would print as 1.0000
+        raise TypeError(f"hazard_ratio must be a number, got {ratio!r}")
     return (
         f"tick {rec['tick']:>5}  {rec['source']:<10} {rec['classification'] or '':<32}"
-        f"{actuation}{extra}"
+        f"ratio={ratio:.4f}  {actuation}{extra}"
     )
 
 

@@ -38,21 +38,32 @@ def wrap_angle(a: float) -> float:
 KP, KD = 0.9, 0.1
 
 
+# Read per resolved action; CPython 3.11 does not specialise Enum member reads.
+_CONSTANT_SPEED = SpeedControl.CONSTANT_SPEED
+_DECELERATION = SpeedControl.DECELERATION
+_QUICK_DECELERATION = SpeedControl.QUICK_DECELERATION
+_DECELERATION_TO_ZERO = SpeedControl.DECELERATION_TO_ZERO
+_ACCELERATION = SpeedControl.ACCELERATION
+_QUICK_ACCELERATION = SpeedControl.QUICK_ACCELERATION
+_STOP = Behavior.STOP
+_MOVE_FORWARD = Behavior.MOVE_FORWARD
+
+
 def map_speed_control(speed: SpeedControl, prev_throttle: float) -> tuple[float, float]:
     """Translate a speed token to (throttle, brake), both clamped to [0, 1]."""
     if not 0.0 <= prev_throttle <= 1.0:
         raise ValueError(f"prev_throttle out of range: {prev_throttle}")
-    if speed is SpeedControl.CONSTANT_SPEED:
+    if speed is _CONSTANT_SPEED:
         return 0.7, 0.0
-    if speed is SpeedControl.DECELERATION:
+    if speed is _DECELERATION:
         return max(0.0, prev_throttle - 0.2), 0.2
-    if speed is SpeedControl.QUICK_DECELERATION:
+    if speed is _QUICK_DECELERATION:
         return max(0.0, prev_throttle - 0.4), 0.4
-    if speed is SpeedControl.DECELERATION_TO_ZERO:
+    if speed is _DECELERATION_TO_ZERO:
         return 0.0, 0.8
-    if speed is SpeedControl.ACCELERATION:
+    if speed is _ACCELERATION:
         return min(1.0, prev_throttle + 0.2), 0.0
-    if speed is SpeedControl.QUICK_ACCELERATION:
+    if speed is _QUICK_ACCELERATION:
         return min(1.0, prev_throttle + 0.4), 0.0
     raise ValueError(f"unknown speed token: {speed}")
 
@@ -112,9 +123,9 @@ def resolve_action(
     behavior = hla.behavior
     mismatch = not aligns_with_navigation(behavior, navi.road_geometry)
     if mismatch:
-        behavior = Behavior.MOVE_FORWARD
+        behavior = _MOVE_FORWARD
     throttle, brake = map_speed_control(hla.speed, prev.throttle)
-    if behavior is Behavior.STOP:
+    if behavior is _STOP:
         return Action(throttle, brake, 0.0), prev_error, mismatch
     steer, error = compute_steer(ego_pose, navi.target_point, prev_error, dt)
     return Action(throttle, brake, steer), error, mismatch

@@ -119,6 +119,9 @@ class Strategy(str, Enum):
     STOP_OBSERVE_MOVE = "stop_observe_move"
 
 
+_MOVE = Strategy.MOVE  # read once per plan built
+
+
 # ---------------------------------------------------------------------------
 # Actuator action
 # ---------------------------------------------------------------------------
@@ -344,7 +347,7 @@ class MotionPlan:
     move_trigger: Optional[ExecutionCondition] = None
 
     def __post_init__(self) -> None:
-        if self.strategy is Strategy.MOVE:
+        if self.strategy is _MOVE:
             if self.sequence is None or self.wait_ticks is not None or self.move_trigger is not None:
                 raise ValueError("move plan carries a sequence and nothing else")
         else:

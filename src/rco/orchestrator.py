@@ -41,6 +41,8 @@ from .verifier import VerifierConfig
 
 LOG_SCHEMA_VERSION = 1
 
+_MOVE = Strategy.MOVE  # read in every planning round
+
 _Context = tuple[Weather, Daylight, TrafficDensity, RoadGeometry]
 
 
@@ -131,7 +133,7 @@ def _plan(
     plan = planner.plan_motion(
         hazards, strategy, env.navi, env, backend, cfg.planner, cfg.scenario_key
     )
-    if plan.strategy is Strategy.MOVE:
+    if plan.strategy is _MOVE:
         return plan.sequence, None
     seq = planner.expand_stop_observe_move(plan, cfg.planner.wait_cap, env.tick)
     return seq, plan.move_trigger

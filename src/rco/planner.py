@@ -44,6 +44,9 @@ class PlannerConfig:
 
 
 FALLBACK_TRIGGER = ExecutionCondition.CONSISTENT_NO_IMMEDIATE_HAZARD
+# Read every planning round; CPython 3.11 does not specialise Enum member reads.
+_MOVE = Strategy.MOVE
+_STOP_OBSERVE_MOVE = Strategy.STOP_OBSERVE_MOVE
 
 
 def infer_hazards(
@@ -60,13 +63,13 @@ def infer_hazards(
         )
     answer = backend_mod.ask(backend, backend_mod.hazard_request(history, scenario_key))
     if answer is None:
-        return (), Strategy.STOP_OBSERVE_MOVE
+        return (), _STOP_OBSERVE_MOVE
     return answer.hazards, answer.strategy
 
 
 def _fallback_plan(cfg: PlannerConfig) -> MotionPlan:
     return MotionPlan(
-        Strategy.STOP_OBSERVE_MOVE, wait_ticks=cfg.wait_cap, move_trigger=FALLBACK_TRIGGER
+        _STOP_OBSERVE_MOVE, wait_ticks=cfg.wait_cap, move_trigger=FALLBACK_TRIGGER
     )
 
 
@@ -89,7 +92,7 @@ def plan_motion(
     plan = backend_mod.ask(backend, req)
     if plan is None:
         return _fallback_plan(cfg)
-    if plan.strategy is Strategy.MOVE:
+    if plan.strategy is _MOVE:
         pairs = plan.sequence.pairs
         if not pairs:
             log.info("backend returned an empty move plan; falling back")
@@ -97,7 +100,7 @@ def plan_motion(
         if len(pairs) > cfg.max_steps:
             log.info("move plan truncated from %d to %d steps", len(pairs), cfg.max_steps)
         seq = ActionSequence.capped(pairs, current_snapshot.tick, cfg.max_steps)
-        return MotionPlan(Strategy.MOVE, sequence=seq)
+        return MotionPlan(_MOVE, sequence=seq)
     return plan
 
 
@@ -110,7 +113,7 @@ def expand_stop_observe_move(
     under either consistent classification, and the control loop verifies
     wait sequences accordingly (replan only on inconsistency).
     """
-    if plan.strategy is not Strategy.STOP_OBSERVE_MOVE:
+    if plan.strategy is not _STOP_OBSERVE_MOVE:
         raise ValueError(f"cannot expand a {plan.strategy.value} plan")
     wait = plan.wait_ticks
     if wait > wait_cap:

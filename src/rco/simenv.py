@@ -502,6 +502,7 @@ _EMPTY_VIEWS = {v: CameraView(v, (), ()) for v in VIEW_ORDER}
 _FRONT = ViewName.FRONT
 _TRAFFIC_LIGHT = ObjectClass.TRAFFIC_LIGHT
 _STOP_SIGN = ObjectClass.STOP_SIGN
+_PEDESTRIAN = ObjectClass.PEDESTRIAN
 
 
 def _bearing(
@@ -680,7 +681,7 @@ def _collisions(w: WorldState) -> frozenset[int]:
 
 
 def _collision_kind(actor: Actor) -> InfractionKind:
-    if actor.cls is ObjectClass.PEDESTRIAN:
+    if actor.cls is _PEDESTRIAN:
         return InfractionKind.COLLISION_PEDESTRIAN
     if actor.static:
         return InfractionKind.COLLISION_STATIC
@@ -753,7 +754,7 @@ def base_agent(w: WorldState, hidden: frozenset[int] = frozenset()) -> Action:
         else:
             creep = True
     for actor, x, y, _h in w.actor_states:
-        if actor.cls is not ObjectClass.PEDESTRIAN or actor.id in hidden:
+        if actor.cls is not _PEDESTRIAN or actor.id in hidden:
             continue
         s = route.progress_of((x, y))
         if 0.0 < s - progress <= BASE_AGENT_BRAKE_RANGE_M:

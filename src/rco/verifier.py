@@ -11,6 +11,7 @@ that extends the previous one by a frame checks only its newest transition.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
@@ -49,6 +50,9 @@ class ConsistencyReason(str, Enum):
 
 
 _CONSISTENT = ConsistencyReason.CONSISTENT
+_DISAPPEARED = ConsistencyReason.DEFICIT_DISAPPEARED
+_QUANTITY_MISMATCH = ConsistencyReason.QUANTITY_MISMATCH
+_SHIFT_EXCEEDED = ConsistencyReason.SPATIAL_SHIFT_EXCEEDED
 _IMMEDIATE = ExecutionCondition.CONSISTENT_IMMEDIATE_HAZARD
 _NO_IMMEDIATE = ExecutionCondition.CONSISTENT_NO_IMMEDIATE_HAZARD
 
@@ -75,23 +79,43 @@ class VerifierConfig:
 
 def union_area(boxes: Iterable[Box]) -> float:
     """Exact union area of axis-aligned normalized boxes via coordinate
-    compression; overlap is counted once."""
+    compression; overlap is counted once.
+
+    The distinct edges cut the plane into cells. Each x-slab adds its covered
+    cells once, in ascending y, by merging the y-intervals of the boxes that
+    span it: the same products, in the same order, as testing every box
+    against every cell, so the float sum is the same, at O(n^2) for n boxes.
+    """
     boxes = list(boxes)
     if not boxes:
         return 0.0
     if len(boxes) == 1:  # the sweep below would sum 0.0 + area
         return boxes[0].area
-    xs = sorted({b.x0 for b in boxes} | {b.x1 for b in boxes})
-    ys = sorted({b.y0 for b in boxes} | {b.y1 for b in boxes})
+    # One pass over the boxes: cheaper than four comprehensions at two boxes,
+    # which most front views hold.
+    x_edges: set[float] = set()
+    y_edges: set[float] = set()
+    for b in boxes:
+        x_edges.add(b.x0)
+        x_edges.add(b.x1)
+        y_edges.add(b.y0)
+        y_edges.add(b.y1)
+    xs = sorted(x_edges)
+    ys = sorted(y_edges)
+    # A box covers the cells j with j0 <= j < j1; sorted by j0, a row's cells
+    # past the highest j1 merged so far are the next ones to add.
+    rows = sorted([(bisect_left(ys, b.y0), bisect_left(ys, b.y1), b.x0, b.x1) for b in boxes])
     total = 0.0
-    for i in range(len(xs) - 1):
-        x0, x1 = xs[i], xs[i + 1]
-        for j in range(len(ys) - 1):
-            y0, y1 = ys[j], ys[j + 1]
-            for b in boxes:
-                if b.x0 <= x0 and b.x1 >= x1 and b.y0 <= y0 and b.y1 >= y1:
-                    total += (x1 - x0) * (y1 - y0)
-                    break
+    lo = xs[0]
+    for hi in xs[1:]:
+        w = hi - lo
+        end = 0
+        for j0, j1, x0, x1 in rows:
+            if j1 > end and x0 <= lo and x1 >= hi:
+                for j in range(j0 if j0 > end else end, j1):
+                    total += w * (ys[j + 1] - ys[j])
+                end = j1
+        lo = hi
     return total
 
 
@@ -143,11 +167,11 @@ def check_transition(
     for pv, cv in zip(prev.perception, cur.perception):
         n_prev, n_cur = len(pv.deficits), len(cv.deficits)
         if n_prev > 0 and n_cur == 0:
-            return ConsistencyReason.DEFICIT_DISAPPEARED
+            return _DISAPPEARED
         if n_prev != n_cur:
-            return ConsistencyReason.QUANTITY_MISMATCH
+            return _QUANTITY_MISMATCH
         if n_prev and _greedy_match_max_shift(pv, cv) > shift_threshold:
-            return ConsistencyReason.SPATIAL_SHIFT_EXCEEDED
+            return _SHIFT_EXCEEDED
     return _CONSISTENT
 
 

@@ -507,6 +507,47 @@ class TestReplayCommand:
         assert f"decision log {log} line 3 is malformed" in captured.err
         assert captured.out == ""
 
+    @staticmethod
+    def _active_record(**fields):
+        return {
+            **base_record(15, FAIL_SAFE_STOP),
+            "active": True,
+            "source": "failsafe",
+            "classification": "replan",
+            "verdict": "deny",
+            "planning_events": 2,
+            **fields,
+        }
+
+    def test_active_line_shows_ratio_and_denials(self, tmp_path, capsys):
+        records = [
+            base_record(14, FAIL_SAFE_STOP),
+            self._active_record(
+                hazard_ratio=0.0612345, denied=["wait_inconsistent", "consistent_immediate_hazard"]
+            ),
+            self._active_record(tick=16, hazard_ratio=0.00004, denied=[]),
+        ]
+        log = tmp_path / "hand.decisions.jsonl"
+        log.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        assert main(["replay", "--log", str(log)]) == 0
+        base, denied, allowed = capsys.readouterr().out.splitlines()
+        assert base == "tick    14  base agent        throttle=0.00 brake=0.80 steer=+0.00"
+        assert "replan" in denied and "ratio=0.0612  throttle=0.00" in denied
+        assert denied.endswith("  plans=2  denied=wait_inconsistent+consistent_immediate_hazard")
+        assert "ratio=0.0000  throttle=0.00" in allowed
+        assert "denied=" not in allowed
+
+    @pytest.mark.parametrize("ratio", [None, "0.06", [0.06], True])
+    def test_active_record_without_a_numeric_ratio_is_config_error(
+        self, tmp_path, capsys, ratio
+    ):
+        log = tmp_path / "bad.decisions.jsonl"
+        log.write_text(json.dumps(self._active_record(hazard_ratio=ratio)) + "\n", encoding="utf-8")
+        assert main(["replay", "--log", str(log)]) == 2
+        captured = capsys.readouterr()
+        assert f"decision log {log} line 1 is malformed" in captured.err
+        assert captured.out == ""
+
 
 class TestAlwaysStopMode:
     def test_always_stop_halts_on_first_deficit(self):

@@ -60,6 +60,72 @@ def box_sets(draw, max_boxes=6):
     return out
 
 
+def reference_union_area(boxes):
+    """The cell scan ``union_area`` used before its per-slab kernel, copied
+    verbatim: every box tested against every cell of the compressed grid."""
+    boxes = list(boxes)
+    if not boxes:
+        return 0.0
+    if len(boxes) == 1:  # the sweep below would sum 0.0 + area
+        return boxes[0].area
+    xs = sorted({b.x0 for b in boxes} | {b.x1 for b in boxes})
+    ys = sorted({b.y0 for b in boxes} | {b.y1 for b in boxes})
+    total = 0.0
+    for i in range(len(xs) - 1):
+        x0, x1 = xs[i], xs[i + 1]
+        for j in range(len(ys) - 1):
+            y0, y1 = ys[j], ys[j + 1]
+            for b in boxes:
+                if b.x0 <= x0 and b.x1 >= x1 and b.y0 <= y0 and b.y1 >= y1:
+                    total += (x1 - x0) * (y1 - y0)
+                    break
+    return total
+
+
+# Edges on a coarse grid are often shared between boxes; free floats rarely are.
+_GRID_EDGES = [i / 8 for i in range(9)]
+_edge_pairs = st.one_of(
+    st.lists(st.sampled_from(_GRID_EDGES), min_size=2, max_size=2, unique=True),
+    st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2, unique=True),
+).map(sorted)
+
+
+def _inner(lo, hi):
+    """An interval strictly inside (lo, hi) where floats allow, else (lo, hi)."""
+    quarter = (hi - lo) / 4
+    a, b = lo + quarter, hi - quarter
+    return (a, b) if a < b else (lo, hi)
+
+
+@st.composite
+def kernel_box_sets(draw, max_boxes=12):
+    """0-12 boxes: grid or free edges, plus duplicates and nested copies of
+    drawn boxes, in any order."""
+    boxes = [Box(x0, y0, x1, y1) for (x0, x1), (y0, y1) in
+             draw(st.lists(st.tuples(_edge_pairs, _edge_pairs), max_size=max_boxes))]
+    for kind in draw(st.lists(st.sampled_from(["duplicate", "nested"]),
+                              max_size=max_boxes - len(boxes))):
+        if not boxes:
+            break
+        b = draw(st.sampled_from(boxes))
+        if kind == "nested":
+            (x0, x1), (y0, y1) = _inner(b.x0, b.x1), _inner(b.y0, b.y1)
+            b = Box(x0, y0, x1, y1)
+        boxes.append(b)
+    return draw(st.permutations(boxes))
+
+
+class _CountingBox(Box):
+    """A box that counts reads of its coordinates across all instances."""
+
+    reads = 0
+
+    def __getattribute__(self, name):
+        if name in ("x0", "y0", "x1", "y1"):
+            _CountingBox.reads += 1
+        return super().__getattribute__(name)
+
+
 class TestUnionArea:
     def test_empty(self):
         assert union_area([]) == 0.0
@@ -107,6 +173,27 @@ class TestUnionArea:
             nxt = union_area(boxes[:i])
             assert nxt >= area - 1e-12
             area = nxt
+
+    @settings(max_examples=400, deadline=None)
+    @given(kernel_box_sets())
+    def test_bitwise_equal_to_the_cell_scan(self, boxes):
+        # The same products, added in the same order.
+        assert union_area(boxes).hex() == reference_union_area(boxes).hex()
+
+    @pytest.mark.parametrize("layout", ["nested", "disjoint"])
+    def test_reads_each_box_a_bounded_number_of_times(self, layout):
+        if layout == "nested":
+            boxes = [_CountingBox(0.04 * i, 0.03 * i, 1.0 - 0.04 * i, 1.0 - 0.03 * i)
+                     for i in range(12)]
+        else:  # on a diagonal, so that no two boxes share a row or a column of cells
+            boxes = [_CountingBox(i / 12, i / 12, (i + 0.5) / 12, (i + 0.5) / 12)
+                     for i in range(12)]
+        _CountingBox.reads = 0
+        area = union_area(boxes)
+        reads = _CountingBox.reads
+        # The cell scan read one box's coordinates per cell it tested.
+        assert reads <= 8 * len(boxes)
+        assert area.hex() == reference_union_area(boxes).hex()
 
 
 class TestDeficitConsistency:
