@@ -12,8 +12,8 @@ A request carries what the model is asked about, not the text of the
 question: one frozen record of structured inputs per purpose (the hazard frame
 window; hazards, strategy and road geometry; the driving context), plus a
 payload holding only the routing field, the scenario key. ``HttpBackend`` is
-the only backend that renders the prompt, through ``BackendRequest.prompt``,
-and the only one that reads the inputs; ``ScriptedBackend`` reads the purpose
+the only backend that renders the prompt, with ``req.inputs.render()``, and
+the only one that reads the inputs; ``ScriptedBackend`` reads the purpose
 and the payload alone. Prompt templates are read from the package once per
 process.
 """
@@ -100,11 +100,6 @@ class BackendRequest:
     purpose: Purpose
     inputs: Inputs  # the purpose's structured inputs
     payload: str  # canonical JSON of the routing field: scenario_key
-
-    @property
-    def prompt(self) -> str:
-        """The user prompt, rendered from the inputs on each read."""
-        return self.inputs.render()
 
     def scenario_key(self) -> str:
         """The payload's routing key; "" when it is missing or not a string."""
@@ -478,7 +473,7 @@ class HttpBackend:
             "model": self.model,
             "messages": [
                 {"role": "system", "content": _SYSTEM_PREAMBLES[req.purpose]},
-                {"role": "user", "content": req.prompt},
+                {"role": "user", "content": req.inputs.render()},
             ],
             "temperature": 0,
         }

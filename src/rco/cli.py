@@ -164,8 +164,8 @@ def _record_line(record: dict[str, Any]) -> str:
     """``record``'s decision-log line, the bytes ``_RECORD_ENCODER`` writes.
 
     A base-agent record fills the template cut from the encoder: for a finite
-    float ``repr`` is what ``json`` writes, and ``validate_action`` keeps an
-    action finite. An active record takes the full encode.
+    float ``repr`` is what ``json`` writes, and ``Action`` keeps its fields
+    finite. An active record takes the full encode.
     """
     if record["active"]:
         return _RECORD_ENCODER.encode(record)
@@ -284,6 +284,12 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 def _trace_line(rec: dict[str, Any]) -> str:
     act = rec["action"]
+    numbers = [("tick", rec["tick"])] + [(k, act[k]) for k in ("throttle", "brake", "steer")]
+    if rec.get("active"):
+        numbers.append(("hazard_ratio", rec["hazard_ratio"]))
+    for name, value in numbers:
+        if isinstance(value, bool):  # JSON true would print as 1 or 1.00
+            raise TypeError(f"{name} must be a number, got {value!r}")
     actuation = f"throttle={act['throttle']:.2f} brake={act['brake']:.2f} steer={act['steer']:+.2f}"
     if not rec.get("active"):
         return f"tick {rec['tick']:>5}  base agent        {actuation}"
@@ -294,12 +300,9 @@ def _trace_line(rec: dict[str, Any]) -> str:
         extra += f"  plans={rec['planning_events']}"
     if rec.get("denied"):
         extra += "  denied=" + "+".join(rec["denied"])
-    ratio = rec["hazard_ratio"]
-    if isinstance(ratio, bool):  # JSON true would print as 1.0000
-        raise TypeError(f"hazard_ratio must be a number, got {ratio!r}")
     return (
         f"tick {rec['tick']:>5}  {rec['source']:<10} {rec['classification'] or '':<32}"
-        f"ratio={ratio:.4f}  {actuation}{extra}"
+        f"ratio={rec['hazard_ratio']:.4f}  {actuation}{extra}"
     )
 
 

@@ -135,21 +135,15 @@ class Action:
     steer: float
 
     def __post_init__(self) -> None:
-        validate_action(self)
+        if not (0.0 <= self.throttle <= 1.0) or math.isnan(self.throttle):
+            raise OutOfRangeError("throttle", self.throttle)
+        if not (0.0 <= self.brake <= 1.0) or math.isnan(self.brake):
+            raise OutOfRangeError("brake", self.brake)
+        if not (-1.0 <= self.steer <= 1.0) or math.isnan(self.steer):
+            raise OutOfRangeError("steer", self.steer)
 
     def to_json(self) -> dict[str, Any]:
         return {"throttle": self.throttle, "brake": self.brake, "steer": self.steer}
-
-
-def validate_action(a: Action) -> Action:
-    """Return ``a`` unchanged if every field is within its closed range."""
-    if not (0.0 <= a.throttle <= 1.0) or math.isnan(a.throttle):
-        raise OutOfRangeError("throttle", a.throttle)
-    if not (0.0 <= a.brake <= 1.0) or math.isnan(a.brake):
-        raise OutOfRangeError("brake", a.brake)
-    if not (-1.0 <= a.steer <= 1.0) or math.isnan(a.steer):
-        raise OutOfRangeError("steer", a.steer)
-    return a
 
 
 FAIL_SAFE_STOP = Action(0.0, 0.8, 0.0)

@@ -211,6 +211,7 @@ class Route:
         if len(self.geometry) != len(self.waypoints) - 1:
             raise ValueError("route needs one geometry tag per segment")
         projection = []
+        lengths = []
         start = 0.0
         for (x0, y0), (x1, y1) in zip(self.waypoints, self.waypoints[1:]):
             dx, dy = x1 - x0, y1 - y0
@@ -221,18 +222,12 @@ class Route:
                 raise ValueError("route waypoints must be strictly ordered")
             seg_len = math.sqrt(seg_len2)
             projection.append((x0, y0, dx, dy, seg_len2, seg_len, start))
+            lengths.append(math.hypot(dx, dy))
             start += seg_len
         object.__setattr__(self, "_projection", tuple(projection))
-        lengths = self._segment_lengths()
         object.__setattr__(self, "length", sum(lengths))
         object.__setattr__(self, "_lengths", tuple(lengths))
         object.__setattr__(self, "_ends", tuple(accumulate(lengths)))
-
-    def _segment_lengths(self) -> list[float]:
-        return [
-            math.hypot(x1 - x0, y1 - y0)
-            for (x0, y0), (x1, y1) in zip(self.waypoints, self.waypoints[1:])
-        ]
 
     def progress_of(self, point: tuple[float, float]) -> float:
         """Arc length of the closest point on the polyline."""
@@ -248,12 +243,6 @@ class Route:
                 best_d2 = d2
                 best_s = start + t * seg_len
         return best_s
-
-    def lateral_offset_of(self, point: tuple[float, float]) -> float:
-        """Distance from the polyline at the closest point."""
-        s = self.progress_of(point)
-        cx, cy = self.point_at(s)
-        return math.hypot(point[0] - cx, point[1] - cy)
 
     def point_at(self, s: float) -> tuple[float, float]:
         s = clamp(s, 0.0, self.length)
@@ -758,7 +747,8 @@ def base_agent(w: WorldState, hidden: frozenset[int] = frozenset()) -> Action:
             continue
         s = route.progress_of((x, y))
         if 0.0 < s - progress <= BASE_AGENT_BRAKE_RANGE_M:
-            if route.lateral_offset_of((x, y)) <= ROUTE_CORRIDOR_HALF_WIDTH_M:
+            cx, cy = route.point_at(s)
+            if math.hypot(x - cx, y - cy) <= ROUTE_CORRIDOR_HALF_WIDTH_M:
                 brake = True
     if brake:
         return FAIL_SAFE_STOP

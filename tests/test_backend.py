@@ -332,8 +332,8 @@ class TestScriptedMemo:
 
 
 # The eager rendering that built every prompt before requests carried
-# structured inputs, restated from the template files so that the lazy
-# ``BackendRequest.prompt`` is checked against an independent copy.
+# structured inputs, restated from the template files so that the prompt
+# ``req.inputs.render()`` builds is checked against an independent copy.
 _PROMPT_DIR = Path(rco.__file__).parent / "prompts"
 
 
@@ -392,7 +392,7 @@ class TestStructuredRequests:
         req = hazard_request(history, "k")
         history.pop(0)  # the runner slides its window in place
         history.append(later)
-        assert req.prompt == want
+        assert req.inputs.render() == want
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -411,7 +411,7 @@ class TestStructuredRequests:
             geometry=geometry.value,
         )
         req = motion_request(tuple(hazards), strategy, navi, snapshot(navi=navi), "k")
-        assert req.prompt == want
+        assert req.inputs.render() == want
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -434,7 +434,7 @@ class TestStructuredRequests:
             obstacle="none" if nearest is None else f"{nearest:.1f} m",
         )
         req = constraints_request(navi, Surrounding(weather, daylight, traffic), nearest, "k")
-        assert req.prompt == want
+        assert req.inputs.render() == want
 
     def test_scripted_episode_renders_no_prompt(self, monkeypatch):
         def forbidden(*_args):

@@ -548,6 +548,25 @@ class TestReplayCommand:
         assert f"decision log {log} line 1 is malformed" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("field", ["tick", "throttle", "brake", "steer"])
+    @pytest.mark.parametrize("active", [False, True])
+    def test_boolean_tick_or_action_field_is_config_error(self, tmp_path, capsys, field, active):
+        # JSON true would format as tick 1 or throttle=1.00.
+        record = (
+            self._active_record(hazard_ratio=0.06) if active else base_record(15, FAIL_SAFE_STOP)
+        )
+        if field == "tick":
+            record["tick"] = True
+        else:
+            record["action"][field] = True
+        log = tmp_path / "bad.decisions.jsonl"
+        log.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        assert main(["replay", "--log", str(log)]) == 2
+        captured = capsys.readouterr()
+        assert f"decision log {log} line 1 is malformed" in captured.err
+        assert f"{field} must be a number" in captured.err
+        assert captured.out == ""
+
 
 class TestAlwaysStopMode:
     def test_always_stop_halts_on_first_deficit(self):

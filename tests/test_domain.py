@@ -26,18 +26,11 @@ from rco.domain import (
     VehicleMeasurements,
     ViewName,
     VisibleObject,
-    validate_action,
 )
 from conftest import snapshot
 
 
 class TestAction:
-    def test_nominal_constant_speed_values(self):
-        assert validate_action(Action(0.7, 0.0, 0.0)) == Action(0.7, 0.0, 0.0)
-
-    def test_all_zero_is_in_range(self):
-        assert validate_action(Action(0.0, 0.0, 0.0)) == Action(0.0, 0.0, 0.0)
-
     def test_throttle_above_one_rejected(self):
         with pytest.raises(OutOfRangeError) as exc:
             Action(1.2, 0.0, 0.0)

@@ -368,6 +368,12 @@ class TestBaseAgent:
         sc = straight_scenario(actors=[standing(ObjectClass.PEDESTRIAN, 8.0, 5.0)])
         assert base_agent(world_from_scenario(sc)).throttle == pytest.approx(0.7)
 
+    @pytest.mark.parametrize("offset,brakes", [(3.0, True), (3.01, False)])
+    def test_corridor_edge_is_inclusive(self, offset, brakes):
+        # 8 m ahead, on either side of the 3.0 m corridor half-width.
+        sc = straight_scenario(actors=[standing(ObjectClass.PEDESTRIAN, 8.0, offset)])
+        assert (base_agent(world_from_scenario(sc)) == Action(0.0, 0.8, 0.0)) is brakes
+
 
 def bundled_dict(name: str) -> dict:
     return json.loads((bundled_scenario_dir() / f"{name}.json").read_text(encoding="utf-8"))
@@ -436,10 +442,6 @@ class TestRouteGeometry:
         assert r.geometry_at(3.0) is RoadGeometry.STRAIGHT
         assert r.geometry_at(15.0) is RoadGeometry.LEFT_CURVE
 
-    def test_lateral_offset(self):
-        r = Route(((0.0, 0.0), (10.0, 0.0)), (RoadGeometry.STRAIGHT,))
-        assert r.lateral_offset_of((5.0, 2.5)) == pytest.approx(2.5)
-
 
 class TestDeficitWindow:
     @pytest.mark.parametrize(
@@ -474,8 +476,7 @@ class TestWorldCost:
     @pytest.mark.parametrize("mode", list(Mode))
     def test_each_world_quantity_computed_once(self, monkeypatch, mode):
         # Over one bundled episode, every world state (ticks + 1 of them)
-        # computes each actor's state and its collision set once, and the
-        # route computes its segment lengths once.
+        # computes each actor's state and its collision set once.
         calls = Counter()
 
         def counting(name, fn):
@@ -487,16 +488,12 @@ class TestWorldCost:
 
         monkeypatch.setattr(Actor, "state_at", counting("state_at", Actor.state_at))
         monkeypatch.setattr(simenv, "_collisions", counting("collisions", simenv._collisions))
-        monkeypatch.setattr(
-            Route, "_segment_lengths", counting("segment_lengths", Route._segment_lengths)
-        )
         sc = Scenario.load(str(bundled_scenario_dir() / "pedestrian_cross.json"))
         worlds = len(run_episode(sc, mode, ScriptedBackend.bundled()).records) + 1
         assert sc.actors
         assert calls == {
             "state_at": len(sc.actors) * worlds,
             "collisions": worlds,
-            "segment_lengths": 1,
         }
 
     @staticmethod
