@@ -400,8 +400,13 @@ class ScriptedBackend:
 
     @classmethod
     def from_file(cls, path: str) -> "ScriptedBackend":
+        """The table a JSON file holds; ValueError unless it is an object
+        whose values are objects, the shape every call looks a key up in."""
         with open(path, "r", encoding="utf-8") as fh:
-            return cls(json.load(fh))
+            table = json.load(fh)
+        if not isinstance(table, dict) or not all(isinstance(v, dict) for v in table.values()):
+            raise ValueError("scripted table must be a JSON object whose values are objects")
+        return cls(table)
 
     @classmethod
     def bundled(cls) -> "ScriptedBackend":

@@ -74,7 +74,10 @@ def build_backend(kind: str, scripted_table: Optional[str]) -> Backend:
         if scripted_table:
             if not Path(scripted_table).is_file():
                 raise ConfigError(f"scripted table does not exist: {scripted_table}")
-            return ScriptedBackend.from_file(scripted_table)
+            try:
+                return ScriptedBackend.from_file(scripted_table)
+            except ValueError as exc:  # also bad JSON and bad UTF-8
+                raise ConfigError(f"scripted table {scripted_table} failed to load: {exc}") from exc
         return ScriptedBackend.bundled()
     if kind == "http":
         try:

@@ -135,11 +135,12 @@ class Action:
     steer: float
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.throttle <= 1.0) or math.isnan(self.throttle):
+        # Every comparison with NaN is false, so these reject it too.
+        if not 0.0 <= self.throttle <= 1.0:
             raise OutOfRangeError("throttle", self.throttle)
-        if not (0.0 <= self.brake <= 1.0) or math.isnan(self.brake):
+        if not 0.0 <= self.brake <= 1.0:
             raise OutOfRangeError("brake", self.brake)
-        if not (-1.0 <= self.steer <= 1.0) or math.isnan(self.steer):
+        if not -1.0 <= self.steer <= 1.0:
             raise OutOfRangeError("steer", self.steer)
 
     def to_json(self) -> dict[str, Any]:
@@ -183,15 +184,6 @@ class ActionSequence:
 
     pairs: tuple[ConditionActionPair, ...]
     created_tick: int
-
-    @classmethod
-    def capped(
-        cls, pairs: tuple[ConditionActionPair, ...] | list, created_tick: int, max_len: int
-    ) -> "ActionSequence":
-        """Build a sequence truncated to at most ``max_len`` pairs (prefix kept)."""
-        if max_len < 0:
-            raise ValueError(f"max_len must be non-negative, got {max_len}")
-        return cls(tuple(pairs)[:max_len], created_tick)
 
     def pop_front(self) -> tuple[ConditionActionPair, "ActionSequence"]:
         head = self.pairs[0]

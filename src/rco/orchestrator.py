@@ -160,9 +160,7 @@ def step(
     if not state.active:
         raise ValueError("step() requires an engaged override; call engage() first")
 
-    condition, ratio, consistency = verifier.classify_carried(
-        history, cfg.verifier, state.consistency
-    )
+    condition, ratio, consistency = verifier.classify(history, cfg.verifier, state.consistency)
     context: _Context = (
         env.surrounding.weather,
         env.surrounding.daylight,

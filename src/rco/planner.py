@@ -99,7 +99,7 @@ def plan_motion(
             return _fallback_plan(cfg)
         if len(pairs) > cfg.max_steps:
             log.info("move plan truncated from %d to %d steps", len(pairs), cfg.max_steps)
-        seq = ActionSequence.capped(pairs, current_snapshot.tick, cfg.max_steps)
+        seq = ActionSequence(pairs[:cfg.max_steps], current_snapshot.tick)
         return MotionPlan(_MOVE, sequence=seq)
     return plan
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
@@ -48,22 +49,23 @@ SIGN_ZONE_M = 5.0  # must have stopped within this distance before the line
 BASE_AGENT_BRAKE_RANGE_M = 12.0
 ROUTE_CORRIDOR_HALF_WIDTH_M = 3.0
 TARGET_LOOKAHEAD_M = 8.0  # steering aims this far ahead along the route
+# Plant and sensor constants: the ego cruises near 8 m/s at 0.7 throttle.
+K_THROTTLE = 3.0  # m/s^2 per unit throttle
+K_BRAKE = 8.0  # m/s^2 per unit brake
+DRAG = 0.25  # 1/s
+WHEELBASE = 2.5  # m
+MAX_WHEEL_ANGLE = math.radians(35.0)
+CAMERA_RANGE = 40.0  # m
+FOV_V = math.radians(40.0)  # vertical field of view
+EGO_LENGTH = 4.5  # m
+EGO_WIDTH = 2.0  # m
 
 
 @dataclass(frozen=True)
 class VehicleParams:
-    """Plant and sensor constants; defaults cruise near 8 m/s at 0.7 throttle."""
+    """The simulation step in seconds; the plant is fixed by the constants above."""
 
-    k_throttle: float = 3.0  # m/s^2 per unit throttle
-    k_brake: float = 8.0  # m/s^2 per unit brake
-    drag: float = 0.25  # 1/s
-    wheelbase: float = 2.5  # m
-    max_wheel_angle: float = math.radians(35.0)
     dt: float = 0.1
-    camera_range: float = 40.0
-    fov_v: float = math.radians(40.0)
-    ego_length: float = 4.5
-    ego_width: float = 2.0
 
 
 # (footprint length, footprint width, projected width, projected height)
@@ -225,9 +227,9 @@ class Route:
             lengths.append(math.hypot(dx, dy))
             start += seg_len
         object.__setattr__(self, "_projection", tuple(projection))
-        object.__setattr__(self, "length", sum(lengths))
         object.__setattr__(self, "_lengths", tuple(lengths))
         object.__setattr__(self, "_ends", tuple(accumulate(lengths)))
+        object.__setattr__(self, "length", self._ends[-1])
 
     def progress_of(self, point: tuple[float, float]) -> float:
         """Arc length of the closest point on the polyline."""
@@ -299,10 +301,16 @@ class DeficitPolicy:
 
 def _typed(value: Any, kind: type) -> Any:
     """``value`` if its JSON type is ``kind``; a bool is no number, and an
-    int is a float (returned as one)."""
+    int is a float (returned as one). A number must be one a float holds:
+    ``json`` reads ``NaN``, ``Infinity``, ``1e999`` and ints of any size."""
     if type(value) is not kind and not (kind is float and type(value) is int):
         raise TypeError(f"expected a JSON {kind.__name__}, got {value!r}")
-    return float(value) if kind is float else value
+    if kind is not float:
+        return value
+    # Exact for ints too, and false for NaN.
+    if not -sys.float_info.max <= value <= sys.float_info.max:
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return float(value)
 
 
 def _point(xy: Any) -> tuple[float, float]:
@@ -447,18 +455,18 @@ def world_from_scenario(scenario: Scenario, params: VehicleParams = VehicleParam
 
 def tick(w: WorldState, a: Action) -> WorldState:
     """Advance one step under the kinematic bicycle model."""
-    p = w.params
+    dt = w.params.dt
     ego = w.ego
-    accel = p.k_throttle * a.throttle - p.k_brake * a.brake - p.drag * ego.v
-    v_new = max(0.0, ego.v + accel * p.dt)
+    accel = K_THROTTLE * a.throttle - K_BRAKE * a.brake - DRAG * ego.v
+    v_new = max(0.0, ego.v + accel * dt)
     # Positive steer turns right (clockwise), so heading decreases.
     heading_new = wrap_angle(
-        ego.heading - (v_new / p.wheelbase) * math.tan(a.steer * p.max_wheel_angle) * p.dt
+        ego.heading - (v_new / WHEELBASE) * math.tan(a.steer * MAX_WHEEL_ANGLE) * dt
     )
-    x_new = ego.x + v_new * math.cos(heading_new) * p.dt
-    y_new = ego.y + v_new * math.sin(heading_new) * p.dt
-    a_x = (v_new - ego.v) / p.dt
-    omega_z = wrap_angle(heading_new - ego.heading) / p.dt
+    x_new = ego.x + v_new * math.cos(heading_new) * dt
+    y_new = ego.y + v_new * math.sin(heading_new) * dt
+    a_x = (v_new - ego.v) / dt
+    omega_z = wrap_angle(heading_new - ego.heading) / dt
     ego_new = EgoState(x_new, y_new, heading_new, v_new, a_x, omega_z)
     progress = w.scenario.route.progress_of((x_new, y_new))
 
@@ -469,7 +477,7 @@ def tick(w: WorldState, a: Action) -> WorldState:
             for sign in w.scenario.signs
             if sign.stop_line_s - SIGN_ZONE_M <= progress <= sign.stop_line_s
         )
-    return WorldState(w.tick + 1, ego_new, w.scenario, p, progress, satisfied)
+    return WorldState(w.tick + 1, ego_new, w.scenario, w.params, progress, satisfied)
 
 
 # ---------------------------------------------------------------------------
@@ -494,20 +502,18 @@ _STOP_SIGN = ObjectClass.STOP_SIGN
 _PEDESTRIAN = ObjectClass.PEDESTRIAN
 
 
-def _bearing(
-    ego: EgoState, pos: tuple[float, float], p: VehicleParams
-) -> Optional[tuple[float, float]]:
+def _bearing(ego: EgoState, pos: tuple[float, float]) -> Optional[tuple[float, float]]:
     """(range, bearing relative to the ego heading) of a world position; None
     if it is out of camera range."""
     dx, dy = pos[0] - ego.x, pos[1] - ego.y
     rng = math.hypot(dx, dy)
-    if rng < 1e-6 or rng > p.camera_range:
+    if rng < 1e-6 or rng > CAMERA_RANGE:
         return None
     return rng, wrap_angle(math.atan2(dy, dx) - ego.heading)
 
 
 def _project(
-    rng: float, rel: float, width: float, height: float, p: VehicleParams
+    rng: float, rel: float, width: float, height: float
 ) -> Optional[tuple[ViewName, Optional[Box]]]:
     """Project an object seen at (range, bearing) to (view, normalized box);
     the box is None if it is too small to draw, and the result None if the
@@ -517,7 +523,7 @@ def _project(
             span = hi - lo
             u = (hi - rel) / span
             half_w = math.atan2(width / 2.0, rng) / span
-            half_h = math.atan2(height / 2.0, rng) / p.fov_v
+            half_h = math.atan2(height / 2.0, rng) / FOV_V
             x0, x1 = clamp(u - half_w, 0.0, 1.0), clamp(u + half_w, 0.0, 1.0)
             y0, y1 = clamp(0.5 - half_h, 0.0, 1.0), clamp(0.5 + half_h, 0.0, 1.0)
             if x1 - x0 < 1e-9 or y1 - y0 < 1e-9:
@@ -542,7 +548,6 @@ def masked_ids(w: WorldState, policy: DeficitPolicy) -> frozenset[int]:
 def perceive(w: WorldState, policy: DeficitPolicy) -> EnvironmentSnapshot:
     """Project world contents into the three camera views, applying the
     deficit policy. Masking alters only the snapshot, never the world."""
-    p = w.params
     ego = w.ego
     hidden = masked_ids(w, policy)
     # (visible objects, deficit boxes) of each view that receives a box.
@@ -552,11 +557,11 @@ def perceive(w: WorldState, policy: DeficitPolicy) -> EnvironmentSnapshot:
         obj_id: int, cls: ObjectClass, pos: tuple[float, float]
     ) -> Optional[tuple[float, ViewName]]:
         """Draw one object into its view; (range, view) if it lies in one."""
-        seen = _bearing(ego, pos, p)
+        seen = _bearing(ego, pos)
         if seen is None:
             return None
         dims = _CLASS_DIMS[cls]
-        projected = _project(seen[0], seen[1], dims[2], dims[3], p)
+        projected = _project(seen[0], seen[1], dims[2], dims[3])
         if projected is None:
             return None
         view, box = projected
@@ -658,12 +663,10 @@ def _collisions(w: WorldState) -> frozenset[int]:
         length, width, _pw, _ph = _CLASS_DIMS[actor.cls]
         if length == 0.0:
             continue
-        if math.hypot(x - w.ego.x, y - w.ego.y) > (length + w.params.ego_length):
+        if math.hypot(x - w.ego.x, y - w.ego.y) > (length + EGO_LENGTH):
             continue
         if ego_quad is None:
-            ego_quad = _obb_corners(
-                w.ego.x, w.ego.y, w.ego.heading, w.params.ego_length, w.params.ego_width
-            )
+            ego_quad = _obb_corners(w.ego.x, w.ego.y, w.ego.heading, EGO_LENGTH, EGO_WIDTH)
         if _obb_overlap(ego_quad, _obb_corners(x, y, heading, length, width)):
             hit.add(actor.id)
     return frozenset(hit)

@@ -249,46 +249,34 @@ def hazard_proximity_ratio(
     return sum(ratios) / len(ratios)
 
 
-def _condition(
-    consistent: bool, ratio: float, cfg: VerifierConfig
-) -> Optional[ExecutionCondition]:
-    if not consistent:
-        return None
-    return _IMMEDIATE if ratio > cfg.hazard_ratio_threshold else _NO_IMMEDIATE
-
-
 def classify(
-    history: Sequence[EnvironmentSnapshot], cfg: VerifierConfig
-) -> tuple[Optional[ExecutionCondition], float]:
-    """The condition the window satisfies (None: inconsistent, so replan) and
-    the newest frame's proximity ratio.
+    history: Sequence[EnvironmentSnapshot],
+    cfg: VerifierConfig,
+    run: Optional[ConsistencyRun] = None,
+) -> tuple[Optional[ExecutionCondition], float, ConsistencyRun]:
+    """The condition the window satisfies (None: inconsistent, so replan),
+    the newest frame's proximity ratio, and the window's consistency run.
 
     Immediate hazard iff the ratio strictly exceeds the threshold. A single
     frame has no transitions to compare, so it is vacuously consistent.
+    Given the run of the previous window, a window that extends it by one
+    frame costs one transition check instead of a scan.
     """
-    ratio = hazard_proximity_ratio(history[-1], cfg.front_view_only)
-    consistent = len(history) < 2 or check_deficit_consistency(history, cfg) is _CONSISTENT
-    return _condition(consistent, ratio, cfg), ratio
-
-
-def classify_carried(
-    history: Sequence[EnvironmentSnapshot], cfg: VerifierConfig, run: Optional[ConsistencyRun]
-) -> tuple[Optional[ExecutionCondition], float, ConsistencyRun]:
-    """``classify``, plus the window's consistency run. Given the run of the
-    previous window, a window that extends it by one frame costs one
-    transition check instead of a scan."""
     ratio = hazard_proximity_ratio(history[-1], cfg.front_view_only)
     if len(history) < 2:
         run = ConsistencyRun(cfg.shift_threshold, tuple(history), False)
     else:
         _validate_history(history)
         run = _extend_run(tuple(history[-cfg.history_len:]), cfg.shift_threshold, run)
-    return _condition(not run.broken, ratio, cfg), ratio, run
+    if run.broken:
+        return None, ratio, run
+    return (_IMMEDIATE if ratio > cfg.hazard_ratio_threshold else _NO_IMMEDIATE), ratio, run
 
 
 def classify_condition(
     history: Sequence[EnvironmentSnapshot], cfg: VerifierConfig
 ) -> Optional[ExecutionCondition]:
     """The condition of ``classify`` for a window of at least two frames."""
-    _validate_history(history)
+    if len(history) < 2:
+        raise ValueError(f"need at least 2 frames, got {len(history)}")
     return classify(history, cfg)[0]

@@ -6,6 +6,7 @@ import argparse
 import concurrent.futures
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -99,6 +100,7 @@ class TestRunCommand:
             "string static flag", "float window tick", "bool time limit", "string time limit",
             "null name", "number name", "empty name", "slash name", "dot-dot name",
             "comma name", "late light schedule", "unknown actor class",
+            "nan waypoint", "infinite waypoint", "overflowing stop line", "huge int waypoint",
         ],
     )
     def test_unloadable_scenario_is_config_error(self, tmp_path, capsys, command, edit):
@@ -148,6 +150,18 @@ class TestRunCommand:
                 {"id": 10, "position": [60, 3.5], "stop_line_s": 60,
                  "schedule": [[50, "red"], [80, "green"]]}
             ]
+        elif edit == "nan waypoint":
+            d["route"]["waypoints"][1][0] = math.nan  # written as NaN, which json reads
+        elif edit == "infinite waypoint":
+            d["route"]["waypoints"][1][1] = math.inf  # written as Infinity
+        elif edit == "overflowing stop line":
+            d["traffic_lights"] = [
+                {"id": 10, "position": [60, 3.5], "stop_line_s": "<big>",
+                 "schedule": [[0, "red"]]}
+            ]
+            text = json.dumps(d).replace('"<big>"', "1e999")  # json reads it as inf
+        elif edit == "huge int waypoint":
+            d["route"]["waypoints"][1][0] = 10 ** 400  # no float holds it
         else:
             del d["route"]
         bad = tmp_path / "bad.json"
@@ -156,6 +170,19 @@ class TestRunCommand:
         code = main([*command, "--scenarios", *scenarios, "--out", str(tmp_path / "o")])
         assert code == 2
         assert f"scenario file {bad} failed to load" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--limits", "1"]])
+    @pytest.mark.parametrize("table", ["{not json", "[]", '{"hazard_and_plan": []}'])
+    def test_malformed_scripted_table_is_config_error(self, tmp_path, capsys, command, table):
+        # A table that is not an object of objects would fail on the first
+        # call, inside an episode.
+        path = tmp_path / "table.json"
+        path.write_text(table, encoding="utf-8")
+        argv = [*command, "--scripted-table", str(path), "--out", str(tmp_path / "o")]
+        code = main([*argv, "--scenarios", scenario_path("pedestrian_cross")])
+        assert code == 2
+        assert f"config error: scripted table {path} failed to load" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", [["run"], ["sweep", "--limits", "1"]])

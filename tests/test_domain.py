@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, strategies as st
 
 from rco.domain import (
     Action,
@@ -80,27 +79,6 @@ class TestExecutionCondition:
 
 
 class TestActionSequence:
-    def test_capped_truncates_to_prefix(self):
-        pairs = [
-            ConditionActionPair(
-                ExecutionCondition.CONSISTENT_NO_IMMEDIATE_HAZARD,
-                HighLevelAction(Behavior.MOVE_FORWARD, SpeedControl.CONSTANT_SPEED),
-            )
-        ] * 8
-        seq = ActionSequence.capped(pairs, created_tick=3, max_len=5)
-        assert len(seq) == 5
-        assert seq.created_tick == 3
-
-    @given(n=st.integers(min_value=0, max_value=20), cap=st.integers(min_value=0, max_value=10))
-    def test_capped_never_exceeds_limit(self, n, cap):
-        pairs = [
-            ConditionActionPair(
-                ExecutionCondition.CONSISTENT_IMMEDIATE_HAZARD,
-                HighLevelAction(Behavior.STOP, SpeedControl.DECELERATION_TO_ZERO),
-            )
-        ] * n
-        assert len(ActionSequence.capped(pairs, 0, cap)) <= cap
-
     def test_pop_front_is_fifo(self):
         a = ConditionActionPair(
             ExecutionCondition.CONSISTENT_NO_IMMEDIATE_HAZARD,

@@ -33,6 +33,7 @@ from rco.planner import PlannerConfig
 from rco.runner import Mode, Overrides, run_episode
 from rco.simenv import Scenario
 from conftest import snapshot
+from test_verifier import reference_classify
 
 POSE = (0.0, 0.0, 0.0)
 CALM = VehicleMeasurements(0.0, 0.0, 0.0)
@@ -292,7 +293,7 @@ class TestFuzzLoop:
                 continue
             result = step(state, snap, history, CALM, POSE, backend(), cfg)
             state = result.state
-            condition, ratio = verifier.classify(history, cfg.verifier)
+            condition, ratio = reference_classify(history, cfg.verifier)
             expected = "replan" if condition is None else condition.value
             assert (result.record["classification"], result.record["hazard_ratio"]) == (
                 expected, ratio

@@ -11,7 +11,9 @@ from rco.backend import HazardAndPlan, ScriptedBackend
 from rco.domain import (
     ActionSequence,
     Behavior,
+    ConditionActionPair,
     ExecutionCondition,
+    HighLevelAction,
     MotionKind,
     MotionPlan,
     ObjectClass,
@@ -143,6 +145,26 @@ class TestPlanMotion:
         plan = self.plan(StubBackend(parsed=sent), Strategy.STOP_OBSERVE_MOVE)
         assert plan == sent
         assert len(expand_stop_observe_move(plan, CFG.wait_cap)) == CFG.wait_cap
+
+    @given(n=st.integers(0, 20), max_steps=st.integers(1, 10))
+    def test_move_plan_never_exceeds_the_step_limit(self, n, max_steps):
+        # Alternating speeds, so that any slice but the prefix compares unequal.
+        speeds = [SpeedControl.CONSTANT_SPEED, SpeedControl.ACCELERATION] * 10
+        pairs = tuple(
+            ConditionActionPair(
+                ExecutionCondition.CONSISTENT_NO_IMMEDIATE_HAZARD,
+                HighLevelAction(Behavior.MOVE_FORWARD, speed),
+            )
+            for speed in speeds[:n]
+        )
+        sent = MotionPlan(Strategy.MOVE, sequence=ActionSequence(pairs, 0))
+        cfg = PlannerConfig(max_steps=max_steps)
+        plan = self.plan(StubBackend(parsed=sent), cfg=cfg)
+        if n == 0:  # an empty move plan becomes the full wait
+            assert plan.strategy is Strategy.STOP_OBSERVE_MOVE
+            return
+        assert plan.sequence == ActionSequence(pairs[:max_steps], 9)  # the prefix, from tick 9
+        assert len(plan.sequence) <= max_steps
 
     @settings(max_examples=100, deadline=None)
     @given(raw=st.text(max_size=120))

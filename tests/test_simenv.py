@@ -103,7 +103,7 @@ class TestDynamics:
         w = world_from_scenario(straight_scenario(length=10_000.0))
         for _ in range(2000):
             w = tick(w, Action(0.7, 0.0, 0.0))
-        assert w.ego.v == pytest.approx(PARAMS.k_throttle * 0.7 / PARAMS.drag, abs=1e-6)
+        assert w.ego.v == pytest.approx(simenv.K_THROTTLE * 0.7 / simenv.DRAG, abs=1e-6)
         assert w.ego.v == pytest.approx(8.4, abs=1e-6)
 
     def test_left_steer_turns_left(self):
@@ -124,7 +124,7 @@ class TestDynamics:
         w = world_from_scenario(straight_scenario())
         w = replace(w, ego=replace(w.ego, v=v0))
         w2 = tick(w, Action(throttle, brake, steer))
-        bound = (w2.ego.v * PARAMS.dt / PARAMS.wheelbase) * math.tan(PARAMS.max_wheel_angle)
+        bound = (w2.ego.v * PARAMS.dt / simenv.WHEELBASE) * math.tan(simenv.MAX_WHEEL_ANGLE)
         assert abs(w2.ego.heading - w.ego.heading) <= bound + 1e-12
         assert w2.ego.v >= 0.0
 
@@ -502,7 +502,7 @@ class TestWorldCost:
         near = 0
         for actor, x, y, _h in w.actor_states:
             length = simenv._CLASS_DIMS[actor.cls][0]
-            near += length != 0.0 and math.hypot(x - w.ego.x, y - w.ego.y) <= length + PARAMS.ego_length
+            near += length != 0.0 and math.hypot(x - w.ego.x, y - w.ego.y) <= length + simenv.EGO_LENGTH
         return near
 
     @staticmethod
@@ -649,21 +649,21 @@ _REFERENCE_VIEW_SPANS = {
 }
 
 
-def reference_bearing(ego, pos, p):
+def reference_bearing(ego, pos):
     dx, dy = pos[0] - ego.x, pos[1] - ego.y
     rng = math.hypot(dx, dy)
-    if rng < 1e-6 or rng > p.camera_range:
+    if rng < 1e-6 or rng > simenv.CAMERA_RANGE:
         return None
     return rng, simenv.wrap_angle(math.atan2(dy, dx) - ego.heading)
 
 
-def reference_project(rng, rel, width, height, p):
+def reference_project(rng, rel, width, height):
     for view, (lo, hi) in _REFERENCE_VIEW_SPANS.items():
         if lo <= rel <= hi:
             span = hi - lo
             u = (hi - rel) / span
             half_w = math.atan2(width / 2.0, rng) / span
-            half_h = math.atan2(height / 2.0, rng) / p.fov_v
+            half_h = math.atan2(height / 2.0, rng) / simenv.FOV_V
             x0, x1 = simenv.clamp(u - half_w, 0.0, 1.0), simenv.clamp(u + half_w, 0.0, 1.0)
             y0, y1 = simenv.clamp(0.5 - half_h, 0.0, 1.0), simenv.clamp(0.5 + half_h, 0.0, 1.0)
             if x1 - x0 < 1e-9 or y1 - y0 < 1e-9:
@@ -685,16 +685,15 @@ def reference_masked_ids(w, policy):
 
 
 def reference_perceive(w, policy):
-    p = w.params
     hidden = reference_masked_ids(w, policy)
     per_view = {v: ([], []) for v in VIEW_ORDER}
 
     def add(obj_id, cls, pos):
-        seen = reference_bearing(w.ego, pos, p)
+        seen = reference_bearing(w.ego, pos)
         if seen is None:
             return None
         dims = simenv._CLASS_DIMS[cls]
-        projected = reference_project(*seen, dims[2], dims[3], p)
+        projected = reference_project(*seen, dims[2], dims[3])
         if projected is None:
             return None
         view, box = projected
@@ -794,7 +793,7 @@ class TestPerceiveEqualsReference:
     def test_projection_equals_reference(self, rng, rel, cls):
         # Bearings exactly on an edge land in the first view in VIEW_ORDER.
         dims = simenv._CLASS_DIMS[cls]
-        args = (max(rng, 1e-6), rel, dims[2], dims[3], PARAMS)
+        args = (max(rng, 1e-6), rel, dims[2], dims[3])
         assert simenv._project(*args) == reference_project(*args)
 
 
@@ -889,12 +888,13 @@ def fresh_state_at(script, t_s):
 
 
 def fresh_collisions(w, states):
-    p = w.params
-    ego_quad = simenv._obb_corners(w.ego.x, w.ego.y, w.ego.heading, p.ego_length, p.ego_width)
+    ego_quad = simenv._obb_corners(
+        w.ego.x, w.ego.y, w.ego.heading, simenv.EGO_LENGTH, simenv.EGO_WIDTH
+    )
     hit = set()
     for actor, x, y, heading in states:
         length, width, _pw, _ph = simenv._CLASS_DIMS[actor.cls]
-        if length == 0.0 or math.hypot(x - w.ego.x, y - w.ego.y) > length + p.ego_length:
+        if length == 0.0 or math.hypot(x - w.ego.x, y - w.ego.y) > length + simenv.EGO_LENGTH:
             continue
         if simenv._obb_overlap(ego_quad, simenv._obb_corners(x, y, heading, length, width)):
             hit.add(actor.id)

@@ -26,7 +26,6 @@ from rco.verifier import (
     check_deficit_consistency,
     check_transition,
     classify,
-    classify_carried,
     classify_condition,
     hazard_proximity_ratio,
     union_area,
@@ -371,8 +370,8 @@ class TestCarriedEqualsFullScan:
                 history = [self.frame(f.tick, lay) for f, lay in zip(history, layouts)]
             elif event == "one_frame":  # a history of one frame, under an old run
                 history, layouts = history[-1:], layouts[-1:]
-            condition, ratio, run = classify_carried(history, cfg, run)
-            assert (condition, ratio) == classify(history, cfg)
+            condition, ratio, run = classify(history, cfg, run)
+            assert (condition, ratio) == reference_classify(history, cfg)
             window = tuple(history[-cfg.history_len:])
             assert 1 <= len(run.frames) <= len(window)
             assert run.frames == window[len(window) - len(run.frames):]
@@ -387,7 +386,7 @@ class TestCarriedEqualsFullScan:
         run = None
         for n in range(1, len(frames) + 1):
             calls.clear()
-            condition, _ratio, run = classify_carried(frames[:n], CFG, run)
+            condition, _ratio, run = classify(frames[:n], CFG, run)
             assert len(calls) == (n >= 2)
             assert (condition is None) is (3 <= n <= 6)  # while frames 1 and 2 are in the window
 
@@ -397,11 +396,11 @@ class TestCarriedEqualsFullScan:
             verifier, "check_transition", lambda *a: calls.append(a) or check_transition(*a)
         )
         frames = history_of_counts([1, 2, 2, 2, 2])
-        condition, _ratio, run = classify_carried(frames, CFG, None)
+        condition, _ratio, run = classify(frames, CFG, None)
         assert condition is None and len(calls) == 4
         assert run.broken and run.frames == tuple(frames)
         calls.clear()
-        assert classify_carried(frames[1:], CFG, None)[0] is not None
+        assert classify(frames[1:], CFG, None)[0] is not None
         assert len(calls) == 3
 
     def test_a_run_is_not_reused_under_another_threshold(self):
@@ -409,22 +408,22 @@ class TestCarriedEqualsFullScan:
         moved = [Box(0.1, 0.4, 0.2, 0.5)] + [Box(0.15, 0.4, 0.25, 0.5)] * 3
         frames = [snapshot(tick=t, front_deficits=[b]) for t, b in enumerate(moved)]
         loose, tight = VerifierConfig(shift_threshold=0.3), VerifierConfig(shift_threshold=0.04)
-        _, _, run = classify_carried(frames[:3], loose, None)
+        _, _, run = classify(frames[:3], loose, None)
         assert not run.broken
         assert classify(frames, tight)[0] is None
-        assert classify_carried(frames, tight, run)[0] is None
+        assert classify(frames, tight, run)[0] is None
 
     def test_a_short_run_is_not_reused_for_a_longer_window(self):
         frames = history_of_counts([2, 1, 1, 1])
-        _, _, run = classify_carried(frames[:3], VerifierConfig(history_len=2), None)
+        _, _, run = classify(frames[:3], VerifierConfig(history_len=2), None)
         assert not run.broken and len(run.frames) == 2
-        assert classify_carried(frames, CFG, run)[0] is None
+        assert classify(frames, CFG, run)[0] is None
 
     def test_invalid_history_still_rejected(self):
         frames = history_of_counts([1, 1, 1])
-        _, _, run = classify_carried(frames[:2], CFG, None)
+        _, _, run = classify(frames[:2], CFG, None)
         with pytest.raises(ValueError, match="strictly increasing"):
-            classify_carried([frames[0], frames[1], frames[1]], CFG, run)
+            classify([frames[0], frames[1], frames[1]], CFG, run)
 
 
 class TestHazardProximityRatio:
@@ -517,8 +516,9 @@ class TestClassifyCondition:
 
 
 def reference_classify(history, cfg):
-    """The ratio-first composition the control loop used before ``classify``:
-    a single frame is vacuously consistent and classified by ratio alone."""
+    """The full-scan reference for ``classify``: the window's consistency from
+    ``check_deficit_consistency``, with no carried run. A single frame is
+    vacuously consistent and classified by ratio alone."""
     ratio = hazard_proximity_ratio(history[-1], cfg.front_view_only)
     consistent = ConsistencyReason.CONSISTENT
     if len(history) >= 2 and check_deficit_consistency(history, cfg) is not consistent:
@@ -533,7 +533,7 @@ class TestClassifyEqualsReference:
     @settings(max_examples=150, deadline=None)
     def test_classification_and_ratio(self, frames, threshold, front_view_only):
         cfg = VerifierConfig(hazard_ratio_threshold=threshold, front_view_only=front_view_only)
-        assert classify(frames, cfg) == reference_classify(frames, cfg)
+        assert classify(frames, cfg)[:2] == reference_classify(frames, cfg)
         if len(frames) >= 2:
             assert classify_condition(frames, cfg) is classify(frames, cfg)[0]
 
