@@ -12,6 +12,7 @@ import concurrent.futures
 import dataclasses
 import functools
 import json
+import os
 import sys
 from importlib import resources
 from pathlib import Path
@@ -26,6 +27,7 @@ from .simenv import Scenario
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a killed writer
 
 # One decision-log record per line; the same bytes as json.dumps with these arguments.
 _RECORD_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
@@ -134,21 +136,16 @@ def _checked(overrides: Overrides) -> Overrides:
         raise ConfigError(f"invalid override values: {exc}") from exc
 
 
-_Task = tuple[Scenario, str, Backend, Overrides]
-
-
-def _run_one(task: _Task) -> EpisodeOutcome:
-    scenario, mode, backend, overrides = task
-    return run_episode(scenario, Mode(mode), backend, overrides)
+_Task = tuple[Scenario, Mode, Backend, Overrides]
 
 
 def _execute(tasks: Sequence[_Task], jobs: int) -> list[EpisodeOutcome]:
     """Run every episode of a command, in one process pool when ``jobs`` > 1.
     The pool starts all its workers at once, so it gets no more than tasks."""
     if jobs <= 1 or len(tasks) <= 1:
-        return [_run_one(t) for t in tasks]
+        return [run_episode(*t) for t in tasks]
     with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-        return list(pool.map(_run_one, tasks))  # input order preserved
+        return list(pool.map(run_episode, *zip(*tasks)))  # input order preserved
 
 
 @functools.cache
@@ -217,7 +214,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     overrides = _merge_overrides(args)
     backend = build_backend(args.backend, args.scripted_table)
     out_dir = _output_dir(args.out)
-    outcomes = _execute([(s, args.mode, backend, overrides) for s in scenarios], args.jobs)
+    outcomes = _execute([(s, Mode(args.mode), backend, overrides) for s in scenarios], args.jobs)
     run_config = {
         "mode": args.mode,
         "backend": args.backend,
@@ -246,8 +243,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     backend = build_backend(args.backend, args.scripted_table)
     out_dir = _output_dir(args.out)
 
-    runs = [(Mode.BASELINE.value, overrides)]
-    runs += [(Mode.RCO.value, limit_overrides) for limit_overrides in limited]
+    runs = [(Mode.BASELINE, overrides)]
+    runs += [(Mode.RCO, limit_overrides) for limit_overrides in limited]
     tasks = [(s, mode, backend, o) for mode, o in runs for s in scenarios]
     outcomes = _execute(tasks, args.jobs)
     n = len(scenarios)
@@ -281,7 +278,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
             except (KeyError, TypeError, ValueError) as exc:  # ValueError covers bad JSON
                 raise ConfigError(f"decision log {path} line {number} is malformed: {exc!r}") from exc
     for text in trace:
-        print(text)
+        print(text, flush=True)  # a closed pipe raises here, not at interpreter exit
     return EXIT_OK
 
 
@@ -291,8 +288,9 @@ def _trace_line(rec: dict[str, Any]) -> str:
     if rec.get("active"):
         numbers.append(("hazard_ratio", rec["hazard_ratio"]))
     for name, value in numbers:
-        if isinstance(value, bool):  # JSON true would print as 1 or 1.00
-            raise TypeError(f"{name} must be a number, got {value!r}")
+        # JSON true would print as 1 or 1.00; the range test is false for NaN.
+        if isinstance(value, bool) or not -sys.float_info.max <= value <= sys.float_info.max:
+            raise TypeError(f"{name} must be a number and finite, got {value!r}")
     actuation = f"throttle={act['throttle']:.2f} brake={act['brake']:.2f} steer={act['steer']:+.2f}"
     if not rec.get("active"):
         return f"tick {rec['tick']:>5}  base agent        {actuation}"
@@ -359,6 +357,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except BrokenPipeError:  # the reader closed stdout, as `rco replay ... | head` does
+        # Python's recipe: stdout goes to devnull, so the final flush cannot raise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -119,18 +119,12 @@ class Summary:
     rows: tuple[EpisodeResult, ...]
 
     def aggregate(self) -> dict[str, float]:
-        """Arithmetic means over episodes, accumulated in row order."""
-        n = len(self.rows)
-        if n == 0:
-            return {"rc": 0.0, "is_score": 0.0, "ds": 0.0, "as_speed": 0.0}
-        totals = {"rc": 0.0, "is_score": 0.0, "ds": 0.0, "as_speed": 0.0}
+        """Arithmetic means over episodes, accumulated in row order; zeros when empty."""
+        totals = dict.fromkeys(("rc", "is_score", "ds", "as_speed"), 0.0)
         for r in self.rows:
-            totals["rc"] += r.rc
-            totals["is_score"] += r.is_score
-            totals["ds"] += r.ds
-            totals["as_speed"] += r.as_speed
-
-        return {k: v / n for k, v in totals.items()}
+            for key in totals:
+                totals[key] += getattr(r, key)
+        return {key: total / max(len(self.rows), 1) for key, total in totals.items()}
 
     def to_csv(self) -> str:
         lines = ["scenario,mode,rc,is,ds,as"]

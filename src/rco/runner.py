@@ -1,24 +1,21 @@
-"""Closed-loop episode execution for the three agent modes.
-
-baseline: the scripted driver alone, blind to masked objects.
-rco:      the override seizes actuation whenever a deficit is present.
-always_stop: emergency-stop protocol — halts at the first deficit and never
-resumes, the fully risk-avoidant comparison point.
+"""Closed-loop episode execution: one world loop drives each mode's policy, a
+generator that is primed with next(), sent the world at every tick, answers
+with that tick's action and decision record, and keeps its own state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Optional
+from typing import Any, Generator, Optional
 
 from . import metrics, orchestrator, simenv
 from .backend import Backend
-from .domain import FAIL_SAFE_STOP
+from .domain import FAIL_SAFE_STOP, Action
 from .orchestrator import OrchestratorConfig, OverrideState
 from .planner import PlannerConfig
 from .safety import SafetyGains
-from .simenv import Scenario, VehicleParams, WorldState
+from .simenv import DeficitPolicy, Scenario, VehicleParams, WorldState
 from .verifier import VerifierConfig
 
 
@@ -29,6 +26,7 @@ class Mode(str, Enum):
 
 
 STOP = FAIL_SAFE_STOP  # the always_stop halt
+Policy = Generator[tuple[Action, dict[str, Any]], WorldState, None]
 
 
 @dataclass(frozen=True)
@@ -88,6 +86,54 @@ class EpisodeOutcome:
     records: tuple[dict[str, Any], ...]
 
 
+def _base(w: WorldState, deficits: DeficitPolicy) -> tuple[Action, dict[str, Any]]:
+    """The base agent's action on the objects it can see, and its record."""
+    action = simenv.base_agent(w, simenv.masked_ids(w, deficits))
+    return action, orchestrator.base_record(w.tick, action)
+
+
+def _baseline(deficits: DeficitPolicy, backend: Backend, cfg: OrchestratorConfig) -> Policy:
+    """The scripted driver alone, blind to masked objects; it never perceives."""
+    w = yield
+    while True:
+        w = yield _base(w, deficits)
+
+
+def _always_stop(deficits: DeficitPolicy, backend: Backend, cfg: OrchestratorConfig) -> Policy:
+    """Halts at the first deficit and, since the halt never lifts, stops looking."""
+    w = yield
+    while not simenv.perceive(w, deficits).has_deficit:
+        w = yield _base(w, deficits)
+    while True:
+        w = yield STOP, orchestrator.base_record(w.tick, STOP)
+
+
+def _rco(deficits: DeficitPolicy, backend: Backend, cfg: OrchestratorConfig) -> Policy:
+    """The override seizes actuation whenever a deficit is present."""
+    state: OverrideState = orchestrator.initial_state()
+    history: list = []
+    history_cap = max(cfg.planner.history_len, cfg.verifier.history_len)
+    w = yield
+    while True:
+        snap = simenv.perceive(w, deficits)
+        history.append(snap)
+        del history[:-history_cap]
+        state = orchestrator.engage(snap.has_deficit, state)
+        if state.active:
+            step = orchestrator.step(
+                state, snap, history, simenv.measurements(w), w.ego.pose, backend, cfg
+            )
+            state = step.state
+            w = yield step.action, step.record
+        else:
+            action, record = _base(w, deficits)
+            state = orchestrator.note_external_action(state, action)
+            w = yield action, record
+
+
+POLICIES = {Mode.BASELINE: _baseline, Mode.RCO: _rco, Mode.ALWAYS_STOP: _always_stop}
+
+
 def run_episode(
     scenario: Scenario,
     mode: Mode,
@@ -98,44 +144,15 @@ def run_episode(
     params = VehicleParams()
     cfg = overrides.orchestrator_config(scenario.name, params.dt)
     w: WorldState = simenv.world_from_scenario(scenario, params)
-    policy = scenario.deficit_policy
-    state: OverrideState = orchestrator.initial_state()
-    history: list = []
-    history_cap = max(cfg.planner.history_len, cfg.verifier.history_len)
+    act = POLICIES[mode](scenario.deficit_policy, backend, cfg)
+    next(act)
     best_progress = w.ego_progress
     events: list[simenv.InfractionEvent] = []
     records: list[dict[str, Any]] = []
-    halted_forever = False
-    # Tested once: each Mode.X read in the loop is a class attribute lookup.
-    is_rco = mode is Mode.RCO
-    is_always_stop = mode is Mode.ALWAYS_STOP
 
     while w.tick < scenario.time_limit_ticks and w.ego_progress < scenario.route.length:
-        if is_rco:
-            snap = simenv.perceive(w, policy)
-            history.append(snap)
-            if len(history) > history_cap:
-                history.pop(0)
-            state = orchestrator.engage(snap.has_deficit, state)
-            if state.active:
-                step = orchestrator.step(
-                    state, snap, history, simenv.measurements(w), w.ego.pose, backend, cfg
-                )
-                action, state = step.action, step.state
-                records.append(step.record)
-            else:
-                action = simenv.base_agent(w, simenv.masked_ids(w, policy))
-                state = orchestrator.note_external_action(state, action)
-                records.append(orchestrator.base_record(w.tick, action))
-        else:
-            # The baseline never looks; the stop protocol looks only until its
-            # first deficit, because the halt never lifts.
-            halted_forever = halted_forever or (
-                is_always_stop and simenv.perceive(w, policy).has_deficit
-            )
-            action = STOP if halted_forever else simenv.base_agent(w, simenv.masked_ids(w, policy))
-            records.append(orchestrator.base_record(w.tick, action))
-
+        action, record = act.send(w)
+        records.append(record)
         w_next = simenv.tick(w, action)
         events.extend(simenv.detect_infractions(w, w_next))
         best_progress = max(best_progress, w_next.ego_progress)
@@ -143,7 +160,7 @@ def run_episode(
 
     game_time_s = w.tick * params.dt
     rc = metrics.completion_pct(scenario.route, best_progress)
-    is_score = metrics.infraction_score(events, policy, overrides.penalty_table())
+    is_score = metrics.infraction_score(events, scenario.deficit_policy, overrides.penalty_table())
     as_speed = metrics.average_speed(scenario.route.length, game_time_s)
     result = metrics.EpisodeResult.build(
         scenario=scenario.name,

@@ -7,6 +7,9 @@ import concurrent.futures
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -323,8 +326,8 @@ class TestRunCommand:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks):
-                return map(fn, tasks)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         assert main(["run", "--jobs", "64", "--out", str(tmp_path / "par")]) == 0
@@ -564,7 +567,9 @@ class TestReplayCommand:
         assert "ratio=0.0000  throttle=0.00" in allowed
         assert "denied=" not in allowed
 
-    @pytest.mark.parametrize("ratio", [None, "0.06", [0.06], True])
+    @pytest.mark.parametrize(
+        "ratio", [None, "0.06", [0.06], True, math.nan, math.inf, -math.inf]
+    )
     def test_active_record_without_a_numeric_ratio_is_config_error(
         self, tmp_path, capsys, ratio
     ):
@@ -593,6 +598,50 @@ class TestReplayCommand:
         assert f"decision log {log} line 1 is malformed" in captured.err
         assert f"{field} must be a number" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["tick", "throttle", "brake", "steer"])
+    @pytest.mark.parametrize("active", [False, True])
+    def test_non_finite_tick_or_action_field_is_config_error(
+        self, tmp_path, capsys, field, active, value
+    ):
+        # json reads NaN and Infinity, which no written log holds.
+        record = (
+            self._active_record(hazard_ratio=0.06) if active else base_record(15, FAIL_SAFE_STOP)
+        )
+        if field == "tick":
+            record["tick"] = value
+        else:
+            record["action"][field] = value
+        log = tmp_path / "bad.decisions.jsonl"
+        log.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        assert main(["replay", "--log", str(log)]) == 2
+        captured = capsys.readouterr()
+        assert f"decision log {log} line 1 is malformed" in captured.err
+        assert f"{field} must be a number" in captured.err
+        assert captured.out == ""
+
+    def test_closed_stdout_ends_quietly_with_141(self, tmp_path):
+        # The trace is far longer than a pipe holds, so the writer is still
+        # writing when the reader goes away after one line.
+        log = tmp_path / "long.decisions.jsonl"
+        log.write_text(
+            "".join(json.dumps(base_record(t, FAIL_SAFE_STOP)) + "\n" for t in range(5000)),
+            encoding="utf-8",
+        )
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        argv = [sys.executable, "-m", "rco.cli", "replay", "--log", str(log)]
+        with subprocess.Popen(
+            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        ) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        assert first.startswith(b"tick     0  base agent")
+        assert code == cli.EXIT_BROKEN_PIPE == 141
+        assert stderr == b""  # no traceback
 
 
 class TestAlwaysStopMode:

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
-import pytest
+import inspect
 
-from rco import metrics, simenv
+import pytest
+import test_simenv
+
+from rco import metrics, orchestrator, runner, simenv
 from rco.backend import ScriptedBackend
 from rco.cli import bundled_scenario_dir
-from rco.runner import Mode, Overrides, run_episode
-from rco.simenv import Scenario
+from rco.runner import STOP, Mode, Overrides, run_episode
+from rco.simenv import Scenario, VehicleParams
 
 
 def load(name: str) -> Scenario:
@@ -63,6 +66,40 @@ class TestModes:
     def test_rco_respects_step_limit_override(self):
         out = run_episode(load("traffic_light_benign"), Mode.RCO, backend(), Overrides(n_max=2))
         assert max(r["sequence_len"] for r in out.records) <= 2
+
+
+class TestPolicies:
+    def test_one_policy_per_mode(self):
+        assert set(runner.POLICIES) == set(Mode)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_each_policy_is_a_generator_function(self, mode):
+        assert inspect.isgeneratorfunction(runner.POLICIES[mode])
+
+    def test_always_stop_halts_for_good_and_stops_looking(self, monkeypatch):
+        halt = test_simenv.TestModeWork.HALT_TICK
+        sc = load("stop_sign_hazard")
+        perceived = []
+        perceive = simenv.perceive
+
+        def recording_perceive(w, deficits):
+            perceived.append(w.tick)
+            return perceive(w, deficits)
+
+        monkeypatch.setattr(simenv, "perceive", recording_perceive)
+        cfg = Overrides().orchestrator_config(sc.name, VehicleParams().dt)
+        act = runner._always_stop(sc.deficit_policy, backend(), cfg)
+        next(act)
+        w = simenv.world_from_scenario(sc, VehicleParams())
+        actions = []
+        for _ in range(halt + 50):
+            action, record = act.send(w)
+            assert record == orchestrator.base_record(w.tick, action)
+            actions.append(action)
+            w = simenv.tick(w, action)
+        assert actions.index(STOP) == halt
+        assert actions[halt:] == [STOP] * 50
+        assert perceived == list(range(halt + 1))
 
 
 class TestPlanAheadEconomy:
