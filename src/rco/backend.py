@@ -53,6 +53,7 @@ from .domain import (
     Surrounding,
     TrafficDensity,
     Weather,
+    typed,
 )
 
 log = logging.getLogger(__name__)
@@ -159,6 +160,14 @@ def _enum_field(d: dict[str, Any], key: str, enum_cls: type, *, where: str) -> A
         raise SchemaViolation(f"unknown {key} token: {d[key]!r}", field=key) from None
 
 
+def _number(d: dict[str, Any], key: str, kind: type) -> Any:
+    """``d[key]`` if it is a finite number of ``kind`` (see ``domain.typed``)."""
+    try:
+        return typed(d.get(key), kind, key)
+    except (TypeError, ValueError) as exc:
+        raise SchemaViolation(str(exc), field=key) from None
+
+
 def _parse_hazard_and_plan(obj: dict[str, Any]) -> HazardAndPlan:
     hazards_raw = obj.get("hazards")
     if not isinstance(hazards_raw, list):
@@ -199,8 +208,8 @@ def _parse_plan(obj: dict[str, Any]) -> MotionPlan:
                 )
             )
         return MotionPlan(strategy, sequence=ActionSequence(tuple(pairs), 0))
-    wait = obj.get("wait")
-    if not isinstance(wait, int) or isinstance(wait, bool) or wait < 0:
+    wait = _number(obj, "wait", int)
+    if wait < 0:
         raise SchemaViolation("wait must be a non-negative integer", field="wait")
     trigger = _enum_field(obj, "trigger", ExecutionCondition, where="plan")
     return MotionPlan(strategy, wait_ticks=wait, move_trigger=trigger)
@@ -210,13 +219,11 @@ def _parse_constraints(obj: dict[str, Any]) -> SafetyConstraints:
     fields = ("v_max", "d_min", "ac_max", "de_max", "psi_max", "d_brake")
     values = {}
     for f in fields:
-        v = obj.get(f)
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise SchemaViolation("constraint fields must be numbers", field=f)
+        v = _number(obj, f, float)
         base = getattr(BASE_CONSTRAINTS, f)
         if (v < base / ENVELOPE_SLACK) if f == "d_min" else (v > base * ENVELOPE_SLACK):
             raise SchemaViolation(f"constraint looser than {ENVELOPE_SLACK}x base", field=f)
-        values[f] = float(v)
+        values[f] = v
     try:
         return SafetyConstraints(**values)
     except OutOfRangeError as exc:
@@ -397,16 +404,6 @@ class ScriptedBackend:
     def __init__(self, table: dict[str, dict[str, Any]]):
         self.table = table
         self._answers: dict[tuple[Purpose, str], BackendResponse] = {}
-
-    @classmethod
-    def from_file(cls, path: str) -> "ScriptedBackend":
-        """The table a JSON file holds; ValueError unless it is an object
-        whose values are objects, the shape every call looks a key up in."""
-        with open(path, "r", encoding="utf-8") as fh:
-            table = json.load(fh)
-        if not isinstance(table, dict) or not all(isinstance(v, dict) for v in table.values()):
-            raise ValueError("scripted table must be a JSON object whose values are objects")
-        return cls(table)
 
     @classmethod
     def bundled(cls) -> "ScriptedBackend":

@@ -16,11 +16,11 @@ import os
 import sys
 from importlib import resources
 from pathlib import Path
-from typing import Any, Optional, Sequence, get_args, get_type_hints
+from typing import Any, Callable, Optional, Sequence, get_args, get_type_hints
 
 from . import metrics
 from .backend import Backend, HttpBackend, ScriptedBackend
-from .domain import FAIL_SAFE_STOP
+from .domain import FAIL_SAFE_STOP, Action, typed
 from .orchestrator import base_record
 from .runner import EpisodeOutcome, Mode, Overrides, given, run_episode
 from .simenv import Scenario
@@ -56,14 +56,27 @@ def discover_scenarios(paths: Sequence[str]) -> list[Path]:
     return found
 
 
+def _read(path: str | Path, label: str, decode: Callable[[str], Any]) -> Any:
+    """``decode`` of the file's UTF-8 text; ConfigError if it is no regular
+    file (a FIFO would block the open), cannot be read, or does not decode."""
+    if not os.path.isfile(path):
+        raise ConfigError(f"{label} does not exist: {path}")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return decode(fh.read())
+    except (OSError, RecursionError, ValueError) as exc:  # bad UTF-8, bad or too deep JSON
+        raise ConfigError(f"{label} {path} failed to load: {exc}") from exc
+
+
 def load_scenarios(paths: Sequence[Path]) -> list[Scenario]:
     """Each file's scenario; names must be distinct, since a name keys both
     the output files and the scripted table."""
     scenarios: dict[str, Scenario] = {}
     for p in paths:
+        data = _read(p, "scenario file", json.loads)
         try:
-            sc = Scenario.load(str(p))
-        except (OSError, AttributeError, KeyError, TypeError, ValueError) as exc:
+            sc = Scenario.from_json(data)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"scenario file {p} failed to load: {exc!r}") from exc
         if sc.name in scenarios:
             raise ConfigError(f"scenario file {p} repeats the scenario name {sc.name!r}")
@@ -73,15 +86,17 @@ def load_scenarios(paths: Sequence[Path]) -> list[Scenario]:
 
 def build_backend(kind: str, scripted_table: Optional[str]) -> Backend:
     if kind == "scripted":
-        if scripted_table:
-            if not Path(scripted_table).is_file():
-                raise ConfigError(f"scripted table does not exist: {scripted_table}")
-            try:
-                return ScriptedBackend.from_file(scripted_table)
-            except ValueError as exc:  # also bad JSON and bad UTF-8
-                raise ConfigError(f"scripted table {scripted_table} failed to load: {exc}") from exc
-        return ScriptedBackend.bundled()
+        if not scripted_table:
+            return ScriptedBackend.bundled()
+        table = _read(scripted_table, "scripted table", json.loads)
+        if not isinstance(table, dict) or not all(isinstance(v, dict) for v in table.values()):
+            raise ConfigError(  # every call looks a key up in the purpose's object
+                f"scripted table {scripted_table} failed to load: not an object of objects"
+            )
+        return ScriptedBackend(table)
     if kind == "http":
+        if scripted_table:  # the table would go unread
+            raise ConfigError("--scripted-table applies to the scripted backend only, not http")
         try:
             return HttpBackend.from_env()
         except ValueError as exc:
@@ -102,13 +117,7 @@ def _flag_types() -> dict[str, type]:
 def _load_config_file(path: Optional[str]) -> dict[str, Any]:
     if not path:
         return {}
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"config file does not exist: {path}")
-    try:
-        data = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+    data = _read(path, "config file", json.loads)
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
     unknown = set(data) - {f.name for f in dataclasses.fields(Overrides)}
@@ -267,15 +276,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    path = Path(args.log)
-    if not path.is_file():
-        raise ConfigError(f"decision log does not exist: {args.log}")
+    path = args.log
     trace = []
-    for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for number, line in enumerate(_read(path, "decision log", str.splitlines), 1):
         if line.strip():
             try:
                 trace.append(_trace_line(json.loads(line)))
-            except (KeyError, TypeError, ValueError) as exc:  # ValueError covers bad JSON
+            except (KeyError, RecursionError, TypeError, ValueError) as exc:  # bad or deep JSON
                 raise ConfigError(f"decision log {path} line {number} is malformed: {exc!r}") from exc
     for text in trace:
         print(text, flush=True)  # a closed pipe raises here, not at interpreter exit
@@ -283,17 +290,14 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _trace_line(rec: dict[str, Any]) -> str:
-    act = rec["action"]
-    numbers = [("tick", rec["tick"])] + [(k, act[k]) for k in ("throttle", "brake", "steer")]
-    if rec.get("active"):
-        numbers.append(("hazard_ratio", rec["hazard_ratio"]))
-    for name, value in numbers:
-        # JSON true would print as 1 or 1.00; the range test is false for NaN.
-        if isinstance(value, bool) or not -sys.float_info.max <= value <= sys.float_info.max:
-            raise TypeError(f"{name} must be a number and finite, got {value!r}")
-    actuation = f"throttle={act['throttle']:.2f} brake={act['brake']:.2f} steer={act['steer']:+.2f}"
+    """``rec``'s line, once its numbers are values the writing types hold."""
+    tick = typed(rec["tick"], int, "tick")
+    if tick < 0:
+        raise ValueError(f"tick must be >= 0, got {tick}")
+    act = Action(*(typed(rec["action"][k], float, k) for k in ("throttle", "brake", "steer")))
+    actuation = f"throttle={act.throttle:.2f} brake={act.brake:.2f} steer={act.steer:+.2f}"
     if not rec.get("active"):
-        return f"tick {rec['tick']:>5}  base agent        {actuation}"
+        return f"tick {tick:>5}  base agent        {actuation}"
     extra = ""
     if rec.get("triggered_constraints"):
         extra = "  constraints=" + "+".join(rec["triggered_constraints"])
@@ -301,9 +305,10 @@ def _trace_line(rec: dict[str, Any]) -> str:
         extra += f"  plans={rec['planning_events']}"
     if rec.get("denied"):
         extra += "  denied=" + "+".join(rec["denied"])
+    ratio = typed(rec["hazard_ratio"], float, "hazard_ratio")
     return (
-        f"tick {rec['tick']:>5}  {rec['source']:<10} {rec['classification'] or '':<32}"
-        f"ratio={rec['hazard_ratio']:.4f}  {actuation}{extra}"
+        f"tick {tick:>5}  {rec['source']:<10} {rec['classification'] or '':<32}"
+        f"ratio={ratio:.4f}  {actuation}{extra}"
     )
 
 

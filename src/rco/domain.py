@@ -9,6 +9,7 @@ with heading measured counter-clockwise from +x.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Optional
@@ -21,6 +22,22 @@ class OutOfRangeError(ValueError):
         super().__init__(f"{field_name} out of range: {value!r}")
         self.field_name = field_name
         self.value = value
+
+
+_KINDS = {bool: "a JSON bool", str: "a JSON string", int: "a number (JSON int)", float: "a number"}
+
+
+def typed(value: Any, kind: type, name: str) -> Any:
+    """``value``, read from outside, if its JSON type is ``kind``: a bool is no
+    number, an int is a float (returned as one), and a float must be one a float
+    holds (``json`` reads ``NaN``, ``Infinity``, ``1e999`` and ints of any size)."""
+    if type(value) is not kind and not (kind is float and type(value) is int):
+        raise TypeError(f"{name} must be {_KINDS[kind]}, got {value!r}")
+    if kind is not float:
+        return value
+    if not -sys.float_info.max <= value <= sys.float_info.max:  # exact for ints, false for NaN
+        raise ValueError(f"{name} must be a number and finite, got {value!r}")
+    return float(value)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from .domain import (
     Navigation,
     STOP_PAIR,
     Strategy,
+    typed,
 )
 
 log = logging.getLogger(__name__)
@@ -36,11 +37,9 @@ class PlannerConfig:
 
     def __post_init__(self) -> None:
         for name in ("history_len", "max_steps", "wait_cap", "replan_budget"):
-            value = getattr(self, name)
-            if type(value) is not int:  # a bool or a float is not a count
-                raise TypeError(f"{name} must be an int, got {value!r}")
-            if value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
+            value = typed(getattr(self, name), int, name)  # a bool or a float is no count
+            if not 0 < value <= 10_000:  # it sizes a frame window, plan or wait
+                raise ValueError(f"{name} out of [1,10000]: {value}")
 
 
 FALLBACK_TRIGGER = ExecutionCondition.CONSISTENT_NO_IMMEDIATE_HAZARD

@@ -11,7 +11,7 @@ from typing import Any, Generator, Optional
 
 from . import metrics, orchestrator, simenv
 from .backend import Backend
-from .domain import FAIL_SAFE_STOP, Action
+from .domain import FAIL_SAFE_STOP, Action, typed
 from .orchestrator import OrchestratorConfig, OverrideState
 from .planner import PlannerConfig
 from .safety import SafetyGains
@@ -67,11 +67,10 @@ class Overrides:
     def penalty_table(self) -> dict[simenv.InfractionKind, float]:
         table = dict(metrics.DEFAULT_PENALTIES)
         for name, value in dict(self.penalties or {}).items():
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise TypeError(f"penalty {name} must be a number, got {value!r}")
-            if not 0.0 <= value <= 1.0:  # also rejects NaN
+            value = typed(value, float, f"penalty {name}")
+            if not 0.0 <= value <= 1.0:
                 raise ValueError(f"penalty {name} out of [0,1]: {value}")
-            table[simenv.InfractionKind(name)] = float(value)
+            table[simenv.InfractionKind(name)] = value
         return table
 
 

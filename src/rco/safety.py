@@ -25,6 +25,7 @@ from .domain import (
     TrafficDensity,
     VehicleMeasurements,
     Weather,
+    typed,
 )
 
 
@@ -37,9 +38,7 @@ class SafetyGains:
 
     def __post_init__(self) -> None:
         for name in ("delta_throttle", "delta_brake"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise TypeError(f"{name} must be a number, got {value!r}")
+            value = typed(getattr(self, name), float, name)
             if not 0.0 < value <= 1.0:
                 raise ValueError(f"{name} out of (0,1]: {value}")
 

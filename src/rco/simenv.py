@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 import re
-import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
@@ -42,6 +41,7 @@ from .domain import (
     ViewName,
     VisibleObject,
     Weather,
+    typed,
 )
 
 STOPPED_SPEED = 0.1  # below this the vehicle counts as stopped (stop-sign rule)
@@ -299,23 +299,9 @@ class DeficitPolicy:
         return bool(self.classes) and self.window[0] <= tick < self.window[1]
 
 
-def _typed(value: Any, kind: type) -> Any:
-    """``value`` if its JSON type is ``kind``; a bool is no number, and an
-    int is a float (returned as one). A number must be one a float holds:
-    ``json`` reads ``NaN``, ``Infinity``, ``1e999`` and ints of any size."""
-    if type(value) is not kind and not (kind is float and type(value) is int):
-        raise TypeError(f"expected a JSON {kind.__name__}, got {value!r}")
-    if kind is not float:
-        return value
-    # Exact for ints too, and false for NaN.
-    if not -sys.float_info.max <= value <= sys.float_info.max:
-        raise ValueError(f"expected a finite number, got {value!r}")
-    return float(value)
-
-
 def _point(xy: Any) -> tuple[float, float]:
     x, y = xy
-    return _typed(x, float), _typed(y, float)
+    return typed(x, float, "x"), typed(y, float, "y")
 
 
 _SCENARIO_NAME = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9_.-]*")
@@ -353,34 +339,34 @@ class Scenario:
         """The scenario a JSON object describes; a value of the wrong JSON
         type is rejected, never coerced."""
         return cls(
-            name=_typed(d["name"], str),
+            name=typed(d["name"], str, "name"),
             route=Route(
                 tuple(_point(p) for p in d["route"]["waypoints"]),
                 tuple(RoadGeometry(g) for g in d["route"]["geometry"]),
             ),
             actors=tuple(
                 Actor(
-                    id=_typed(a["id"], int),
+                    id=typed(a["id"], int, "id"),
                     cls=ObjectClass(a["class"]),
-                    script=tuple((_typed(t, float), *_point(xy)) for t, *xy in a["script"]),
-                    static=_typed(a.get("static", False), bool),
+                    script=tuple((typed(t, float, "time"), *_point(xy)) for t, *xy in a["script"]),
+                    static=typed(a.get("static", False), bool, "static"),
                 )
                 for a in d.get("actors", [])
             ),
             lights=tuple(
                 TrafficLight(
-                    id=_typed(l["id"], int),
+                    id=typed(l["id"], int, "id"),
                     position=_point(l["position"]),
-                    stop_line_s=_typed(l["stop_line_s"], float),
-                    schedule=tuple((_typed(t, int), LightState(s)) for t, s in l["schedule"]),
+                    stop_line_s=typed(l["stop_line_s"], float, "stop_line_s"),
+                    schedule=tuple((typed(t, int, "tick"), LightState(s)) for t, s in l["schedule"]),
                 )
                 for l in d.get("traffic_lights", [])
             ),
             signs=tuple(
                 StopSign(
-                    id=_typed(s["id"], int),
+                    id=typed(s["id"], int, "id"),
                     position=_point(s["position"]),
-                    stop_line_s=_typed(s["stop_line_s"], float),
+                    stop_line_s=typed(s["stop_line_s"], float, "stop_line_s"),
                 )
                 for s in d.get("stop_signs", [])
             ),
@@ -389,13 +375,13 @@ class Scenario:
                     ObjectClass(c) for c in d.get("deficit_policy", {}).get("classes", [])
                 ),
                 window=tuple(  # type: ignore[arg-type]
-                    _typed(t, int) for t in d.get("deficit_policy", {}).get("window", [0, 0])
+                    typed(t, int, "tick") for t in d.get("deficit_policy", {}).get("window", [0, 0])
                 ),
             ),
             weather=Weather(d.get("weather", "clear")),
             daylight=Daylight(d.get("daylight", "day")),
             traffic_density=TrafficDensity(d.get("traffic_density", "low")),
-            time_limit_ticks=_typed(d.get("time_limit_ticks", 600), int),
+            time_limit_ticks=typed(d.get("time_limit_ticks", 600), int, "time_limit_ticks"),
         )
 
     @classmethod

@@ -24,6 +24,7 @@ from .domain import (
     ObjectClass,
     VIEW_ORDER,
     ViewName,
+    typed,
 )
 
 # Classes that count toward the proximity ratio: the movable road users a
@@ -66,14 +67,10 @@ class VerifierConfig:
 
     def __post_init__(self) -> None:
         for name in ("shift_threshold", "hazard_ratio_threshold"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise TypeError(f"{name} must be a number, got {value!r}")
+            value = typed(getattr(self, name), float, name)
             if not 0.0 < value < 1.0:
                 raise ValueError(f"{name} out of (0,1): {value}")
-        if type(self.history_len) is not int:  # a bool or a float is not a count
-            raise TypeError(f"history_len must be an int, got {self.history_len!r}")
-        if self.history_len < 2:
+        if typed(self.history_len, int, "history_len") < 2:  # a bool or a float is no count
             raise ValueError(f"history_len must be >= 2, got {self.history_len}")
 
 
