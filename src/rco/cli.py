@@ -18,9 +18,9 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence, get_args, get_type_hints
 
-from . import metrics
+from . import metrics, safety
 from .backend import Backend, HttpBackend, ScriptedBackend
-from .domain import FAIL_SAFE_STOP, Action, typed
+from .domain import FAIL_SAFE_STOP, Action, ExecutionCondition, typed
 from .orchestrator import base_record
 from .runner import EpisodeOutcome, Mode, Overrides, given, run_episode
 from .simenv import Scenario
@@ -31,6 +31,14 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a killed write
 
 # One decision-log record per line; the same bytes as json.dumps with these arguments.
 _RECORD_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# The tokens a written log holds in each text field a replayed trace shows.
+_CONDITIONS = tuple(c.value for c in ExecutionCondition)
+_TOKENS = {
+    "source": ("base", "pair", "stop_wait", "failsafe"),
+    "classification": (None, "replan", *_CONDITIONS),
+    "triggered_constraints": safety._TRIGGER_NAMES,
+    "denied": ("wait_inconsistent", *_CONDITIONS),
+}
 
 
 class ConfigError(Exception):
@@ -298,11 +306,15 @@ def _trace_line(rec: dict[str, Any]) -> str:
     actuation = f"throttle={act.throttle:.2f} brake={act.brake:.2f} steer={act.steer:+.2f}"
     if not rec.get("active"):
         return f"tick {tick:>5}  base agent        {actuation}"
+    for key, tokens in _TOKENS.items():
+        values = [rec[key]] if key in ("source", "classification") else rec.get(key) or []
+        if type(values) is not list or not all(v in tokens for v in values):
+            raise ValueError(f"{key} holds what no written log holds: {rec[key]!r}")
     extra = ""
     if rec.get("triggered_constraints"):
         extra = "  constraints=" + "+".join(rec["triggered_constraints"])
     if rec.get("planning_events"):
-        extra += f"  plans={rec['planning_events']}"
+        extra += f"  plans={typed(rec['planning_events'], int, 'planning_events')}"
     if rec.get("denied"):
         extra += "  denied=" + "+".join(rec["denied"])
     ratio = typed(rec["hazard_ratio"], float, "hazard_ratio")

@@ -78,6 +78,7 @@ class ViewName(str, Enum):
 
 # The order of a snapshot's views.
 VIEW_ORDER = (ViewName.LEFT, ViewName.FRONT, ViewName.RIGHT)
+_LEFT, _FRONT, _RIGHT = VIEW_ORDER  # read per snapshot
 
 
 class ObjectClass(str, Enum):
@@ -311,15 +312,11 @@ class EnvironmentSnapshot:
     has_deficit: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        views = []
-        has_deficit = False
-        for v in self.perception:
-            views.append(v.view)
-            if v.deficits:
-                has_deficit = True
-        got = tuple(views)
-        if got != VIEW_ORDER:
+        p = self.perception
+        if len(p) != 3 or p[0].view != _LEFT or p[1].view != _FRONT or p[2].view != _RIGHT:
+            got = tuple(v.view for v in p)
             raise ValueError(f"perception views must be ordered left/front/right, got {got}")
+        has_deficit = bool(p[0].deficits or p[1].deficits or p[2].deficits)
         object.__setattr__(self, "has_deficit", has_deficit)
 
     def view(self, name: ViewName) -> CameraView:

@@ -115,9 +115,7 @@ def _padded_history(
     # Early ticks have fewer frames than the inference window; repeat the
     # oldest so the backend always sees k frames.
     window = list(history[-k:])
-    while len(window) < k:
-        window.insert(0, window[0])
-    return window
+    return [window[0]] * (k - len(window)) + window
 
 
 def _plan(
@@ -262,24 +260,22 @@ def step(
     return StepResult(action, new_state, record)
 
 
+# A base-agent record's keys in their order; base_record sets the tick and the
+# action, and gives each record its own two lists.
+_BASE_RECORD: dict[str, Any] = dict(
+    schema=LOG_SCHEMA_VERSION, tick=None, active=False, classification=None,
+    hazard_ratio=None, verdict=None, source="base", action=None, triggered_constraints=None,
+    planning_events=0, backend_calls=0, sc_refreshed=False, denied=None,
+    direction_mismatch=False, sequence_len=0, wait_elapsed=0,
+)
+
+
 def base_record(env_tick: int, action: Action) -> dict[str, Any]:
     """Decision-log record for a tick driven by the base agent; ``step``
     writes the fields of an active tick over it."""
-    return {
-        "schema": LOG_SCHEMA_VERSION,
-        "tick": env_tick,
-        "active": False,
-        "classification": None,
-        "hazard_ratio": None,
-        "verdict": None,
-        "source": "base",
-        "action": action.to_json(),
-        "triggered_constraints": [],
-        "planning_events": 0,
-        "backend_calls": 0,
-        "sc_refreshed": False,
-        "denied": [],
-        "direction_mismatch": False,
-        "sequence_len": 0,
-        "wait_elapsed": 0,
-    }
+    record = _BASE_RECORD.copy()
+    record["tick"] = env_tick
+    record["action"] = action.to_json()
+    record["triggered_constraints"] = []
+    record["denied"] = []
+    return record

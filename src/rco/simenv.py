@@ -21,7 +21,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate
-from typing import Any, Optional
+from typing import Any, ClassVar, Optional
 
 from .controlmap import clamp, compute_steer, wrap_angle
 from .domain import (
@@ -121,9 +121,12 @@ class Actor:
     cls: ObjectClass
     script: tuple[tuple[float, float, float], ...]  # (t_s, x, y), times monotone
     static: bool = False  # True => collisions score as layout/static
-    # Derived once per actor: waypoint times and one heading per segment.
+    # Derived once per actor: waypoint times, one heading per segment, and the
+    # collision broad phase's reach (-inf for a zero-length footprint, which
+    # never collides).
     _times: tuple[float, ...] = field(init=False, repr=False, compare=False)
     _headings: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _reach: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.cls not in _CLASS_DIMS:
@@ -136,6 +139,8 @@ class Actor:
         headings = tuple(_heading(p, q) for p, q in zip(self.script, self.script[1:]))
         object.__setattr__(self, "_times", times)
         object.__setattr__(self, "_headings", headings or (0.0,))
+        length = _CLASS_DIMS[self.cls][0]
+        object.__setattr__(self, "_reach", length + EGO_LENGTH if length != 0.0 else -math.inf)
 
     def state_at(self, t_s: float) -> tuple[float, float, float]:
         """(x, y, heading) at time ``t_s`` by linear interpolation."""
@@ -161,6 +166,7 @@ def _heading(p: tuple[float, float, float], q: tuple[float, float, float]) -> fl
 
 @dataclass(frozen=True)
 class TrafficLight:
+    cls: ClassVar[ObjectClass] = ObjectClass.TRAFFIC_LIGHT  # the class perceive draws
     id: int
     position: tuple[float, float]
     stop_line_s: float  # arc length along the route
@@ -187,6 +193,7 @@ class TrafficLight:
 
 @dataclass(frozen=True)
 class StopSign:
+    cls: ClassVar[ObjectClass] = ObjectClass.STOP_SIGN
     id: int
     position: tuple[float, float]
     stop_line_s: float
@@ -238,7 +245,7 @@ class Route:
         px, py = point
         for x0, y0, dx, dy, seg_len2, seg_len, start in self._projection:
             t = ((px - x0) * dx + (py - y0) * dy) / seg_len2
-            t = clamp(t, 0.0, 1.0)
+            t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
             cx, cy = x0 + t * dx, y0 + t * dy
             d2 = (px - cx) ** 2 + (py - cy) ** 2
             if d2 < best_d2:
@@ -319,6 +326,11 @@ class Scenario:
     daylight: Daylight = Daylight.DAY
     traffic_density: TrafficDensity = TrafficDensity.LOW
     time_limit_ticks: int = 600
+    # Derived once: each light and sign shaped as a WorldState.actor_states
+    # entry (object, x, y, heading), so perceive draws them in the same loop.
+    signals: tuple[tuple[Any, float, float, None], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         # The name keys the scripted table and is the stem of the output
@@ -333,6 +345,8 @@ class Scenario:
             raise ValueError(f"scenario {self.name}: actor/signal ids must be unique")
         if self.time_limit_ticks < 1:
             raise ValueError(f"scenario {self.name}: time_limit_ticks must be >= 1")
+        signals = tuple((s, *s.position, None) for s in (*self.lights, *self.signs))
+        object.__setattr__(self, "signals", signals)
 
     @classmethod
     def from_json(cls, d: dict[str, Any]) -> "Scenario":
@@ -428,7 +442,7 @@ class WorldState:
 
     def __post_init__(self) -> None:
         t = self.tick * self.params.dt
-        states = tuple((a, *a.state_at(t)) for a in self.scenario.actors)
+        states = tuple([(a, *a.state_at(t)) for a in self.scenario.actors])
         object.__setattr__(self, "actor_states", states)
         object.__setattr__(self, "collisions", _collisions(self))
 
@@ -440,7 +454,13 @@ def world_from_scenario(scenario: Scenario, params: VehicleParams = VehicleParam
 
 
 def tick(w: WorldState, a: Action) -> WorldState:
-    """Advance one step under the kinematic bicycle model."""
+    """Advance one step under the kinematic bicycle model.
+
+    Relies on one invariant: a state's ``ego_progress`` is
+    ``route.progress_of`` of its ego position. ``world_from_scenario`` starts
+    at 0.0 on the first waypoint and every state returned here keeps it, so an
+    ego that does not move keeps its progress without a new projection.
+    """
     dt = w.params.dt
     ego = w.ego
     accel = K_THROTTLE * a.throttle - K_BRAKE * a.brake - DRAG * ego.v
@@ -454,16 +474,20 @@ def tick(w: WorldState, a: Action) -> WorldState:
     a_x = (v_new - ego.v) / dt
     omega_z = wrap_angle(heading_new - ego.heading) / dt
     ego_new = EgoState(x_new, y_new, heading_new, v_new, a_x, omega_z)
-    progress = w.scenario.route.progress_of((x_new, y_new))
+    scenario = w.scenario
+    if v_new == 0.0:
+        progress = w.ego_progress
+    else:
+        progress = scenario.route.progress_of((x_new, y_new))
 
     satisfied = w.sign_satisfied
-    if v_new <= STOPPED_SPEED:
+    if scenario.signs and v_new <= STOPPED_SPEED:
         satisfied = satisfied.union(
             sign.id
-            for sign in w.scenario.signs
+            for sign in scenario.signs
             if sign.stop_line_s - SIGN_ZONE_M <= progress <= sign.stop_line_s
         )
-    return WorldState(w.tick + 1, ego_new, w.scenario, w.params, progress, satisfied)
+    return WorldState(w.tick + 1, ego_new, scenario, w.params, progress, satisfied)
 
 
 # ---------------------------------------------------------------------------
@@ -488,16 +512,6 @@ _STOP_SIGN = ObjectClass.STOP_SIGN
 _PEDESTRIAN = ObjectClass.PEDESTRIAN
 
 
-def _bearing(ego: EgoState, pos: tuple[float, float]) -> Optional[tuple[float, float]]:
-    """(range, bearing relative to the ego heading) of a world position; None
-    if it is out of camera range."""
-    dx, dy = pos[0] - ego.x, pos[1] - ego.y
-    rng = math.hypot(dx, dy)
-    if rng < 1e-6 or rng > CAMERA_RANGE:
-        return None
-    return rng, wrap_angle(math.atan2(dy, dx) - ego.heading)
-
-
 def _project(
     rng: float, rel: float, width: float, height: float
 ) -> Optional[tuple[ViewName, Optional[Box]]]:
@@ -510,8 +524,11 @@ def _project(
             u = (hi - rel) / span
             half_w = math.atan2(width / 2.0, rng) / span
             half_h = math.atan2(height / 2.0, rng) / FOV_V
-            x0, x1 = clamp(u - half_w, 0.0, 1.0), clamp(u + half_w, 0.0, 1.0)
-            y0, y1 = clamp(0.5 - half_h, 0.0, 1.0), clamp(0.5 + half_h, 0.0, 1.0)
+            x0, x1, y0, y1 = u - half_w, u + half_w, 0.5 - half_h, 0.5 + half_h
+            x0 = 0.0 if x0 < 0.0 else 1.0 if x0 > 1.0 else x0
+            x1 = 0.0 if x1 < 0.0 else 1.0 if x1 > 1.0 else x1
+            y0 = 0.0 if y0 < 0.0 else 1.0 if y0 > 1.0 else y0
+            y1 = 0.0 if y1 < 0.0 else 1.0 if y1 > 1.0 else y1
             if x1 - x0 < 1e-9 or y1 - y0 < 1e-9:
                 return view, None
             return view, Box(x0, y0, x1, y1)
@@ -535,43 +552,35 @@ def perceive(w: WorldState, policy: DeficitPolicy) -> EnvironmentSnapshot:
     """Project world contents into the three camera views, applying the
     deficit policy. Masking alters only the snapshot, never the world."""
     ego = w.ego
+    ex, ey, heading = ego.x, ego.y, ego.heading
     hidden = masked_ids(w, policy)
+    scenario = w.scenario
     # (visible objects, deficit boxes) of each view that receives a box.
     drawn: dict[ViewName, tuple[list[VisibleObject], list[Box]]] = {}
-
-    def add(
-        obj_id: int, cls: ObjectClass, pos: tuple[float, float]
-    ) -> Optional[tuple[float, ViewName]]:
-        """Draw one object into its view; (range, view) if it lies in one."""
-        seen = _bearing(ego, pos)
-        if seen is None:
-            return None
-        dims = _CLASS_DIMS[cls]
-        projected = _project(seen[0], seen[1], dims[2], dims[3])
-        if projected is None:
-            return None
-        view, box = projected
-        if box is not None:
-            visibles, deficits = drawn.get(view) or drawn.setdefault(view, ([], []))
-            if obj_id in hidden:
-                deficits.append(box)
-            else:
-                visibles.append(VisibleObject(cls, box, seen[0]))
-        return seen[0], view
-
     # The nearest actor in the front view, masked or not, is the nearest
-    # obstacle.
+    # obstacle; lights and signs are drawn by the same loop but not counted.
     nearest = None
-    for actor, x, y, _h in w.actor_states:
-        placed = add(actor.id, actor.cls, (x, y))
-        if placed is not None and placed[1] is _FRONT:
-            if nearest is None or placed[0] < nearest:
-                nearest = placed[0]
-    scenario = w.scenario
-    for light in scenario.lights:
-        add(light.id, _TRAFFIC_LIGHT, light.position)
-    for sign in scenario.signs:
-        add(sign.id, _STOP_SIGN, sign.position)
+    for objects, are_actors in ((w.actor_states, True), (scenario.signals, False)):
+        for obj, x, y, _h in objects:
+            dx, dy = x - ex, y - ey
+            rng = math.hypot(dx, dy)
+            if rng > CAMERA_RANGE or rng < 1e-6:
+                continue
+            cls = obj.cls
+            dims = _CLASS_DIMS[cls]
+            rel = wrap_angle(math.atan2(dy, dx) - heading)
+            projected = _project(rng, rel, dims[2], dims[3])
+            if projected is None:
+                continue
+            view, box = projected
+            if box is not None:
+                visibles, deficits = drawn.get(view) or drawn.setdefault(view, ([], []))
+                if obj.id in hidden:
+                    deficits.append(box)
+                else:
+                    visibles.append(VisibleObject(cls, box, rng))
+            if are_actors and view is _FRONT and (nearest is None or rng < nearest):
+                nearest = rng
 
     views = []
     for name in VIEW_ORDER:
@@ -643,16 +652,16 @@ def _obb_overlap(a: list[tuple[float, float]], b: list[tuple[float, float]]) -> 
 def _collisions(w: WorldState) -> frozenset[int]:
     # The broad phase rejects every actor on most ticks, so the ego's quad is
     # built only once an actor passes it.
+    ego = w.ego
+    ex, ey = ego.x, ego.y
     ego_quad = None
     hit = set()
     for actor, x, y, heading in w.actor_states:
-        length, width, _pw, _ph = _CLASS_DIMS[actor.cls]
-        if length == 0.0:
-            continue
-        if math.hypot(x - w.ego.x, y - w.ego.y) > (length + EGO_LENGTH):
+        if math.hypot(x - ex, y - ey) > actor._reach:
             continue
         if ego_quad is None:
-            ego_quad = _obb_corners(w.ego.x, w.ego.y, w.ego.heading, EGO_LENGTH, EGO_WIDTH)
+            ego_quad = _obb_corners(ex, ey, ego.heading, EGO_LENGTH, EGO_WIDTH)
+        length, width, _pw, _ph = _CLASS_DIMS[actor.cls]
         if _obb_overlap(ego_quad, _obb_corners(x, y, heading, length, width)):
             hit.add(actor.id)
     return frozenset(hit)

@@ -15,10 +15,10 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rco import cli
+from rco import cli, safety
 from rco.backend import ScriptedBackend
 from rco.cli import bundled_scenario_dir, main
-from rco.domain import FAIL_SAFE_STOP, Action
+from rco.domain import FAIL_SAFE_STOP, Action, ExecutionCondition
 from rco.orchestrator import base_record
 from rco.runner import Mode, Overrides, run_episode
 from rco.simenv import InfractionKind, Scenario
@@ -291,6 +291,22 @@ class TestRunCommand:
         code = main([*command, "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "penalty red_light must be a number" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--limits", "1"]])
+    @pytest.mark.parametrize(
+        "penalties", ['[["red_light", 0.5]]', '"red_light"', "0.5", "[]", '""', "0", "false"]
+    )
+    def test_penalties_that_are_no_object_are_config_error(
+        self, tmp_path, capsys, monkeypatch, command, penalties
+    ):
+        # A list of pairs once became a table, and an empty value counted as none.
+        monkeypatch.setattr(cli, "run_episode", None)  # no episode may start
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"penalties": %s}' % penalties)
+        code = main([*command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "penalties must be a JSON object" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("url", ["file:///etc/hostname", "localhost:8000/v1/chat/completions"])
@@ -620,6 +636,56 @@ class TestReplayCommand:
         assert f"decision log {log} line 1 is malformed" in captured.err
         assert f"{field} must be a number" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("source", "\ud800"),
+            ("source", "planner"),
+            ("source", None),
+            ("classification", "\ud800"),
+            ("classification", "consistent"),
+            ("classification", ["replan"]),
+            ("triggered_constraints", ["\ud800"]),
+            ("triggered_constraints", ["max_speed", "warp"]),
+            ("triggered_constraints", "max_speed"),
+            ("denied", ["\ud800"]),
+            ("denied", ["replan"]),
+            ("denied", "wait_inconsistent"),
+            ("planning_events", "\ud800"),
+        ],
+    )
+    def test_text_field_outside_the_written_tokens_is_config_error(
+        self, tmp_path, capsys, field, value
+    ):
+        # A lone surrogate, which json reads, once passed every check and
+        # ended in a UnicodeEncodeError when the line was printed.
+        log = tmp_path / "bad.decisions.jsonl"
+        record = self._active_record(hazard_ratio=0.06, **{field: value})
+        log.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        assert main(["replay", "--log", str(log)]) == 2
+        captured = capsys.readouterr()
+        assert f"decision log {log} line 1 is malformed" in captured.err
+        assert field in captured.err
+        assert captured.out == ""
+
+    def test_every_written_token_replays(self, tmp_path, capsys):
+        conditions = [c.value for c in ExecutionCondition]
+        records = [
+            self._active_record(
+                hazard_ratio=0.06,
+                source=source,
+                classification=classification,
+                triggered_constraints=list(safety._TRIGGER_NAMES),
+                denied=["wait_inconsistent", *conditions],
+            )
+            for source in ("base", "pair", "stop_wait", "failsafe")
+            for classification in (None, "replan", *conditions)
+        ]
+        log = tmp_path / "tokens.decisions.jsonl"
+        log.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        assert main(["replay", "--log", str(log)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == len(records)
 
     def test_closed_stdout_ends_quietly_with_141(self, tmp_path):
         # The trace is far longer than a pipe holds, so the writer is still

@@ -44,7 +44,7 @@ def active_record(**fields):
         "sc_refreshed": True,
         "sequence_len": 4,
         "source": "pair",
-        "triggered_constraints": ["v_max"],
+        "triggered_constraints": ["max_speed"],
         "verdict": "execute",
         "wait_elapsed": 0,
         **fields,

@@ -24,6 +24,7 @@ from rco.domain import (
 from rco.orchestrator import (
     FAIL_SAFE_STOP,
     OrchestratorConfig,
+    _padded_history,
     engage,
     initial_state,
     note_external_action,
@@ -390,3 +391,22 @@ class TestStepCost:
         for sc in scenarios:
             run_episode(Scenario.from_json(sc), Mode.RCO, ScriptedBackend(table), Overrides(n_max=1))
         assert counts == {"transitions": 1352, "steps": 1352}
+
+
+def reference_padded_history(history, k):
+    # The padding loop as it was, kept verbatim: one insert per missing frame.
+    window = list(history[-k:])
+    while len(window) < k:
+        window.insert(0, window[0])
+    return window
+
+
+class TestPaddedHistory:
+    @pytest.mark.parametrize("n", [1, 2, 4, 5, 6, 11])
+    def test_equals_the_insert_loop(self, n):
+        # Windows shorter than k, equal to it and longer than it.
+        k = 5
+        history = [object() for _ in range(n)]
+        padded = _padded_history(history, k)
+        assert len(padded) == k
+        assert padded == reference_padded_history(history, k)  # object() compares by identity

@@ -570,20 +570,22 @@ class TestPerceiveCost:
     def test_each_in_range_object_projected_once(self, monkeypatch, mode):
         # Over one bundled episode, perceive projects each object within
         # camera range once per tick; the nearest obstacle is placed by the
-        # same projection.
+        # same projection. The objects in range are counted afresh here.
         calls = Counter()
-        bearing, project = simenv._bearing, simenv._project
+        perceive, project = simenv.perceive, simenv._project
 
-        def counting_bearing(*args):
-            seen = bearing(*args)
-            calls["in_range"] += seen is not None
-            return seen
+        def counting_perceive(w, policy):
+            positions = [(x, y) for _a, x, y, _h in w.actor_states]
+            positions += [o.position for o in (*w.scenario.lights, *w.scenario.signs)]
+            for pos in positions:
+                calls["in_range"] += reference_bearing(w.ego, pos) is not None
+            return perceive(w, policy)
 
         def counting_project(*args):
             calls["project"] += 1
             return project(*args)
 
-        monkeypatch.setattr(simenv, "_bearing", counting_bearing)
+        monkeypatch.setattr(simenv, "perceive", counting_perceive)
         monkeypatch.setattr(simenv, "_project", counting_project)
         sc = Scenario.load(str(bundled_scenario_dir() / "stop_sign_hazard.json"))
         run_episode(sc, mode, ScriptedBackend.bundled())
@@ -1030,3 +1032,128 @@ class TestMemoisedEqualsFresh:
             assert route.point_at(arc) == fresh_point_at(route, arc)
             assert route.geometry_at(arc) is fresh_geometry_at(route, arc)
         assert route.progress_of(point) == fresh_progress_of(route, point)
+
+
+# tick as it was when it projected every new position, kept verbatim (but for
+# the module prefixes) as the reference for the version that skips the
+# projection when the ego has not moved.
+def reference_tick(w, a):
+    dt = w.params.dt
+    ego = w.ego
+    accel = simenv.K_THROTTLE * a.throttle - simenv.K_BRAKE * a.brake - simenv.DRAG * ego.v
+    v_new = max(0.0, ego.v + accel * dt)
+    # Positive steer turns right (clockwise), so heading decreases.
+    heading_new = simenv.wrap_angle(
+        ego.heading - (v_new / simenv.WHEELBASE) * math.tan(a.steer * simenv.MAX_WHEEL_ANGLE) * dt
+    )
+    x_new = ego.x + v_new * math.cos(heading_new) * dt
+    y_new = ego.y + v_new * math.sin(heading_new) * dt
+    a_x = (v_new - ego.v) / dt
+    omega_z = simenv.wrap_angle(heading_new - ego.heading) / dt
+    ego_new = simenv.EgoState(x_new, y_new, heading_new, v_new, a_x, omega_z)
+    progress = w.scenario.route.progress_of((x_new, y_new))
+
+    satisfied = w.sign_satisfied
+    if v_new <= simenv.STOPPED_SPEED:
+        satisfied = satisfied.union(
+            sign.id
+            for sign in w.scenario.signs
+            if sign.stop_line_s - simenv.SIGN_ZONE_M <= progress <= sign.stop_line_s
+        )
+    return WorldState(w.tick + 1, ego_new, w.scenario, w.params, progress, satisfied)
+
+
+@st.composite
+def ticked_worlds(draw, at_rest):
+    """A state that holds the progress invariant, and an action that leaves
+    the ego at rest or moving."""
+    route = draw(routes())
+    scripts = draw(st.lists(st.tuples(_actor_classes, actor_scripts()), max_size=3))
+    actors = tuple(Actor(i, cls, script) for i, (cls, script) in enumerate(scripts))
+    signs = tuple(
+        StopSign(100 + i, (0.0, 0.0), draw(st.floats(0.0, 12.0)))
+        for i in range(draw(st.integers(0, 2)))
+    )
+    satisfied = frozenset(draw(st.sets(st.sampled_from([s.id for s in signs]))) if signs else ())
+    if draw(st.booleans()):
+        x, y = route.point_at(draw(st.floats(0.0, route.length)))
+    else:
+        x, y = draw(_coords), draw(_coords)
+    heading = draw(st.floats(-math.pi, math.pi))
+    steer = draw(st.floats(-1.0, 1.0))
+    if at_rest:  # full brake from below 0.8 m/s ends at 0
+        v, action = draw(st.floats(0.0, 0.8)), Action(0.0, 1.0, steer)
+    else:  # some throttle keeps it moving, below the stopped speed too
+        v = draw(st.one_of(st.sampled_from([0.0, 0.05, 0.1]), st.floats(0.0, 15.0)))
+        action = Action(draw(st.floats(0.01, 1.0)), 0.0, steer)
+    w = WorldState(
+        draw(st.integers(0, 40)),
+        simenv.EgoState(x, y, heading, v),
+        Scenario("gen", route, actors, signs=signs),
+        ego_progress=route.progress_of((x, y)),
+        sign_satisfied=satisfied,
+    )
+    return w, action
+
+
+class TestTickEqualsReference:
+    @pytest.mark.parametrize("at_rest", [True, False])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_tick_equals_reference(self, at_rest, data):
+        w, action = data.draw(ticked_worlds(at_rest))
+        new, ref = tick(w, action), reference_tick(w, action)
+        assert (new.ego.v == 0.0) is at_rest
+        assert new.tick == ref.tick
+        for name in ("x", "y", "heading", "v", "a_x", "omega_z"):
+            assert getattr(new.ego, name).hex() == getattr(ref.ego, name).hex(), name
+        assert new.ego_progress.hex() == ref.ego_progress.hex()
+        assert new.sign_satisfied == ref.sign_satisfied
+        assert new.actor_states == ref.actor_states
+        assert new.collisions == ref.collisions
+
+    def test_an_at_rest_tick_projects_nothing(self, monkeypatch):
+        calls = Counter()
+        progress_of = Route.progress_of
+
+        def counting(route, point):
+            calls["progress_of"] += 1
+            return progress_of(route, point)
+
+        monkeypatch.setattr(Route, "progress_of", counting)
+        w = tick(world_from_scenario(straight_scenario()), Action(0.0, 1.0, 0.0))
+        assert w.ego.v == 0.0
+        assert calls["progress_of"] == 0
+        assert tick(w, Action(0.7, 0.0, 0.0)).ego.v > 0.0
+        assert calls["progress_of"] == 1
+
+
+class TestProgressInvariant:
+    def test_every_state_holds_the_progress_of_its_position(self, monkeypatch):
+        # tick keeps an at-rest ego's progress rather than projecting it, so
+        # every state must hold route.progress_of of its ego position, the
+        # first state included.
+        states = []
+        world, advance = simenv.world_from_scenario, simenv.tick
+        monkeypatch.setattr(
+            simenv, "world_from_scenario", lambda *args: states.append(world(*args)) or states[-1]
+        )
+        monkeypatch.setattr(simenv, "tick", lambda *args: states.append(advance(*args)) or states[-1])
+        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+        import gen_dense
+
+        bundled = ScriptedBackend.bundled()
+        episodes = [
+            (Scenario.load(str(p)), bundled, Overrides())
+            for p in sorted(bundled_scenario_dir().glob("*.json"))
+        ]
+        scenarios, table = gen_dense.generate(1)
+        episodes += [(Scenario.from_json(s), ScriptedBackend(table), Overrides(n_max=1))
+                     for s in scenarios]
+        for sc, backend, overrides in episodes:
+            for mode in Mode:
+                run_episode(sc, mode, backend, overrides)
+        assert sum(w.tick == 0 for w in states) == 3 * len(episodes)
+        assert any(w.tick and w.ego.v == 0.0 for w in states)
+        for w in states:
+            assert w.ego_progress == w.scenario.route.progress_of((w.ego.x, w.ego.y))
