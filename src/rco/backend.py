@@ -33,6 +33,7 @@ from typing import Any, Callable, Optional, Protocol, Sequence, Union
 
 from .domain import (
     BASE_CONSTRAINTS,
+    ENVELOPE_LIMITS,
     ActionSequence,
     Behavior,
     ConditionActionPair,
@@ -216,9 +217,8 @@ def _parse_plan(obj: dict[str, Any]) -> MotionPlan:
 
 
 def _parse_constraints(obj: dict[str, Any]) -> SafetyConstraints:
-    fields = ("v_max", "d_min", "ac_max", "de_max", "psi_max", "d_brake")
     values = {}
-    for f in fields:
+    for f in ENVELOPE_LIMITS:
         v = _number(obj, f, float)
         base = getattr(BASE_CONSTRAINTS, f)
         if (v < base / ENVELOPE_SLACK) if f == "d_min" else (v > base * ENVELOPE_SLACK):
@@ -438,7 +438,7 @@ _SYSTEM_PREAMBLES = {
     ),
     Purpose.SAFETY_CONSTRAINTS: (
         "You set vehicle safety limits. Respond with a single JSON object with numeric fields "
-        "v_max, d_min, ac_max, de_max, psi_max, d_brake (SI units)."
+        f"{', '.join(ENVELOPE_LIMITS)} (SI units)."
     ),
 }
 

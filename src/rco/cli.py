@@ -313,11 +313,16 @@ def _trace_line(rec: dict[str, Any]) -> str:
     extra = ""
     if rec.get("triggered_constraints"):
         extra = "  constraints=" + "+".join(rec["triggered_constraints"])
-    if rec.get("planning_events"):
-        extra += f"  plans={typed(rec['planning_events'], int, 'planning_events')}"
+    plans = typed(rec["planning_events"], int, "planning_events")
+    if plans < 0:
+        raise ValueError(f"planning_events must be >= 0, got {plans}")
+    if plans:
+        extra += f"  plans={plans}"
     if rec.get("denied"):
         extra += "  denied=" + "+".join(rec["denied"])
     ratio = typed(rec["hazard_ratio"], float, "hazard_ratio")
+    if not 0.0 <= ratio <= 1.0:
+        raise ValueError(f"hazard_ratio out of [0,1]: {ratio}")
     return (
         f"tick {tick:>5}  {rec['source']:<10} {rec['classification'] or '':<32}"
         f"ratio={ratio:.4f}  {actuation}{extra}"

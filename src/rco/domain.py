@@ -361,6 +361,10 @@ class MotionPlan:
 # Safety envelope and measurements
 # ---------------------------------------------------------------------------
 
+# SafetyConstraints' six fields, in order.
+ENVELOPE_LIMITS = ("v_max", "d_min", "ac_max", "de_max", "psi_max", "d_brake")
+
+
 @dataclass(frozen=True)
 class SafetyConstraints:
     """Six-limit control envelope, SI units, all strictly positive and
@@ -374,7 +378,7 @@ class SafetyConstraints:
     d_brake: float
 
     def __post_init__(self) -> None:
-        for name in ("v_max", "d_min", "ac_max", "de_max", "psi_max", "d_brake"):
+        for name in ENVELOPE_LIMITS:
             v = getattr(self, name)
             if not 0 < v < math.inf:  # also rejects NaN
                 raise OutOfRangeError(name, v)

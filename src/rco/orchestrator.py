@@ -70,7 +70,7 @@ class OverrideState:
     steer_ctrl: float = 0.0
     constraints: Optional[SafetyConstraints] = None
     constraints_context: Optional[_Context] = None
-    # Derived from the window and matched against the next one by value.
+    # The last classified window and its newest break, matched to the next by value.
     consistency: Optional[verifier.ConsistencyRun] = field(
         default=None, repr=False, compare=False
     )
@@ -241,22 +241,22 @@ def step(
         constraints_context=context,
         consistency=consistency,
     )
-    record = {
-        **base_record(env.tick, action),
-        "active": True,
-        "classification": "replan" if condition is None else condition.value,
-        "hazard_ratio": ratio,
-        "verdict": "deny" if pair is None else "execute",
-        "source": source,
-        "triggered_constraints": list(triggered),
-        "planning_events": rounds,
-        "backend_calls": int(sc_refreshed) + 2 * rounds,
-        "sc_refreshed": sc_refreshed,
-        "denied": denied,
-        "direction_mismatch": mismatch,
-        "sequence_len": len(sequence),
-        "wait_elapsed": elapsed,
-    }
+    record = base_record(env.tick, action)
+    record.update(
+        active=True,
+        classification="replan" if condition is None else condition.value,
+        hazard_ratio=ratio,
+        verdict="deny" if pair is None else "execute",
+        source=source,
+        triggered_constraints=list(triggered),
+        planning_events=rounds,
+        backend_calls=int(sc_refreshed) + 2 * rounds,
+        sc_refreshed=sc_refreshed,
+        denied=denied,
+        direction_mismatch=mismatch,
+        sequence_len=len(sequence),
+        wait_elapsed=elapsed,
+    )
     return StepResult(action, new_state, record)
 
 

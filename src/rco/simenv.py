@@ -343,8 +343,9 @@ class Scenario:
         ids = [a.id for a in self.actors] + [l.id for l in self.lights] + [s.id for s in self.signs]
         if len(ids) != len(set(ids)):
             raise ValueError(f"scenario {self.name}: actor/signal ids must be unique")
-        if self.time_limit_ticks < 1:
-            raise ValueError(f"scenario {self.name}: time_limit_ticks must be >= 1")
+        # An always_stop episode runs to the limit and keeps a record per tick.
+        if not 1 <= self.time_limit_ticks <= 100_000:
+            raise ValueError(f"scenario {self.name}: time_limit_ticks out of [1,100000]")
         signals = tuple((s, *s.position, None) for s in (*self.lights, *self.signs))
         object.__setattr__(self, "signals", signals)
 

@@ -188,18 +188,14 @@ def check_deficit_consistency(
 
 @dataclass(frozen=True)
 class ConsistencyRun:
-    """The newest frames of a classified window, back to its newest
-    inconsistent transition or to its oldest frame, and the shift threshold
-    they were judged under.
-
-    Every transition between ``frames`` is consistent, except the first when
-    ``broken``: then ``frames[0] -> frames[1]`` is the window's newest
-    inconsistent transition. An unbroken run is the whole window.
-    """
+    """A classified window, the shift threshold it was judged under, and the
+    tick of the older frame of its newest inconsistent transition, or None.
+    Transitions older than that break stay unchecked: they leave the window
+    before it does."""
 
     shift_threshold: float
     frames: tuple[EnvironmentSnapshot, ...]
-    broken: bool
+    break_tick: Optional[int]
 
 
 def _extend_run(
@@ -207,26 +203,22 @@ def _extend_run(
     shift_threshold: float,
     run: Optional[ConsistencyRun],
 ) -> ConsistencyRun:
-    """The run of a window of at least two frames. Where the frames before
-    the newest equal the tail of ``run`` (by value, under the same
-    threshold), only the newest transition is checked; otherwise the window
-    is scanned newest first, up to its first inconsistent transition."""
+    """The run of a window. Where ``run``, under the same threshold, ends
+    with the frames before the newest (by value), only the newest transition
+    is checked; otherwise the window is scanned newest first, up to its first
+    inconsistent transition. A run of fewer frames fails the comparison."""
     n = len(window)
-    if run is not None and run.shift_threshold == shift_threshold:
-        frames = run.frames
-        k = min(len(frames), n - 1)
-        # An unbroken run must cover every older transition of the window.
-        if (run.broken or k == n - 1) and window[n - 1 - k:n - 1] == frames[len(frames) - k:]:
-            if check_transition(window[-2], window[-1], shift_threshold) is not _CONSISTENT:
-                return ConsistencyRun(shift_threshold, window[-2:], True)
-            # A break stays in the window unless its older frame slid out.
-            return ConsistencyRun(
-                shift_threshold, window[n - 1 - k:], run.broken and k == len(frames)
-            )
+    if run and run.shift_threshold == shift_threshold and run.frames[1 - n:] == window[:-1]:
+        tick = run.break_tick
+        if check_transition(window[-2], window[-1], shift_threshold) is not _CONSISTENT:
+            tick = window[-2].tick
+        elif tick is not None and tick < window[0].tick:  # the break left with its older frame
+            tick = None
+        return ConsistencyRun(shift_threshold, window, tick)
     for i in range(n - 1, 0, -1):
         if check_transition(window[i - 1], window[i], shift_threshold) is not _CONSISTENT:
-            return ConsistencyRun(shift_threshold, window[i - 1:], True)
-    return ConsistencyRun(shift_threshold, window, False)
+            return ConsistencyRun(shift_threshold, window, window[i - 1].tick)
+    return ConsistencyRun(shift_threshold, window, None)
 
 
 def _ratio_boxes(view: CameraView) -> list[Box]:
@@ -260,12 +252,10 @@ def classify(
     frame costs one transition check instead of a scan.
     """
     ratio = hazard_proximity_ratio(history[-1], cfg.front_view_only)
-    if len(history) < 2:
-        run = ConsistencyRun(cfg.shift_threshold, tuple(history), False)
-    else:
+    if len(history) >= 2:
         _validate_history(history)
-        run = _extend_run(tuple(history[-cfg.history_len:]), cfg.shift_threshold, run)
-    if run.broken:
+    run = _extend_run(tuple(history[-cfg.history_len:]), cfg.shift_threshold, run)
+    if run.break_tick is not None:
         return None, ratio, run
     return (_IMMEDIATE if ratio > cfg.hazard_ratio_threshold else _NO_IMMEDIATE), ratio, run
 

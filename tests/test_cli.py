@@ -104,6 +104,7 @@ class TestRunCommand:
             "null name", "number name", "empty name", "slash name", "dot-dot name",
             "comma name", "late light schedule", "unknown actor class",
             "nan waypoint", "infinite waypoint", "overflowing stop line", "huge int waypoint",
+            "long time limit", "endless time limit",
         ],
     )
     def test_unloadable_scenario_is_config_error(self, tmp_path, capsys, command, edit):
@@ -121,6 +122,10 @@ class TestRunCommand:
             d["actors"][0]["static"] = "false"
         elif edit == "float window tick":
             d["deficit_policy"]["window"] = [0.9, 150]
+        elif edit == "long time limit":
+            d["time_limit_ticks"] = 100_001  # one record per tick, kept to the end
+        elif edit == "endless time limit":
+            d["time_limit_ticks"] = 10 ** 400
         elif edit == "bool time limit":
             d["time_limit_ticks"] = True
         elif edit == "string time limit":
@@ -584,7 +589,7 @@ class TestReplayCommand:
         assert "denied=" not in allowed
 
     @pytest.mark.parametrize(
-        "ratio", [None, "0.06", [0.06], True, math.nan, math.inf, -math.inf]
+        "ratio", [None, "0.06", [0.06], True, math.nan, math.inf, -math.inf, 7.5, -2.0]
     )
     def test_active_record_without_a_numeric_ratio_is_config_error(
         self, tmp_path, capsys, ratio
@@ -653,6 +658,8 @@ class TestReplayCommand:
             ("denied", ["replan"]),
             ("denied", "wait_inconsistent"),
             ("planning_events", "\ud800"),
+            ("planning_events", True),
+            ("planning_events", -3),
         ],
     )
     def test_text_field_outside_the_written_tokens_is_config_error(

@@ -400,6 +400,14 @@ class TestScenarioIO:
                 signs=[StopSign(7, (20.0, 3.0), 20.0)],
             )
 
+    def test_time_limit_bounds(self):
+        # An always_stop episode runs to the limit and keeps a record per tick.
+        assert straight_scenario(limit=1).time_limit_ticks == 1
+        assert straight_scenario(limit=100_000).time_limit_ticks == 100_000
+        for limit in (0, 100_001, 10 ** 400):
+            with pytest.raises(ValueError, match=r"time_limit_ticks out of \[1,100000\]"):
+                straight_scenario(limit=limit)
+
     def test_route_validation(self):
         with pytest.raises(ValueError):
             Route(((0.0, 0.0),), ())

@@ -373,9 +373,19 @@ class TestCarriedEqualsFullScan:
             condition, ratio, run = classify(history, cfg, run)
             assert (condition, ratio) == reference_classify(history, cfg)
             window = tuple(history[-cfg.history_len:])
-            assert 1 <= len(run.frames) <= len(window)
-            assert run.frames == window[len(window) - len(run.frames):]
-            assert run.broken is (condition is None)
+            assert run.frames == window
+            assert run.break_tick == self.newest_break(window, cfg.shift_threshold)
+            assert (run.break_tick is None) is (condition is not None)
+
+    @staticmethod
+    def newest_break(window, shift_threshold):
+        """The older tick of the window's newest inconsistent transition, by a
+        scan of every transition, or None."""
+        breaks = [
+            prev.tick for prev, cur in zip(window, window[1:])
+            if check_transition(prev, cur, shift_threshold) is not ConsistencyReason.CONSISTENT
+        ]
+        return breaks[-1] if breaks else None
 
     def test_extending_the_run_checks_one_transition(self, monkeypatch):
         calls = []
@@ -398,7 +408,7 @@ class TestCarriedEqualsFullScan:
         frames = history_of_counts([1, 2, 2, 2, 2])
         condition, _ratio, run = classify(frames, CFG, None)
         assert condition is None and len(calls) == 4
-        assert run.broken and run.frames == tuple(frames)
+        assert run.break_tick == 0 and run.frames == tuple(frames)
         calls.clear()
         assert classify(frames[1:], CFG, None)[0] is not None
         assert len(calls) == 3
@@ -409,14 +419,14 @@ class TestCarriedEqualsFullScan:
         frames = [snapshot(tick=t, front_deficits=[b]) for t, b in enumerate(moved)]
         loose, tight = VerifierConfig(shift_threshold=0.3), VerifierConfig(shift_threshold=0.04)
         _, _, run = classify(frames[:3], loose, None)
-        assert not run.broken
+        assert run.break_tick is None
         assert classify(frames, tight)[0] is None
         assert classify(frames, tight, run)[0] is None
 
     def test_a_short_run_is_not_reused_for_a_longer_window(self):
         frames = history_of_counts([2, 1, 1, 1])
         _, _, run = classify(frames[:3], VerifierConfig(history_len=2), None)
-        assert not run.broken and len(run.frames) == 2
+        assert run.break_tick is None and len(run.frames) == 2
         assert classify(frames, CFG, run)[0] is None
 
     def test_invalid_history_still_rejected(self):
