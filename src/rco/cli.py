@@ -18,10 +18,10 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence, get_args, get_type_hints
 
-from . import metrics, safety
+from . import metrics
 from .backend import Backend, HttpBackend, ScriptedBackend
-from .domain import FAIL_SAFE_STOP, Action, ExecutionCondition, typed
-from .orchestrator import base_record
+from .domain import FAIL_SAFE_STOP, Action, typed
+from .orchestrator import LOG_TOKENS, base_record
 from .runner import EpisodeOutcome, Mode, Overrides, given, run_episode
 from .simenv import Scenario
 
@@ -31,14 +31,6 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a killed write
 
 # One decision-log record per line; the same bytes as json.dumps with these arguments.
 _RECORD_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-# The tokens a written log holds in each text field a replayed trace shows.
-_CONDITIONS = tuple(c.value for c in ExecutionCondition)
-_TOKENS = {
-    "source": ("base", "pair", "stop_wait", "failsafe"),
-    "classification": (None, "replan", *_CONDITIONS),
-    "triggered_constraints": safety._TRIGGER_NAMES,
-    "denied": ("wait_inconsistent", *_CONDITIONS),
-}
 
 
 class ConfigError(Exception):
@@ -306,20 +298,16 @@ def _trace_line(rec: dict[str, Any]) -> str:
     actuation = f"throttle={act.throttle:.2f} brake={act.brake:.2f} steer={act.steer:+.2f}"
     if not rec.get("active"):
         return f"tick {tick:>5}  base agent        {actuation}"
-    for key, tokens in _TOKENS.items():
-        values = [rec[key]] if key in ("source", "classification") else rec.get(key) or []
+    for key, (is_list, tokens) in LOG_TOKENS.items():  # the writer's vocabulary
+        values = rec[key] if is_list else [rec[key]]
         if type(values) is not list or not all(v in tokens for v in values):
             raise ValueError(f"{key} holds what no written log holds: {rec[key]!r}")
-    extra = ""
-    if rec.get("triggered_constraints"):
-        extra = "  constraints=" + "+".join(rec["triggered_constraints"])
     plans = typed(rec["planning_events"], int, "planning_events")
     if plans < 0:
         raise ValueError(f"planning_events must be >= 0, got {plans}")
-    if plans:
-        extra += f"  plans={plans}"
-    if rec.get("denied"):
-        extra += "  denied=" + "+".join(rec["denied"])
+    shown = (("constraints", "+".join(rec["triggered_constraints"])), ("plans", plans or ""),
+             ("denied", "+".join(rec["denied"])))  # each one only when not empty
+    extra = "".join(f"  {label}={text}" for label, text in shown if text)
     ratio = typed(rec["hazard_ratio"], float, "hazard_ratio")
     if not 0.0 <= ratio <= 1.0:
         raise ValueError(f"hazard_ratio out of [0,1]: {ratio}")

@@ -40,6 +40,17 @@ from .safety import SafetyGains
 from .verifier import VerifierConfig
 
 LOG_SCHEMA_VERSION = 1
+# The decision log's vocabulary, declared once: each text field's tokens (None
+# in a base-agent record) and whether the field holds a list of them.
+_BASE, _PAIR, _STOP_WAIT, _FAILSAFE = _SOURCES = ("base", "pair", "stop_wait", "failsafe")
+_EXECUTE, _DENY, _REPLAN, _WAIT_INCONSISTENT = "execute", "deny", "replan", "wait_inconsistent"
+_CONDITIONS = tuple(c.value for c in ExecutionCondition)
+LOG_TOKENS: dict[str, tuple[bool, tuple[Optional[str], ...]]] = {
+    "source": (False, _SOURCES), "verdict": (False, (None, _EXECUTE, _DENY)),
+    "classification": (False, (None, _REPLAN, *_CONDITIONS)),
+    "triggered_constraints": (True, safety._TRIGGER_NAMES),
+    "denied": (True, (_WAIT_INCONSISTENT, *_CONDITIONS)),
+}
 
 _MOVE = Strategy.MOVE  # read in every planning round
 
@@ -180,7 +191,7 @@ def step(
     replans, rounds = state.consecutive_replans, 0
     denied: list[str] = []
     pair: Optional[ConditionActionPair] = None  # None emits the fail-safe stop
-    source = "failsafe"
+    source = _FAILSAFE
     hold_plan = False  # the fail-safe stop keeps this tick's new plan
     while True:
         waiting = trigger is not None
@@ -188,7 +199,7 @@ def step(
             # Under an inconsistent window no condition can match this tick, so
             # replan once for the coming ticks and hold the fail-safe stop now.
             # The replan counter persists across ticks until a pair executes.
-            denied.append("wait_inconsistent" if waiting else sequence.pairs[0].condition.value)
+            denied.append(_WAIT_INCONSISTENT if waiting else sequence.pairs[0].condition.value)
             replans += 1
             if replans <= cfg.planner.replan_budget:
                 sequence, trigger = _plan(env, history, backend, cfg)
@@ -198,11 +209,11 @@ def step(
         # condition; a planned pair only under its own.
         if len(sequence) > 0 and (waiting or condition is sequence.pairs[0].condition):
             pair, sequence = sequence.pop_front()
-            source = "pair"
+            source = _PAIR
             break
         if waiting:
             if not (condition is trigger or elapsed >= cfg.planner.wait_cap):
-                pair, source = STOP_PAIR, "stop_wait"
+                pair, source = STOP_PAIR, _STOP_WAIT
                 break
             trigger, elapsed = None, 0
         elif len(sequence) > 0:
@@ -244,9 +255,9 @@ def step(
     record = base_record(env.tick, action)
     record.update(
         active=True,
-        classification="replan" if condition is None else condition.value,
+        classification=_REPLAN if condition is None else condition.value,
         hazard_ratio=ratio,
-        verdict="deny" if pair is None else "execute",
+        verdict=_DENY if pair is None else _EXECUTE,
         source=source,
         triggered_constraints=list(triggered),
         planning_events=rounds,
@@ -264,7 +275,7 @@ def step(
 # action, and gives each record its own two lists.
 _BASE_RECORD: dict[str, Any] = dict(
     schema=LOG_SCHEMA_VERSION, tick=None, active=False, classification=None,
-    hazard_ratio=None, verdict=None, source="base", action=None, triggered_constraints=None,
+    hazard_ratio=None, verdict=None, source=_BASE, action=None, triggered_constraints=None,
     planning_events=0, backend_calls=0, sc_refreshed=False, denied=None,
     direction_mismatch=False, sequence_len=0, wait_elapsed=0,
 )

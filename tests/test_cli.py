@@ -657,6 +657,8 @@ class TestReplayCommand:
             ("denied", ["\ud800"]),
             ("denied", ["replan"]),
             ("denied", "wait_inconsistent"),
+            ("verdict", "maybe"),
+            ("verdict", ["deny"]),
             ("planning_events", "\ud800"),
             ("planning_events", True),
             ("planning_events", -3),
@@ -683,11 +685,13 @@ class TestReplayCommand:
                 hazard_ratio=0.06,
                 source=source,
                 classification=classification,
+                verdict=verdict,
                 triggered_constraints=list(safety._TRIGGER_NAMES),
                 denied=["wait_inconsistent", *conditions],
             )
             for source in ("base", "pair", "stop_wait", "failsafe")
             for classification in (None, "replan", *conditions)
+            for verdict in (None, "execute", "deny")
         ]
         log = tmp_path / "tokens.decisions.jsonl"
         log.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")

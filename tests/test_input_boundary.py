@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rco import cli, domain
+from rco import cli, domain, simenv
 from rco.backend import Purpose, SchemaViolation, ScriptedBackend, parse_structured
 from rco.cli import bundled_scenario_dir, main
 from rco.domain import FAIL_SAFE_STOP, typed
@@ -171,6 +171,23 @@ class TestReplayHoldsTheWritingTypes:
         assert f"decision log {log} line 1 is malformed" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("value", [0, False, "", {}, None, "<missing>"])
+    @pytest.mark.parametrize("field", ["denied", "triggered_constraints"])
+    def test_list_field_that_is_no_list_is_malformed(self, tmp_path, capsys, field, value):
+        # A falsy non-list, or no field at all, once replayed as an empty list.
+        record = active_record()
+        if value == "<missing>":
+            del record[field]
+        else:
+            record[field] = value
+        log = tmp_path / "bad.decisions.jsonl"
+        log.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        assert main(["replay", "--log", str(log)]) == 2
+        captured = capsys.readouterr()
+        assert f"decision log {log} line 1 is malformed" in captured.err
+        assert field in captured.err
+        assert captured.out == ""
+
     def test_range_ends_and_int_fields_print_as_before(self, tmp_path, capsys):
         records = [
             {"tick": 0, "active": False, "action": {"throttle": 1, "brake": 0, "steer": -1}},
@@ -319,7 +336,7 @@ def test_scripted_table_with_http_backend_is_config_error(tmp_path, capsys, monk
 _BIG = "<1e999>"  # json writes no 1e999; this marker is replaced after dumps
 _ODD_VALUES = st.sampled_from(
     [None, True, False, 0, -1, -7, 0.0, -0.5, 3.5, 1e300, 10**400, math.nan, math.inf,
-     -math.inf, _BIG, "", "1", "nan", [], {}, [1, 2], {"a": 1}]
+     -math.inf, _BIG, "", "1", "nan", "blue", "teleport", [], {}, [1, 2], {"a": 1}]
 )
 
 
@@ -388,3 +405,23 @@ class TestMutatedInputs:
         log = workdir / "mutated.decisions.jsonl"
         log.write_bytes(data + b"\n")
         assert main(["replay", "--log", str(log)]) in (0, 2)
+
+    @given(
+        data=st.one_of(
+            mutated(json.loads(Path(scenario_path(name)).read_text(encoding="utf-8")))
+            for name in ("stop_sign_hazard", "traffic_light_hazard")
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_mutated_scenario_is_config_error_or_runs_a_round(self, workdir, data):
+        # One actor, a stop sign and a deficit window; a light schedule.
+        path = workdir / "scenario.json"
+        path.write_bytes(data)
+        try:
+            (sc,) = cli.load_scenarios([path])
+        except cli.ConfigError:
+            return
+        w = simenv.world_from_scenario(sc)
+        simenv.perceive(w, sc.deficit_policy)
+        action = simenv.base_agent(w, simenv.masked_ids(w, sc.deficit_policy))
+        simenv.detect_infractions(w, simenv.tick(w, action))

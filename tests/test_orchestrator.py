@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import ast
 import random
 import sys
 from pathlib import Path
 
 import pytest
 
-from rco import verifier
+from rco import orchestrator, safety, verifier
 from rco.backend import ScriptedBackend
+from rco.cli import bundled_scenario_dir
 from rco.domain import (
     Action,
     ActionSequence,
@@ -23,6 +25,8 @@ from rco.domain import (
 )
 from rco.orchestrator import (
     FAIL_SAFE_STOP,
+    LOG_TOKENS,
+    _BASE_RECORD,
     OrchestratorConfig,
     _padded_history,
     engage,
@@ -243,6 +247,67 @@ class TestRecords:
     def test_note_external_action_updates_prev(self):
         state = note_external_action(initial_state(), Action(0.5, 0.0, 0.1))
         assert state.prev_action == Action(0.5, 0.0, 0.1)
+
+
+class TestOneLogVocabulary:
+    """The decision log's tokens are declared once, in ``LOG_TOKENS``: the
+    writer spells them there and nowhere else, and ``rco replay`` reads them."""
+
+    SRC = Path(orchestrator.__file__).parent
+    TOKENS = {t for _, tokens in LOG_TOKENS.values() for t in tokens if t is not None}
+
+    @classmethod
+    def _literals(cls, name):
+        tree = ast.parse((cls.SRC / name).read_text(encoding="utf-8"))
+        return tree, [
+            (node.value, node.lineno) for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and node.value in cls.TOKENS
+        ]
+
+    def test_cli_spells_no_token(self):
+        assert self._literals("cli.py")[1] == []
+
+    def test_orchestrator_spells_each_of_its_tokens_once_in_the_declaration(self):
+        # The condition values and the envelope limit names are spelled by the
+        # modules that own them; every other token by the declaration alone.
+        tree, spelled = self._literals("orchestrator.py")
+        lines = {
+            target.id: node.end_lineno for node in tree.body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if isinstance(target, ast.Name)
+        }
+        borrowed = {c.value for c in ExecutionCondition} | set(safety._TRIGGER_NAMES)
+        assert sorted(value for value, _ in spelled) == sorted(self.TOKENS - borrowed)
+        for value, line in spelled:
+            assert lines["LOG_SCHEMA_VERSION"] < line <= lines["LOG_TOKENS"], (value, line)
+
+    def test_every_written_record_holds_the_declared_keys_and_tokens(self):
+        # The bundled suite in all three modes, and the benchmark's gen-dense
+        # seed 1 in rco mode, imported as tests/test_bench_contract.py does.
+        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+        import gen_dense
+
+        bundled = ScriptedBackend.bundled()
+        runs = [
+            (Scenario.load(str(path)), mode, bundled, Overrides())
+            for mode in Mode for path in sorted(bundled_scenario_dir().glob("*.json"))
+        ]
+        scenarios, table = gen_dense.generate(1)
+        runs += [
+            (Scenario.from_json(sc), Mode.RCO, ScriptedBackend(table), Overrides(n_max=1))
+            for sc in scenarios
+        ]
+        seen = {key: set() for key in LOG_TOKENS}
+        for run in runs:
+            for record in run_episode(*run).records:
+                assert list(record) == list(_BASE_RECORD)
+                for key, (is_list, tokens) in LOG_TOKENS.items():
+                    values = record[key] if is_list else [record[key]]
+                    assert type(values) is list and set(values) <= set(tokens), (key, record)
+                    seen[key].update(values)
+        # Base and active records were both checked: each verdict is written.
+        assert seen["verdict"] == set(LOG_TOKENS["verdict"][1])
 
 
 class TestFuzzLoop:
