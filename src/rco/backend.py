@@ -161,22 +161,19 @@ def _enum_field(d: dict[str, Any], key: str, enum_cls: type, *, where: str) -> A
         raise SchemaViolation(f"unknown {key} token: {d[key]!r}", field=key) from None
 
 
-def _number(d: dict[str, Any], key: str, kind: type) -> Any:
-    """``d[key]`` if it is a finite number of ``kind`` (see ``domain.typed``)."""
+def _typed(value: Any, kind: type, key: str) -> Any:
+    """``value`` if its JSON type is ``kind`` (see ``domain.typed``); a
+    SchemaViolation naming ``key`` otherwise."""
     try:
-        return typed(d.get(key), kind, key)
+        return typed(value, kind, key)
     except (TypeError, ValueError) as exc:
         raise SchemaViolation(str(exc), field=key) from None
 
 
 def _parse_hazard_and_plan(obj: dict[str, Any]) -> HazardAndPlan:
-    hazards_raw = obj.get("hazards")
-    if not isinstance(hazards_raw, list):
-        raise SchemaViolation("hazards must be a list", field="hazards")
     hazards = []
-    for h in hazards_raw:
-        if not isinstance(h, dict):
-            raise SchemaViolation("hazard entries must be objects", field="hazards")
+    for h in _typed(obj.get("hazards"), list, "hazards"):
+        h = _typed(h, dict, "hazards")
         hazards.append(
             Hazard(
                 _enum_field(h, "object", ObjectClass, where="hazard"),
@@ -192,13 +189,9 @@ def _parse_plan(obj: dict[str, Any]) -> MotionPlan:
     applies the step limit, and the wait expansion the wait cap."""
     strategy = _enum_field(obj, "strategy", Strategy, where="plan")
     if strategy is Strategy.MOVE:
-        pairs_raw = obj.get("pairs")
-        if not isinstance(pairs_raw, list):
-            raise SchemaViolation("move plan requires a pairs list", field="pairs")
         pairs = []
-        for p in pairs_raw:
-            if not isinstance(p, dict):
-                raise SchemaViolation("pair entries must be objects", field="pairs")
+        for p in _typed(obj.get("pairs"), list, "pairs"):
+            p = _typed(p, dict, "pairs")
             pairs.append(
                 ConditionActionPair(
                     _enum_field(p, "condition", ExecutionCondition, where="pair"),
@@ -209,7 +202,7 @@ def _parse_plan(obj: dict[str, Any]) -> MotionPlan:
                 )
             )
         return MotionPlan(strategy, sequence=ActionSequence(tuple(pairs), 0))
-    wait = _number(obj, "wait", int)
+    wait = _typed(obj.get("wait"), int, "wait")
     if wait < 0:
         raise SchemaViolation("wait must be a non-negative integer", field="wait")
     trigger = _enum_field(obj, "trigger", ExecutionCondition, where="plan")
@@ -219,7 +212,7 @@ def _parse_plan(obj: dict[str, Any]) -> MotionPlan:
 def _parse_constraints(obj: dict[str, Any]) -> SafetyConstraints:
     values = {}
     for f in ENVELOPE_LIMITS:
-        v = _number(obj, f, float)
+        v = _typed(obj.get(f), float, f)
         base = getattr(BASE_CONSTRAINTS, f)
         if (v < base / ENVELOPE_SLACK) if f == "d_min" else (v > base * ENVELOPE_SLACK):
             raise SchemaViolation(f"constraint looser than {ENVELOPE_SLACK}x base", field=f)

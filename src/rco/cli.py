@@ -58,13 +58,14 @@ def discover_scenarios(paths: Sequence[str]) -> list[Path]:
 
 def _read(path: str | Path, label: str, decode: Callable[[str], Any]) -> Any:
     """``decode`` of the file's UTF-8 text; ConfigError if it is no regular
-    file (a FIFO would block the open), cannot be read, or does not decode."""
+    file (a FIFO would block the open), cannot be read, or does not decode: bad
+    UTF-8, bad or too deep JSON, or a JSON type that ``decode`` rejects."""
     if not os.path.isfile(path):
         raise ConfigError(f"{label} does not exist: {path}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return decode(fh.read())
-    except (OSError, RecursionError, ValueError) as exc:  # bad UTF-8, bad or too deep JSON
+    except (OSError, RecursionError, TypeError, ValueError) as exc:
         raise ConfigError(f"{label} {path} failed to load: {exc}") from exc
 
 
@@ -88,12 +89,7 @@ def build_backend(kind: str, scripted_table: Optional[str]) -> Backend:
     if kind == "scripted":
         if not scripted_table:
             return ScriptedBackend.bundled()
-        table = _read(scripted_table, "scripted table", json.loads)
-        if not isinstance(table, dict) or not all(isinstance(v, dict) for v in table.values()):
-            raise ConfigError(  # every call looks a key up in the purpose's object
-                f"scripted table {scripted_table} failed to load: not an object of objects"
-            )
-        return ScriptedBackend(table)
+        return ScriptedBackend(_read(scripted_table, "scripted table", _object_of_objects))
     if kind == "http":
         if scripted_table:  # the table would go unread
             raise ConfigError("--scripted-table applies to the scripted backend only, not http")
@@ -102,6 +98,14 @@ def build_backend(kind: str, scripted_table: Optional[str]) -> Backend:
         except ValueError as exc:
             raise ConfigError(f"http backend misconfigured (set RCO_BACKEND_URL): {exc}") from exc
     raise ConfigError(f"unknown backend kind: {kind}")
+
+
+def _object_of_objects(text: str) -> dict[str, dict[str, Any]]:
+    """The scripted table in ``text``: every call looks a key up in a purpose's object."""
+    table = typed(json.loads(text), dict, "the table")
+    for purpose, answers in table.items():
+        typed(answers, dict, f"the table's {purpose!r}")
+    return table
 
 
 @functools.cache
@@ -117,9 +121,7 @@ def _flag_types() -> dict[str, type]:
 def _load_config_file(path: Optional[str]) -> dict[str, Any]:
     if not path:
         return {}
-    data = _read(path, "config file", json.loads)
-    if not isinstance(data, dict):
-        raise ConfigError("config file must hold a JSON object")
+    data = _read(path, "config file", lambda text: typed(json.loads(text), dict, "the config"))
     unknown = set(data) - {f.name for f in dataclasses.fields(Overrides)}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -296,11 +298,11 @@ def _trace_line(rec: dict[str, Any]) -> str:
         raise ValueError(f"tick must be >= 0, got {tick}")
     act = Action(*(typed(rec["action"][k], float, k) for k in ("throttle", "brake", "steer")))
     actuation = f"throttle={act.throttle:.2f} brake={act.brake:.2f} steer={act.steer:+.2f}"
-    if not rec.get("active"):
+    if not typed(rec["active"], bool, "active"):
         return f"tick {tick:>5}  base agent        {actuation}"
     for key, (is_list, tokens) in LOG_TOKENS.items():  # the writer's vocabulary
-        values = rec[key] if is_list else [rec[key]]
-        if type(values) is not list or not all(v in tokens for v in values):
+        values = typed(rec[key], list, key) if is_list else [rec[key]]
+        if not all(v in tokens for v in values):
             raise ValueError(f"{key} holds what no written log holds: {rec[key]!r}")
     plans = typed(rec["planning_events"], int, "planning_events")
     if plans < 0:

@@ -24,13 +24,15 @@ class OutOfRangeError(ValueError):
         self.value = value
 
 
-_KINDS = {bool: "a JSON bool", str: "a JSON string", int: "a number (JSON int)", float: "a number"}
+_KINDS = {bool: "a JSON bool", str: "a JSON string", int: "a number (JSON int)", float: "a number",
+          list: "a JSON list", dict: "a JSON object"}
 
 
 def typed(value: Any, kind: type, name: str) -> Any:
     """``value``, read from outside, if its JSON type is ``kind``: a bool is no
-    number, an int is a float (returned as one), and a float must be one a float
-    holds (``json`` reads ``NaN``, ``Infinity``, ``1e999`` and ints of any size)."""
+    number, an int is a float (returned as one), a float must be one a float
+    holds (``json`` reads ``NaN``, ``Infinity``, ``1e999`` and ints of any size),
+    and a list or an object is exactly that JSON type (no ``""`` or ``{}`` for a list)."""
     if type(value) is not kind and not (kind is float and type(value) is int):
         raise TypeError(f"{name} must be {_KINDS[kind]}, got {value!r}")
     if kind is not float:

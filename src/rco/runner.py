@@ -65,10 +65,9 @@ class Overrides:
         )
 
     def penalty_table(self) -> dict[simenv.InfractionKind, float]:
-        if self.penalties is not None and type(self.penalties) is not dict:
-            raise TypeError(f"penalties must be a JSON object, got {self.penalties!r}")
         table = dict(metrics.DEFAULT_PENALTIES)
-        for name, value in (self.penalties or {}).items():
+        penalties = {} if self.penalties is None else typed(self.penalties, dict, "penalties")
+        for name, value in penalties.items():
             value = typed(value, float, f"penalty {name}")
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"penalty {name} out of [0,1]: {value}")

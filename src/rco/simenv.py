@@ -353,29 +353,32 @@ class Scenario:
     def from_json(cls, d: dict[str, Any]) -> "Scenario":
         """The scenario a JSON object describes; a value of the wrong JSON
         type is rejected, never coerced."""
+        policy = d.get("deficit_policy", {})
         return cls(
             name=typed(d["name"], str, "name"),
             route=Route(
-                tuple(_point(p) for p in d["route"]["waypoints"]),
-                tuple(RoadGeometry(g) for g in d["route"]["geometry"]),
+                tuple(_point(p) for p in typed(d["route"]["waypoints"], list, "waypoints")),
+                tuple(RoadGeometry(g) for g in typed(d["route"]["geometry"], list, "geometry")),
             ),
             actors=tuple(
                 Actor(
                     id=typed(a["id"], int, "id"),
                     cls=ObjectClass(a["class"]),
-                    script=tuple((typed(t, float, "time"), *_point(xy)) for t, *xy in a["script"]),
+                    script=tuple((typed(t, float, "time"), *_point(xy))
+                                 for t, *xy in typed(a["script"], list, "script")),
                     static=typed(a.get("static", False), bool, "static"),
                 )
-                for a in d.get("actors", [])
+                for a in typed(d.get("actors", []), list, "actors")
             ),
             lights=tuple(
                 TrafficLight(
                     id=typed(l["id"], int, "id"),
                     position=_point(l["position"]),
                     stop_line_s=typed(l["stop_line_s"], float, "stop_line_s"),
-                    schedule=tuple((typed(t, int, "tick"), LightState(s)) for t, s in l["schedule"]),
+                    schedule=tuple((typed(t, int, "tick"), LightState(s))
+                                   for t, s in typed(l["schedule"], list, "schedule")),
                 )
-                for l in d.get("traffic_lights", [])
+                for l in typed(d.get("traffic_lights", []), list, "traffic_lights")
             ),
             signs=tuple(
                 StopSign(
@@ -383,14 +386,14 @@ class Scenario:
                     position=_point(s["position"]),
                     stop_line_s=typed(s["stop_line_s"], float, "stop_line_s"),
                 )
-                for s in d.get("stop_signs", [])
+                for s in typed(d.get("stop_signs", []), list, "stop_signs")
             ),
             deficit_policy=DeficitPolicy(
                 classes=frozenset(
-                    ObjectClass(c) for c in d.get("deficit_policy", {}).get("classes", [])
+                    ObjectClass(c) for c in typed(policy.get("classes", []), list, "classes")
                 ),
                 window=tuple(  # type: ignore[arg-type]
-                    typed(t, int, "tick") for t in d.get("deficit_policy", {}).get("window", [0, 0])
+                    typed(t, int, "tick") for t in typed(policy.get("window", [0, 0]), list, "window")
                 ),
             ),
             weather=Weather(d.get("weather", "clear")),

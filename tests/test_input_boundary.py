@@ -1,5 +1,5 @@
-"""The input boundary: one number rule (``domain.typed``) and one file reader
-(``cli._read``) for everything the CLI takes from outside."""
+"""The input boundary: one JSON-type rule (``domain.typed``) and one file
+reader (``cli._read``) for everything the CLI takes from outside."""
 
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rco import cli, domain, simenv
+from rco import backend, cli, domain, simenv
 from rco.backend import Purpose, SchemaViolation, ScriptedBackend, parse_structured
 from rco.cli import bundled_scenario_dir, main
 from rco.domain import FAIL_SAFE_STOP, typed
@@ -59,7 +59,7 @@ class TestTyped:
             (5, float, 5.0), (0.25, float, 0.25), (-0.0, float, -0.0),
             (FLOAT_MAX, float, FLOAT_MAX), (-FLOAT_MAX, float, -FLOAT_MAX),
             (int(FLOAT_MAX), float, FLOAT_MAX),
-            ("a", str, "a"), (False, bool, False),
+            ("a", str, "a"), (False, bool, False), ([], list, []), ({"a": 1}, dict, {"a": 1}),
         ],
     )
     def test_accepts_its_kind(self, value, kind, expected):
@@ -71,7 +71,8 @@ class TestTyped:
         [
             (True, int), (True, float), (False, float), (5.0, int), (math.nan, int),
             ("5", float), ("5", int), (None, float), ([1], float), ({}, int),
-            (1, bool), (1, str), (None, str),
+            (1, bool), (1, str), (None, str), ("", list), ({}, list), ({"a": 1}, list),
+            (None, list), ([], dict), ([["a", 1]], dict), ("", dict), (0, dict),
         ],
     )
     def test_rejects_another_json_type(self, value, kind):
@@ -111,6 +112,24 @@ class TestOnePlacePerRule:
                     assert path.name == "domain.py", f"{path.name}:{number}: {line.strip()}"
                     assert start <= number < start + len(lines), f"domain.py:{number}"
 
+    STRUCTURE_RULE = re.compile(
+        r"isinstance\([^)]*\b(list|dict)\)|type\([^)]*\) is (not )?(list|dict)\b"
+    )
+
+    def test_only_typed_spells_out_the_structure_rule(self):
+        # extract_first_json_object searches a model answer for its first
+        # object and rejects nothing, so its test is no input check.
+        allowed = {
+            "domain.py": inspect.getsourcelines(domain.typed),
+            "backend.py": inspect.getsourcelines(backend.extract_first_json_object),
+        }
+        for path in sorted(SRC.glob("*.py")):
+            for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+                if self.STRUCTURE_RULE.search(line):
+                    assert path.name in allowed, f"{path.name}:{number}: {line.strip()}"
+                    lines, start = allowed[path.name]
+                    assert start <= number < start + len(lines), f"{path.name}:{number}"
+
     def test_cli_has_one_file_reader(self):
         tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
         reader = next(
@@ -146,6 +165,24 @@ class TestBackendNumbers:
         with pytest.raises(SchemaViolation) as exc:
             parse_structured(raw, Purpose.SHORT_TERM_MOTION)
         assert exc.value.field == "wait"
+
+
+class TestBackendStructures:
+    @pytest.mark.parametrize(
+        "value", ["", {}, {"a": 1}, 0, None, "<missing>", [5], ["x"], [None], [[{"a": 1}]]]
+    )
+    @pytest.mark.parametrize(
+        "purpose, field",
+        [(Purpose.HAZARD_AND_PLAN, "hazards"), (Purpose.SHORT_TERM_MOTION, "pairs")],
+    )
+    def test_list_or_entry_of_another_json_type_names_the_list(self, purpose, field, value):
+        # A list that is no list, or an entry that is no object.
+        answer = {"strategy": "move", field: value}
+        if value == "<missing>":
+            del answer[field]
+        with pytest.raises(SchemaViolation) as exc:
+            parse_structured(json.dumps(answer), purpose)
+        assert exc.value.field == field
 
 
 class TestReplayHoldsTheWritingTypes:
@@ -186,6 +223,21 @@ class TestReplayHoldsTheWritingTypes:
         captured = capsys.readouterr()
         assert f"decision log {log} line 1 is malformed" in captured.err
         assert field in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("value", [1, "yes", 0, "<missing>"])
+    def test_active_that_is_no_bool_is_malformed(self, tmp_path, capsys, value):
+        # Once read as truthiness: 1 and "yes" printed as active lines, 0 and
+        # a missing key as base-agent lines.
+        record = active_record(active=value)
+        if value == "<missing>":
+            del record["active"]
+        log = tmp_path / "bad.decisions.jsonl"
+        log.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        assert main(["replay", "--log", str(log)]) == 2
+        captured = capsys.readouterr()
+        assert f"config error: decision log {log} line 1 is malformed" in captured.err
+        assert "active" in captured.err
         assert captured.out == ""
 
     def test_range_ends_and_int_fields_print_as_before(self, tmp_path, capsys):
@@ -387,6 +439,44 @@ VALID_CONFIG = {
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("mutated")
+
+
+class TestScenarioListFields:
+    # Each once loaded: "" or {} as an empty list, and an object as the list
+    # of its keys ({"stop_sign": 1} masked stop signs; {"straight": 0} was a
+    # one-segment route).
+    @pytest.mark.parametrize(
+        "name, path, value",
+        [
+            ("stop_sign_hazard", ("actors",), ""),
+            ("stop_sign_hazard", ("traffic_lights",), {}),
+            ("stop_sign_hazard", ("stop_signs",), {}),
+            ("stop_sign_hazard", ("deficit_policy", "classes"), ""),
+            ("stop_sign_hazard", ("deficit_policy", "classes"), {"stop_sign": 1}),
+            ("stop_sign_hazard", ("route", "geometry"), {"straight": 0}),
+            ("stop_sign_hazard", ("route", "waypoints"), {}),
+            ("stop_sign_hazard", ("actors", 0, "script"), {}),
+            ("stop_sign_hazard", ("deficit_policy", "window"), ""),
+            ("traffic_light_hazard", ("traffic_lights", 0, "schedule"), {"0": "red"}),
+        ],
+        ids=["actors-empty", "lights-object", "signs-object", "classes-empty", "classes-keys",
+             "geometry-keys", "waypoints-object", "script-object", "window-empty",
+             "schedule-keys"],
+    )
+    def test_list_field_that_is_no_list_is_config_error(self, tmp_path, capsys, name, path, value):
+        doc = json.loads(Path(scenario_path(name)).read_text(encoding="utf-8"))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(cli.ConfigError, match=f"{path[-1]} must be a JSON list"):
+            cli.load_scenarios([bad])
+        argv = ["run", "--mode", "baseline", "--scenarios", str(bad), "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert f"config error: scenario file {bad} failed to load" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestMutatedInputs:
