@@ -152,67 +152,65 @@ def extract_first_json_object(raw: str) -> dict[str, Any]:
     raise SchemaViolation("no JSON object found in response")
 
 
-def _enum_field(d: dict[str, Any], key: str, enum_cls: type, *, where: str) -> Any:
-    if key not in d:
-        raise SchemaViolation(f"missing field in {where}", field=key)
-    try:
-        return enum_cls(d[key])
-    except ValueError:
-        raise SchemaViolation(f"unknown {key} token: {d[key]!r}", field=key) from None
+# Each purpose's answer: a JSON object whose fields, in read order, have these
+# kinds: an answer Enum (its closed vocabulary), int or float (a JSON number),
+# or a dict of fields and kinds (a JSON list of such objects). A move plan
+# reads "pairs", a stop-observe-move plan "wait" and "trigger".
+ANSWER_FIELDS: dict[Purpose, dict[str, Any]] = {
+    Purpose.HAZARD_AND_PLAN: {
+        "hazards": {"object": ObjectClass, "motion": MotionKind}, "strategy": Strategy,
+    },
+    Purpose.SHORT_TERM_MOTION: {
+        "strategy": Strategy,
+        "pairs": {"condition": ExecutionCondition, "behavior": Behavior, "speed": SpeedControl},
+        "wait": int, "trigger": ExecutionCondition,
+    },
+    Purpose.SAFETY_CONSTRAINTS: dict.fromkeys(ENVELOPE_LIMITS, float),
+}
+_HAZARD_FIELDS, _PLAN_FIELDS, _ENVELOPE_FIELDS = ANSWER_FIELDS.values()
 
 
-def _typed(value: Any, kind: type, key: str) -> Any:
-    """``value`` if its JSON type is ``kind`` (see ``domain.typed``); a
-    SchemaViolation naming ``key`` otherwise."""
+def _read(obj: dict[str, Any], fields: dict[str, Any], key: str) -> Any:
+    """``obj[key]`` read as its kind in ``fields`` (a list of objects as a tuple
+    of their values in field order); a SchemaViolation naming the field that
+    fails otherwise, or the list's key for an entry that is no object."""
+    kind, value = fields[key], obj.get(key)
     try:
-        return typed(value, kind, key)
+        if kind is int or kind is float:
+            return typed(value, kind, key)
+        if isinstance(kind, type):  # an answer Enum; a missing key reads as None
+            return kind(value)
+        entries = typed(value, list, key)
+        return tuple(tuple(_read(typed(e, dict, key), kind, f) for f in kind) for e in entries)
     except (TypeError, ValueError) as exc:
         raise SchemaViolation(str(exc), field=key) from None
 
 
 def _parse_hazard_and_plan(obj: dict[str, Any]) -> HazardAndPlan:
-    hazards = []
-    for h in _typed(obj.get("hazards"), list, "hazards"):
-        h = _typed(h, dict, "hazards")
-        hazards.append(
-            Hazard(
-                _enum_field(h, "object", ObjectClass, where="hazard"),
-                _enum_field(h, "motion", MotionKind, where="hazard"),
-            )
-        )
-    strategy = _enum_field(obj, "strategy", Strategy, where="hazard_and_plan")
-    return HazardAndPlan(tuple(hazards), strategy)
+    hazards, strategy = (_read(obj, _HAZARD_FIELDS, key) for key in _HAZARD_FIELDS)
+    return HazardAndPlan(tuple(Hazard(*h) for h in hazards), strategy)
 
 
 def _parse_plan(obj: dict[str, Any]) -> MotionPlan:
     """The plan as sent: uncapped, with ``created_tick`` 0; the planner
     applies the step limit, and the wait expansion the wait cap."""
-    strategy = _enum_field(obj, "strategy", Strategy, where="plan")
+    strategy = _read(obj, _PLAN_FIELDS, "strategy")
     if strategy is Strategy.MOVE:
-        pairs = []
-        for p in _typed(obj.get("pairs"), list, "pairs"):
-            p = _typed(p, dict, "pairs")
-            pairs.append(
-                ConditionActionPair(
-                    _enum_field(p, "condition", ExecutionCondition, where="pair"),
-                    HighLevelAction(
-                        _enum_field(p, "behavior", Behavior, where="pair"),
-                        _enum_field(p, "speed", SpeedControl, where="pair"),
-                    ),
-                )
-            )
-        return MotionPlan(strategy, sequence=ActionSequence(tuple(pairs), 0))
-    wait = _typed(obj.get("wait"), int, "wait")
+        pairs = tuple(
+            ConditionActionPair(condition, HighLevelAction(behavior, speed))
+            for condition, behavior, speed in _read(obj, _PLAN_FIELDS, "pairs")
+        )
+        return MotionPlan(strategy, sequence=ActionSequence(pairs, 0))
+    wait = _read(obj, _PLAN_FIELDS, "wait")
     if wait < 0:
         raise SchemaViolation("wait must be a non-negative integer", field="wait")
-    trigger = _enum_field(obj, "trigger", ExecutionCondition, where="plan")
-    return MotionPlan(strategy, wait_ticks=wait, move_trigger=trigger)
+    return MotionPlan(strategy, wait_ticks=wait, move_trigger=_read(obj, _PLAN_FIELDS, "trigger"))
 
 
 def _parse_constraints(obj: dict[str, Any]) -> SafetyConstraints:
     values = {}
-    for f in ENVELOPE_LIMITS:
-        v = _typed(obj.get(f), float, f)
+    for f in _ENVELOPE_FIELDS:
+        v = _read(obj, _ENVELOPE_FIELDS, f)
         base = getattr(BASE_CONSTRAINTS, f)
         if (v < base / ENVELOPE_SLACK) if f == "d_min" else (v > base * ENVELOPE_SLACK):
             raise SchemaViolation(f"constraint looser than {ENVELOPE_SLACK}x base", field=f)
@@ -431,7 +429,7 @@ _SYSTEM_PREAMBLES = {
     ),
     Purpose.SAFETY_CONSTRAINTS: (
         "You set vehicle safety limits. Respond with a single JSON object with numeric fields "
-        f"{', '.join(ENVELOPE_LIMITS)} (SI units)."
+        f"{', '.join(_ENVELOPE_FIELDS)} (SI units)."
     ),
 }
 

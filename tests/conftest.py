@@ -1,17 +1,23 @@
-"""Shared builders for perception snapshots and backend stubs."""
+"""Shared builders for perception snapshots, backend stubs and model answers."""
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
+
+from hypothesis import strategies as st
 
 from rco.backend import (
+    ANSWER_FIELDS,
+    ENVELOPE_SLACK,
     BackendRequest,
     BackendResponse,
     BackendTimeout,
+    Purpose,
     SchemaViolation,
     TransportFailure,
 )
 from rco.domain import (
+    BASE_CONSTRAINTS,
     Box,
     CameraView,
     Daylight,
@@ -19,6 +25,7 @@ from rco.domain import (
     Navigation,
     ObjectClass,
     RoadGeometry,
+    Strategy,
     Surrounding,
     TrafficDensity,
     ViewName,
@@ -117,3 +124,38 @@ def failing_backend(kind: str, wrong_answer: object) -> StubBackend:
     if kind == "wrong_type":
         return StubBackend(parsed=wrong_answer)
     raise ValueError(f"unknown failure kind: {kind}")
+
+
+# The motion fields that a plan of each strategy leaves unread.
+_UNREAD_PLAN_FIELDS = {
+    Strategy.MOVE.value: ("wait", "trigger"),
+    Strategy.STOP_OBSERVE_MOVE.value: ("pairs",),
+}
+
+
+def _field_values(key: str, kind: Any) -> st.SearchStrategy:
+    if kind is int:
+        return st.integers(0, 10**6)
+    if kind is float:
+        base = getattr(BASE_CONSTRAINTS, key)
+        return st.floats(base / ENVELOPE_SLACK, base * ENVELOPE_SLACK)
+    if isinstance(kind, type):
+        return st.sampled_from([member.value for member in kind])
+    return st.lists(_objects(kind), max_size=4)
+
+
+def _objects(fields: dict[str, Any]) -> st.SearchStrategy:
+    return st.fixed_dictionaries({key: _field_values(key, kind) for key, kind in fields.items()})
+
+
+def answers(purpose: Purpose) -> st.SearchStrategy:
+    """Schema-valid answers for ``purpose``, drawn from ``backend.ANSWER_FIELDS``:
+    any token of each vocabulary, waits from 0 to 10**6 and envelope limits
+    within ``ENVELOPE_SLACK`` of the base. A plan holds only the fields its
+    strategy reads."""
+    drawn = _objects(ANSWER_FIELDS[purpose])
+    if purpose is not Purpose.SHORT_TERM_MOTION:
+        return drawn
+    return drawn.map(
+        lambda a: {k: v for k, v in a.items() if k not in _UNREAD_PLAN_FIELDS[a["strategy"]]}
+    )

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import copy
 import hashlib
 import json
 import pickle
+import re
 import threading
 import time
 from collections import Counter
+from enum import Enum
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 from urllib.error import URLError
@@ -19,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from rco import backend as backend_mod
 from rco.backend import (
+    ANSWER_FIELDS,
     BackendRequest,
     BackendTimeout,
     ConstraintsInputs,
@@ -61,7 +65,7 @@ from rco.domain import (
     Weather,
 )
 from rco.runner import Mode, run_episode
-from conftest import DEFAULT_NAVI, DEFAULT_SURROUNDING, snapshot
+from conftest import DEFAULT_NAVI, DEFAULT_SURROUNDING, answers, snapshot
 
 
 def payload_for(key: str) -> str:
@@ -188,6 +192,197 @@ class TestParseStructured:
             parse_structured(raw, purpose)
         except SchemaViolation:
             pass  # the only acceptable failure mode
+
+
+def _flat(text: str) -> str:
+    return " ".join(text.split())
+
+
+def _keys(text: str) -> set[str]:
+    """The keys of the JSON examples in ``text``."""
+    return set(re.findall(r'"(\w+)":', text))
+
+
+def _strategies(text: str) -> set[str]:
+    """The tokens that ``text``'s JSON examples give "strategy"."""
+    spelled = " ".join(re.findall(r'"strategy": ((?:"\w+" ?\|? ?)+)', text))
+    return set(re.findall(r'"(\w+)"', spelled))
+
+
+def _listed(text: str, start: str, end: str, sep: str) -> set[str]:
+    """The tokens listed, separated by ``sep``, between ``start`` and ``end``."""
+    return set(text.split(start, 1)[1].split(end, 1)[0].split(sep))
+
+
+def hand_spelled() -> list[tuple[str, Purpose, str, set[str]]]:
+    """(source, purpose, vocabulary, tokens) for every vocabulary that a prompt
+    template or a system preamble spells by hand, after normalising whitespace.
+    "fields" names the field names; any other vocabulary is a field's tokens.
+    The hazard prompt lists no object or motion tokens."""
+    hazard, motion, envelope = (
+        _flat(backend_mod._template(name))
+        for name in ("hazard_inference", "short_term_motion", "safety_constraints")
+    )
+    preamble = {p: _flat(text) for p, text in backend_mod._SYSTEM_PREAMBLES.items()}
+    h, m, s = Purpose.HAZARD_AND_PLAN, Purpose.SHORT_TERM_MOTION, Purpose.SAFETY_CONSTRAINTS
+    return [
+        ("hazard prompt", h, "fields", _keys(hazard)),
+        ("hazard prompt", h, "strategy", _strategies(hazard)),
+        ("hazard preamble", h, "fields", _keys(preamble[h])),
+        ("hazard preamble", h, "strategy", _strategies(preamble[h])),
+        ("motion prompt", m, "fields", _keys(motion)),
+        ("motion prompt", m, "strategy", _strategies(motion)),
+        ("motion prompt", m, "behavior", _listed(motion, "driving behavior (", ")", ", ")),
+        ("motion prompt", m, "speed", _listed(motion, "speed token (", ")", ", ")),
+        ("motion prompt", m, "condition", _listed(motion, "may run: ", ".", " or ")),
+        ("motion preamble", m, "fields", _keys(preamble[m])),
+        ("motion preamble", m, "strategy", _strategies(preamble[m])),
+        ("envelope prompt", s, "fields", _keys(envelope)),
+        ("envelope preamble", s, "fields", _listed(preamble[s], "numeric fields ", " (SI", ", ")),
+    ]
+
+
+def _walk(fields: dict):
+    """(key, kind) of every declared field, an entry's fields included."""
+    for key, kind in fields.items():
+        yield key, kind
+        if isinstance(kind, dict):
+            yield from _walk(kind)
+
+
+def _is_enum(kind) -> bool:
+    return isinstance(kind, type) and issubclass(kind, Enum)
+
+
+def declared(purpose: Purpose) -> dict[str, set[str]]:
+    """The vocabularies ``backend.ANSWER_FIELDS`` declares for ``purpose``:
+    "fields" (every field name, an entry's included) and each Enum field's tokens."""
+    walked = list(_walk(backend_mod.ANSWER_FIELDS[purpose]))
+    tokens = {key: {member.value for member in kind} for key, kind in walked if _is_enum(kind)}
+    return {"fields": {key for key, _kind in walked}, **tokens}
+
+
+def assert_prompts_spell_the_declaration():
+    mismatches = [
+        f"{source} spells {vocabulary} as {sorted(tokens)}, declared {sorted(want)}"
+        for source, purpose, vocabulary, tokens in hand_spelled()
+        if tokens != (want := declared(purpose)[vocabulary])
+    ]
+    assert mismatches == []
+
+
+# Values of each JSON type, by name.
+JSON_VALUES = {
+    "null": st.none(),
+    "bool": st.booleans(),
+    "number": st.integers() | st.floats(allow_nan=False, allow_infinity=False),
+    "string": st.text(max_size=8),
+    "list": st.lists(st.integers(), max_size=2),
+    "object": st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+}
+
+
+def _json_type(kind) -> str:
+    if kind is int or kind is float:
+        return "number"
+    return "list" if isinstance(kind, dict) else "string"
+
+
+def _drawn_fields(answer: dict, fields: dict):
+    """(path, kind) of every field of ``answer``: its key, or (list key,
+    index, key) for an entry's field."""
+    for key, value in answer.items():
+        yield (key,), fields[key]
+        if isinstance(fields[key], dict):
+            for i, _entry in enumerate(value):
+                for sub, kind in fields[key].items():
+                    yield (key, i, sub), kind
+
+
+class TestAnswerSchema:
+    PARSED = {
+        Purpose.HAZARD_AND_PLAN: HazardAndPlan,
+        Purpose.SHORT_TERM_MOTION: MotionPlan,
+        Purpose.SAFETY_CONSTRAINTS: SafetyConstraints,
+    }
+
+    def test_prompts_and_preambles_spell_the_declared_vocabularies(self):
+        assert_prompts_spell_the_declaration()
+
+    @pytest.mark.parametrize(
+        "purpose, key",
+        [
+            (Purpose.HAZARD_AND_PLAN, "strategy"),
+            (Purpose.SHORT_TERM_MOTION, "strategy"),
+            (Purpose.SHORT_TERM_MOTION, "behavior"),
+            (Purpose.SHORT_TERM_MOTION, "speed"),
+            (Purpose.SHORT_TERM_MOTION, "condition"),
+        ],
+    )
+    def test_guard_fails_on_a_declared_token_no_prompt_spells(self, monkeypatch, purpose, key):
+        declaration = copy.deepcopy(ANSWER_FIELDS)
+        fields = declaration[purpose]
+        owner = fields if key in fields else fields["pairs"]
+        tokens = {member.name: member.value for member in owner[key]}
+        owner[key] = Enum(owner[key].__name__, {**tokens, "WARP": "warp"}, type=str)
+        monkeypatch.setattr(backend_mod, "ANSWER_FIELDS", declaration)
+        with pytest.raises(AssertionError, match=f"spells {key} as"):
+            assert_prompts_spell_the_declaration()
+
+    @pytest.mark.parametrize("purpose", list(Purpose))
+    def test_guard_fails_on_a_declared_field_no_prompt_spells(self, monkeypatch, purpose):
+        declaration = copy.deepcopy(ANSWER_FIELDS)
+        declaration[purpose]["jerk_max"] = float
+        monkeypatch.setattr(backend_mod, "ANSWER_FIELDS", declaration)
+        with pytest.raises(AssertionError, match="spells fields as"):
+            assert_prompts_spell_the_declaration()
+
+    def test_no_answer_enum_is_called_outside_the_reader(self):
+        # The reader calls each answer Enum through the declaration, by kind.
+        enums = {
+            kind.__name__
+            for fields in ANSWER_FIELDS.values() for _key, kind in _walk(fields) if _is_enum(kind)
+        }
+        assert enums == {
+            "ObjectClass", "MotionKind", "Strategy", "ExecutionCondition", "Behavior", "SpeedControl"
+        }
+        tree = ast.parse(Path(backend_mod.__file__).read_text(encoding="utf-8"))
+        calls = [
+            n.lineno for n in ast.walk(tree)
+            if isinstance(n, ast.Call) and getattr(n.func, "id", None) in enums
+        ]
+        assert calls == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize("purpose", list(Purpose))
+    def test_every_drawn_answer_parses_to_its_type(self, purpose, data):
+        answer = data.draw(answers(purpose))
+        assert isinstance(parse_structured(json.dumps(answer), purpose), self.PARSED[purpose])
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize("purpose", list(Purpose))
+    def test_one_changed_field_is_the_field_named(self, purpose, data):
+        answer = data.draw(answers(purpose))
+        path, kind = data.draw(st.sampled_from(list(_drawn_fields(answer, ANSWER_FIELDS[purpose]))))
+        changes = ["type", "missing", "token"] if _is_enum(kind) else ["type", "missing"]
+        change = data.draw(st.sampled_from(changes))
+        *to_owner, key = path
+        owner = answer
+        for step in to_owner:
+            owner = owner[step]
+        if change == "missing":
+            del owner[key]
+        elif change == "type":
+            others = [values for name, values in JSON_VALUES.items() if name != _json_type(kind)]
+            owner[key] = data.draw(st.one_of(*others))
+        else:
+            tokens = {member.value for member in kind}
+            owner[key] = data.draw(st.text().filter(lambda t: t not in tokens))
+        with pytest.raises(SchemaViolation) as exc:
+            parse_structured(json.dumps(answer), purpose)
+        assert exc.value.field == key
 
 
 class TestScriptedBackend:

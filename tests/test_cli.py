@@ -528,6 +528,18 @@ class TestKnobDeclaration:
         landed = read(overrides.orchestrator_config("k", 0.1), overrides.penalty_table())
         assert landed == (value,) * len(landed)
 
+    def test_history_len_one_gives_the_verifier_two_frames(self, tmp_path):
+        # Hazard inference reads n frames; the consistency check compares at
+        # least two, so the verifier's window is max(2, n).
+        overrides = cli._merge_overrides(
+            cli.make_parser().parse_args(["run", "--history-len", "1"])
+        )
+        cfg = overrides.orchestrator_config("k", 0.1)
+        assert (cfg.planner.history_len, cfg.verifier.history_len) == (1, 2)
+        argv = ["run", "--history-len", "1", "--mode", "rco",
+                "--scenarios", scenario_path("pedestrian_cross"), "--out", str(tmp_path / "o")]
+        assert main(argv) == 0
+
 
 class TestReplayCommand:
     def test_replay_renders_trace(self, tmp_path, capsys):
