@@ -25,7 +25,6 @@ import logging
 import os
 import time
 import urllib.parse
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 from importlib import resources
@@ -55,6 +54,7 @@ from .domain import (
     TrafficDensity,
     Weather,
     typed,
+    value_type,
 )
 
 log = logging.getLogger(__name__)
@@ -97,7 +97,7 @@ class Purpose(str, Enum):
     SAFETY_CONSTRAINTS = "safety_constraints"
 
 
-@dataclass(frozen=True)
+@value_type
 class BackendRequest:
     purpose: Purpose
     inputs: Inputs  # the purpose's structured inputs
@@ -112,7 +112,7 @@ class BackendRequest:
         return key if isinstance(key, str) else ""
 
 
-@dataclass(frozen=True)
+@value_type
 class HazardAndPlan:
     hazards: tuple[Hazard, ...]
     strategy: Strategy
@@ -121,7 +121,7 @@ class HazardAndPlan:
 Parsed = Union[HazardAndPlan, MotionPlan, SafetyConstraints]
 
 
-@dataclass(frozen=True)
+@value_type
 class BackendResponse:
     raw: str
     parsed: Optional[Parsed]
@@ -284,7 +284,7 @@ def _history_text(history: Sequence[EnvironmentSnapshot]) -> str:
     return "\n".join(lines)
 
 
-@dataclass(frozen=True)
+@value_type
 class HazardInputs:
     """What hazard inference reads: the frame window, oldest first."""
 
@@ -294,7 +294,7 @@ class HazardInputs:
         return _render_prompt("hazard_inference", history=_history_text(self.frames))
 
 
-@dataclass(frozen=True)
+@value_type
 class MotionInputs:
     """What the short-term motion planner reads."""
 
@@ -312,7 +312,7 @@ class MotionInputs:
         )
 
 
-@dataclass(frozen=True)
+@value_type
 class ConstraintsInputs:
     """What the safety-constraint generator reads: the driving context."""
 

@@ -220,16 +220,24 @@ def _write_outputs(
     )
 
 
+def _jobs(args: argparse.Namespace) -> int:
+    """The ``--jobs`` count, checked before anything is loaded."""
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
+    return args.jobs
+
+
 def cmd_run(args: argparse.Namespace) -> int:
+    jobs = _jobs(args)
     scenarios = load_scenarios(discover_scenarios(args.scenarios))
     overrides = _merge_overrides(args)
     backend = build_backend(args.backend, args.scripted_table)
     out_dir = _output_dir(args.out)
-    outcomes = _execute([(s, Mode(args.mode), backend, overrides) for s in scenarios], args.jobs)
+    outcomes = _execute([(s, Mode(args.mode), backend, overrides) for s in scenarios], jobs)
     run_config = {
         "mode": args.mode,
         "backend": args.backend,
-        "overrides": given(**vars(overrides)),
+        "overrides": given(**dataclasses.asdict(overrides)),
     }
     _write_outputs(outcomes, out_dir, run_config)
     for o in outcomes:
@@ -242,6 +250,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    jobs = _jobs(args)
     scenarios = load_scenarios(discover_scenarios(args.scenarios))
     overrides = _merge_overrides(args)
     try:
@@ -257,7 +266,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     runs = [(Mode.BASELINE, overrides)]
     runs += [(Mode.RCO, limit_overrides) for limit_overrides in limited]
     tasks = [(s, mode, backend, o) for mode, o in runs for s in scenarios]
-    outcomes = _execute(tasks, args.jobs)
+    outcomes = _execute(tasks, jobs)
     n = len(scenarios)
     base_agg, *limit_aggs = [
         metrics.Summary(tuple(o.result for o in outcomes[i:i + n])).aggregate()

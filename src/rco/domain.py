@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from typing import Any, Optional
 
@@ -26,6 +26,52 @@ class OutOfRangeError(ValueError):
 
 _KINDS = {bool: "a JSON bool", str: "a JSON string", int: "a number (JSON int)", float: "a number",
           list: "a JSON list", dict: "a JSON object"}
+
+
+class _Factory:
+    """The default ``__init__`` shows for a field with a ``default_factory``."""
+
+    def __repr__(self) -> str:
+        return "<factory>"
+
+
+_FACTORY = _Factory()
+
+
+def value_type(cls: type) -> type:
+    """``cls`` as a frozen, slotted dataclass whose ``__init__`` stores each field
+    straight into its slot.
+
+    A frozen dataclass's own ``__init__`` stores each field with one generic
+    ``object.__setattr__`` call; here each store calls the field's slot descriptor,
+    bound once per class: about half the cost per record on CPython 3.11. Defaults
+    and default factories are evaluated per call, as ``dataclasses`` does.
+    ``__post_init__`` runs last: every check still runs, and it sets each derived
+    field (``field(init=False)``, which takes no default)."""
+    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    namespace: dict[str, Any] = {"_FACTORY": _FACTORY}
+    params, stores = [], []
+    for f in fields(cls):
+        if not f.init:
+            continue  # derived: __post_init__ sets it
+        name = f.name
+        namespace[f"_set_{name}"] = cls.__dict__[name].__set__
+        given = name
+        if f.default_factory is not MISSING:
+            namespace[f"_make_{name}"] = f.default_factory
+            params.append(f"{name}=_FACTORY")
+            given = f"_make_{name}() if {name} is _FACTORY else {name}"
+        elif f.default is not MISSING:
+            namespace[f"_default_{name}"] = f.default
+            params.append(f"{name}=_default_{name}")
+        else:
+            params.append(name)
+        stores.append(f"    _set_{name}(self, {given})\n")
+    if hasattr(cls, "__post_init__"):
+        stores.append("    self.__post_init__()\n")
+    exec(f"def __init__(self, {', '.join(params)}):\n{''.join(stores)}", namespace)
+    cls.__init__ = namespace["__init__"]
+    return cls
 
 
 def typed(value: Any, kind: type, name: str) -> Any:
@@ -146,7 +192,7 @@ _MOVE = Strategy.MOVE  # read once per plan built
 # Actuator action
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@value_type
 class Action:
     """Actuator triple executed each tick: throttle, brake in [0,1], steer in [-1,1]."""
 
@@ -170,7 +216,7 @@ class Action:
 FAIL_SAFE_STOP = Action(0.0, 0.8, 0.0)
 
 
-@dataclass(frozen=True)
+@value_type
 class HighLevelAction:
     """Driving behavior plus speed-control token.
 
@@ -188,7 +234,7 @@ class HighLevelAction:
 STOP_ACTION = HighLevelAction(Behavior.STOP, SpeedControl.DECELERATION_TO_ZERO)
 
 
-@dataclass(frozen=True)
+@value_type
 class ConditionActionPair:
     condition: ExecutionCondition
     action: HighLevelAction
@@ -198,7 +244,7 @@ class ConditionActionPair:
 STOP_PAIR = ConditionActionPair(ExecutionCondition.CONSISTENT_NO_IMMEDIATE_HAZARD, STOP_ACTION)
 
 
-@dataclass(frozen=True)
+@value_type
 class ActionSequence:
     """Plan-ahead queue of condition-action pairs, consumed strictly front-to-back."""
 
@@ -217,7 +263,7 @@ class ActionSequence:
 # Perception
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@value_type
 class Box:
     """Axis-aligned rectangle in normalized image fractions, x right, y down."""
 
@@ -249,7 +295,7 @@ class Box:
         )
 
 
-@dataclass(frozen=True)
+@value_type
 class VisibleObject:
     cls: ObjectClass
     box: Box
@@ -262,7 +308,7 @@ class VisibleObject:
             raise OutOfRangeError("range_m", self.range_m)
 
 
-@dataclass(frozen=True)
+@value_type
 class CameraView:
     """One camera's symbolic frame: detections plus deficit regions (the
     masked image boxes).
@@ -283,13 +329,13 @@ class CameraView:
                     )
 
 
-@dataclass(frozen=True)
+@value_type
 class Navigation:
     target_point: tuple[float, float]
     road_geometry: RoadGeometry
 
 
-@dataclass(frozen=True)
+@value_type
 class Surrounding:
     weather: Weather
     daylight: Daylight
@@ -301,7 +347,7 @@ class Surrounding:
             raise OutOfRangeError("nearest_obstacle_m", self.nearest_obstacle_m)
 
 
-@dataclass(frozen=True)
+@value_type
 class EnvironmentSnapshot:
     """Per-tick symbolic perception: three camera views plus navigation and
     ambient context."""
@@ -329,7 +375,7 @@ class EnvironmentSnapshot:
 # Hazards and plans
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@value_type
 class Hazard:
     """Inferred object and its movement; either side may be unknown."""
 
@@ -337,7 +383,7 @@ class Hazard:
     motion: MotionKind
 
 
-@dataclass(frozen=True)
+@value_type
 class MotionPlan:
     """Either a move sequence or a stop-observe-move wait; exactly the fields
     for the chosen strategy are present. The wait cap is applied where a
@@ -367,7 +413,7 @@ class MotionPlan:
 ENVELOPE_LIMITS = ("v_max", "d_min", "ac_max", "de_max", "psi_max", "d_brake")
 
 
-@dataclass(frozen=True)
+@value_type
 class SafetyConstraints:
     """Six-limit control envelope, SI units, all strictly positive and
     finite: an infinite limit never fires, so it would switch its trigger off."""
@@ -392,7 +438,7 @@ BASE_CONSTRAINTS = SafetyConstraints(
 )
 
 
-@dataclass(frozen=True)
+@value_type
 class VehicleMeasurements:
     """IMU/speedometer readout; ``d_follow`` is +inf when there is no lead
     vehicle so the following-distance trigger is simply false."""

@@ -8,11 +8,11 @@ excluded from scoring (the agent could not have seen it).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Any, Iterable, Mapping, Sequence
 
 from .controlmap import clamp
-from .domain import ObjectClass
+from .domain import ObjectClass, value_type
 from .simenv import DeficitPolicy, InfractionEvent, InfractionKind, Route
 
 
@@ -72,7 +72,7 @@ def average_speed(route_length_m: float, game_time_s: float) -> float:
     return route_length_m / game_time_s
 
 
-@dataclass(frozen=True)
+@value_type
 class EpisodeResult:
     """Scores for one episode; ds is derived as rc * is_score."""
 
@@ -114,7 +114,7 @@ class EpisodeResult:
         }
 
 
-@dataclass(frozen=True)
+@value_type
 class Summary:
     rows: tuple[EpisodeResult, ...]
 

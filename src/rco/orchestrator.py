@@ -14,7 +14,7 @@ otherwise waiting continues up to the configured cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import field, replace
 from typing import Any, Optional, Sequence
 
 from . import controlmap, planner, safety, verifier
@@ -34,6 +34,7 @@ from .domain import (
     TrafficDensity,
     VehicleMeasurements,
     Weather,
+    value_type,
 )
 from .planner import PlannerConfig
 from .safety import SafetyGains
@@ -57,7 +58,7 @@ _MOVE = Strategy.MOVE  # read in every planning round
 _Context = tuple[Weather, Daylight, TrafficDensity, RoadGeometry]
 
 
-@dataclass(frozen=True)
+@value_type
 class OrchestratorConfig:
     planner: PlannerConfig = field(default_factory=PlannerConfig)
     verifier: VerifierConfig = field(default_factory=VerifierConfig)
@@ -66,7 +67,7 @@ class OrchestratorConfig:
     scenario_key: str = ""
 
 
-@dataclass(frozen=True)
+@value_type
 class OverrideState:
     """Per-episode override lifecycle: the pending sequence, wait bookkeeping,
     cached constraints, the steering controller's last heading error, and the
@@ -87,7 +88,7 @@ class OverrideState:
     )
 
 
-@dataclass(frozen=True)
+@value_type
 class StepResult:
     action: Action
     state: OverrideState

@@ -8,7 +8,6 @@ and observe) rather than surfacing an error into the control loop.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import backend as backend_mod
@@ -23,12 +22,13 @@ from .domain import (
     STOP_PAIR,
     Strategy,
     typed,
+    value_type,
 )
 
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
+@value_type
 class PlannerConfig:
     history_len: int = 5  # frames fed to hazard inference
     max_steps: int = 5  # plan-ahead limit per move sequence

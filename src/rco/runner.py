@@ -5,13 +5,12 @@ with that tick's action and decision record, and keeps its own state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Generator, Optional
 
 from . import metrics, orchestrator, simenv
 from .backend import Backend
-from .domain import FAIL_SAFE_STOP, Action, typed
+from .domain import FAIL_SAFE_STOP, Action, typed, value_type
 from .orchestrator import OrchestratorConfig, OverrideState
 from .planner import PlannerConfig
 from .safety import SafetyGains
@@ -29,7 +28,7 @@ STOP = FAIL_SAFE_STOP  # the always_stop halt
 Policy = Generator[tuple[Action, dict[str, Any]], WorldState, None]
 
 
-@dataclass(frozen=True)
+@value_type
 class Overrides:
     """Optional config knobs; None keeps each module's default."""
 
@@ -80,7 +79,7 @@ def given(**kwargs: Any) -> dict[str, Any]:
     return {k: v for k, v in kwargs.items() if v is not None}
 
 
-@dataclass(frozen=True)
+@value_type
 class EpisodeOutcome:
     result: metrics.EpisodeResult
     records: tuple[dict[str, Any], ...]

@@ -9,7 +9,6 @@ the trigger fires).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from . import backend as backend_mod
@@ -26,10 +25,11 @@ from .domain import (
     VehicleMeasurements,
     Weather,
     typed,
+    value_type,
 )
 
 
-@dataclass(frozen=True)
+@value_type
 class SafetyGains:
     """Transformation step sizes for throttle and brake, each in (0, 1]."""
 

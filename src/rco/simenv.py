@@ -18,7 +18,7 @@ import json
 import math
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import field
 from enum import Enum
 from itertools import accumulate
 from typing import Any, ClassVar, Optional
@@ -42,6 +42,7 @@ from .domain import (
     VisibleObject,
     Weather,
     typed,
+    value_type,
 )
 
 STOPPED_SPEED = 0.1  # below this the vehicle counts as stopped (stop-sign rule)
@@ -61,7 +62,7 @@ EGO_LENGTH = 4.5  # m
 EGO_WIDTH = 2.0  # m
 
 
-@dataclass(frozen=True)
+@value_type
 class VehicleParams:
     """The simulation step in seconds; the plant is fixed by the constants above."""
 
@@ -99,7 +100,7 @@ class InfractionKind(str, Enum):
     STOP_SIGN = "stop_sign"
 
 
-@dataclass(frozen=True)
+@value_type
 class InfractionEvent:
     tick: int
     kind: InfractionKind
@@ -113,7 +114,7 @@ class InfractionEvent:
 # Static scenario pieces
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@value_type
 class Actor:
     """Scripted actor: position replayed from timed waypoints (seconds)."""
 
@@ -164,7 +165,7 @@ def _heading(p: tuple[float, float, float], q: tuple[float, float, float]) -> fl
     return math.atan2(dy, dx)
 
 
-@dataclass(frozen=True)
+@value_type
 class TrafficLight:
     cls: ClassVar[ObjectClass] = ObjectClass.TRAFFIC_LIGHT  # the class perceive draws
     id: int
@@ -191,7 +192,7 @@ class TrafficLight:
         return state
 
 
-@dataclass(frozen=True)
+@value_type
 class StopSign:
     cls: ClassVar[ObjectClass] = ObjectClass.STOP_SIGN
     id: int
@@ -199,7 +200,7 @@ class StopSign:
     stop_line_s: float
 
 
-@dataclass(frozen=True)
+@value_type
 class Route:
     waypoints: tuple[tuple[float, float], ...]
     geometry: tuple[RoadGeometry, ...]  # one tag per segment
@@ -275,7 +276,7 @@ class Route:
         return math.atan2(y1 - y0, x1 - x0)
 
 
-@dataclass(frozen=True)
+@value_type
 class DeficitPolicy:
     classes: frozenset[ObjectClass] = frozenset()
     window: tuple[int, int] = (0, 0)  # [start_tick, end_tick)
@@ -314,7 +315,7 @@ def _point(xy: Any) -> tuple[float, float]:
 _SCENARIO_NAME = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9_.-]*")
 
 
-@dataclass(frozen=True)
+@value_type
 class Scenario:
     name: str
     route: Route
@@ -412,7 +413,7 @@ class Scenario:
 # World state and dynamics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@value_type
 class EgoState:
     x: float
     y: float
@@ -426,7 +427,7 @@ class EgoState:
         return (self.x, self.y, self.heading)
 
 
-@dataclass(frozen=True)
+@value_type
 class WorldState:
     tick: int
     ego: EgoState
@@ -436,9 +437,8 @@ class WorldState:
     sign_satisfied: frozenset[int] = frozenset()
     # Derived once per state, as every state is read by detect_infractions:
     # (actor, x, y, heading) of every actor at this tick, and the ids of the
-    # actors whose footprint overlaps the ego's. Fields, not cached_property:
-    # on CPython 3.11 its first read creates the instance __dict__, and every
-    # later attribute read on the state then leaves the specialised fast path.
+    # actors whose footprint overlaps the ego's. Fields, not cached_property,
+    # which needs the instance __dict__ that a slotted value type lacks.
     actor_states: tuple[tuple[Actor, float, float, float], ...] = field(
         init=False, repr=False, compare=False
     )

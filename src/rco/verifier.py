@@ -12,7 +12,6 @@ that extends the previous one by a frame checks only its newest transition.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
@@ -25,6 +24,7 @@ from .domain import (
     VIEW_ORDER,
     ViewName,
     typed,
+    value_type,
 )
 
 # Classes that count toward the proximity ratio: the movable road users a
@@ -58,7 +58,7 @@ _IMMEDIATE = ExecutionCondition.CONSISTENT_IMMEDIATE_HAZARD
 _NO_IMMEDIATE = ExecutionCondition.CONSISTENT_NO_IMMEDIATE_HAZARD
 
 
-@dataclass(frozen=True)
+@value_type
 class VerifierConfig:
     shift_threshold: float = 0.10  # fraction of image width
     hazard_ratio_threshold: float = 0.05  # fraction of image area, strict
@@ -186,7 +186,7 @@ def check_deficit_consistency(
     return _CONSISTENT
 
 
-@dataclass(frozen=True)
+@value_type
 class ConsistencyRun:
     """A classified window, the shift threshold it was judged under, and the
     tick of the older frame of its newest inconsistent transition, or None.

@@ -1,7 +1,12 @@
-"""Shared builders for perception snapshots, backend stubs and model answers."""
+"""Shared builders for perception snapshots, backend stubs and model answers,
+and the list of the program's value types."""
 
 from __future__ import annotations
 
+import dataclasses
+import importlib
+import inspect
+from pathlib import Path
 from typing import Any, Iterable, Optional, Sequence
 
 from hypothesis import strategies as st
@@ -159,3 +164,18 @@ def answers(purpose: Purpose) -> st.SearchStrategy:
     return drawn.map(
         lambda a: {k: v for k, v in a.items() if k not in _UNREAD_PLAN_FIELDS[a["strategy"]]}
     )
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "rco"
+
+
+def value_types() -> list[type]:
+    """Every dataclass the ``src/rco`` modules define."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"rco.{path.stem}")
+        found += [
+            obj for _, obj in inspect.getmembers(module, inspect.isclass)
+            if dataclasses.is_dataclass(obj) and obj.__module__ == module.__name__
+        ]
+    return found

@@ -332,6 +332,17 @@ class TestRunCommand:
             tmp_path / "par" / "summary.csv"
         ).read_bytes()
 
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--limits", "1"]])
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_config_error_before_any_episode(
+        self, tmp_path, capsys, monkeypatch, command, jobs
+    ):
+        monkeypatch.setattr(cli, "run_episode", None)  # no episode may start
+        code = main([*command, "--jobs", jobs, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"config error: --jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_pool_has_no_more_workers_than_episodes(self, tmp_path, monkeypatch):
         # The pool starts every worker on the first submit; this stand-in
         # records its size and runs the episodes in this process instead.

@@ -2,7 +2,9 @@
 
 Every dataclass field declared in ``src/rco`` is read as ``.<name>``
 somewhere in ``src/rco`` or ``bench``. The match is by attribute name only,
-so a field shares its reads with any other attribute of the same name.
+so a field shares its reads with any other attribute of the same name. The
+scan finds dataclasses by their one decorator, ``domain.value_type``, and
+checks that it finds every dataclass the modules define.
 
 Every exception class defined in ``src/rco`` is named in an ``except``
 clause in ``src/rco`` or ``bench``, or subclasses a ``src/rco`` exception
@@ -16,6 +18,8 @@ import ast
 import builtins
 from pathlib import Path
 
+from conftest import value_types
+
 ROOT = Path(__file__).resolve().parents[1]
 PROGRAM = sorted((ROOT / "src" / "rco").glob("*.py"))
 READERS = PROGRAM + sorted((ROOT / "bench").glob("*.py"))
@@ -26,21 +30,25 @@ UNREAD_ALLOWED = {("BackendResponse", "latency_ms")}
 
 
 def _is_dataclass(decorator: ast.expr) -> bool:
-    target = decorator.func if isinstance(decorator, ast.Call) else decorator
-    return isinstance(target, ast.Name) and target.id == "dataclass"
+    return isinstance(decorator, ast.Name) and decorator.id == "value_type"
+
+
+def dataclass_nodes() -> list[ast.ClassDef]:
+    return [
+        node
+        for path in PROGRAM
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list))
+    ]
 
 
 def dataclass_fields() -> set[tuple[str, str]]:
-    fields = set()
-    for path in PROGRAM:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list)):
-                fields.update(
-                    (node.name, stmt.target.id)
-                    for stmt in node.body
-                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
-                )
-    return fields
+    return {
+        (node.name, stmt.target.id)
+        for node in dataclass_nodes()
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    }
 
 
 def attributes_read() -> set[str]:
@@ -50,6 +58,12 @@ def attributes_read() -> set[str]:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
+
+
+def test_the_scan_finds_every_dataclass():
+    at_run_time = {cls.__name__ for cls in value_types()}
+    assert {node.name for node in dataclass_nodes()} == at_run_time
+    assert {"Action", "BackendResponse", "WorldState"} <= at_run_time  # not empty
 
 
 def test_every_dataclass_field_is_read():

@@ -2,31 +2,46 @@
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import inspect
 import math
+import pickle
 
 import pytest
 
+from rco import backend, metrics, orchestrator, planner, runner, safety, simenv, verifier
 from rco.domain import (
+    BASE_CONSTRAINTS,
+    FAIL_SAFE_STOP,
+    STOP_ACTION,
+    STOP_PAIR,
     Action,
     ActionSequence,
     Behavior,
     Box,
     CameraView,
     ConditionActionPair,
+    Daylight,
     EnvironmentSnapshot,
     ExecutionCondition,
+    Hazard,
     HighLevelAction,
+    MotionKind,
     MotionPlan,
     ObjectClass,
     OutOfRangeError,
+    RoadGeometry,
     SafetyConstraints,
     SpeedControl,
     Strategy,
+    TrafficDensity,
     VehicleMeasurements,
     ViewName,
     VisibleObject,
+    Weather,
 )
-from conftest import snapshot
+from conftest import DEFAULT_NAVI, DEFAULT_SURROUNDING, SRC, snapshot, value_types
 
 
 class TestAction:
@@ -170,3 +185,122 @@ class TestSafetyTypes:
         m = VehicleMeasurements(5.0, 0.0, 0.0)
         assert math.isinf(m.d_follow)
         assert not (m.d_follow < 6.0)  # the following trigger stays false
+
+
+@functools.cache
+def samples() -> dict[type, object]:
+    """One valid instance of every value type."""
+    scenarios = SRC / "scenarios"
+    lit = simenv.Scenario.load(str(scenarios / "traffic_light_hazard.json"))
+    signed = simenv.Scenario.load(str(scenarios / "stop_sign_hazard.json"))
+    world = simenv.world_from_scenario(signed)
+    frame = snapshot(front_deficits=[Box(0.4, 0.4, 0.6, 0.6)])
+    hazard = Hazard(ObjectClass.PEDESTRIAN, MotionKind.CROSSING)
+    result = metrics.EpisodeResult.build("s", "rco", 1.0, 0.5, 2.0)
+    plan = MotionPlan(Strategy.MOVE, ActionSequence((STOP_PAIR,), 3))
+    instances = [
+        FAIL_SAFE_STOP, STOP_ACTION, STOP_PAIR, ActionSequence((STOP_PAIR,), 3),
+        Box(0.1, 0.2, 0.3, 0.4), frame.perception[1],
+        VisibleObject(ObjectClass.CAR, Box(0.1, 0.2, 0.3, 0.4), 12.0), frame, DEFAULT_NAVI,
+        DEFAULT_SURROUNDING, hazard, plan, BASE_CONSTRAINTS, VehicleMeasurements(3.0, 0.1, 0.0),
+        backend.BackendRequest(backend.Purpose.HAZARD_AND_PLAN, backend.HazardInputs((frame,)),
+                               '{"scenario_key": "s"}'),
+        backend.BackendResponse("{}", plan, 1.5), backend.HazardAndPlan((hazard,), Strategy.MOVE),
+        backend.HazardInputs((frame,)),
+        backend.MotionInputs((hazard,), Strategy.MOVE, RoadGeometry.STRAIGHT),
+        backend.ConstraintsInputs(Weather.RAIN, Daylight.NIGHT, TrafficDensity.HIGH,
+                                  RoadGeometry.LEFT_CURVE, 7.5),
+        result, metrics.Summary((result,)), orchestrator.OrchestratorConfig(),
+        orchestrator.OverrideState(wait_elapsed=2),
+        orchestrator.StepResult(FAIL_SAFE_STOP, orchestrator.OverrideState(), {"tick": 0}),
+        planner.PlannerConfig(), runner.EpisodeOutcome(result, ({"tick": 0},)),
+        runner.Overrides(n_max=3, penalties={"collision_pedestrian": 0.5}),
+        safety.SafetyGains(), signed.actors[0], signed.deficit_policy, world.ego,
+        simenv.InfractionEvent(4, simenv.InfractionKind.COLLISION_STATIC, 7), signed.route,
+        signed, signed.signs[0], lit.lights[0], world.params, world,
+        verifier.ConsistencyRun(0.1, (frame,), None), verifier.VerifierConfig(),
+    ]
+    return {type(x): x for x in instances}
+
+
+def _values(obj: object) -> list:
+    return [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+
+
+def _init_parameters(cls: type) -> list[tuple]:
+    """``cls.__init__``'s parameters after ``self``: name, kind and default, with
+    the ``<factory>`` marker of a default factory compared by its text."""
+    parameters = list(inspect.signature(cls.__init__).parameters.values())[1:]
+    return [
+        (p.name, p.kind, "<factory>" if repr(p.default) == "<factory>" else p.default)
+        for p in parameters
+    ]
+
+
+class TestValueTypes:
+    """Every value type is frozen and slotted, and its generated ``__init__``
+    takes what a stdlib frozen dataclass's would, runs ``__post_init__``, and
+    survives ``dataclasses.replace`` and a pickle round trip (``--jobs``)."""
+
+    def test_every_value_type_has_a_sample(self):
+        assert set(samples()) == set(value_types())
+
+    @pytest.mark.parametrize("cls", value_types(), ids=lambda c: c.__name__)
+    def test_fields_cannot_be_set_or_deleted(self, cls):
+        obj = samples()[cls]
+        for f in dataclasses.fields(cls):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, f.name, getattr(obj, f.name))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(obj, f.name)
+
+    @pytest.mark.parametrize("cls", value_types(), ids=lambda c: c.__name__)
+    def test_instances_have_slots_and_no_dict(self, cls):
+        assert not hasattr(samples()[cls], "__dict__")
+        assert cls.__slots__ == tuple(f.name for f in dataclasses.fields(cls))
+
+    @pytest.mark.parametrize("cls", value_types(), ids=lambda c: c.__name__)
+    def test_init_takes_what_a_stdlib_frozen_dataclass_takes(self, cls):
+        copies = [
+            (f.name, f.type, dataclasses.field(
+                default=f.default, default_factory=f.default_factory, init=f.init,
+                repr=f.repr, compare=f.compare, kw_only=f.kw_only,
+            ))
+            for f in dataclasses.fields(cls)
+        ]
+        reference = dataclasses.make_dataclass(cls.__name__, copies, frozen=True)
+        assert _init_parameters(cls) == _init_parameters(reference)
+
+    @pytest.mark.parametrize("cls", value_types(), ids=lambda c: c.__name__)
+    def test_default_factory_gives_a_fresh_value_per_call(self, cls):
+        made = [f for f in dataclasses.fields(cls) if f.default_factory is not dataclasses.MISSING]
+        given = {
+            f.name: getattr(samples()[cls], f.name)
+            for f in dataclasses.fields(cls)
+            if f.init and f not in made
+        }
+        first, second = cls(**given), cls(**given)
+        for f in made:
+            assert getattr(first, f.name) == f.default_factory()
+            assert getattr(first, f.name) is not getattr(second, f.name)
+
+    @pytest.mark.parametrize("cls", value_types(), ids=lambda c: c.__name__)
+    def test_replace_and_pickle_give_equal_objects(self, cls):
+        obj = samples()[cls]
+        for copy in (dataclasses.replace(obj), pickle.loads(pickle.dumps(obj))):
+            assert type(copy) is cls
+            assert copy == obj
+            assert _values(copy) == _values(obj)  # compare=False fields too
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Box(0.5, 0.0, 0.4, 1.0),
+            lambda: Action(2.0, 0.0, 0.0),
+            lambda: VisibleObject(ObjectClass.UNKNOWN, Box(0.1, 0.1, 0.2, 0.2), 5.0),
+        ],
+        ids=["box", "action", "visible_object"],
+    )
+    def test_post_init_still_rejects_bad_values(self, build):
+        with pytest.raises(ValueError):
+            build()
