@@ -21,7 +21,6 @@ process.
 from __future__ import annotations
 
 import json
-import logging
 import os
 import time
 import urllib.parse
@@ -56,8 +55,6 @@ from .domain import (
     typed,
     value_type,
 )
-
-log = logging.getLogger(__name__)
 
 ENV_URL = "RCO_BACKEND_URL"
 ENV_MODEL = "RCO_BACKEND_MODEL"
@@ -146,6 +143,8 @@ def extract_first_json_object(raw: str) -> dict[str, Any]:
         except json.JSONDecodeError:
             idx = raw.find("{", idx + 1)
             continue
+        except RecursionError:  # scanning on would re-read the nesting once per inner "{"
+            raise SchemaViolation("JSON nested too deep") from None
         if isinstance(obj, dict):
             return obj
         idx = raw.find("{", idx + 1)
@@ -239,13 +238,9 @@ def ask(backend: Backend, req: BackendRequest) -> Optional[Parsed]:
     answer is not of the purpose's type. The caller falls back on None."""
     try:
         parsed = backend.call(req).parsed
-    except BackendError as exc:
-        log.info("%s fell back: %s", req.purpose.value, exc)
+    except BackendError:
         return None
-    if not isinstance(parsed, _SCHEMAS[req.purpose][1]):
-        log.info("%s fell back: unusable answer %r", req.purpose.value, parsed)
-        return None
-    return parsed
+    return parsed if isinstance(parsed, _SCHEMAS[req.purpose][1]) else None
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +492,7 @@ class HttpBackend:
             raise TransportFailure(f"HTTP {status}")
         try:
             content = json.loads(text)["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+        except (ValueError, KeyError, IndexError, TypeError, RecursionError) as exc:
             raise SchemaViolation(f"malformed completion envelope: {exc}") from exc
         if not isinstance(content, str):
             raise SchemaViolation(f"completion content is {type(content).__name__}", field="content")

@@ -8,7 +8,6 @@ timestamps and floats are written with fixed precision in a fixed row order.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import functools
 import json
@@ -155,7 +154,11 @@ def _execute(tasks: Sequence[_Task], jobs: int) -> list[EpisodeOutcome]:
     The pool starts all its workers at once, so it gets no more than tasks."""
     if jobs <= 1 or len(tasks) <= 1:
         return [run_episode(*t) for t in tasks]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+    # Imported here, not at module top: concurrent.futures loads logging,
+    # which a sequential run never needs.
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         return list(pool.map(run_episode, *zip(*tasks)))  # input order preserved
 
 

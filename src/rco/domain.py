@@ -28,45 +28,32 @@ _KINDS = {bool: "a JSON bool", str: "a JSON string", int: "a number (JSON int)",
           list: "a JSON list", dict: "a JSON object"}
 
 
-class _Factory:
-    """The default ``__init__`` shows for a field with a ``default_factory``."""
-
-    def __repr__(self) -> str:
-        return "<factory>"
-
-
-_FACTORY = _Factory()
-
-
 def value_type(cls: type) -> type:
     """``cls`` as a frozen, slotted dataclass whose ``__init__`` stores each field
     straight into its slot.
 
     A frozen dataclass's own ``__init__`` stores each field with one generic
     ``object.__setattr__`` call; here each store calls the field's slot descriptor,
-    bound once per class: about half the cost per record on CPython 3.11. Defaults
-    and default factories are evaluated per call, as ``dataclasses`` does.
-    ``__post_init__`` runs last: every check still runs, and it sets each derived
-    field (``field(init=False)``, which takes no default)."""
+    bound once per class: about half the cost per record on CPython 3.11. A default
+    is one immutable value that every instance shares; a ``default_factory`` is
+    refused. ``__post_init__`` runs last: every check still runs, and it sets each
+    derived field (``field(init=False)``, which takes no default)."""
     cls = dataclass(frozen=True, slots=True, init=False)(cls)
-    namespace: dict[str, Any] = {"_FACTORY": _FACTORY}
+    namespace: dict[str, Any] = {}
     params, stores = [], []
     for f in fields(cls):
         if not f.init:
             continue  # derived: __post_init__ sets it
         name = f.name
-        namespace[f"_set_{name}"] = cls.__dict__[name].__set__
-        given = name
         if f.default_factory is not MISSING:
-            namespace[f"_make_{name}"] = f.default_factory
-            params.append(f"{name}=_FACTORY")
-            given = f"_make_{name}() if {name} is _FACTORY else {name}"
-        elif f.default is not MISSING:
+            raise TypeError(f"{cls.__name__}.{name}: a value type takes no default_factory")
+        namespace[f"_set_{name}"] = cls.__dict__[name].__set__
+        if f.default is not MISSING:
             namespace[f"_default_{name}"] = f.default
             params.append(f"{name}=_default_{name}")
         else:
             params.append(name)
-        stores.append(f"    _set_{name}(self, {given})\n")
+        stores.append(f"    _set_{name}(self, {name})\n")
     if hasattr(cls, "__post_init__"):
         stores.append("    self.__post_init__()\n")
     exec(f"def __init__(self, {', '.join(params)}):\n{''.join(stores)}", namespace)

@@ -60,9 +60,9 @@ _Context = tuple[Weather, Daylight, TrafficDensity, RoadGeometry]
 
 @value_type
 class OrchestratorConfig:
-    planner: PlannerConfig = field(default_factory=PlannerConfig)
-    verifier: VerifierConfig = field(default_factory=VerifierConfig)
-    gains: SafetyGains = field(default_factory=SafetyGains)
+    planner: PlannerConfig = PlannerConfig()
+    verifier: VerifierConfig = VerifierConfig()
+    gains: SafetyGains = SafetyGains()
     dt: float = 0.1
     scenario_key: str = ""
 
@@ -73,10 +73,10 @@ class OverrideState:
     cached constraints, the steering controller's last heading error, and the
     consistency run of the last classified window."""
 
-    sequence: ActionSequence = field(default_factory=lambda: ActionSequence((), 0))
+    sequence: ActionSequence = ActionSequence((), 0)
     consecutive_replans: int = 0
     active: bool = False
-    prev_action: Action = field(default_factory=lambda: Action(0.0, 0.0, 0.0))
+    prev_action: Action = Action(0.0, 0.0, 0.0)
     wait_trigger: Optional[ExecutionCondition] = None
     wait_elapsed: int = 0
     steer_ctrl: float = 0.0

@@ -7,7 +7,6 @@ and observe) rather than surfacing an error into the control loop.
 
 from __future__ import annotations
 
-import logging
 from typing import Sequence
 
 from . import backend as backend_mod
@@ -24,8 +23,6 @@ from .domain import (
     typed,
     value_type,
 )
-
-log = logging.getLogger(__name__)
 
 
 @value_type
@@ -94,10 +91,7 @@ def plan_motion(
     if plan.strategy is _MOVE:
         pairs = plan.sequence.pairs
         if not pairs:
-            log.info("backend returned an empty move plan; falling back")
             return _fallback_plan(cfg)
-        if len(pairs) > cfg.max_steps:
-            log.info("move plan truncated from %d to %d steps", len(pairs), cfg.max_steps)
         seq = ActionSequence(pairs[:cfg.max_steps], current_snapshot.tick)
         return MotionPlan(_MOVE, sequence=seq)
     return plan
@@ -114,8 +108,4 @@ def expand_stop_observe_move(
     """
     if plan.strategy is not _STOP_OBSERVE_MOVE:
         raise ValueError(f"cannot expand a {plan.strategy.value} plan")
-    wait = plan.wait_ticks
-    if wait > wait_cap:
-        log.info("wait expansion truncated from %d to cap %d", wait, wait_cap)
-        wait = wait_cap
-    return ActionSequence((STOP_PAIR,) * wait, created_tick)
+    return ActionSequence((STOP_PAIR,) * min(plan.wait_ticks, wait_cap), created_tick)

@@ -322,7 +322,7 @@ class Scenario:
     actors: tuple[Actor, ...]
     lights: tuple[TrafficLight, ...] = ()
     signs: tuple[StopSign, ...] = ()
-    deficit_policy: DeficitPolicy = field(default_factory=DeficitPolicy)
+    deficit_policy: DeficitPolicy = DeficitPolicy()
     weather: Weather = Weather.CLEAR
     daylight: Daylight = Daylight.DAY
     traffic_density: TrafficDensity = TrafficDensity.LOW
@@ -432,7 +432,7 @@ class WorldState:
     tick: int
     ego: EgoState
     scenario: Scenario
-    params: VehicleParams = field(default_factory=VehicleParams)
+    params: VehicleParams = VehicleParams()
     ego_progress: float = 0.0
     sign_satisfied: frozenset[int] = frozenset()
     # Derived once per state, as every state is read by detect_infractions:

@@ -41,7 +41,7 @@ from rco.backend import (
 )
 import rco
 from rco import simenv
-from rco.cli import bundled_scenario_dir
+from rco.cli import bundled_scenario_dir, main
 from rco.domain import (
     Behavior,
     Box,
@@ -87,6 +87,12 @@ def request_for(purpose: Purpose, payload: str) -> BackendRequest:
 
 
 class TestParseStructured:
+    def test_nesting_past_the_recursion_limit_stops_the_scan(self):
+        # Scanning on from each inner "{" would re-read the nesting each time.
+        raw = '{"a": ' + '{"a": ' * 100_000 + '{"strategy": "stop_observe_move"}'
+        with pytest.raises(SchemaViolation, match="nested too deep"):
+            parse_structured(raw, Purpose.SHORT_TERM_MOTION)
+
     def test_move_plan(self):
         raw = (
             '{"strategy":"move","pairs":[{"condition":"consistent_no_immediate_hazard",'
@@ -684,6 +690,11 @@ class TestStructuredRequests:
                 assert loose == canonical
 
 
+# Deeper than any interpreter's recursion limit lets ``json`` read.
+_DEEP = 100_000
+_NESTED = "[" * _DEEP + "]" * _DEEP
+
+
 class _Handler(BaseHTTPRequestHandler):
     """Chat-completions stub; behavior keyed by the requested model name.
     Every request body received is appended to ``bodies``."""
@@ -702,6 +713,11 @@ class _Handler(BaseHTTPRequestHandler):
             out = {"choices": [{"message": {"content": "no json here"}}]}
         elif model == "null_content":
             out = {"choices": [{"message": {"content": None, "tool_calls": []}}]}
+        elif model == "nested_content":
+            content = '{"hazards": %s, "strategy": "move"}' % _NESTED
+            out = {"choices": [{"message": {"content": content}}]}
+        elif model == "nested_envelope":
+            out = '{"choices": [{"message": {"content": "{}", "extra": %s}}]}' % _NESTED
         elif model == "http500":
             self.send_response(500)
             self.end_headers()
@@ -725,7 +741,7 @@ class _Handler(BaseHTTPRequestHandler):
                 {"strategy": "stop_observe_move", "wait": 4, "trigger": "consistent_no_immediate_hazard"}
             )
             out = {"choices": [{"message": {"content": content}}]}
-        data = json.dumps(out).encode()
+        data = (out if isinstance(out, str) else json.dumps(out)).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
@@ -774,6 +790,21 @@ class TestHttpBackend:
             backend.call(self.request())
         assert info.value.field == "content"
         assert backend_mod.ask(backend, self.request()) is None
+
+    @pytest.mark.parametrize("model", ["nested_content", "nested_envelope"])
+    def test_nesting_past_the_recursion_limit_is_schema_violation(self, chat_server, model):
+        backend = HttpBackend(chat_server, model=model)
+        with pytest.raises(SchemaViolation, match="nested too deep|envelope"):
+            backend.call(self.request())
+        assert backend_mod.ask(backend, self.request()) is None
+
+    def test_run_on_a_nested_answer_falls_back(self, chat_server, monkeypatch, tmp_path, capsys):
+        monkeypatch.setenv("RCO_BACKEND_URL", chat_server)
+        monkeypatch.setenv("RCO_BACKEND_MODEL", "nested_content")
+        scenario = str(bundled_scenario_dir() / "pedestrian_cross.json")
+        argv = ["run", "--mode", "rco", "--backend", "http", "--scenarios", scenario]
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_http_error_is_transport_failure(self, chat_server):
         backend = HttpBackend(chat_server, model="http500")

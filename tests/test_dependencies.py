@@ -3,7 +3,9 @@
 ``pyproject.toml`` declares no runtime dependency, every module in
 ``src/rco`` imports only the standard library or ``rco`` itself, and importing
 the CLI does not load the HTTP client stack: ``HttpBackend.call`` imports it
-on first use, so a run that never calls HTTP does not pay for ``ssl``.
+on first use, so a run that never calls HTTP does not pay for ``ssl``. Nor
+does it load the process pool, which only ``--jobs`` above 1 imports, or
+``logging``, which no module imports.
 
 Importing one module loads exactly the ``rco`` modules its own relative
 imports reach, and importing the package root loads none.
@@ -30,8 +32,10 @@ def test_no_runtime_dependencies():
     assert project["dependencies"] == []
 
 
-def test_program_imports_only_the_standard_library():
-    outside = []
+def _absolute_imports() -> list[tuple[str, str]]:
+    """(``file:line``, top-level module) of every absolute import in ``src/rco``,
+    at module top or inside a function."""
+    found = []
     for path in sorted((SRC / "rco").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
@@ -40,10 +44,15 @@ def test_program_imports_only_the_standard_library():
                 names = [node.module]
             else:
                 continue  # relative imports stay inside rco
-            for name in names:
-                top = name.split(".")[0]
-                if top != "rco" and top not in sys.stdlib_module_names:
-                    outside.append(f"{path.name}:{node.lineno} imports {name}")
+            found += [(f"{path.name}:{node.lineno}", name.split(".")[0]) for name in names]
+    return found
+
+
+def test_program_imports_only_the_standard_library():
+    outside = [
+        f"{where} imports {top}" for where, top in _absolute_imports()
+        if top != "rco" and top not in sys.stdlib_module_names
+    ]
     assert outside == []
 
 
@@ -62,6 +71,21 @@ def test_cli_import_leaves_the_http_stack_unloaded():
         "print(sorted(m for m in ('urllib.request', 'http.client', 'ssl') if m in sys.modules))"
     )
     assert _fresh_probe(probe) == "[]"
+
+
+def test_cli_import_leaves_logging_and_the_process_pool_unloaded():
+    # Only ``--jobs`` above 1 imports the pool, and concurrent.futures loads logging.
+    probe = (
+        "import sys, rco.cli; "
+        "print(sorted(m for m in ('logging', 'concurrent.futures') if m in sys.modules))"
+    )
+    assert _fresh_probe(probe) == "[]"
+
+
+def test_program_imports_no_logging():
+    # Nothing installs a handler, so a log call would reach no reader: the
+    # decision log is the one record of a run's fallbacks.
+    assert [where for where, top in _absolute_imports() if top == "logging"] == []
 
 
 MODULES = sorted(p.stem for p in (SRC / "rco").glob("*.py") if p.stem != "__init__")

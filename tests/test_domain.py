@@ -40,6 +40,7 @@ from rco.domain import (
     ViewName,
     VisibleObject,
     Weather,
+    value_type,
 )
 from conftest import DEFAULT_NAVI, DEFAULT_SURROUNDING, SRC, snapshot, value_types
 
@@ -223,18 +224,21 @@ def samples() -> dict[type, object]:
     return {type(x): x for x in instances}
 
 
+_WAIT_PLAN = MotionPlan(
+    Strategy.STOP_OBSERVE_MOVE,
+    wait_ticks=3,
+    move_trigger=ExecutionCondition.CONSISTENT_NO_IMMEDIATE_HAZARD,
+)
+
+
 def _values(obj: object) -> list:
     return [getattr(obj, f.name) for f in dataclasses.fields(obj)]
 
 
 def _init_parameters(cls: type) -> list[tuple]:
-    """``cls.__init__``'s parameters after ``self``: name, kind and default, with
-    the ``<factory>`` marker of a default factory compared by its text."""
+    """``cls.__init__``'s parameters after ``self``: name, kind and default."""
     parameters = list(inspect.signature(cls.__init__).parameters.values())[1:]
-    return [
-        (p.name, p.kind, "<factory>" if repr(p.default) == "<factory>" else p.default)
-        for p in parameters
-    ]
+    return [(p.name, p.kind, p.default) for p in parameters]
 
 
 class TestValueTypes:
@@ -272,17 +276,28 @@ class TestValueTypes:
         assert _init_parameters(cls) == _init_parameters(reference)
 
     @pytest.mark.parametrize("cls", value_types(), ids=lambda c: c.__name__)
-    def test_default_factory_gives_a_fresh_value_per_call(self, cls):
-        made = [f for f in dataclasses.fields(cls) if f.default_factory is not dataclasses.MISSING]
-        given = {
-            f.name: getattr(samples()[cls], f.name)
-            for f in dataclasses.fields(cls)
-            if f.init and f not in made
-        }
-        first, second = cls(**given), cls(**given)
-        for f in made:
-            assert getattr(first, f.name) == f.default_factory()
-            assert getattr(first, f.name) is not getattr(second, f.name)
+    def test_each_default_is_one_shared_hashable_value(self, cls):
+        # Each defaulted field is left out of a sample, one that holds the
+        # default where there is one: a move plan has no wait, a wait plan no sequence.
+        bases = [b for b in (samples()[cls], _WAIT_PLAN) if type(b) is cls]
+        for f in dataclasses.fields(cls):
+            if f.default is dataclasses.MISSING:
+                continue
+            hash(f.default)
+            base = next((b for b in bases if getattr(b, f.name) == f.default), bases[0])
+            given = {
+                g.name: getattr(base, g.name)
+                for g in dataclasses.fields(cls)
+                if g.init and g is not f
+            }
+            first, second = cls(**given), cls(**given)
+            assert getattr(first, f.name) is getattr(second, f.name) is f.default
+
+    def test_default_factory_is_refused(self):
+        with pytest.raises(TypeError, match="Holder.items: a value type takes no default_factory"):
+            @value_type
+            class Holder:
+                items: tuple[int, ...] = dataclasses.field(default_factory=tuple)
 
     @pytest.mark.parametrize("cls", value_types(), ids=lambda c: c.__name__)
     def test_replace_and_pickle_give_equal_objects(self, cls):
