@@ -96,6 +96,8 @@ class Purpose(str, Enum):
 
 @value_type
 class BackendRequest:
+    """One backend call: its purpose, that purpose's structured inputs and the routing payload."""
+
     purpose: Purpose
     inputs: Inputs  # the purpose's structured inputs
     payload: str  # canonical JSON of the routing field: scenario_key
@@ -111,6 +113,8 @@ class BackendRequest:
 
 @value_type
 class HazardAndPlan:
+    """The hazard-and-plan answer: the inferred hazards and the strategy chosen for them."""
+
     hazards: tuple[Hazard, ...]
     strategy: Strategy
 
@@ -120,6 +124,8 @@ Parsed = Union[HazardAndPlan, MotionPlan, SafetyConstraints]
 
 @value_type
 class BackendResponse:
+    """A backend's raw reply, its parsed answer (None if it did not parse) and its latency."""
+
     raw: str
     parsed: Optional[Parsed]
     latency_ms: float = 0.0

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
 from enum import Enum
 from typing import Any, Optional
 
@@ -37,11 +37,27 @@ def value_type(cls: type) -> type:
     bound once per class: about half the cost per record on CPython 3.11. A default
     is one immutable value that every instance shares; a ``default_factory`` is
     refused. ``__post_init__`` runs last: every check still runs, and it sets each
-    derived field (``field(init=False)``, which takes no default)."""
-    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    derived field (``field(init=False)``, which takes no default).
+
+    ``__init__`` is the one method compiled per class. The five more that a frozen
+    ``dataclass`` compiles (``__eq__``, ``__hash__``, ``__repr__``, ``__setattr__``,
+    ``__delattr__``), which no tick calls, and the pickle pair are the shared
+    ``_VALUE_METHODS``: each reads field names from a tuple set once per class and
+    gives the equality, hash, ``repr`` text and pickle state that
+    ``dataclass(frozen=True)`` gives on CPython 3.11, and setting or deleting any
+    name raises ``FrozenInstanceError`` (``__dataclass_params__`` reads
+    ``frozen=False``)."""
+    cls = dataclass(slots=True, init=False, repr=False, eq=False)(cls)
+    every = fields(cls)
+    cls._stored = tuple(f.name for f in every)
+    cls._compared = tuple(f.name for f in every if f.compare)
+    cls._hashed = tuple(f.name for f in every if (f.compare if f.hash is None else f.hash))
+    cls._shown = tuple(f.name for f in every if f.repr)
+    for name, method in _VALUE_METHODS.items():
+        setattr(cls, name, method)
     namespace: dict[str, Any] = {}
     params, stores = [], []
-    for f in fields(cls):
+    for f in every:
         if not f.init:
             continue  # derived: __post_init__ sets it
         name = f.name
@@ -59,6 +75,45 @@ def value_type(cls: type) -> type:
     exec(f"def __init__(self, {', '.join(params)}):\n{''.join(stores)}", namespace)
     cls.__init__ = namespace["__init__"]
     return cls
+
+
+def _eq(self: Any, other: Any) -> Any:
+    if other.__class__ is self.__class__:
+        names = self._compared
+        return tuple(getattr(self, n) for n in names) == tuple(getattr(other, n) for n in names)
+    return NotImplemented
+
+
+def _hash(self: Any) -> int:
+    return hash(tuple(getattr(self, n) for n in self._hashed))
+
+
+def _repr(self: Any) -> str:
+    shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._shown)
+    return f"{self.__class__.__qualname__}({shown})"
+
+
+def _setattr(self: Any, name: str, value: Any) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _delattr(self: Any, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _getstate(self: Any) -> list[Any]:
+    return [getattr(self, n) for n in self._stored]
+
+
+def _setstate(self: Any, state: list[Any]) -> None:
+    for name, value in zip(self._stored, state):
+        object.__setattr__(self, name, value)
+
+
+_VALUE_METHODS = {
+    "__eq__": _eq, "__hash__": _hash, "__repr__": _repr, "__setattr__": _setattr,
+    "__delattr__": _delattr, "__getstate__": _getstate, "__setstate__": _setstate,
+}
 
 
 def typed(value: Any, kind: type, name: str) -> Any:
@@ -223,6 +278,8 @@ STOP_ACTION = HighLevelAction(Behavior.STOP, SpeedControl.DECELERATION_TO_ZERO)
 
 @value_type
 class ConditionActionPair:
+    """A planned action and the execution condition under which it may run."""
+
     condition: ExecutionCondition
     action: HighLevelAction
 
@@ -284,6 +341,8 @@ class Box:
 
 @value_type
 class VisibleObject:
+    """A detected object: its concrete class, its image box and its range in metres."""
+
     cls: ObjectClass
     box: Box
     range_m: float
@@ -318,12 +377,16 @@ class CameraView:
 
 @value_type
 class Navigation:
+    """Route guidance: the target point ahead on the route and the road geometry there."""
+
     target_point: tuple[float, float]
     road_geometry: RoadGeometry
 
 
 @value_type
 class Surrounding:
+    """Ambient context: weather, daylight, traffic density and the nearest obstacle's range."""
+
     weather: Weather
     daylight: Daylight
     traffic_density: TrafficDensity

@@ -116,6 +116,8 @@ class EpisodeResult:
 
 @value_type
 class Summary:
+    """A run's episode results in row order, with their means and CSV form."""
+
     rows: tuple[EpisodeResult, ...]
 
     def aggregate(self) -> dict[str, float]:

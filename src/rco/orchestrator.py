@@ -60,6 +60,8 @@ _Context = tuple[Weather, Daylight, TrafficDensity, RoadGeometry]
 
 @value_type
 class OrchestratorConfig:
+    """Override settings: planner, verifier, safety gains, tick length and scenario key."""
+
     planner: PlannerConfig = PlannerConfig()
     verifier: VerifierConfig = VerifierConfig()
     gains: SafetyGains = SafetyGains()
@@ -90,6 +92,8 @@ class OverrideState:
 
 @value_type
 class StepResult:
+    """One orchestrator tick: the action to run, the next override state and the log record."""
+
     action: Action
     state: OverrideState
     record: dict[str, Any]

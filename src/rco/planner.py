@@ -27,6 +27,8 @@ from .domain import (
 
 @value_type
 class PlannerConfig:
+    """Planning limits: frame history, plan-ahead steps, wait cap and replan budget."""
+
     history_len: int = 5  # frames fed to hazard inference
     max_steps: int = 5  # plan-ahead limit per move sequence
     wait_cap: int = 50  # ticks a stop-observe-move episode may hold

@@ -81,6 +81,8 @@ def given(**kwargs: Any) -> dict[str, Any]:
 
 @value_type
 class EpisodeOutcome:
+    """An episode's scored result and its decision-log records."""
+
     result: metrics.EpisodeResult
     records: tuple[dict[str, Any], ...]
 

@@ -102,6 +102,8 @@ class InfractionKind(str, Enum):
 
 @value_type
 class InfractionEvent:
+    """One infraction: its tick, its kind and the actor involved, if any."""
+
     tick: int
     kind: InfractionKind
     actor_id: Optional[int] = None
@@ -167,6 +169,8 @@ def _heading(p: tuple[float, float, float], q: tuple[float, float, float]) -> fl
 
 @value_type
 class TrafficLight:
+    """A traffic light: its position, its stop line's arc length on the route and its schedule."""
+
     cls: ClassVar[ObjectClass] = ObjectClass.TRAFFIC_LIGHT  # the class perceive draws
     id: int
     position: tuple[float, float]
@@ -194,6 +198,8 @@ class TrafficLight:
 
 @value_type
 class StopSign:
+    """A stop sign: its position and its stop line's arc length along the route."""
+
     cls: ClassVar[ObjectClass] = ObjectClass.STOP_SIGN
     id: int
     position: tuple[float, float]
@@ -202,6 +208,8 @@ class StopSign:
 
 @value_type
 class Route:
+    """The ego's path: waypoints and one road-geometry tag per segment, with derived lengths."""
+
     waypoints: tuple[tuple[float, float], ...]
     geometry: tuple[RoadGeometry, ...]  # one tag per segment
     # Derived once per route: total arc length, and each segment's length and
@@ -278,6 +286,8 @@ class Route:
 
 @value_type
 class DeficitPolicy:
+    """The object classes perception masks, and the ticks over which it masks them."""
+
     classes: frozenset[ObjectClass] = frozenset()
     window: tuple[int, int] = (0, 0)  # [start_tick, end_tick)
 
@@ -317,6 +327,8 @@ _SCENARIO_NAME = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9_.-]*")
 
 @value_type
 class Scenario:
+    """A closed-loop scenario: route, actors, signals, masked classes, conditions and time limit."""
+
     name: str
     route: Route
     actors: tuple[Actor, ...]
@@ -415,6 +427,8 @@ class Scenario:
 
 @value_type
 class EgoState:
+    """The ego vehicle's pose, speed, longitudinal acceleration and yaw rate."""
+
     x: float
     y: float
     heading: float
@@ -429,6 +443,8 @@ class EgoState:
 
 @value_type
 class WorldState:
+    """The simulated world at one tick: ego, scenario, progress and satisfied stop signs."""
+
     tick: int
     ego: EgoState
     scenario: Scenario

@@ -60,6 +60,8 @@ _NO_IMMEDIATE = ExecutionCondition.CONSISTENT_NO_IMMEDIATE_HAZARD
 
 @value_type
 class VerifierConfig:
+    """Verifier thresholds: frame shift and hazard ratio, the frame history and the views read."""
+
     shift_threshold: float = 0.10  # fraction of image width
     hazard_ratio_threshold: float = 0.05  # fraction of image area, strict
     history_len: int = 5

@@ -9,11 +9,15 @@ does it load the process pool, which only ``--jobs`` above 1 imports, or
 
 Importing one module loads exactly the ``rco`` modules its own relative
 imports reach, and importing the package root loads none.
+
+Importing the CLI compiles one method per value type from a string, its
+``__init__``, and ``dataclasses`` compiles none.
 """
 
 from __future__ import annotations
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -86,6 +90,36 @@ def test_program_imports_no_logging():
     # Nothing installs a handler, so a log call would reach no reader: the
     # decision log is the one record of a run's fallbacks.
     assert [where for where, top in _absolute_imports() if top == "logging"] == []
+
+
+# Counts, by the module and function that called exec, the functions each
+# string-compiled code object defines, less the wrapper that dataclasses puts
+# round the methods it builds: CPython 3.13 runs one exec per dataclass, even
+# one that gets no method, and 3.11 one per method.
+_COMPILED_PROBE = """
+import collections, json, sys
+counts = collections.Counter()
+def functions(code):
+    for const in code.co_consts:
+        if hasattr(const, "co_consts"):
+            yield (const.co_name != "__create_fn__") + sum(functions(const))
+def hook(event, args):
+    code = args[0] if event == "exec" else None
+    if getattr(code, "co_filename", None) == "<string>":
+        caller = sys._getframe(1)
+        counts[caller.f_globals["__name__"] + "." + caller.f_code.co_name] += sum(functions(code))
+sys.addaudithook(hook)
+import rco.cli
+print(json.dumps(counts))
+"""
+
+
+def test_cli_import_compiles_one_method_per_value_type():
+    from conftest import value_types
+
+    counts = json.loads(_fresh_probe(_COMPILED_PROBE))
+    assert {k: n for k, n in counts.items() if k.startswith("dataclasses.") and n} == {}
+    assert counts["rco.domain.value_type"] == len(value_types())
 
 
 MODULES = sorted(p.stem for p in (SRC / "rco").glob("*.py") if p.stem != "__init__")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import functools
 import inspect
@@ -241,10 +242,36 @@ def _init_parameters(cls: type) -> list[tuple]:
     return [(p.name, p.kind, p.default) for p in parameters]
 
 
+_CHANGED = object()  # equal to nothing but itself
+
+
+def _twin(obj: object) -> object:
+    """A stdlib ``dataclass(frozen=True)`` with ``obj``'s class name, fields and
+    field flags, holding ``obj``'s values."""
+    flags = [
+        (f.name, f.type, dataclasses.field(init=False, repr=f.repr, hash=f.hash, compare=f.compare))
+        for f in dataclasses.fields(obj)
+    ]
+    twin = dataclasses.make_dataclass(type(obj).__qualname__, flags, frozen=True)()
+    for f in dataclasses.fields(obj):
+        object.__setattr__(twin, f.name, getattr(obj, f.name))
+    return twin
+
+
+def _outcome(call, *args) -> tuple:
+    """``call(*args)``'s value, or the type of what it raised."""
+    try:
+        return ("value", call(*args))
+    except Exception as exc:  # a record holding a dict is unhashable
+        return ("raised", type(exc))
+
+
 class TestValueTypes:
     """Every value type is frozen and slotted, and its generated ``__init__``
     takes what a stdlib frozen dataclass's would, runs ``__post_init__``, and
-    survives ``dataclasses.replace`` and a pickle round trip (``--jobs``)."""
+    survives ``dataclasses.replace`` and a pickle round trip (``--jobs``). Its
+    shared ``__eq__``, ``__hash__``, ``__repr__`` and pickle state match those
+    of a stdlib ``dataclass(frozen=True)`` twin with the same fields and values."""
 
     def test_every_value_type_has_a_sample(self):
         assert set(samples()) == set(value_types())
@@ -302,10 +329,51 @@ class TestValueTypes:
     @pytest.mark.parametrize("cls", value_types(), ids=lambda c: c.__name__)
     def test_replace_and_pickle_give_equal_objects(self, cls):
         obj = samples()[cls]
-        for copy in (dataclasses.replace(obj), pickle.loads(pickle.dumps(obj))):
-            assert type(copy) is cls
-            assert copy == obj
-            assert _values(copy) == _values(obj)  # compare=False fields too
+        pickles = [pickle.loads(pickle.dumps(obj, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for other in (dataclasses.replace(obj), copy.copy(obj), copy.deepcopy(obj), *pickles):
+            assert type(other) is cls
+            assert other == obj
+            assert _values(other) == _values(obj)  # compare=False fields too
+
+    @pytest.mark.parametrize("cls", value_types(), ids=lambda c: c.__name__)
+    def test_hash_and_repr_equal_a_stdlib_twins(self, cls):
+        obj = samples()[cls]
+        twin = _twin(obj)
+        assert _outcome(hash, obj) == _outcome(hash, twin)
+        assert repr(obj) == repr(twin)
+
+    @pytest.mark.parametrize("cls", value_types(), ids=lambda c: c.__name__)
+    def test_equality_reads_exactly_the_compare_fields(self, cls):
+        obj = samples()[cls]
+        assert obj == dataclasses.replace(obj)
+        assert not obj != dataclasses.replace(obj)
+        for f in dataclasses.fields(cls):
+            changed = copy.copy(obj)
+            object.__setattr__(changed, f.name, _CHANGED)
+            assert (changed == obj) is (obj == changed) is (not f.compare), f.name
+            assert (changed != obj) is f.compare, f.name
+
+    @pytest.mark.parametrize("cls", value_types(), ids=lambda c: c.__name__)
+    def test_comparing_with_another_type_gives_not_implemented(self, cls):
+        obj = samples()[cls]
+        for other in (_twin(obj), object(), None):
+            assert obj.__eq__(other) is NotImplemented
+            assert obj != other
+
+    @pytest.mark.parametrize("cls", value_types(), ids=lambda c: c.__name__)
+    def test_other_names_cannot_be_set_or_deleted(self, cls):
+        obj = samples()[cls]
+        for name in ("not_a_field", "__class__", "__doc__"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(obj, name)
+
+    def test_no_doc_is_a_generated_signature(self):
+        # dataclass writes "Name()" into a missing __doc__ before value_type
+        # installs __init__, so it would name no parameter.
+        generated = [c.__name__ for c in value_types() if c.__doc__.startswith(f"{c.__name__}(")]
+        assert generated == []
 
     @pytest.mark.parametrize(
         "build",
