@@ -19,8 +19,8 @@ from typing import Any, Callable, Optional, Sequence, get_args, get_type_hints
 
 from . import metrics
 from .backend import Backend, HttpBackend, ScriptedBackend
-from .domain import FAIL_SAFE_STOP, Action, typed
-from .orchestrator import LOG_TOKENS, base_record
+from .domain import FAIL_SAFE_STOP, typed
+from .orchestrator import KEY, base_record, read_record
 from .runner import EpisodeOutcome, Mode, Overrides, given, run_episode
 from .simenv import Scenario
 
@@ -167,7 +167,7 @@ def _base_line_parts() -> tuple[str, str, str]:
     """The encoder's line for a base-agent record, cut around its action and
     its tick, the only two fields such a record varies in."""
     line = _RECORD_ENCODER.encode(
-        {**base_record(0, FAIL_SAFE_STOP), "action": "<action>", "tick": "<tick>"}
+        {**base_record(0, FAIL_SAFE_STOP), KEY.action: "<action>", KEY.tick: "<tick>"}
     )
     head, rest = line.split('"<action>"')
     mid, tail = rest.split('"<tick>"')
@@ -181,13 +181,13 @@ def _record_line(record: dict[str, Any]) -> str:
     float ``repr`` is what ``json`` writes, and ``Action`` keeps its fields
     finite. An active record takes the full encode.
     """
-    if record["active"]:
+    if record[KEY.active]:
         return _RECORD_ENCODER.encode(record)
     head, mid, tail = _base_line_parts()
-    action = record["action"]
+    action = record[KEY.action]
     return (
         f'{head}{{"brake":{action["brake"]!r},"steer":{action["steer"]!r},'
-        f'"throttle":{action["throttle"]!r}}}{mid}{record["tick"]}{tail}'
+        f'"throttle":{action["throttle"]!r}}}{mid}{record[KEY.tick]}{tail}'
     )
 
 
@@ -295,40 +295,25 @@ def cmd_replay(args: argparse.Namespace) -> int:
     for number, line in enumerate(_read(path, "decision log", str.splitlines), 1):
         if line.strip():
             try:
-                trace.append(_trace_line(json.loads(line)))
-            except (KeyError, RecursionError, TypeError, ValueError) as exc:  # bad or deep JSON
+                trace.append(_trace_line(read_record(json.loads(line))))
+            except (RecursionError, TypeError, ValueError) as exc:  # bad or deep JSON
                 raise ConfigError(f"decision log {path} line {number} is malformed: {exc!r}") from exc
     for text in trace:
         print(text, flush=True)  # a closed pipe raises here, not at interpreter exit
     return EXIT_OK
 
 
-def _trace_line(rec: dict[str, Any]) -> str:
-    """``rec``'s line, once its numbers are values the writing types hold."""
-    tick = typed(rec["tick"], int, "tick")
-    if tick < 0:
-        raise ValueError(f"tick must be >= 0, got {tick}")
-    act = Action(*(typed(rec["action"][k], float, k) for k in ("throttle", "brake", "steer")))
+def _trace_line(rec: Any) -> str:
+    """The trace line of a record ``read_record`` read."""
+    act = rec.action
     actuation = f"throttle={act.throttle:.2f} brake={act.brake:.2f} steer={act.steer:+.2f}"
-    if not typed(rec["active"], bool, "active"):
-        return f"tick {tick:>5}  base agent        {actuation}"
-    for key, (is_list, tokens) in LOG_TOKENS.items():  # the writer's vocabulary
-        values = typed(rec[key], list, key) if is_list else [rec[key]]
-        if not all(v in tokens for v in values):
-            raise ValueError(f"{key} holds what no written log holds: {rec[key]!r}")
-    plans = typed(rec["planning_events"], int, "planning_events")
-    if plans < 0:
-        raise ValueError(f"planning_events must be >= 0, got {plans}")
-    shown = (("constraints", "+".join(rec["triggered_constraints"])), ("plans", plans or ""),
-             ("denied", "+".join(rec["denied"])))  # each one only when not empty
-    extra = "".join(f"  {label}={text}" for label, text in shown if text)
-    ratio = typed(rec["hazard_ratio"], float, "hazard_ratio")
-    if not 0.0 <= ratio <= 1.0:
-        raise ValueError(f"hazard_ratio out of [0,1]: {ratio}")
-    return (
-        f"tick {tick:>5}  {rec['source']:<10} {rec['classification'] or '':<32}"
-        f"ratio={ratio:.4f}  {actuation}{extra}"
-    )
+    if not rec.active:
+        return f"tick {rec.tick:>5}  base agent        {actuation}"
+    shown = (("constraints=", "+".join(rec.triggered_constraints)),
+             ("plans=", rec.planning_events or ""), ("denied=", "+".join(rec.denied)))
+    extra = "".join(f"  {label}{text}" for label, text in shown if text)
+    return (f"tick {rec.tick:>5}  {rec.source:<10} {rec.classification or '':<32}"
+            f"ratio={rec.hazard_ratio:.4f}  {actuation}{extra}")
 
 
 def make_parser() -> argparse.ArgumentParser:

@@ -15,6 +15,7 @@ otherwise waiting continues up to the configured cap.
 from __future__ import annotations
 
 from dataclasses import field, replace
+from types import SimpleNamespace
 from typing import Any, Optional, Sequence
 
 from . import controlmap, planner, safety, verifier
@@ -34,6 +35,7 @@ from .domain import (
     TrafficDensity,
     VehicleMeasurements,
     Weather,
+    typed,
     value_type,
 )
 from .planner import PlannerConfig
@@ -41,17 +43,31 @@ from .safety import SafetyGains
 from .verifier import VerifierConfig
 
 LOG_SCHEMA_VERSION = 1
-# The decision log's vocabulary, declared once: each text field's tokens (None
-# in a base-agent record) and whether the field holds a list of them.
 _BASE, _PAIR, _STOP_WAIT, _FAILSAFE = _SOURCES = ("base", "pair", "stop_wait", "failsafe")
 _EXECUTE, _DENY, _REPLAN, _WAIT_INCONSISTENT = "execute", "deny", "replan", "wait_inconsistent"
 _CONDITIONS = tuple(c.value for c in ExecutionCondition)
-LOG_TOKENS: dict[str, tuple[bool, tuple[Optional[str], ...]]] = {
-    "source": (False, _SOURCES), "verdict": (False, (None, _EXECUTE, _DENY)),
-    "classification": (False, (None, _REPLAN, *_CONDITIONS)),
-    "triggered_constraints": (True, safety._TRIGGER_NAMES),
-    "denied": (True, (_WAIT_INCONSISTENT, *_CONDITIONS)),
+_COUNT = (0, float("inf"))
+# The decision record, declared once: each key in write order with its JSON kind
+# (str a token, list a token list, Action the action object), its closed range
+# or vocabulary, and its value on a base-agent record (``...``: base_record sets it).
+RECORD: dict[str, tuple[type, Any, Any]] = {
+    "schema": (int, (1, LOG_SCHEMA_VERSION), LOG_SCHEMA_VERSION),
+    "tick": (int, _COUNT, ...),
+    "active": (bool, (False, True), False),
+    "classification": (str, (None, _REPLAN, *_CONDITIONS), None),
+    "hazard_ratio": (float, (0.0, 1.0), None),
+    "verdict": (str, (None, _EXECUTE, _DENY), None),
+    "source": (str, _SOURCES, _BASE),
+    "action": (Action, None, ...),
+    "triggered_constraints": (list, safety._TRIGGER_NAMES, []),
+    "planning_events": (int, _COUNT, 0), "backend_calls": (int, _COUNT, 0),
+    "sc_refreshed": (bool, (False, True), False),
+    "denied": (list, (_WAIT_INCONSISTENT, *_CONDITIONS), []),
+    "direction_mismatch": (bool, (False, True), False),
+    "sequence_len": (int, _COUNT, 0), "wait_elapsed": (int, _COUNT, 0),
 }
+_BASE_RECORD = {key: base for key, (_, _, base) in RECORD.items()}
+KEY = SimpleNamespace(**{key: key for key in RECORD})  # a key by name: KEY.tick is "tick"
 
 _MOVE = Strategy.MOVE  # read in every planning round
 
@@ -276,22 +292,30 @@ def step(
     return StepResult(action, new_state, record)
 
 
-# A base-agent record's keys in their order; base_record sets the tick and the
-# action, and gives each record its own two lists.
-_BASE_RECORD: dict[str, Any] = dict(
-    schema=LOG_SCHEMA_VERSION, tick=None, active=False, classification=None,
-    hazard_ratio=None, verdict=None, source=_BASE, action=None, triggered_constraints=None,
-    planning_events=0, backend_calls=0, sc_refreshed=False, denied=None,
-    direction_mismatch=False, sequence_len=0, wait_elapsed=0,
-)
+def base_record(tick: int, action: Action) -> dict[str, Any]:
+    """The record of a base-agent tick, with its own lists; ``step`` writes over it."""
+    return dict(_BASE_RECORD, tick=tick, action=action.to_json(), triggered_constraints=[], denied=[])
 
 
-def base_record(env_tick: int, action: Action) -> dict[str, Any]:
-    """Decision-log record for a tick driven by the base agent; ``step``
-    writes the fields of an active tick over it."""
-    record = _BASE_RECORD.copy()
-    record["tick"] = env_tick
-    record["action"] = action.to_json()
-    record["triggered_constraints"] = []
-    record["denied"] = []
-    return record
+def read_record(obj: Any) -> SimpleNamespace:
+    """A replayed line's record, read through ``RECORD``: exactly its keys, each of its kind and
+    range or vocabulary, and on a base-agent line every base value but tick and action, typed."""
+    rec = typed(obj, dict, "a record")
+    if rec.keys() != RECORD.keys():
+        raise ValueError(f"keys not as declared: {sorted(rec.keys() ^ RECORD.keys())}")
+    base_line = not typed(rec[KEY.active], bool, KEY.active)
+    for key, (kind, domain, base) in RECORD.items():
+        value = rec[key]
+        if base_line and base is not ...:
+            if type(value) is not type(base) or value != base:
+                raise ValueError(f"{key} of a base-agent line must be {base!r}, got {value!r}")
+        elif kind is Action:
+            rec[key] = Action(**{f: typed(v, float, f) for f, v in typed(value, dict, key).items()})
+        elif kind is str or kind is list:
+            if not all(v in domain for v in (typed(value, list, key) if kind is list else [value])):
+                raise ValueError(f"{key} holds what no written log holds: {value!r}")
+        else:
+            rec[key] = value = typed(value, kind, key)
+            if not domain[0] <= value <= domain[1]:
+                raise ValueError(f"{key} must lie in [{domain[0]}, {domain[1]}], got {value!r}")
+    return SimpleNamespace(**rec)

@@ -573,7 +573,9 @@ class TestReplayCommand:
         "bad_line", ["{ not json", '{"tick": 1, "active": false}', "[1, 2]"]
     )
     def test_malformed_log_is_config_error(self, tmp_path, capsys, bad_line):
-        good = '{"tick": 0, "active": false, "action": {"throttle": 0, "brake": 0, "steer": 0}}'
+        good = json.dumps(
+            {**base_record(0, FAIL_SAFE_STOP), "action": {"throttle": 0, "brake": 0, "steer": 0}}
+        )
         log = tmp_path / "bad.decisions.jsonl"
         log.write_text(f"{good}\n\n{bad_line}\n", encoding="utf-8")
         assert main(["replay", "--log", str(log)]) == 2

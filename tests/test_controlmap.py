@@ -14,6 +14,7 @@ from rco.controlmap import (
     compute_steer,
     map_speed_control,
     resolve_action,
+    wrap_angle,
 )
 from rco.domain import (
     Action,
@@ -85,6 +86,20 @@ class TestSpeedControlTable:
     def test_prev_throttle_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             map_speed_control(SpeedControl.CONSTANT_SPEED, 1.2)
+
+
+class TestWrapAngle:
+    @given(a=st.floats(-10 * math.pi, 10 * math.pi))
+    def test_lands_in_half_open_interval_a_whole_turn_count_away(self, a):
+        wrapped = wrap_angle(a)
+        assert -math.pi < wrapped <= math.pi
+        turns = round((a - wrapped) / (2.0 * math.pi))
+        assert abs(a - wrapped - turns * 2.0 * math.pi) <= 1e-9
+
+    def test_both_ends_map_to_pi(self):
+        # The interval is closed at pi and open at -pi.
+        assert wrap_angle(math.pi) == math.pi
+        assert wrap_angle(-math.pi) == math.pi
 
 
 class TestComputeSteer:

@@ -15,11 +15,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rco import backend, cli, domain, simenv
+from rco import backend, cli, domain, orchestrator, simenv
 from rco.backend import Purpose, SchemaViolation, ScriptedBackend, parse_structured
 from rco.cli import bundled_scenario_dir, main
-from rco.domain import FAIL_SAFE_STOP, typed
-from rco.orchestrator import base_record
+from rco.domain import FAIL_SAFE_STOP, Action, typed
+from rco.orchestrator import RECORD, base_record
 from rco.planner import PlannerConfig
 
 SRC = Path(cli.__file__).parent
@@ -242,7 +242,7 @@ class TestReplayHoldsTheWritingTypes:
 
     def test_range_ends_and_int_fields_print_as_before(self, tmp_path, capsys):
         records = [
-            {"tick": 0, "active": False, "action": {"throttle": 1, "brake": 0, "steer": -1}},
+            {**base_record(0, FAIL_SAFE_STOP), "action": {"throttle": 1, "brake": 0, "steer": -1}},
             active_record(tick=7, hazard_ratio=0, action={"throttle": 0, "brake": 1, "steer": 1}),
         ]
         log = tmp_path / "ends.decisions.jsonl"
@@ -251,6 +251,128 @@ class TestReplayHoldsTheWritingTypes:
         base, active = capsys.readouterr().out.splitlines()
         assert base == "tick     0  base agent        throttle=1.00 brake=0.00 steer=-1.00"
         assert "ratio=0.0000  throttle=0.00 brake=1.00 steer=+1.00" in active
+
+
+def _bad_values(kind, bounds):
+    """Values a key of ``kind`` must not hold: of another JSON type, then
+    outside its range or vocabulary."""
+    if kind is Action:
+        return [[], {"throttle": 0.0, "brake": 0.0}, {"throttle": 2.0, "brake": 0.0, "steer": 0.0},
+                {"throttle": 0.0, "brake": 0.0, "steer": 0.0, "horn": 1.0}]
+    if kind is str or kind is list:  # one of the two is of the wrong type
+        return ["warp", ["warp"]]
+    wrong = {int: [1.5, True, "1"], float: ["0.5", True], bool: [0, "true"]}[kind]
+    if kind is bool:
+        return wrong
+    return wrong + [bounds[0] - 1] + ([bounds[1] + 1] if bounds[1] < math.inf else [])
+
+
+def _non_base_values(key, base):
+    """Values a base-agent line's ``key`` must not hold: the written active
+    value, and one equal to the base value but of another JSON type."""
+    twin = int(base) if type(base) is bool else float(base) if type(base) is int else None
+    return [
+        v for v in (active_record()[key], twin)
+        if v is not None and not (type(v) is type(base) and v == base)
+    ]
+
+
+MISSING = "<missing>"
+
+
+class TestReplayReadsTheDeclaration:
+    """``rco replay`` reads every line through ``orchestrator.RECORD``."""
+
+    @staticmethod
+    def _replay(tmp_path, capsys, records, code):
+        log = tmp_path / "declared.decisions.jsonl"
+        log.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        assert main(["replay", "--log", str(log)]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert f"config error: decision log {log} line {len(records)} is malformed" in captured.err
+            assert captured.out == ""
+        return captured
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [(key, v) for key, (kind, bounds, _) in RECORD.items() for v in _bad_values(kind, bounds)]
+        + [(key, MISSING) for key in RECORD],
+        ids=repr,
+    )
+    def test_active_line_with_a_value_outside_its_declaration_is_malformed(
+        self, tmp_path, capsys, key, value
+    ):
+        record = active_record()
+        if value == MISSING:
+            del record[key]
+        else:
+            record[key] = value
+        captured = self._replay(tmp_path, capsys, [active_record(), record], 2)
+        assert key in captured.err or RECORD[key][0] is Action
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [(key, v) for key, (_, _, base) in RECORD.items() if base is not ...
+         for v in _non_base_values(key, base)],
+        ids=repr,
+    )
+    def test_base_line_with_a_value_other_than_its_base_is_malformed(
+        self, tmp_path, capsys, key, value
+    ):
+        record = {**base_record(15, FAIL_SAFE_STOP), key: value}
+        self._replay(tmp_path, capsys, [base_record(14, FAIL_SAFE_STOP), record], 2)
+
+    @pytest.mark.parametrize("active", [False, True])
+    def test_undeclared_key_is_malformed(self, tmp_path, capsys, active):
+        record = active_record() if active else base_record(15, FAIL_SAFE_STOP)
+        captured = self._replay(tmp_path, capsys, [{**record, "probe": 0}], 2)
+        assert "probe" in captured.err
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            # Each once replayed with exit 0: six keys outside their kinds,
+            # the same six missing, and a base-agent line whose source is pair.
+            {**active_record(), "schema": "two", "backend_calls": -7, "sc_refreshed": "yes",
+             "direction_mismatch": None, "sequence_len": "abc", "wait_elapsed": 1e300},
+            {key: value for key, value in active_record().items()
+             if key not in ("schema", "backend_calls", "sc_refreshed", "direction_mismatch",
+                            "sequence_len", "wait_elapsed")},
+            {**base_record(15, FAIL_SAFE_STOP), "source": "pair"},
+        ],
+        ids=["six-bad", "six-missing", "base-from-pair"],
+    )
+    def test_lines_that_once_replayed_are_malformed(self, tmp_path, capsys, line):
+        self._replay(tmp_path, capsys, [line], 2)
+
+    def test_a_declared_key_is_written_and_required(self, tmp_path, capsys, monkeypatch):
+        # One key more in the declaration, and the base record derived from
+        # it as at import; the writer's template is cut again.
+        monkeypatch.setitem(RECORD, "probe", (int, (0, 0), 0))
+        monkeypatch.setattr(
+            orchestrator, "_BASE_RECORD", {key: base for key, (_, _, base) in RECORD.items()}
+        )
+        cli._base_line_parts.cache_clear()
+        try:
+            out = tmp_path / "out"
+            argv = ["run", "--mode", "rco", "--scenarios", scenario_path("pedestrian_cross")]
+            assert main([*argv, "--out", str(out)]) == 0
+            log = out / "pedestrian_cross__rco.decisions.jsonl"
+            records = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
+            assert {r["active"] for r in records} == {False, True}
+            assert all(r.keys() == RECORD.keys() and r["probe"] == 0 for r in records)
+            capsys.readouterr()
+            assert main(["replay", "--log", str(log)]) == 0
+            assert len(capsys.readouterr().out.splitlines()) == len(records)
+            base = next(r for r in records if not r["active"])
+            captured = self._replay(tmp_path, capsys, [{**base, "probe": 1}], 2)
+            assert "probe" in captured.err
+            del records[-1]["probe"]
+            captured = self._replay(tmp_path, capsys, records, 2)
+            assert "probe" in captured.err
+        finally:
+            cli._base_line_parts.cache_clear()
 
 
 # Each input the CLI reads, the argv that reads it, and its label in messages.

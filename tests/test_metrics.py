@@ -54,6 +54,15 @@ class TestRouteCompletion:
 
 
 class TestInfractionScore:
+    def test_default_penalties_are_the_leaderboard_coefficients(self):
+        assert DEFAULT_PENALTIES == {
+            InfractionKind.COLLISION_PEDESTRIAN: 0.50,
+            InfractionKind.COLLISION_VEHICLE: 0.60,
+            InfractionKind.COLLISION_STATIC: 0.65,
+            InfractionKind.RED_LIGHT: 0.70,
+            InfractionKind.STOP_SIGN: 0.80,
+        }
+
     def test_no_events(self):
         assert infraction_score([]) == 1.0
 
@@ -138,6 +147,9 @@ class TestAverageSpeed:
 
     def test_simple(self):
         assert average_speed(1000.0, 500.0) == 2.0
+
+    def test_game_time_below_one_second(self):
+        assert average_speed(100.0, 0.5) == 200.0
 
     def test_zero_time_rejected(self):
         with pytest.raises(ValueError, match="game time must be positive"):

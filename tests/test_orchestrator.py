@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import ast
+import json
 import random
 import sys
 from pathlib import Path
 
 import pytest
 
-from rco import orchestrator, safety, verifier
+from rco import cli, orchestrator, safety, verifier
 from rco.backend import ScriptedBackend
 from rco.cli import bundled_scenario_dir
 from rco.domain import (
@@ -25,8 +26,7 @@ from rco.domain import (
 )
 from rco.orchestrator import (
     FAIL_SAFE_STOP,
-    LOG_TOKENS,
-    _BASE_RECORD,
+    RECORD,
     OrchestratorConfig,
     _padded_history,
     engage,
@@ -250,26 +250,35 @@ class TestRecords:
 
 
 class TestOneLogVocabulary:
-    """The decision log's tokens are declared once, in ``LOG_TOKENS``: the
-    writer spells them there and nowhere else, and ``rco replay`` reads them."""
+    """The decision record is declared once, in ``RECORD``: orchestrator spells
+    each key and each of its own tokens there and nowhere else, cli spells
+    none, and ``rco replay`` reads every written line through it."""
 
     SRC = Path(orchestrator.__file__).parent
-    TOKENS = {t for _, tokens in LOG_TOKENS.values() for t in tokens if t is not None}
+    KEYS = set(RECORD)
+    TOKENS = {
+        t for kind, vocabulary, _ in RECORD.values() if kind in (str, list)
+        for t in vocabulary if t is not None
+    }
 
     @classmethod
     def _literals(cls, name):
         tree = ast.parse((cls.SRC / name).read_text(encoding="utf-8"))
         return tree, [
             (node.value, node.lineno) for node in ast.walk(tree)
-            if isinstance(node, ast.Constant) and node.value in cls.TOKENS
+            if isinstance(node, ast.Constant) and node.value in cls.KEYS | cls.TOKENS
         ]
 
-    def test_cli_spells_no_token(self):
+    def test_no_key_is_also_a_token(self):
+        assert self.KEYS.isdisjoint(self.TOKENS)
+
+    def test_cli_spells_no_key_and_no_token(self):
         assert self._literals("cli.py")[1] == []
 
-    def test_orchestrator_spells_each_of_its_tokens_once_in_the_declaration(self):
+    def test_orchestrator_spells_each_key_and_token_once_in_the_declaration(self):
         # The condition values and the envelope limit names are spelled by the
-        # modules that own them; every other token by the declaration alone.
+        # modules that own them; every key and every other token by the
+        # declaration alone, which starts at the schema version.
         tree, spelled = self._literals("orchestrator.py")
         lines = {
             target.id: node.end_lineno for node in tree.body
@@ -278,11 +287,11 @@ class TestOneLogVocabulary:
             if isinstance(target, ast.Name)
         }
         borrowed = {c.value for c in ExecutionCondition} | set(safety._TRIGGER_NAMES)
-        assert sorted(value for value, _ in spelled) == sorted(self.TOKENS - borrowed)
+        assert sorted(value for value, _ in spelled) == sorted(self.KEYS | self.TOKENS - borrowed)
         for value, line in spelled:
-            assert lines["LOG_SCHEMA_VERSION"] < line <= lines["LOG_TOKENS"], (value, line)
+            assert lines["LOG_SCHEMA_VERSION"] < line <= lines["RECORD"], (value, line)
 
-    def test_every_written_record_holds_the_declared_keys_and_tokens(self):
+    def test_every_written_record_holds_the_declared_keys_and_replays(self):
         # The bundled suite in all three modes, and the benchmark's gen-dense
         # seed 1 in rco mode, imported as tests/test_bench_contract.py does.
         sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -298,16 +307,14 @@ class TestOneLogVocabulary:
             (Scenario.from_json(sc), Mode.RCO, ScriptedBackend(table), Overrides(n_max=1))
             for sc in scenarios
         ]
-        seen = {key: set() for key in LOG_TOKENS}
+        verdicts = set()
         for run in runs:
             for record in run_episode(*run).records:
-                assert list(record) == list(_BASE_RECORD)
-                for key, (is_list, tokens) in LOG_TOKENS.items():
-                    values = record[key] if is_list else [record[key]]
-                    assert type(values) is list and set(values) <= set(tokens), (key, record)
-                    seen[key].update(values)
-        # Base and active records were both checked: each verdict is written.
-        assert seen["verdict"] == set(LOG_TOKENS["verdict"][1])
+                assert list(record) == list(RECORD)
+                orchestrator.read_record(json.loads(cli._record_line(record)))
+                verdicts.add(record["verdict"])
+        # Base and active records were both read: each verdict is written.
+        assert verdicts == set(RECORD["verdict"][1])
 
 
 class TestFuzzLoop:

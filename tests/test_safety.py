@@ -209,6 +209,28 @@ class TestGenerateConstraints:
         assert out.v_max == pytest.approx(4.8)
         assert out.d_min == pytest.approx(9.0)
 
+    @pytest.mark.parametrize(
+        "factor, v_mult, d_mult",
+        [
+            (Weather.RAIN, 0.8, 1.25), (Weather.FOG, 0.7, 1.4), (Weather.SNOW, 0.6, 1.5),
+            (Daylight.DUSK, 0.9, 1.1), (Daylight.NIGHT, 0.8, 1.25),
+            (TrafficDensity.MEDIUM, 0.9, 1.1), (TrafficDensity.HIGH, 0.8, 1.25),
+            (RoadGeometry.LEFT_CURVE, 0.9, 1.1), (RoadGeometry.RIGHT_CURVE, 0.9, 1.1),
+            (RoadGeometry.INTERSECTION, 0.6, 1.5),
+        ],
+    )
+    def test_default_table_with_one_factor_off_its_default(self, factor, v_mult, d_mult):
+        # Literal multipliers: a context of clear, day, low traffic and a
+        # straight road with exactly one factor changed.
+        geometry = factor if isinstance(factor, RoadGeometry) else RoadGeometry.STRAIGHT
+        ctx = Surrounding(
+            factor if isinstance(factor, Weather) else Weather.CLEAR,
+            factor if isinstance(factor, Daylight) else Daylight.DAY,
+            factor if isinstance(factor, TrafficDensity) else TrafficDensity.LOW,
+        )
+        out = default_constraints(Navigation((10.0, 0.0), geometry), ctx)
+        assert out == SafetyConstraints(8.0 * v_mult, 6.0 * d_mult, 2.5, 6.0, 0.5, 8.0)
+
     def test_default_table_matches_brute_force_recomputation(self):
         # Recompute the min/max factor combination directly for every context.
         from rco.safety import _DAYLIGHT_MULT, _GEOMETRY_MULT, _TRAFFIC_MULT, _WEATHER_MULT

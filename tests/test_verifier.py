@@ -429,6 +429,12 @@ class TestCarriedEqualsFullScan:
         assert run.break_tick is None and len(run.frames) == 2
         assert classify(frames, CFG, run)[0] is None
 
+    @pytest.mark.parametrize("ticks", [(3, 3), (5, 4)])
+    def test_two_frame_window_whose_ticks_do_not_increase_is_rejected(self, ticks):
+        frames = [snapshot(tick=t) for t in ticks]
+        with pytest.raises(ValueError, match="strictly increasing"):
+            classify(frames, CFG, None)
+
     def test_invalid_history_still_rejected(self):
         frames = history_of_counts([1, 1, 1])
         _, _, run = classify(frames[:2], CFG, None)
