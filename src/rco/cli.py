@@ -312,7 +312,7 @@ def _trace_line(rec: Any) -> str:
     shown = (("constraints=", "+".join(rec.triggered_constraints)),
              ("plans=", rec.planning_events or ""), ("denied=", "+".join(rec.denied)))
     extra = "".join(f"  {label}{text}" for label, text in shown if text)
-    return (f"tick {rec.tick:>5}  {rec.source:<10} {rec.classification or '':<32}"
+    return (f"tick {rec.tick:>5}  {rec.source:<10} {rec.classification:<32}"
             f"ratio={rec.hazard_ratio:.4f}  {actuation}{extra}")
 
 

@@ -43,21 +43,21 @@ from .safety import SafetyGains
 from .verifier import VerifierConfig
 
 LOG_SCHEMA_VERSION = 1
-_BASE, _PAIR, _STOP_WAIT, _FAILSAFE = _SOURCES = ("base", "pair", "stop_wait", "failsafe")
+_BASE, _PAIR, _STOP_WAIT, _FAILSAFE = "base", "pair", "stop_wait", "failsafe"
 _EXECUTE, _DENY, _REPLAN, _WAIT_INCONSISTENT = "execute", "deny", "replan", "wait_inconsistent"
 _CONDITIONS = tuple(c.value for c in ExecutionCondition)
 _COUNT = (0, float("inf"))
-# The decision record, declared once: each key in write order with its JSON kind
-# (str a token, list a token list, Action the action object), its closed range
-# or vocabulary, and its value on a base-agent record (``...``: base_record sets it).
+# The decision record, declared once: each key in write order with its JSON kind (str a
+# token, list a token list, Action the action object), its closed range or vocabulary on
+# an active record, and its value on a base-agent record (``...``: base_record sets it).
 RECORD: dict[str, tuple[type, Any, Any]] = {
     "schema": (int, (1, LOG_SCHEMA_VERSION), LOG_SCHEMA_VERSION),
     "tick": (int, _COUNT, ...),
     "active": (bool, (False, True), False),
-    "classification": (str, (None, _REPLAN, *_CONDITIONS), None),
+    "classification": (str, (_REPLAN, *_CONDITIONS), None),
     "hazard_ratio": (float, (0.0, 1.0), None),
-    "verdict": (str, (None, _EXECUTE, _DENY), None),
-    "source": (str, _SOURCES, _BASE),
+    "verdict": (str, (_EXECUTE, _DENY), None),
+    "source": (str, (_PAIR, _STOP_WAIT, _FAILSAFE), _BASE),
     "action": (Action, None, ...),
     "triggered_constraints": (list, safety._TRIGGER_NAMES, []),
     "planning_events": (int, _COUNT, 0), "backend_calls": (int, _COUNT, 0),

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import struct
 from bisect import bisect_left
 from dataclasses import field
 from enum import Enum
@@ -67,6 +68,10 @@ class VehicleParams:
     """The simulation step in seconds; the plant is fixed by the constants above."""
 
     dt: float = 0.1
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.dt < math.inf:  # the dynamics divide by it; NaN fails too
+            raise ValueError(f"dt must be a positive finite number of seconds, got {self.dt!r}")
 
 
 # (footprint length, footprint width, projected width, projected height)
@@ -339,11 +344,14 @@ class Scenario:
     daylight: Daylight = Daylight.DAY
     traffic_density: TrafficDensity = TrafficDensity.LOW
     time_limit_ticks: int = 600
-    # Derived once: each light and sign shaped as a WorldState.actor_states
-    # entry (object, x, y, heading), so perceive draws them in the same loop.
+    # Derived once: each light and sign shaped as a WorldState.actor_states entry (object,
+    # x, y, heading), so perceive draws them in the same loop; the ids of each class's actors,
+    # lights and signs, which masked_ids reads; and perceive's surrounding with none in front.
     signals: tuple[tuple[Any, float, float, None], ...] = field(
         init=False, repr=False, compare=False
     )
+    ids_by_class: dict[ObjectClass, frozenset[int]] = field(init=False, repr=False, compare=False)
+    surrounding: Surrounding = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # The name keys the scripted table and is the stem of the output
@@ -353,7 +361,8 @@ class Scenario:
                 "scenario name must be ASCII letters, digits, '_', '-' and '.', not starting"
                 f" with '.', got {self.name!r}"
             )
-        ids = [a.id for a in self.actors] + [l.id for l in self.lights] + [s.id for s in self.signs]
+        objects = (*self.actors, *self.lights, *self.signs)
+        ids = [o.id for o in objects]
         if len(ids) != len(set(ids)):
             raise ValueError(f"scenario {self.name}: actor/signal ids must be unique")
         # An always_stop episode runs to the limit and keeps a record per tick.
@@ -361,6 +370,10 @@ class Scenario:
             raise ValueError(f"scenario {self.name}: time_limit_ticks out of [1,100000]")
         signals = tuple((s, *s.position, None) for s in (*self.lights, *self.signs))
         object.__setattr__(self, "signals", signals)
+        by_class = {c: frozenset(o.id for o in objects if o.cls is c) for c in ObjectClass}
+        object.__setattr__(self, "ids_by_class", by_class)
+        surrounding = Surrounding(self.weather, self.daylight, self.traffic_density)
+        object.__setattr__(self, "surrounding", surrounding)
 
     @classmethod
     def from_json(cls, d: dict[str, Any]) -> "Scenario":
@@ -473,32 +486,47 @@ def world_from_scenario(scenario: Scenario, params: VehicleParams = VehicleParam
     return WorldState(tick=0, ego=ego, scenario=scenario, params=params, ego_progress=0.0)
 
 
+def _standing(ego: EgoState) -> bool:
+    """Whether a tick that ends at rest gives ``ego`` back bit for bit. At rest the dynamics
+    wrap the heading, add a signed zero to each coordinate and write 0.0 speed, acceleration
+    and yaw rate; so the ego is kept when its heading is a fixed point of ``wrap_angle``, no
+    coordinate is -0.0 (``x + 0.0`` is 0.0) and the other three fields are already 0.0.
+    The packed bytes tell -0.0 from 0.0, as ``==`` does not."""
+    x, y, h = ego.x, ego.y, ego.heading
+    kept = struct.pack("6d", x + 0.0, y + 0.0, h + 0.0, 0.0, 0.0, 0.0)
+    return wrap_angle(h) == h and struct.pack("6d", x, y, h, ego.v, ego.a_x, ego.omega_z) == kept
+
+
 def tick(w: WorldState, a: Action) -> WorldState:
     """Advance one step under the kinematic bicycle model.
 
     Relies on one invariant: a state's ``ego_progress`` is
     ``route.progress_of`` of its ego position. ``world_from_scenario`` starts
     at 0.0 on the first waypoint and every state returned here keeps it, so an
-    ego that does not move keeps its progress without a new projection.
+    ego that does not move keeps its progress without a new projection. An ego
+    at rest that the dynamics would rebuild bit for bit is kept as it is.
     """
     dt = w.params.dt
     ego = w.ego
     accel = K_THROTTLE * a.throttle - K_BRAKE * a.brake - DRAG * ego.v
     v_new = max(0.0, ego.v + accel * dt)
-    # Positive steer turns right (clockwise), so heading decreases.
-    heading_new = wrap_angle(
-        ego.heading - (v_new / WHEELBASE) * math.tan(a.steer * MAX_WHEEL_ANGLE) * dt
-    )
-    x_new = ego.x + v_new * math.cos(heading_new) * dt
-    y_new = ego.y + v_new * math.sin(heading_new) * dt
-    a_x = (v_new - ego.v) / dt
-    omega_z = wrap_angle(heading_new - ego.heading) / dt
-    ego_new = EgoState(x_new, y_new, heading_new, v_new, a_x, omega_z)
+    if v_new == 0.0 and _standing(ego):
+        ego_new = ego
+    else:
+        # Positive steer turns right (clockwise), so heading decreases.
+        heading_new = wrap_angle(
+            ego.heading - (v_new / WHEELBASE) * math.tan(a.steer * MAX_WHEEL_ANGLE) * dt
+        )
+        x_new = ego.x + v_new * math.cos(heading_new) * dt
+        y_new = ego.y + v_new * math.sin(heading_new) * dt
+        a_x = (v_new - ego.v) / dt
+        omega_z = wrap_angle(heading_new - ego.heading) / dt
+        ego_new = EgoState(x_new, y_new, heading_new, v_new, a_x, omega_z)
     scenario = w.scenario
     if v_new == 0.0:
         progress = w.ego_progress
     else:
-        progress = scenario.route.progress_of((x_new, y_new))
+        progress = scenario.route.progress_of((ego_new.x, ego_new.y))
 
     satisfied = w.sign_satisfied
     if scenario.signs and v_new <= STOPPED_SPEED:
@@ -527,8 +555,6 @@ _EMPTY_VIEWS = {v: CameraView(v, (), ()) for v in VIEW_ORDER}
 # Enum members read per object, held as module constants: a member read off
 # an Enum class is a class attribute lookup CPython 3.11 does not specialise.
 _FRONT = ViewName.FRONT
-_TRAFFIC_LIGHT = ObjectClass.TRAFFIC_LIGHT
-_STOP_SIGN = ObjectClass.STOP_SIGN
 _PEDESTRIAN = ObjectClass.PEDESTRIAN
 
 
@@ -559,13 +585,10 @@ def masked_ids(w: WorldState, policy: DeficitPolicy) -> frozenset[int]:
     """Ids of actors and signals hidden by the policy at the current tick."""
     if not policy.active(w.tick):
         return frozenset()
-    classes = policy.classes
-    out = {a.id for a in w.scenario.actors if a.cls in classes}
-    if _TRAFFIC_LIGHT in classes:
-        out.update(l.id for l in w.scenario.lights)
-    if _STOP_SIGN in classes:
-        out.update(s.id for s in w.scenario.signs)
-    return frozenset(out)
+    hidden, ids = frozenset(), w.scenario.ids_by_class
+    for cls in policy.classes:
+        hidden |= ids[cls]
+    return hidden
 
 
 def perceive(w: WorldState, policy: DeficitPolicy) -> EnvironmentSnapshot:
@@ -619,7 +642,8 @@ def perceive(w: WorldState, policy: DeficitPolicy) -> EnvironmentSnapshot:
         w.tick,
         tuple(views),  # type: ignore[arg-type]
         Navigation(route.target_point(progress), route.geometry_at(progress)),
-        Surrounding(scenario.weather, scenario.daylight, scenario.traffic_density, nearest),
+        scenario.surrounding if nearest is None
+        else Surrounding(scenario.weather, scenario.daylight, scenario.traffic_density, nearest),
     )
 
 

@@ -684,6 +684,10 @@ class TestReplayCommand:
             ("denied", "wait_inconsistent"),
             ("verdict", "maybe"),
             ("verdict", ["deny"]),
+            # What only a base-agent line holds.
+            ("source", "base"),
+            ("classification", None),
+            ("verdict", None),
             ("planning_events", "\ud800"),
             ("planning_events", True),
             ("planning_events", -3),
@@ -704,7 +708,12 @@ class TestReplayCommand:
         assert captured.out == ""
 
     def test_every_written_token_replays(self, tmp_path, capsys):
+        # The active lines step writes: a planned or a stop_wait pair executes
+        # under a condition, and the fail-safe stop is denied under a
+        # condition or a replan.
         conditions = [c.value for c in ExecutionCondition]
+        lines = [(source, c, "execute") for source in ("pair", "stop_wait") for c in conditions]
+        lines += [("failsafe", c, "deny") for c in ("replan", *conditions)]
         records = [
             self._active_record(
                 hazard_ratio=0.06,
@@ -714,9 +723,7 @@ class TestReplayCommand:
                 triggered_constraints=list(safety._TRIGGER_NAMES),
                 denied=["wait_inconsistent", *conditions],
             )
-            for source in ("base", "pair", "stop_wait", "failsafe")
-            for classification in (None, "replan", *conditions)
-            for verdict in (None, "execute", "deny")
+            for source, classification, verdict in lines
         ]
         log = tmp_path / "tokens.decisions.jsonl"
         log.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")

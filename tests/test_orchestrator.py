@@ -26,6 +26,7 @@ from rco.domain import (
 )
 from rco.orchestrator import (
     FAIL_SAFE_STOP,
+    KEY,
     RECORD,
     OrchestratorConfig,
     _padded_history,
@@ -257,8 +258,8 @@ class TestOneLogVocabulary:
     SRC = Path(orchestrator.__file__).parent
     KEYS = set(RECORD)
     TOKENS = {
-        t for kind, vocabulary, _ in RECORD.values() if kind in (str, list)
-        for t in vocabulary if t is not None
+        t for kind, vocabulary, base in RECORD.values() if kind in (str, list)
+        for t in (*vocabulary, base) if type(t) is str
     }
 
     @classmethod
@@ -307,14 +308,20 @@ class TestOneLogVocabulary:
             (Scenario.from_json(sc), Mode.RCO, ScriptedBackend(table), Overrides(n_max=1))
             for sc in scenarios
         ]
-        verdicts = set()
+        written = {key: set() for key in (KEY.source, KEY.classification, KEY.verdict)}
         for run in runs:
             for record in run_episode(*run).records:
                 assert list(record) == list(RECORD)
                 orchestrator.read_record(json.loads(cli._record_line(record)))
-                verdicts.add(record["verdict"])
-        # Base and active records were both read: each verdict is written.
-        assert verdicts == set(RECORD["verdict"][1])
+                for key, seen in written.items():
+                    seen.add((record[KEY.active], record[key]))
+        # Base and active records were both read: a base-agent line writes the
+        # base value, and active lines write tokens of the vocabulary, every
+        # one but stop_wait, which these runs never reach.
+        for key, seen in written.items():
+            _, vocabulary, base = RECORD[key]
+            expected = {(False, base), *((True, t) for t in vocabulary if t != "stop_wait")}
+            assert seen == expected, key
 
 
 class TestFuzzLoop:

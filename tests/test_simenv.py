@@ -13,7 +13,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, find, given, settings, strategies as st
 
 import rco
 from rco import simenv
@@ -127,6 +127,11 @@ class TestDynamics:
         bound = (w2.ego.v * PARAMS.dt / simenv.WHEELBASE) * math.tan(simenv.MAX_WHEEL_ANGLE)
         assert abs(w2.ego.heading - w.ego.heading) <= bound + 1e-12
         assert w2.ego.v >= 0.0
+
+    @pytest.mark.parametrize("dt", [0.0, -0.1, math.nan, math.inf])
+    def test_step_must_be_positive_and_finite(self, dt):
+        with pytest.raises(ValueError, match="dt must be"):
+            VehicleParams(dt)
 
     def test_determinism_bit_identical(self):
         sc = straight_scenario(actors=[standing(ObjectClass.PEDESTRIAN, 50, 4.0)])
@@ -504,6 +509,37 @@ class TestWorldCost:
             "collisions": worlds,
         }
 
+    def test_a_standing_ego_is_carried_not_rebuilt(self, monkeypatch):
+        # Over one bundled always_stop episode, which drives to its halt at
+        # tick 45 and stands still to the time limit, a tick builds no
+        # EgoState exactly when the full dynamics would give its ego back bit
+        # for bit, and one otherwise.
+        built, ticks = Counter(), []
+        ego_state, advance = simenv.EgoState, simenv.tick
+
+        def counting_ego_state(*args, **kwargs):
+            built["egos"] += 1
+            return ego_state(*args, **kwargs)
+
+        def counting_tick(w, a):
+            before = built["egos"]
+            new = advance(w, a)
+            builds = built["egos"] - before
+            ref = reference_tick(w, a).ego
+            same = all(getattr(ref, n).hex() == getattr(w.ego, n).hex() for n in _EGO_FIELDS)
+            ticks.append((new.ego is w.ego, same, builds))
+            return new
+
+        monkeypatch.setattr(simenv, "EgoState", counting_ego_state)
+        monkeypatch.setattr(simenv, "tick", counting_tick)
+        sc = Scenario.load(str(bundled_scenario_dir() / "stop_sign_hazard.json"))
+        run_episode(sc, Mode.ALWAYS_STOP, ScriptedBackend.bundled())
+        assert 2 * sum(carried for carried, _, _ in ticks) > len(ticks)
+        assert any(builds for _, _, builds in ticks)
+        for carried, same, builds in ticks:
+            assert carried is same
+            assert builds == (not carried)
+
     @staticmethod
     def near_count(w):
         # Actors that pass the collision broad phase, counted afresh.
@@ -643,6 +679,76 @@ class TestPerceiveCost:
             run_episode(sc, Mode.RCO, backend, overrides)
         assert 0 < built["with_a_box"] < 3 * built["calls"]
         assert built["views"] == built["with_a_box"]
+
+    def test_masked_ids_reads_no_object_of_the_scenario(self, monkeypatch):
+        # Over the bundled suite in rco mode, masked_ids reads no id or class
+        # of an actor, light or sign; it reads the scenario's table. Its
+        # answers equal the scan's, taken outside the count.
+        reads, inside = Counter(), []
+        for cls, name in ((Actor, "id"), (Actor, "cls"), (TrafficLight, "id"), (StopSign, "id")):
+            slot = vars(cls)[name]
+
+            def read(obj, slot=slot):
+                reads["inside" if inside else "outside"] += 1
+                return slot.__get__(obj)
+
+            monkeypatch.setattr(cls, name, property(read))
+        scenarios = [Scenario.load(str(p)) for p in sorted(bundled_scenario_dir().glob("*.json"))]
+        masked = simenv.masked_ids
+
+        def counting_masked_ids(w, policy):
+            inside.append(True)
+            try:
+                hidden = masked(w, policy)
+            finally:
+                inside.pop()
+            reads["hiding"] += bool(hidden)
+            assert hidden == reference_masked_ids(w, policy)
+            return hidden
+
+        monkeypatch.setattr(simenv, "masked_ids", counting_masked_ids)
+        for sc in scenarios:
+            run_episode(sc, Mode.RCO, ScriptedBackend.bundled())
+        assert reads["hiding"] > 0 and reads["outside"] > 0
+        assert reads["inside"] == 0
+
+    @pytest.mark.parametrize("episode", ["bundled", "gen-dense"])
+    def test_surrounding_built_only_with_an_actor_in_front(
+        self, monkeypatch, gen_dense_episode, episode
+    ):
+        # A tick with no actor in the front view gives the scenario's shared
+        # surrounding; only one with an obstacle builds a Surrounding.
+        if episode == "bundled":
+            sc, backend, overrides = (
+                Scenario.load(str(bundled_scenario_dir() / "pedestrian_cross.json")),
+                ScriptedBackend.bundled(),
+                Overrides(),
+            )
+        else:
+            sc, backend, overrides = gen_dense_episode
+        built = Counter()
+        surrounding, perceive = simenv.Surrounding, simenv.perceive
+
+        def counting_surrounding(*args):
+            built["surroundings"] += 1
+            return surrounding(*args)
+
+        def counting_perceive(w, policy):
+            before = built["surroundings"]
+            snap = perceive(w, policy)
+            nearest = snap.surrounding.nearest_obstacle_m
+            assert built["surroundings"] - before == (nearest is not None)
+            scenario = w.scenario
+            context = (scenario.weather, scenario.daylight, scenario.traffic_density)
+            assert snap.surrounding == surrounding(*context, nearest)
+            built["calls"] += 1
+            built["with_obstacle"] += nearest is not None
+            return snap
+
+        monkeypatch.setattr(simenv, "Surrounding", counting_surrounding)
+        monkeypatch.setattr(simenv, "perceive", counting_perceive)
+        run_episode(sc, Mode.RCO, backend, overrides)
+        assert 0 < built["with_obstacle"] < built["calls"]
 
     def test_each_empty_view_equals_a_fresh_one(self):
         assert list(simenv._EMPTY_VIEWS) == list(VIEW_ORDER)
@@ -805,6 +911,34 @@ class TestPerceiveEqualsReference:
         dims = simenv._CLASS_DIMS[cls]
         args = (max(rng, 1e-6), rel, dims[2], dims[3])
         assert simenv._project(*args) == reference_project(*args)
+
+
+class TestMaskedIdsEqualsReference:
+    @given(scene=scenes())
+    @settings(max_examples=200, deadline=None)
+    def test_masked_ids_equals_reference(self, scene):
+        # The scenario's own policy, no policy, and one it does not hold that
+        # masks every class it may.
+        w, policy = scene
+        every = DeficitPolicy(DeficitPolicy._ALLOWED, (0, 100))
+        for p in (policy, DeficitPolicy(), every):
+            assert masked_ids(w, p) == reference_masked_ids(w, p)
+
+    def test_an_actor_of_a_signal_class_is_masked_with_the_signals(self):
+        sc = straight_scenario(
+            actors=[standing(ObjectClass.TRAFFIC_LIGHT, 10.0, 1.0, 1),
+                    standing(ObjectClass.STOP_SIGN, 12.0, 1.0, 2),
+                    standing(ObjectClass.PEDESTRIAN, 14.0, 1.0, 5)],
+            lights=[TrafficLight(3, (20.0, 2.0), 20.0)],
+            signs=[StopSign(4, (30.0, 2.0), 30.0)],
+        )
+        w = world_from_scenario(sc)
+        for classes, ids in (
+            ({ObjectClass.TRAFFIC_LIGHT}, {1, 3}),
+            ({ObjectClass.STOP_SIGN}, {2, 4}),
+            (DeficitPolicy._ALLOWED, {1, 2, 3, 4, 5}),
+        ):
+            assert masked_ids(w, DeficitPolicy(frozenset(classes), (0, 1))) == ids
 
 
 class TestModeWork:
@@ -1042,6 +1176,9 @@ class TestMemoisedEqualsFresh:
         assert route.progress_of(point) == fresh_progress_of(route, point)
 
 
+_EGO_FIELDS = ("x", "y", "heading", "v", "a_x", "omega_z")
+
+
 # tick as it was when it projected every new position, kept verbatim (but for
 # the module prefixes) as the reference for the version that skips the
 # projection when the ego has not moved.
@@ -1071,33 +1208,62 @@ def reference_tick(w, a):
     return WorldState(w.tick + 1, ego_new, w.scenario, w.params, progress, satisfied)
 
 
+_STRAIGHT = (RoadGeometry.STRAIGHT,)
+# Routes whose first heading, from atan2, is not a fixed point of wrap_angle:
+# -pi (wrapped to pi), -0.0 and 1e-17 (both wrapped to 0.0).
+_ATAN2_ROUTES = [
+    Route(((0.0, 0.0), (-1.0, -0.0)), _STRAIGHT),
+    Route(((0.0, 0.0), (1.0, -0.0)), _STRAIGHT),
+    Route(((0.0, 0.0), (1.0, 1e-17)), _STRAIGHT),
+]
+# Headings that wrap_angle keeps (pi, 0.0 and any value it wrote) and ones it
+# changes: -pi, -0.0, the tiny ones and the ones outside (-pi, pi].
+_headings = st.one_of(
+    st.sampled_from([math.pi, -math.pi, 0.0, -0.0, 1e-17, -1e-17, 5e-324, 2 * math.pi, -4.0]),
+    st.floats(-math.pi, math.pi).map(simenv.wrap_angle),
+    st.floats(-math.pi, math.pi),
+)
+_signed_zeros = st.sampled_from([0.0, -0.0])
+_rate = st.one_of(_signed_zeros, st.floats(-10.0, 10.0))
+# (acceleration, yaw rate) as a tick leaves them at rest, on the tick that
+# stops (a yaw rate of 0.0), and any other.
+_rates = st.one_of(st.just((0.0, 0.0)), st.tuples(_rate, st.just(0.0)), st.tuples(_rate, _rate))
+
+
 @st.composite
 def ticked_worlds(draw, at_rest):
     """A state that holds the progress invariant, and an action that leaves
-    the ego at rest or moving."""
-    route = draw(routes())
+    the ego at rest or moving. The ego often starts at rest, with signed zero
+    coordinates, acceleration and yaw rate, and headings on and off the fixed
+    points of wrap_angle; some states are a scenario's first."""
+    route = draw(st.one_of(routes(), st.sampled_from(_ATAN2_ROUTES)))
     scripts = draw(st.lists(st.tuples(_actor_classes, actor_scripts()), max_size=3))
     actors = tuple(Actor(i, cls, script) for i, (cls, script) in enumerate(scripts))
     signs = tuple(
         StopSign(100 + i, (0.0, 0.0), draw(st.floats(0.0, 12.0)))
         for i in range(draw(st.integers(0, 2)))
     )
-    satisfied = frozenset(draw(st.sets(st.sampled_from([s.id for s in signs]))) if signs else ())
-    if draw(st.booleans()):
-        x, y = route.point_at(draw(st.floats(0.0, route.length)))
-    else:
-        x, y = draw(_coords), draw(_coords)
-    heading = draw(st.floats(-math.pi, math.pi))
+    scenario = Scenario("gen", route, actors, signs=signs)
     steer = draw(st.floats(-1.0, 1.0))
     if at_rest:  # full brake from below 0.8 m/s ends at 0
-        v, action = draw(st.floats(0.0, 0.8)), Action(0.0, 1.0, steer)
+        v, action = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.8))), Action(0.0, 1.0, steer)
     else:  # some throttle keeps it moving, below the stopped speed too
         v = draw(st.one_of(st.sampled_from([0.0, 0.05, 0.1]), st.floats(0.0, 15.0)))
         action = Action(draw(st.floats(0.01, 1.0)), 0.0, steer)
+    if draw(st.integers(0, 3)) == 0:
+        return world_from_scenario(scenario), action
+    satisfied = frozenset(draw(st.sets(st.sampled_from([s.id for s in signs]))) if signs else ())
+    position = draw(st.sampled_from(["route", "coords", "zeros"]))
+    if position == "route":
+        x, y = route.point_at(draw(st.floats(0.0, route.length)))
+    else:
+        coords = _coords if position == "coords" else _signed_zeros
+        x, y = draw(coords), draw(coords)
+    a_x, omega_z = draw(_rates)
     w = WorldState(
         draw(st.integers(0, 40)),
-        simenv.EgoState(x, y, heading, v),
-        Scenario("gen", route, actors, signs=signs),
+        simenv.EgoState(x, y, draw(_headings), v, a_x, omega_z),
+        scenario,
         ego_progress=route.progress_of((x, y)),
         sign_satisfied=satisfied,
     )
@@ -1134,6 +1300,49 @@ class TestTickEqualsReference:
         assert calls["progress_of"] == 0
         assert tick(w, Action(0.7, 0.0, 0.0)).ego.v > 0.0
         assert calls["progress_of"] == 1
+
+
+class TestStandingEgo:
+    @pytest.mark.parametrize("carried", [True, False])
+    def test_at_rest_draws_reach_the_carried_and_the_rebuilt_ego(self, carried):
+        def reaches(drawn):
+            w, action = drawn
+            return (tick(w, action).ego is w.ego) is carried
+
+        once = settings(database=None, phases=[Phase.generate])
+        find(ticked_worlds(True), reaches, settings=once)
+
+    # Values that take a standing ego's field off what a tick at rest writes.
+    OFF_STANDING = {
+        "x": [-0.0],
+        "y": [-0.0],
+        "heading": [-math.pi, -0.0, 1e-17, -1e-17, 5e-324, 2 * math.pi, -4.0],
+        "v": [-0.0],
+        "a_x": [-0.0, -2.5],
+        "omega_z": [-0.0, 0.3],
+    }
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_carried_exactly_when_no_field_is_off_standing(self, data):
+        # An ego at rest with 0.0 rates, a heading wrap_angle keeps and no
+        # -0.0 coordinate, with at most one field set off that, under an
+        # action that leaves it at rest.
+        place = st.one_of(st.just(0.0), st.floats(-50.0, 50.0).filter(bool))
+        kept = st.one_of(st.sampled_from([math.pi, 0.0]), st.floats(-math.pi, math.pi))
+        fields = {"x": data.draw(place), "y": data.draw(place), "v": 0.0, "a_x": 0.0,
+                  "omega_z": 0.0, "heading": data.draw(kept.filter(lambda h: simenv.wrap_angle(h) == h))}
+        off = data.draw(st.sampled_from([None, *self.OFF_STANDING]))
+        if off is not None:
+            fields[off] = data.draw(st.sampled_from(self.OFF_STANDING[off]))
+        sc = straight_scenario()
+        w = WorldState(data.draw(st.integers(0, 40)), simenv.EgoState(**fields), sc,
+                       ego_progress=sc.route.progress_of((fields["x"], fields["y"])))
+        action = Action(0.0, data.draw(st.floats(0.0, 1.0)), data.draw(st.floats(-1.0, 1.0)))
+        new, ref = tick(w, action), reference_tick(w, action)
+        for name in _EGO_FIELDS:
+            assert getattr(new.ego, name).hex() == getattr(ref.ego, name).hex(), name
+        assert (new.ego is w.ego) is (off is None)
 
 
 class TestProgressInvariant:
