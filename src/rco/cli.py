@@ -146,22 +146,6 @@ def _checked(overrides: Overrides) -> Overrides:
         raise ConfigError(f"invalid override values: {exc}") from exc
 
 
-_Task = tuple[Scenario, Mode, Backend, Overrides]
-
-
-def _execute(tasks: Sequence[_Task], jobs: int) -> list[EpisodeOutcome]:
-    """Run every episode of a command, in one process pool when ``jobs`` > 1.
-    The pool starts all its workers at once, so it gets no more than tasks."""
-    if jobs <= 1 or len(tasks) <= 1:
-        return [run_episode(*t) for t in tasks]
-    # Imported here, not at module top: concurrent.futures loads logging,
-    # which a sequential run never needs.
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-        return list(pool.map(run_episode, *zip(*tasks)))  # input order preserved
-
-
 @functools.cache
 def _base_line_parts() -> tuple[str, str, str]:
     """The encoder's line for a base-agent record, cut around its action and
@@ -223,20 +207,12 @@ def _write_outputs(
     )
 
 
-def _jobs(args: argparse.Namespace) -> int:
-    """The ``--jobs`` count, checked before anything is loaded."""
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
-    return args.jobs
-
-
 def cmd_run(args: argparse.Namespace) -> int:
-    jobs = _jobs(args)
     scenarios = load_scenarios(discover_scenarios(args.scenarios))
     overrides = _merge_overrides(args)
     backend = build_backend(args.backend, args.scripted_table)
     out_dir = _output_dir(args.out)
-    outcomes = _execute([(s, Mode(args.mode), backend, overrides) for s in scenarios], jobs)
+    outcomes = [run_episode(s, Mode(args.mode), backend, overrides) for s in scenarios]
     run_config = {
         "mode": args.mode,
         "backend": args.backend,
@@ -253,7 +229,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    jobs = _jobs(args)
     scenarios = load_scenarios(discover_scenarios(args.scenarios))
     overrides = _merge_overrides(args)
     try:
@@ -268,8 +243,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     runs = [(Mode.BASELINE, overrides)]
     runs += [(Mode.RCO, limit_overrides) for limit_overrides in limited]
-    tasks = [(s, mode, backend, o) for mode, o in runs for s in scenarios]
-    outcomes = _execute(tasks, jobs)
+    outcomes = [run_episode(s, mode, backend, o) for mode, o in runs for s in scenarios]
     n = len(scenarios)
     base_agg, *limit_aggs = [
         metrics.Summary(tuple(o.result for o in outcomes[i:i + n])).aggregate()
@@ -335,7 +309,6 @@ def make_parser() -> argparse.ArgumentParser:
     common.add_argument("--backend", choices=["scripted", "http"], default="scripted")
     common.add_argument("--scripted-table", default=None, help="override scripted response table")
     common.add_argument("--out", default="out", help="output directory")
-    common.add_argument("--jobs", type=int, default=1)
     common.add_argument("--config", default=None, help="JSON config file with override keys")
     for name, kind in _flag_types().items():
         common.add_argument("--" + name.replace("_", "-"), dest=name, type=kind, default=None)

@@ -35,32 +35,31 @@ def value_type(cls: type) -> type:
     A frozen dataclass's own ``__init__`` stores each field with one generic
     ``object.__setattr__`` call; here each store calls the field's slot descriptor,
     bound once per class: about half the cost per record on CPython 3.11. A default
-    is one immutable value that every instance shares; a ``default_factory`` is
-    refused. ``__post_init__`` runs last: every check still runs, and it sets each
-    derived field (``field(init=False)``, which takes no default).
+    is one immutable value that every instance shares; a ``default_factory`` or a
+    field's own ``hash`` is refused. ``__post_init__`` runs last: every check still
+    runs, and it sets each derived field (``field(init=False)``, no default).
 
     ``__init__`` is the one method compiled per class. The five more that a frozen
     ``dataclass`` compiles (``__eq__``, ``__hash__``, ``__repr__``, ``__setattr__``,
-    ``__delattr__``), which no tick calls, and the pickle pair are the shared
-    ``_VALUE_METHODS``: each reads field names from a tuple set once per class and
-    gives the equality, hash, ``repr`` text and pickle state that
-    ``dataclass(frozen=True)`` gives on CPython 3.11, and setting or deleting any
-    name raises ``FrozenInstanceError`` (``__dataclass_params__`` reads
-    ``frozen=False``)."""
+    ``__delattr__``), which no tick calls, are the shared ``_VALUE_METHODS``: each
+    reads field names from a tuple set once per class and gives the equality, hash
+    and ``repr`` text that ``dataclass(frozen=True)`` gives on CPython 3.11, and
+    setting or deleting any name, as a copy or an unpickle would, raises
+    ``FrozenInstanceError`` (``__dataclass_params__`` reads ``frozen=False``)."""
     cls = dataclass(slots=True, init=False, repr=False, eq=False)(cls)
     every = fields(cls)
-    cls._stored = tuple(f.name for f in every)
     cls._compared = tuple(f.name for f in every if f.compare)
-    cls._hashed = tuple(f.name for f in every if (f.compare if f.hash is None else f.hash))
     cls._shown = tuple(f.name for f in every if f.repr)
     for name, method in _VALUE_METHODS.items():
         setattr(cls, name, method)
     namespace: dict[str, Any] = {}
     params, stores = [], []
     for f in every:
+        name = f.name
+        if f.hash is not None:
+            raise TypeError(f"{cls.__name__}.{name}: a value type hashes its compared fields")
         if not f.init:
             continue  # derived: __post_init__ sets it
-        name = f.name
         if f.default_factory is not MISSING:
             raise TypeError(f"{cls.__name__}.{name}: a value type takes no default_factory")
         namespace[f"_set_{name}"] = cls.__dict__[name].__set__
@@ -85,7 +84,7 @@ def _eq(self: Any, other: Any) -> Any:
 
 
 def _hash(self: Any) -> int:
-    return hash(tuple(getattr(self, n) for n in self._hashed))
+    return hash(tuple(getattr(self, n) for n in self._compared))
 
 
 def _repr(self: Any) -> str:
@@ -101,18 +100,9 @@ def _delattr(self: Any, name: str) -> None:
     raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-def _getstate(self: Any) -> list[Any]:
-    return [getattr(self, n) for n in self._stored]
-
-
-def _setstate(self: Any, state: list[Any]) -> None:
-    for name, value in zip(self._stored, state):
-        object.__setattr__(self, name, value)
-
-
 _VALUE_METHODS = {
     "__eq__": _eq, "__hash__": _hash, "__repr__": _repr, "__setattr__": _setattr,
-    "__delattr__": _delattr, "__getstate__": _getstate, "__setstate__": _setstate,
+    "__delattr__": _delattr,
 }
 
 
@@ -168,7 +158,9 @@ class ViewName(str, Enum):
 
 # The order of a snapshot's views.
 VIEW_ORDER = (ViewName.LEFT, ViewName.FRONT, ViewName.RIGHT)
-_LEFT, _FRONT, _RIGHT = VIEW_ORDER  # read per snapshot
+# Read per snapshot and, in simenv, per drawn object: CPython 3.11 does not
+# specialise a member read off an Enum class.
+_LEFT, _FRONT, _RIGHT = VIEW_ORDER
 
 
 class ObjectClass(str, Enum):
@@ -227,7 +219,7 @@ class Strategy(str, Enum):
     STOP_OBSERVE_MOVE = "stop_observe_move"
 
 
-_MOVE = Strategy.MOVE  # read once per plan built
+_MOVE = Strategy.MOVE  # read per plan built and, in orchestrator and planner, per round
 
 
 # ---------------------------------------------------------------------------

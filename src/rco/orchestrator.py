@@ -31,10 +31,10 @@ from .domain import (
     RoadGeometry,
     STOP_PAIR,
     SafetyConstraints,
-    Strategy,
     TrafficDensity,
     VehicleMeasurements,
     Weather,
+    _MOVE,
     typed,
     value_type,
 )
@@ -68,8 +68,6 @@ RECORD: dict[str, tuple[type, Any, Any]] = {
 }
 _BASE_RECORD = {key: base for key, (_, _, base) in RECORD.items()}
 KEY = SimpleNamespace(**{key: key for key in RECORD})  # a key by name: KEY.tick is "tick"
-
-_MOVE = Strategy.MOVE  # read in every planning round
 
 _Context = tuple[Weather, Daylight, TrafficDensity, RoadGeometry]
 

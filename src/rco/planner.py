@@ -20,6 +20,7 @@ from .domain import (
     Navigation,
     STOP_PAIR,
     Strategy,
+    _MOVE,
     typed,
     value_type,
 )
@@ -43,7 +44,6 @@ class PlannerConfig:
 
 FALLBACK_TRIGGER = ExecutionCondition.CONSISTENT_NO_IMMEDIATE_HAZARD
 # Read every planning round; CPython 3.11 does not specialise Enum member reads.
-_MOVE = Strategy.MOVE
 _STOP_OBSERVE_MOVE = Strategy.STOP_OBSERVE_MOVE
 
 

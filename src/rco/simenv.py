@@ -42,6 +42,7 @@ from .domain import (
     ViewName,
     VisibleObject,
     Weather,
+    _FRONT,
     typed,
     value_type,
 )
@@ -554,7 +555,6 @@ _VIEW_SPANS = (
 _EMPTY_VIEWS = {v: CameraView(v, (), ()) for v in VIEW_ORDER}
 # Enum members read per object, held as module constants: a member read off
 # an Enum class is a class attribute lookup CPython 3.11 does not specialise.
-_FRONT = ViewName.FRONT
 _PEDESTRIAN = ObjectClass.PEDESTRIAN
 
 

@@ -7,7 +7,6 @@ import contextlib
 import copy
 import hashlib
 import json
-import pickle
 import re
 import threading
 import time
@@ -890,12 +889,6 @@ class TestHttpBackend:
         with pytest.raises(TransportFailure):
             HttpBackend("http://127.0.0.1:9/v1/chat/completions", model="x").call(self.request())
         assert sent["timeout"] == 2.0
-
-    def test_pickle_round_trip_keeps_settings(self):
-        # ``--jobs N --backend http`` ships the backend to worker processes.
-        backend = HttpBackend("http://127.0.0.1:9/v1/chat/completions", model="m", token="t")
-        copy = pickle.loads(pickle.dumps(backend))
-        assert (copy.url, copy.model, copy.token) == (backend.url, backend.model, backend.token)
 
     def test_from_env(self, monkeypatch):
         monkeypatch.setenv("RCO_BACKEND_URL", "http://example.invalid/api")

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import json
 import math
@@ -322,53 +321,17 @@ class TestRunCommand:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_parallel_jobs_match_sequential(self, tmp_path):
-        scenarios = [scenario_path("pedestrian_cross"), scenario_path("bicycle_cross")]
-        main(["run", "--scenarios", *scenarios, "--mode", "baseline",
-              "--out", str(tmp_path / "seq"), "--jobs", "1"])
-        main(["run", "--scenarios", *scenarios, "--mode", "baseline",
-              "--out", str(tmp_path / "par"), "--jobs", "2"])
-        assert (tmp_path / "seq" / "summary.csv").read_bytes() == (
-            tmp_path / "par" / "summary.csv"
-        ).read_bytes()
+    def test_episodes_run_in_the_calling_process_in_task_order(self, tmp_path, monkeypatch):
+        calls = []
 
-    @pytest.mark.parametrize("command", [["run"], ["sweep", "--limits", "1"]])
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_jobs_below_one_is_config_error_before_any_episode(
-        self, tmp_path, capsys, monkeypatch, command, jobs
-    ):
-        monkeypatch.setattr(cli, "run_episode", None)  # no episode may start
-        code = main([*command, "--jobs", jobs, "--out", str(tmp_path / "o")])
-        assert code == 2
-        assert f"config error: --jobs must be at least 1, got {jobs}" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
+        def recording(scenario, mode, backend, overrides):
+            calls.append((scenario.name, mode, os.getpid()))
+            return run_episode(scenario, mode, backend, overrides)
 
-    def test_pool_has_no_more_workers_than_episodes(self, tmp_path, monkeypatch):
-        # The pool starts every worker on the first submit; this stand-in
-        # records its size and runs the episodes in this process instead.
-        sizes = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-        assert main(["run", "--jobs", "64", "--out", str(tmp_path / "par")]) == 0
-        assert sizes == [len(list(bundled_scenario_dir().glob("*.json")))] == [9]
-        assert main(["run", "--jobs", "1", "--out", str(tmp_path / "seq")]) == 0
-        files = sorted(p.name for p in (tmp_path / "seq").iterdir())
-        assert files == sorted(p.name for p in (tmp_path / "par").iterdir())
-        for name in files:
-            assert (tmp_path / "seq" / name).read_bytes() == (tmp_path / "par" / name).read_bytes()
+        monkeypatch.setattr(cli, "run_episode", recording)
+        assert main(["run", "--mode", "baseline", "--out", str(tmp_path / "o")]) == 0
+        names = [Scenario.load(str(p)).name for p in sorted(bundled_scenario_dir().glob("*.json"))]
+        assert calls == [(name, Mode.BASELINE, os.getpid()) for name in names]
 
 
 class TestSweepCommand:
@@ -419,33 +382,21 @@ class TestSweepCommand:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_parallel_jobs_match_sequential(self, tmp_path):
-        # Each worker process receives the one backend and every limit's
-        # overrides by pickling.
-        scenarios = [scenario_path("pedestrian_cross"), scenario_path("stale_plan")]
-        outs = {}
-        for jobs in ("1", "2"):
-            out = tmp_path / f"jobs{jobs}"
-            main(["sweep", "--scenarios", *scenarios, "--limits", "1,5",
-                  "--jobs", jobs, "--out", str(out)])
-            outs[jobs] = (out / "sweep.csv").read_bytes()
-        assert outs["1"] == outs["2"]
+    def test_episodes_run_in_the_calling_process_in_task_order(self, tmp_path, monkeypatch):
+        # The baseline over every scenario first, then each limit in the order given.
+        calls = []
 
+        def recording(scenario, mode, backend, overrides):
+            calls.append((scenario.name, mode, overrides.n_max, os.getpid()))
+            return run_episode(scenario, mode, backend, overrides)
 
-    def test_parallel_sweep_starts_one_pool(self, tmp_path, monkeypatch):
-        pools = []
-
-        class CountingPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(kwargs)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
-        scenarios = [scenario_path("pedestrian_cross"), scenario_path("stale_plan")]
-        code = main(["sweep", "--scenarios", *scenarios, "--limits", "1,3,5",
-                     "--jobs", "2", "--out", str(tmp_path / "o")])
+        monkeypatch.setattr(cli, "run_episode", recording)
+        scenarios = ["pedestrian_cross", "stale_plan"]
+        code = main(["sweep", "--scenarios", *map(scenario_path, scenarios),
+                     "--limits", "5,1", "--out", str(tmp_path / "o")])
         assert code == 0
-        assert pools == [{"max_workers": 2}]
+        runs = [(Mode.BASELINE, None), (Mode.RCO, 5), (Mode.RCO, 1)]
+        assert calls == [(s, mode, n_max, os.getpid()) for mode, n_max in runs for s in scenarios]
 
 
 class TestOneBackendPerCommand:
@@ -508,17 +459,19 @@ class TestKnobDeclaration:
         sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         flags = {flag for a in sub.choices[command]._actions for flag in a.option_strings}
         assert flags == {
-            "-h", "--help", "--scenarios", "--backend", "--scripted-table", "--out", "--jobs",
+            "-h", "--help", "--scenarios", "--backend", "--scripted-table", "--out",
             "--config", "--n-max", "--history-len", "--wait-cap", "--replan-budget",
             "--shift-threshold", "--hazard-ratio-threshold", "--delta-throttle", "--delta-brake",
             own,
         }
 
     def test_seed_flag_is_rejected(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["run", "--seed", "7"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+        # Each command runs its episodes in the calling process; no flag picks a pool.
+        for command, flag in [("run", "--seed 7"), ("run", "--jobs 2"), ("sweep", "--jobs 2")]:
+            with pytest.raises(SystemExit) as exc:
+                main([command, *flag.split()])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "name, source",
@@ -565,6 +518,39 @@ class TestReplayCommand:
         text = capsys.readouterr().out
         assert "tick" in text
         assert "throttle=" in text
+
+    def test_held_stop_rounds_write_stop_wait_and_replay(self, tmp_path, capsys):
+        # pedestrian_cross's plan is 30 stop pairs, then a wait that ends when
+        # its trigger is seen. With the trigger this scenario never shows, each
+        # round holds a stop until the wait cap of 50 ticks and plans again.
+        table = json.loads(
+            (bundled_scenario_dir().parent / "data" / "scripted_responses.json").read_text()
+        )
+        table["short_term_motion"]["pedestrian_cross"]["trigger"] = "consistent_immediate_hazard"
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(table), encoding="utf-8")
+        scenario = Scenario.load(scenario_path("pedestrian_cross"))
+        records = run_episode(scenario, Mode.RCO, ScriptedBackend(table)).records
+
+        held_round = ["pair"] * 30 + ["stop_wait"] * 20
+        assert [r["source"] for r in records] == held_round * 3 + ["base"] * 158
+        for start in range(0, 150, 50):
+            held = records[start:start + 50]
+            assert [r["wait_elapsed"] for r in held] == list(range(1, 51))
+            assert [r["planning_events"] for r in held] == [1] + [0] * 49
+            assert [r["sequence_len"] for r in held[:30]] == list(range(29, -1, -1))
+            assert all(r["action"]["throttle"] == 0.0 < r["action"]["brake"] for r in held)
+        assert all(r["sequence_len"] == 0 for r in records if r["source"] == "stop_wait")
+
+        out = tmp_path / "out"
+        argv = ["--scenarios", scenario_path("pedestrian_cross"), "--scripted-table", str(path)]
+        assert main(["run", *argv, "--mode", "rco", "--out", str(out)]) == 0
+        log = out / "pedestrian_cross__rco.decisions.jsonl"
+        assert log.read_text().splitlines() == [cli._record_line(r) for r in records]
+        capsys.readouterr()
+        assert main(["replay", "--log", str(log)]) == 0
+        trace = capsys.readouterr().out.splitlines()
+        assert sum(" stop_wait " in line for line in trace) == 60
 
     def test_missing_log_is_config_error(self, tmp_path):
         assert main(["replay", "--log", str(tmp_path / "missing.jsonl")]) == 2

@@ -4,8 +4,8 @@
 ``src/rco`` imports only the standard library or ``rco`` itself, and importing
 the CLI does not load the HTTP client stack: ``HttpBackend.call`` imports it
 on first use, so a run that never calls HTTP does not pay for ``ssl``. Nor
-does it load the process pool, which only ``--jobs`` above 1 imports, or
-``logging``, which no module imports.
+does it load the process pool, which no program path imports, or ``logging``,
+which no module imports.
 
 Importing one module loads exactly the ``rco`` modules its own relative
 imports reach, and importing the package root loads none.
@@ -78,12 +78,28 @@ def test_cli_import_leaves_the_http_stack_unloaded():
 
 
 def test_cli_import_leaves_logging_and_the_process_pool_unloaded():
-    # Only ``--jobs`` above 1 imports the pool, and concurrent.futures loads logging.
+    # No program path imports the pool: every episode runs in the calling
+    # process. concurrent.futures would also load logging.
     probe = (
         "import sys, rco.cli; "
         "print(sorted(m for m in ('logging', 'concurrent.futures') if m in sys.modules))"
     )
     assert _fresh_probe(probe) == "[]"
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--limits", "1,5"]])
+def test_commands_leave_the_process_pool_unloaded(tmp_path, command):
+    # Running a command, not only importing it, loads no pool and no
+    # multiprocessing: every episode runs in the calling process.
+    scenario = SRC / "rco" / "scenarios" / "pedestrian_cross.json"
+    argv = [*command, "--scenarios", str(scenario), "--out", str(tmp_path / "o")]
+    probe = (
+        "import contextlib, io, sys, rco.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = rco.cli.main({argv!r})\n"
+        "print(code, sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
+    )
+    assert _fresh_probe(probe) == "0 []"
 
 
 def test_program_imports_no_logging():

@@ -317,7 +317,8 @@ class TestOneLogVocabulary:
                     seen.add((record[KEY.active], record[key]))
         # Base and active records were both read: a base-agent line writes the
         # base value, and active lines write tokens of the vocabulary, every
-        # one but stop_wait, which these runs never reach.
+        # one but stop_wait, which these runs never reach (test_cli's held-stop
+        # test writes it).
         for key, seen in written.items():
             _, vocabulary, base = RECORD[key]
             expected = {(False, base), *((True, t) for t in vocabulary if t != "stop_wait")}
