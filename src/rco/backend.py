@@ -390,10 +390,13 @@ class ScriptedBackend:
     both paths share one schema. The first successful answer is memoised per
     ``(purpose, payload)``: the builders pass the same cached payload string
     every time, so a repeated call decodes no JSON. A missing or malformed
-    entry raises SchemaViolation on every call. ``table`` stays the raw dict.
+    entry raises SchemaViolation on every call. ``table`` stays the raw dict;
+    a table that is not a JSON object of objects is a TypeError when built.
     """
 
     def __init__(self, table: dict[str, dict[str, Any]]):
+        for purpose, answers in typed(table, dict, "the table").items():
+            typed(answers, dict, f"the table's {purpose!r}")
         self.table = table
         self._answers: dict[tuple[Purpose, str], BackendResponse] = {}
 

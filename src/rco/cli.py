@@ -9,27 +9,23 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import json
 import os
 import sys
 from importlib import resources
 from pathlib import Path
-from typing import Any, Callable, Optional, Sequence, get_args, get_type_hints
+from typing import Any, Callable, Optional, Sequence, get_args
 
 from . import metrics
 from .backend import Backend, HttpBackend, ScriptedBackend
-from .domain import FAIL_SAFE_STOP, typed
-from .orchestrator import KEY, base_record, read_record
+from .domain import typed
+from .orchestrator import read_record, record_line
 from .runner import EpisodeOutcome, Mode, Overrides, given, run_episode
 from .simenv import Scenario
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a killed writer
-
-# One decision-log record per line; the same bytes as json.dumps with these arguments.
-_RECORD_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 class ConfigError(Exception):
@@ -88,7 +84,9 @@ def build_backend(kind: str, scripted_table: Optional[str]) -> Backend:
     if kind == "scripted":
         if not scripted_table:
             return ScriptedBackend.bundled()
-        return ScriptedBackend(_read(scripted_table, "scripted table", _object_of_objects))
+        return _read(
+            scripted_table, "scripted table", lambda text: ScriptedBackend(json.loads(text))
+        )
     if kind == "http":
         if scripted_table:  # the table would go unread
             raise ConfigError("--scripted-table applies to the scripted backend only, not http")
@@ -99,21 +97,11 @@ def build_backend(kind: str, scripted_table: Optional[str]) -> Backend:
     raise ConfigError(f"unknown backend kind: {kind}")
 
 
-def _object_of_objects(text: str) -> dict[str, dict[str, Any]]:
-    """The scripted table in ``text``: every call looks a key up in a purpose's object."""
-    table = typed(json.loads(text), dict, "the table")
-    for purpose, answers in table.items():
-        typed(answers, dict, f"the table's {purpose!r}")
-    return table
-
-
-@functools.cache
 def _flag_types() -> dict[str, type]:
     """The ``Overrides`` fields that take a flag, each with its flag's type:
     a field annotated ``Optional[int]`` or ``Optional[float]`` gets one, so
     the penalty table stays config-file only."""
-    hints = get_type_hints(Overrides)
-    kinds = {f.name: get_args(hints[f.name])[0] for f in dataclasses.fields(Overrides)}
+    kinds = {f.name: get_args(f.type)[0] for f in dataclasses.fields(Overrides)}
     return {name: kind for name, kind in kinds.items() if kind in (int, float)}
 
 
@@ -146,35 +134,6 @@ def _checked(overrides: Overrides) -> Overrides:
         raise ConfigError(f"invalid override values: {exc}") from exc
 
 
-@functools.cache
-def _base_line_parts() -> tuple[str, str, str]:
-    """The encoder's line for a base-agent record, cut around its action and
-    its tick, the only two fields such a record varies in."""
-    line = _RECORD_ENCODER.encode(
-        {**base_record(0, FAIL_SAFE_STOP), KEY.action: "<action>", KEY.tick: "<tick>"}
-    )
-    head, rest = line.split('"<action>"')
-    mid, tail = rest.split('"<tick>"')
-    return head, mid, tail
-
-
-def _record_line(record: dict[str, Any]) -> str:
-    """``record``'s decision-log line, the bytes ``_RECORD_ENCODER`` writes.
-
-    A base-agent record fills the template cut from the encoder: for a finite
-    float ``repr`` is what ``json`` writes, and ``Action`` keeps its fields
-    finite. An active record takes the full encode.
-    """
-    if record[KEY.active]:
-        return _RECORD_ENCODER.encode(record)
-    head, mid, tail = _base_line_parts()
-    action = record[KEY.action]
-    return (
-        f'{head}{{"brake":{action["brake"]!r},"steer":{action["steer"]!r},'
-        f'"throttle":{action["throttle"]!r}}}{mid}{record[KEY.tick]}{tail}'
-    )
-
-
 def _output_dir(raw: str) -> Path:
     """The ``--out`` directory, created before any episode runs, so that a
     path that cannot be a directory is a config error, not a late crash."""
@@ -196,7 +155,7 @@ def _write_outputs(
             encoding="utf-8",
         )
         (out_dir / f"{stem}.decisions.jsonl").write_text(
-            "".join(_record_line(record) + "\n" for record in outcome.records),
+            "".join(record_line(record) + "\n" for record in outcome.records),
             encoding="utf-8",
         )
     summary = metrics.Summary(tuple(o.result for o in outcomes))

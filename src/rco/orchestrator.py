@@ -14,6 +14,7 @@ otherwise waiting continues up to the configured cap.
 
 from __future__ import annotations
 
+import json
 from dataclasses import field, replace
 from types import SimpleNamespace
 from typing import Any, Optional, Sequence
@@ -68,6 +69,11 @@ RECORD: dict[str, tuple[type, Any, Any]] = {
 }
 _BASE_RECORD = {key: base for key, (_, _, base) in RECORD.items()}
 KEY = SimpleNamespace(**{key: key for key in RECORD})  # a key by name: KEY.tick is "tick"
+# One record per log line; the same bytes as json.dumps with these arguments.
+_RECORD_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# A base-agent record's line, cut around its action and its tick (in that order, as the
+# keys sort), the only two fields such a record varies in.
+_BASE_LINE = _RECORD_ENCODER.encode({**_BASE_RECORD, KEY.action: "?", KEY.tick: "?"}).split('"?"')
 
 _Context = tuple[Weather, Daylight, TrafficDensity, RoadGeometry]
 
@@ -293,6 +299,23 @@ def step(
 def base_record(tick: int, action: Action) -> dict[str, Any]:
     """The record of a base-agent tick, with its own lists; ``step`` writes over it."""
     return dict(_BASE_RECORD, tick=tick, action=action.to_json(), triggered_constraints=[], denied=[])
+
+
+def record_line(record: dict[str, Any]) -> str:
+    """``record``'s decision-log line, the bytes ``_RECORD_ENCODER`` writes.
+
+    A base-agent record fills the template cut from the encoder: for a finite
+    float ``repr`` is what ``json`` writes, and ``Action`` keeps its fields
+    finite. An active record takes the full encode.
+    """
+    if record[KEY.active]:
+        return _RECORD_ENCODER.encode(record)
+    head, mid, tail = _BASE_LINE
+    action = record[KEY.action]
+    return (
+        f'{head}{{"brake":{action["brake"]!r},"steer":{action["steer"]!r},'
+        f'"throttle":{action["throttle"]!r}}}{mid}{record[KEY.tick]}{tail}'
+    )
 
 
 def read_record(obj: Any) -> SimpleNamespace:

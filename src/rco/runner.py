@@ -3,8 +3,6 @@ generator that is primed with next(), sent the world at every tick, answers
 with that tick's action and decision record, and keeps its own state.
 """
 
-from __future__ import annotations
-
 from enum import Enum
 from typing import Any, Generator, Optional
 

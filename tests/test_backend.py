@@ -448,6 +448,17 @@ class TestScriptedBackend:
                 req = request_for(purpose, payload_for(key))
                 assert backend.call(req).parsed is not None
 
+    @pytest.mark.parametrize(
+        "table, named",
+        [([], "the table must be a JSON object"),
+         ({"hazard_and_plan": []}, "the table's 'hazard_and_plan' must be a JSON object")],
+    )
+    def test_malformed_table_fails_where_it_is_built(self, table, named):
+        # Every call looks a key up in a purpose's object; a table of another
+        # shape would raise AttributeError on the first call, inside an episode.
+        with pytest.raises(TypeError, match=re.escape(named)):
+            ScriptedBackend(table)
+
     def test_zero_latency_for_reproducibility(self):
         backend = ScriptedBackend(self.TABLE)
         req = request_for(Purpose.SHORT_TERM_MOTION, payload_for("pedestrian_cross"))

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rco import cli, safety
+from rco import cli, orchestrator, safety
 from rco.backend import ScriptedBackend
 from rco.cli import bundled_scenario_dir, main
 from rco.domain import FAIL_SAFE_STOP, Action, ExecutionCondition
@@ -546,7 +546,7 @@ class TestReplayCommand:
         argv = ["--scenarios", scenario_path("pedestrian_cross"), "--scripted-table", str(path)]
         assert main(["run", *argv, "--mode", "rco", "--out", str(out)]) == 0
         log = out / "pedestrian_cross__rco.decisions.jsonl"
-        assert log.read_text().splitlines() == [cli._record_line(r) for r in records]
+        assert log.read_text().splitlines() == [orchestrator.record_line(r) for r in records]
         capsys.readouterr()
         assert main(["replay", "--log", str(log)]) == 0
         trace = capsys.readouterr().out.splitlines()
@@ -765,7 +765,7 @@ class TestRecordLine:
     @settings(max_examples=300, deadline=None)
     def test_base_record_line_is_the_encoders(self, tick, throttle, brake, steer):
         record = base_record(tick, Action(throttle, brake, steer))
-        assert cli._record_line(record) == cli._RECORD_ENCODER.encode(record)
+        assert orchestrator.record_line(record) == orchestrator._RECORD_ENCODER.encode(record)
 
     @pytest.mark.parametrize("mode", list(Mode))
     def test_every_bundled_record_line_is_the_encoders(self, mode):
@@ -774,7 +774,8 @@ class TestRecordLine:
         for path in sorted(bundled_scenario_dir().glob("*.json")):
             for record in run_episode(Scenario.load(str(path)), mode, backend).records:
                 active += record["active"]
-                assert cli._record_line(record) == cli._RECORD_ENCODER.encode(record)
+                line = orchestrator.record_line(record)
+                assert line == orchestrator._RECORD_ENCODER.encode(record)
         assert (active > 0) is (mode is Mode.RCO)
 
     def test_active_record_takes_the_full_encode(self, monkeypatch):
@@ -785,13 +786,14 @@ class TestRecordLine:
                 encoded.append(o)
                 return super().encode(o)
 
-        monkeypatch.setattr(cli, "_RECORD_ENCODER", Spy(sort_keys=True, separators=(",", ":")))
+        spy = Spy(sort_keys=True, separators=(",", ":"))
+        monkeypatch.setattr(orchestrator, "_RECORD_ENCODER", spy)
         record = {
             **base_record(7, FAIL_SAFE_STOP),
             "active": True,
             "source": "failsafe",
             "denied": ["wait_inconsistent"],
         }
-        line = cli._record_line(record)
+        line = orchestrator.record_line(record)
         assert encoded == [record]
         assert line == json.dumps(record, sort_keys=True, separators=(",", ":"))

@@ -347,32 +347,29 @@ class TestReplayReadsTheDeclaration:
         self._replay(tmp_path, capsys, [line], 2)
 
     def test_a_declared_key_is_written_and_required(self, tmp_path, capsys, monkeypatch):
-        # One key more in the declaration, and the base record derived from
-        # it as at import; the writer's template is cut again.
+        # One key more in the declaration, and the base record and the
+        # writer's template derived from it as at import.
         monkeypatch.setitem(RECORD, "probe", (int, (0, 0), 0))
-        monkeypatch.setattr(
-            orchestrator, "_BASE_RECORD", {key: base for key, (_, _, base) in RECORD.items()}
-        )
-        cli._base_line_parts.cache_clear()
-        try:
-            out = tmp_path / "out"
-            argv = ["run", "--mode", "rco", "--scenarios", scenario_path("pedestrian_cross")]
-            assert main([*argv, "--out", str(out)]) == 0
-            log = out / "pedestrian_cross__rco.decisions.jsonl"
-            records = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
-            assert {r["active"] for r in records} == {False, True}
-            assert all(r.keys() == RECORD.keys() and r["probe"] == 0 for r in records)
-            capsys.readouterr()
-            assert main(["replay", "--log", str(log)]) == 0
-            assert len(capsys.readouterr().out.splitlines()) == len(records)
-            base = next(r for r in records if not r["active"])
-            captured = self._replay(tmp_path, capsys, [{**base, "probe": 1}], 2)
-            assert "probe" in captured.err
-            del records[-1]["probe"]
-            captured = self._replay(tmp_path, capsys, records, 2)
-            assert "probe" in captured.err
-        finally:
-            cli._base_line_parts.cache_clear()
+        base_values = {key: base for key, (_, _, base) in RECORD.items()}
+        monkeypatch.setattr(orchestrator, "_BASE_RECORD", base_values)
+        line = orchestrator._RECORD_ENCODER.encode({**base_values, "action": "?", "tick": "?"})
+        monkeypatch.setattr(orchestrator, "_BASE_LINE", line.split('"?"'))
+        out = tmp_path / "out"
+        argv = ["run", "--mode", "rco", "--scenarios", scenario_path("pedestrian_cross")]
+        assert main([*argv, "--out", str(out)]) == 0
+        log = out / "pedestrian_cross__rco.decisions.jsonl"
+        records = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
+        assert {r["active"] for r in records} == {False, True}
+        assert all(r.keys() == RECORD.keys() and r["probe"] == 0 for r in records)
+        capsys.readouterr()
+        assert main(["replay", "--log", str(log)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == len(records)
+        base = next(r for r in records if not r["active"])
+        captured = self._replay(tmp_path, capsys, [{**base, "probe": 1}], 2)
+        assert "probe" in captured.err
+        del records[-1]["probe"]
+        captured = self._replay(tmp_path, capsys, records, 2)
+        assert "probe" in captured.err
 
 
 # Each input the CLI reads, the argv that reads it, and its label in messages.

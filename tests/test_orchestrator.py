@@ -10,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from rco import cli, orchestrator, safety, verifier
-from rco.backend import ScriptedBackend
+from rco import orchestrator, safety, verifier
+from rco.backend import Purpose, ScriptedBackend
 from rco.cli import bundled_scenario_dir
 from rco.domain import (
     Action,
@@ -180,6 +180,31 @@ class TestStepPlanning:
         assert result.state.consecutive_replans == 0  # reset after the stop
         assert len(result.state.sequence) == 0
 
+    def test_idle_tick_under_an_inconsistent_window_plans_twice(self):
+        # Known waste, kept as the logs record it: with nothing pending, step
+        # plans, denies the new head (no condition matches an inconsistent
+        # window) and plans again from the same frames, so the first round's
+        # plan is never used. Changing this changes the decision logs.
+        history = [
+            snapshot(tick=0, front_deficits=[Box(0.45, 0.45, 0.5, 0.5)]),
+            snapshot(tick=1, front_deficits=[Box(0.1, 0.1, 0.3, 0.3)]),
+        ]
+        requests = []
+
+        class Recording:
+            def call(self, req):
+                requests.append(req)
+                return backend().call(req)
+
+        result = step(engaged(), history[-1], history, CALM, POSE, Recording(), cfg_for("move2"))
+        assert result.record["classification"] == "replan"
+        assert result.record["planning_events"] == 2
+        assert result.record["denied"] == [NO_HAZ]
+        assert result.record["source"] == "failsafe"
+        assert result.action == FAIL_SAFE_STOP
+        first, second = [r for r in requests if r.purpose is Purpose.HAZARD_AND_PLAN]
+        assert first == second
+
     def test_unknown_key_backend_fallback_still_acts(self):
         history = quiet_history()
         result = step(engaged(), history[-1], history, CALM, POSE, backend(), cfg_for("nope"))
@@ -312,7 +337,7 @@ class TestOneLogVocabulary:
         for run in runs:
             for record in run_episode(*run).records:
                 assert list(record) == list(RECORD)
-                orchestrator.read_record(json.loads(cli._record_line(record)))
+                orchestrator.read_record(json.loads(orchestrator.record_line(record)))
                 for key, seen in written.items():
                     seen.add((record[KEY.active], record[key]))
         # Base and active records were both read: a base-agent line writes the
