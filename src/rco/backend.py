@@ -145,15 +145,12 @@ def extract_first_json_object(raw: str) -> dict[str, Any]:
     idx = raw.find("{")
     while idx != -1:
         try:
-            obj, _end = decoder.raw_decode(raw, idx)
+            # Decoding from a "{" yields an object or raises, so no other kind returns.
+            return decoder.raw_decode(raw, idx)[0]
         except json.JSONDecodeError:
             idx = raw.find("{", idx + 1)
-            continue
         except RecursionError:  # scanning on would re-read the nesting once per inner "{"
             raise SchemaViolation("JSON nested too deep") from None
-        if isinstance(obj, dict):
-            return obj
-        idx = raw.find("{", idx + 1)
     raise SchemaViolation("no JSON object found in response")
 
 

@@ -184,12 +184,12 @@ def step(
 ) -> StepResult:
     """Advance the override by one tick; always emits an action.
 
-    One loop moves between three phases until it picks the emission:
-    waiting (a move trigger is set), moving (a planned sequence is pending)
-    and idle (nothing is pending, so plan). It ends on a pair to execute, or
-    on the fail-safe stop: under an inconsistent window, or once replans or
-    planning rounds run out. The next state and the record are built once,
-    after the loop.
+    Under a consistent window the pending head executes or a wait past its
+    stop pairs holds a stop. Otherwise one denial rule (a head no condition
+    admits, or a wait under an inconsistent window) counts a replan, and one
+    planning round follows. Under an inconsistent window the fail-safe stop
+    holds the plan that a denial made; every other fail-safe stop drops the
+    plan. The next state and the record are built once, after the loop.
     """
     if not state.active:
         raise ValueError("step() requires an engaged override; call engage() first")
@@ -217,33 +217,22 @@ def step(
     denied: list[str] = []
     pair: Optional[ConditionActionPair] = None  # None emits the fail-safe stop
     source = _FAILSAFE
-    hold_plan = False  # the fail-safe stop keeps this tick's new plan
     while True:
         waiting = trigger is not None
-        if condition is None and (waiting or len(sequence) > 0):
-            # Under an inconsistent window no condition can match this tick, so
-            # replan once for the coming ticks and hold the fail-safe stop now.
-            # The replan counter persists across ticks until a pair executes.
-            denied.append(_WAIT_INCONSISTENT if waiting else sequence.pairs[0].condition.value)
-            replans += 1
-            if replans <= cfg.planner.replan_budget:
-                sequence, trigger = _plan(env, history, backend, cfg)
-                elapsed, rounds, hold_plan = 0, rounds + 1, True
-            break
-        # The stop pairs of a wait execute under either consistent
-        # condition; a planned pair only under its own.
-        if len(sequence) > 0 and (waiting or condition is sequence.pairs[0].condition):
-            pair, sequence = sequence.pop_front()
-            source = _PAIR
-            break
-        if waiting:
-            if not (condition is trigger or elapsed >= cfg.planner.wait_cap):
+        head = sequence.pairs[0] if sequence.pairs else None
+        if condition is not None:
+            # The stop pairs of a wait execute under either consistent
+            # condition; a planned pair only under its own.
+            if head is not None and (waiting or condition is head.condition):
+                pair, sequence = sequence.pop_front()
+                source = _PAIR
+                break
+            if waiting and not (condition is trigger or elapsed >= cfg.planner.wait_cap):
                 pair, source = STOP_PAIR, _STOP_WAIT
                 break
-            trigger, elapsed = None, 0
-        elif len(sequence) > 0:
-            # A denied pair discards the whole plan; the new round replaces it.
-            denied.append(sequence.pairs[0].condition.value)
+        # The replan counter persists across ticks until a pair executes.
+        if head is not None or (waiting and condition is None):
+            denied.append(_WAIT_INCONSISTENT if waiting else head.condition.value)
             replans += 1
             if replans > cfg.planner.replan_budget:
                 break
@@ -251,10 +240,17 @@ def step(
             break
         sequence, trigger = _plan(env, history, backend, cfg)
         elapsed, rounds = 0, rounds + 1
+        # No condition matches an inconsistent window: hold the new plan for later.
+        if condition is None and denied:
+            break
 
     if pair is None:
         action, heading_error, mismatch, triggered = FAIL_SAFE_STOP, state.steer_ctrl, False, ()
-        if not hold_plan:
+        # Keep only the plan an inconsistent window's denial just made. Exact, as
+        # replan_budget >= 1 and a round always leaves a plan pending (a move plan
+        # is never empty, a wait carries its trigger): such a tick denies by its
+        # second round, so the rounds check never ends it.
+        if condition is not None or replans > cfg.planner.replan_budget:
             sequence, trigger, elapsed, replans = ActionSequence((), env.tick), None, 0, 0
     else:
         resolved, heading_error, mismatch = controlmap.resolve_action(

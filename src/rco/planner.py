@@ -65,12 +65,6 @@ def infer_hazards(
     return answer.hazards, answer.strategy
 
 
-def _fallback_plan(cfg: PlannerConfig) -> MotionPlan:
-    return MotionPlan(
-        _STOP_OBSERVE_MOVE, wait_ticks=cfg.wait_cap, move_trigger=FALLBACK_TRIGGER
-    )
-
-
 def plan_motion(
     hazards: tuple[Hazard, ...],
     strategy: Strategy,
@@ -88,13 +82,12 @@ def plan_motion(
     """
     req = backend_mod.motion_request(hazards, strategy, navi, current_snapshot, scenario_key)
     plan = backend_mod.ask(backend, req)
-    if plan is None:
-        return _fallback_plan(cfg)
+    if plan is None or (plan.strategy is _MOVE and not plan.sequence.pairs):
+        return MotionPlan(
+            _STOP_OBSERVE_MOVE, wait_ticks=cfg.wait_cap, move_trigger=FALLBACK_TRIGGER
+        )
     if plan.strategy is _MOVE:
-        pairs = plan.sequence.pairs
-        if not pairs:
-            return _fallback_plan(cfg)
-        seq = ActionSequence(pairs[:cfg.max_steps], current_snapshot.tick)
+        seq = ActionSequence(plan.sequence.pairs[:cfg.max_steps], current_snapshot.tick)
         return MotionPlan(_MOVE, sequence=seq)
     return plan
 

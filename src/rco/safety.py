@@ -9,6 +9,7 @@ the trigger fires).
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 from . import backend as backend_mod
@@ -80,14 +81,8 @@ def default_constraints(navi: Navigation, surrounding: Surrounding) -> SafetyCon
     )
     v_mult = min(f[0] for f in factors)
     d_mult = max(f[1] for f in factors)
-    return SafetyConstraints(
-        v_max=BASE_CONSTRAINTS.v_max * v_mult,
-        d_min=BASE_CONSTRAINTS.d_min * d_mult,
-        ac_max=BASE_CONSTRAINTS.ac_max,
-        de_max=BASE_CONSTRAINTS.de_max,
-        psi_max=BASE_CONSTRAINTS.psi_max,
-        d_brake=BASE_CONSTRAINTS.d_brake,
-    )
+    base = BASE_CONSTRAINTS
+    return replace(base, v_max=base.v_max * v_mult, d_min=base.d_min * d_mult)
 
 
 def generate_constraints(

@@ -9,8 +9,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from rco import orchestrator, safety, verifier
+from rco import controlmap, orchestrator, safety, verifier
 from rco.backend import Purpose, ScriptedBackend
 from rco.cli import bundled_scenario_dir
 from rco.domain import (
@@ -21,6 +22,7 @@ from rco.domain import (
     ConditionActionPair,
     ExecutionCondition,
     HighLevelAction,
+    STOP_PAIR,
     SpeedControl,
     VehicleMeasurements,
 )
@@ -29,7 +31,18 @@ from rco.orchestrator import (
     KEY,
     RECORD,
     OrchestratorConfig,
+    OverrideState,
+    StepResult,
+    _DENY,
+    _EXECUTE,
+    _FAILSAFE,
+    _PAIR,
+    _REPLAN,
+    _STOP_WAIT,
+    _WAIT_INCONSISTENT,
     _padded_history,
+    _plan,
+    base_record,
     engage,
     initial_state,
     note_external_action,
@@ -250,6 +263,47 @@ class TestWaitMode:
         # a forced replanning round once wait_cap ticks have passed, which
         # expands fresh stops.
         assert sources == ["pair"] * 3 + ["stop_wait"] * 2 + ["pair"] * 2
+
+    def _deny_inconsistent_wait(self, waiting_ticks):
+        # wait3 under hazard windows (3 stop pairs, then stop_wait ticks), then
+        # an inconsistent window: a second deficit appears. That tick denies the
+        # wait, plans once under move2 and the fail-safe stop holds the new plan.
+        frames = [snapshot(tick=i, front_deficits=[Box(0.2, 0.2, 0.8, 0.7)]) for i in range(10)]
+        frames[waiting_ticks] = snapshot(
+            tick=waiting_ticks, front_deficits=[Box(0.2, 0.2, 0.8, 0.7), Box(0.1, 0.1, 0.15, 0.15)]
+        )
+        state = engaged()
+        for i in range(waiting_ticks):
+            state = step(state, frames[i], frames[: i + 1][-2:], CALM, POSE, backend(),
+                         cfg_for("wait3", wait_cap=5)).state
+        assert state.wait_trigger is not None
+        result = step(state, frames[waiting_ticks], frames[: waiting_ticks + 1][-2:], CALM, POSE,
+                      backend(), cfg_for("move2", wait_cap=5))
+        rec = result.record
+        assert rec["classification"] == "replan"
+        assert (rec["source"], rec["verdict"]) == ("failsafe", "deny")
+        assert rec["denied"] == ["wait_inconsistent"]
+        assert rec["planning_events"] == 1
+        assert result.action == FAIL_SAFE_STOP
+        pair = ConditionActionPair(
+            ExecutionCondition.CONSISTENT_NO_IMMEDIATE_HAZARD,
+            HighLevelAction(Behavior.MOVE_FORWARD, SpeedControl.CONSTANT_SPEED),
+        )
+        assert result.state.sequence == ActionSequence((pair, pair), waiting_ticks)
+        assert (result.state.wait_trigger, result.state.wait_elapsed) == (None, 0)
+        assert result.state.consecutive_replans == 1
+        return state
+
+    def test_inconsistent_window_denies_a_wait_with_stop_pairs_pending(self):
+        state = self._deny_inconsistent_wait(1)
+        assert len(state.sequence) == 2
+
+    def test_inconsistent_window_denies_a_wait_past_its_stop_pairs(self):
+        # One stop_wait tick in, the wait holds no pair and has not reached the
+        # cap, yet it is denied: under an inconsistent window the stop is the
+        # fail-safe, not a held wait.
+        state = self._deny_inconsistent_wait(4)
+        assert (len(state.sequence), state.wait_elapsed) == (0, 4)
 
 
 class TestRecords:
@@ -515,3 +569,187 @@ class TestPaddedHistory:
         padded = _padded_history(history, k)
         assert len(padded) == k
         assert padded == reference_padded_history(history, k)  # object() compares by identity
+
+
+# step as it was when the inconsistent-window denial and the mismatched-head
+# denial each planned at their own site and a hold_plan flag told the fail-safe
+# stop which ran, kept verbatim as the reference for the one denial rule.
+def reference_step(
+    state: OverrideState,
+    env: EnvironmentSnapshot,
+    history: Sequence[EnvironmentSnapshot],
+    measurements: VehicleMeasurements,
+    ego_pose: tuple[float, float, float],
+    backend: Backend,
+    cfg: OrchestratorConfig,
+) -> StepResult:
+    """Advance the override by one tick; always emits an action.
+
+    One loop moves between three phases until it picks the emission:
+    waiting (a move trigger is set), moving (a planned sequence is pending)
+    and idle (nothing is pending, so plan). It ends on a pair to execute, or
+    on the fail-safe stop: under an inconsistent window, or once replans or
+    planning rounds run out. The next state and the record are built once,
+    after the loop.
+    """
+    if not state.active:
+        raise ValueError("step() requires an engaged override; call engage() first")
+
+    condition, ratio, consistency = verifier.classify(history, cfg.verifier, state.consistency)
+    context: _Context = (
+        env.surrounding.weather,
+        env.surrounding.daylight,
+        env.surrounding.traffic_density,
+        env.navi.road_geometry,
+    )
+    constraints = state.constraints
+    sc_refreshed = constraints is None or state.constraints_context != context
+    if sc_refreshed:
+        constraints = safety.generate_constraints(
+            env.navi,
+            env.surrounding,
+            env.surrounding.nearest_obstacle_m,
+            backend,
+            scenario_key=cfg.scenario_key,
+        )
+
+    sequence, trigger, elapsed = state.sequence, state.wait_trigger, state.wait_elapsed
+    replans, rounds = state.consecutive_replans, 0
+    denied: list[str] = []
+    pair: Optional[ConditionActionPair] = None  # None emits the fail-safe stop
+    source = _FAILSAFE
+    hold_plan = False  # the fail-safe stop keeps this tick's new plan
+    while True:
+        waiting = trigger is not None
+        if condition is None and (waiting or len(sequence) > 0):
+            # Under an inconsistent window no condition can match this tick, so
+            # replan once for the coming ticks and hold the fail-safe stop now.
+            # The replan counter persists across ticks until a pair executes.
+            denied.append(_WAIT_INCONSISTENT if waiting else sequence.pairs[0].condition.value)
+            replans += 1
+            if replans <= cfg.planner.replan_budget:
+                sequence, trigger = _plan(env, history, backend, cfg)
+                elapsed, rounds, hold_plan = 0, rounds + 1, True
+            break
+        # The stop pairs of a wait execute under either consistent
+        # condition; a planned pair only under its own.
+        if len(sequence) > 0 and (waiting or condition is sequence.pairs[0].condition):
+            pair, sequence = sequence.pop_front()
+            source = _PAIR
+            break
+        if waiting:
+            if not (condition is trigger or elapsed >= cfg.planner.wait_cap):
+                pair, source = STOP_PAIR, _STOP_WAIT
+                break
+            trigger, elapsed = None, 0
+        elif len(sequence) > 0:
+            # A denied pair discards the whole plan; the new round replaces it.
+            denied.append(sequence.pairs[0].condition.value)
+            replans += 1
+            if replans > cfg.planner.replan_budget:
+                break
+        if rounds > cfg.planner.replan_budget:  # at most budget + 1 rounds a tick
+            break
+        sequence, trigger = _plan(env, history, backend, cfg)
+        elapsed, rounds = 0, rounds + 1
+
+    if pair is None:
+        action, heading_error, mismatch, triggered = FAIL_SAFE_STOP, state.steer_ctrl, False, ()
+        if not hold_plan:
+            sequence, trigger, elapsed, replans = ActionSequence((), env.tick), None, 0, 0
+    else:
+        resolved, heading_error, mismatch = controlmap.resolve_action(
+            pair.action, state.prev_action, ego_pose, env.navi, state.steer_ctrl, cfg.dt
+        )
+        action, triggered = safety.constrain(resolved, measurements, constraints, cfg.gains)
+        replans = 0
+        if trigger is not None:
+            elapsed += 1
+
+    new_state = OverrideState(
+        sequence=sequence,
+        consecutive_replans=replans,
+        active=True,
+        prev_action=action,
+        wait_trigger=trigger,
+        wait_elapsed=elapsed,
+        steer_ctrl=heading_error,
+        constraints=constraints,
+        constraints_context=context,
+        consistency=consistency,
+    )
+    record = base_record(env.tick, action)
+    record.update(
+        active=True,
+        classification=_REPLAN if condition is None else condition.value,
+        hazard_ratio=ratio,
+        verdict=_DENY if pair is None else _EXECUTE,
+        source=source,
+        triggered_constraints=list(triggered),
+        planning_events=rounds,
+        backend_calls=int(sc_refreshed) + 2 * rounds,
+        sc_refreshed=sc_refreshed,
+        denied=denied,
+        direction_mismatch=mismatch,
+        sequence_len=len(sequence),
+        wait_elapsed=elapsed,
+    )
+    return StepResult(action, new_state, record)
+
+
+# The property's table: TEST_TABLE plus a move plan whose head guards the hazard
+# and whose tail the quiet condition, an empty move plan (the planner's fallback
+# wait), a wait of 0 and a wait longer than any generated cap, triggered by the
+# hazard condition.
+REFERENCE_TABLE = {
+    "hazard_and_plan": {
+        **TEST_TABLE["hazard_and_plan"],
+        **{key: {"hazards": [], "strategy": "move"} for key in ("mixed", "empty")},
+        **{key: {"hazards": [], "strategy": "stop_observe_move"} for key in ("wait0", "wait9")},
+    },
+    "short_term_motion": {
+        **TEST_TABLE["short_term_motion"],
+        "mixed": {"strategy": "move", "pairs": [pair_json(HAZ, "stop", "deceleration_to_zero"),
+                                                pair_json(NO_HAZ)]},
+        "empty": {"strategy": "move", "pairs": []},
+        "wait0": {"strategy": "stop_observe_move", "wait": 0, "trigger": NO_HAZ},
+        "wait9": {"strategy": "stop_observe_move", "wait": 9, "trigger": HAZ},
+    },
+    "safety_constraints": {},
+}
+# Each frame's front deficits. A change of count between two frames makes the
+# window inconsistent until that break leaves it; a window of unchanged quiet or
+# hazard frames is consistent, under or over the proximity bar.
+FRAMES = {
+    "quiet": [Box(0.45, 0.45, 0.5, 0.5)],
+    "hazard": [Box(0.2, 0.2, 0.8, 0.7)],
+    "two": [Box(0.45, 0.45, 0.5, 0.5), Box(0.1, 0.1, 0.15, 0.15)],
+}
+KEYS = [*REFERENCE_TABLE["short_term_motion"], "nope"]  # "nope": the unknown-key fallback
+TICKS = st.lists(
+    st.tuples(st.sampled_from(sorted(FRAMES)), st.sampled_from(KEYS)), min_size=1, max_size=24
+)
+
+
+class TestStepEqualsReference:
+    @given(TICKS, st.integers(1, 3), st.integers(1, 5))
+    # A wait past its stop pairs, then an inconsistent window; and a pending plan
+    # denied on two inconsistent ticks in a row, the second past a budget of one.
+    @example([("hazard", "wait0"), ("two", "move2")], 1, 5)
+    @example([("quiet", "move2"), ("two", "cautious"), ("quiet", "cautious")], 1, 1)
+    @settings(max_examples=150, deadline=None)
+    def test_step_equals_the_two_site_loop(self, ticks, budget, cap):
+        # Both loops run the same frames and keys, each carrying its own state;
+        # every tick they emit the same action, record and next state.
+        table = ScriptedBackend(REFERENCE_TABLE)
+        new = old = engaged()
+        history = []
+        for tick, (frame, key) in enumerate(ticks):
+            history = (history + [snapshot(tick=tick, front_deficits=FRAMES[frame])])[-5:]
+            cfg = cfg_for(key, replan_budget=budget, wait_cap=cap)
+            args = (history[-1], history, CALM, POSE, table, cfg)
+            got, want = step(new, *args), reference_step(old, *args)
+            assert (got.action, got.record, repr(got.state)) == (
+                want.action, want.record, repr(want.state)
+            )
+            new, old = got.state, want.state
