@@ -81,12 +81,6 @@ def load_scenarios(paths: Sequence[Path]) -> list[Scenario]:
 
 
 def build_backend(kind: str, scripted_table: Optional[str]) -> Backend:
-    if kind == "scripted":
-        if not scripted_table:
-            return ScriptedBackend.bundled()
-        return _read(
-            scripted_table, "scripted table", lambda text: ScriptedBackend(json.loads(text))
-        )
     if kind == "http":
         if scripted_table:  # the table would go unread
             raise ConfigError("--scripted-table applies to the scripted backend only, not http")
@@ -94,7 +88,10 @@ def build_backend(kind: str, scripted_table: Optional[str]) -> Backend:
             return HttpBackend.from_env()
         except ValueError as exc:
             raise ConfigError(f"http backend misconfigured (set RCO_BACKEND_URL): {exc}") from exc
-    raise ConfigError(f"unknown backend kind: {kind}")
+    # "scripted", the one other kind --backend's choices admit
+    if not scripted_table:
+        return ScriptedBackend.bundled()
+    return _read(scripted_table, "scripted table", lambda text: ScriptedBackend(json.loads(text)))
 
 
 def _flag_types() -> dict[str, type]:

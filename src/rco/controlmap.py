@@ -44,7 +44,6 @@ _DECELERATION = SpeedControl.DECELERATION
 _QUICK_DECELERATION = SpeedControl.QUICK_DECELERATION
 _DECELERATION_TO_ZERO = SpeedControl.DECELERATION_TO_ZERO
 _ACCELERATION = SpeedControl.ACCELERATION
-_QUICK_ACCELERATION = SpeedControl.QUICK_ACCELERATION
 _STOP = Behavior.STOP
 _MOVE_FORWARD = Behavior.MOVE_FORWARD
 
@@ -63,9 +62,7 @@ def map_speed_control(speed: SpeedControl, prev_throttle: float) -> tuple[float,
         return 0.0, 0.8
     if speed is _ACCELERATION:
         return min(1.0, prev_throttle + 0.2), 0.0
-    if speed is _QUICK_ACCELERATION:
-        return min(1.0, prev_throttle + 0.4), 0.0
-    raise ValueError(f"unknown speed token: {speed}")
+    return min(1.0, prev_throttle + 0.4), 0.0  # QUICK_ACCELERATION, the last member
 
 
 def compute_steer(

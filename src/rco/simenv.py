@@ -270,9 +270,7 @@ class Route:
 
     def point_at(self, s: float) -> tuple[float, float]:
         s = clamp(s, 0.0, self.length)
-        i = bisect_left(self._ends, s)  # the first segment ending at or past s
-        if i == len(self._ends):
-            return self.waypoints[-1]
+        i = bisect_left(self._ends, s)  # the first segment ending at or past s (s <= length)
         start = self._ends[i - 1] if i else 0.0
         (x0, y0), (x1, y1) = self.waypoints[i], self.waypoints[i + 1]
         t = (s - start) / self._lengths[i]
@@ -560,10 +558,9 @@ _PEDESTRIAN = ObjectClass.PEDESTRIAN
 
 def _project(
     rng: float, rel: float, width: float, height: float
-) -> Optional[tuple[ViewName, Optional[Box]]]:
-    """Project an object seen at (range, bearing) to (view, normalized box);
-    the box is None if it is too small to draw, and the result None if the
-    object is outside every camera sector."""
+) -> Optional[tuple[ViewName, Box]]:
+    """Project an object seen at (range, bearing) to (view, normalized box),
+    or None if the object is outside every camera sector."""
     for view, lo, hi in _VIEW_SPANS:
         if lo <= rel <= hi:
             span = hi - lo
@@ -575,8 +572,8 @@ def _project(
             x1 = 0.0 if x1 < 0.0 else 1.0 if x1 > 1.0 else x1
             y0 = 0.0 if y0 < 0.0 else 1.0 if y0 > 1.0 else y0
             y1 = 0.0 if y1 < 0.0 else 1.0 if y1 > 1.0 else y1
-            if x1 - x0 < 1e-9 or y1 - y0 < 1e-9:
-                return view, None
+            # Never degenerate: u lies in [0, 1], and within CAMERA_RANGE (40 m)
+            # the narrowest class (0.5 m) gives a half_w of at least 0.006.
             return view, Box(x0, y0, x1, y1)
     return None
 
@@ -616,12 +613,11 @@ def perceive(w: WorldState, policy: DeficitPolicy) -> EnvironmentSnapshot:
             if projected is None:
                 continue
             view, box = projected
-            if box is not None:
-                visibles, deficits = drawn.get(view) or drawn.setdefault(view, ([], []))
-                if obj.id in hidden:
-                    deficits.append(box)
-                else:
-                    visibles.append(VisibleObject(cls, box, rng))
+            visibles, deficits = drawn.get(view) or drawn.setdefault(view, ([], []))
+            if obj.id in hidden:
+                deficits.append(box)
+            else:
+                visibles.append(VisibleObject(cls, box, rng))
             if are_actors and view is _FRONT and (nearest is None or rng < nearest):
                 nearest = rng
 

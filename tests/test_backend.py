@@ -92,6 +92,10 @@ class TestParseStructured:
         with pytest.raises(SchemaViolation, match="nested too deep"):
             parse_structured(raw, Purpose.SHORT_TERM_MOTION)
 
+    def test_scan_resumes_at_the_next_brace(self):
+        # The first "{" opens no object; the object opens at the very next one.
+        assert backend_mod.extract_first_json_object('{{"a": 1}') == {"a": 1}
+
     def test_move_plan(self):
         raw = (
             '{"strategy":"move","pairs":[{"condition":"consistent_no_immediate_hazard",'

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import inspect
+import json
 
 import pytest
 import test_simenv
 
-from rco import metrics, orchestrator, runner, simenv
+from rco import backend as backend_mod
+from rco import metrics, orchestrator, runner, simenv, verifier
 from rco.backend import ScriptedBackend
 from rco.cli import bundled_scenario_dir
 from rco.runner import STOP, Mode, Overrides, run_episode
@@ -66,6 +68,30 @@ class TestModes:
     def test_rco_respects_step_limit_override(self):
         out = run_episode(load("traffic_light_benign"), Mode.RCO, backend(), Overrides(n_max=2))
         assert max(r["sequence_len"] for r in out.records) <= 2
+
+    def test_history_len_one_keeps_the_verifiers_two_frames(self, monkeypatch):
+        # --history-len 1 gives the planner a window of 1 frame and the
+        # verifier, whose floor is 2, a window of 2. The rco policy keeps the
+        # frames of the longer window, so once two exist the verifier judges two.
+        cfg = Overrides(history_len=1).orchestrator_config("probe", 0.1)
+        assert (cfg.planner.history_len, cfg.verifier.history_len) == (1, 2)
+        judged, asked = [], []
+        extend_run, hazard_request = verifier._extend_run, backend_mod.hazard_request
+
+        def judging(window, *args):
+            judged.append((window[-1].tick, len(window)))
+            return extend_run(window, *args)
+
+        def asking(history, *args):
+            asked.append(len(history))
+            return hazard_request(history, *args)
+
+        monkeypatch.setattr(verifier, "_extend_run", judging)
+        monkeypatch.setattr(backend_mod, "hazard_request", asking)
+        run_episode(load("traffic_light_benign"), Mode.RCO, backend(), Overrides(history_len=1))
+        assert judged and all(tick >= 1 for tick, _ in judged)
+        assert {n for _, n in judged} == {2}
+        assert asked and set(asked) == {1}
 
 
 class TestPolicies:
@@ -144,6 +170,19 @@ class TestScoring:
     def test_infractions_attached_to_result(self):
         out = run_episode(load("pedestrian_cross"), Mode.BASELINE, backend())
         assert out.result.is_score == pytest.approx(0.5)
+
+    def test_zero_penalty_is_accepted_and_zeroes_the_score(self):
+        # The light turns red too late for the base agent to stop, and no
+        # deficit hides it, so the red light counts against IS.
+        data = json.loads((bundled_scenario_dir() / "traffic_light_hazard.json").read_text())
+        data["deficit_policy"] = {"classes": [], "window": [0, 0]}
+        data["traffic_lights"][0]["schedule"] = [[0, "green"], [106, "red"]]
+        sc = Scenario.from_json(data)
+        counted = run_episode(sc, Mode.BASELINE, backend())
+        assert [e.kind for e in counted.result.infractions] == [simenv.InfractionKind.RED_LIGHT]
+        assert counted.result.is_score == pytest.approx(0.7)
+        zeroed = run_episode(sc, Mode.BASELINE, backend(), Overrides(penalties={"red_light": 0.0}))
+        assert zeroed.result.is_score == 0.0
 
     @pytest.mark.parametrize("mode", list(Mode))
     def test_route_completion_equals_trajectory_scoring(self, mode, monkeypatch):

@@ -1326,10 +1326,12 @@ class TestStandingEgo:
     @settings(max_examples=150, deadline=None)
     def test_carried_exactly_when_no_field_is_off_standing(self, data):
         # An ego at rest with 0.0 rates, a heading wrap_angle keeps and no
-        # -0.0 coordinate, with at most one field set off that, under an
-        # action that leaves it at rest.
+        # -0.0 coordinate or heading, with at most one field set off that,
+        # under an action that leaves it at rest. Adding 0.0 turns a drawn
+        # -0.0 heading into 0.0, which is on standing.
         place = st.one_of(st.just(0.0), st.floats(-50.0, 50.0).filter(bool))
         kept = st.one_of(st.sampled_from([math.pi, 0.0]), st.floats(-math.pi, math.pi))
+        kept = kept.map(lambda h: h + 0.0)
         fields = {"x": data.draw(place), "y": data.draw(place), "v": 0.0, "a_x": 0.0,
                   "omega_z": 0.0, "heading": data.draw(kept.filter(lambda h: simenv.wrap_angle(h) == h))}
         off = data.draw(st.sampled_from([None, *self.OFF_STANDING]))
