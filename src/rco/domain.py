@@ -1,9 +1,15 @@
 """Shared vocabulary types: actions, conditions, perception, hazards, constraints.
 
-All types are immutable values with validating constructors; enums carry
-lowercase string values. Convention fixed once, package-wide: steer is
-negative for left, positive for right; the world frame is x-east / y-north
-with heading measured counter-clockwise from +x.
+All types are immutable values; enums carry lowercase string values. A value
+is checked once, where outside input can break it: ``Action`` (replayed log
+lines) and ``SafetyConstraints`` (model answers) check their fields. The
+perception values, ``VehicleMeasurements`` and ``MotionPlan`` check nothing:
+``simenv.perceive`` and ``simenv.measurements`` build them valid, and
+``backend._parse_plan`` refuses a bad plan before it builds one.
+
+Convention fixed once, package-wide: steer is negative for left, positive for
+right; the world frame is x-east / y-north with heading measured
+counter-clockwise from +x.
 """
 
 from __future__ import annotations
@@ -158,9 +164,9 @@ class ViewName(str, Enum):
 
 # The order of a snapshot's views.
 VIEW_ORDER = (ViewName.LEFT, ViewName.FRONT, ViewName.RIGHT)
-# Read per snapshot and, in simenv, per drawn object: CPython 3.11 does not
-# specialise a member read off an Enum class.
-_LEFT, _FRONT, _RIGHT = VIEW_ORDER
+# Read in simenv per drawn object: CPython 3.11 does not specialise a member
+# read off an Enum class.
+_FRONT = ViewName.FRONT
 
 
 class ObjectClass(str, Enum):
@@ -173,11 +179,6 @@ class ObjectClass(str, Enum):
     TRAFFIC_LIGHT = "traffic_light"
     STOP_SIGN = "stop_sign"
     UNKNOWN = "unknown"  # hazard inference only; never a visible object
-
-
-# Read once per visible object: a member read off an Enum class is a class
-# attribute lookup that CPython 3.11 does not specialise.
-_UNKNOWN_CLASS = ObjectClass.UNKNOWN
 
 
 class MotionKind(str, Enum):
@@ -219,7 +220,7 @@ class Strategy(str, Enum):
     STOP_OBSERVE_MOVE = "stop_observe_move"
 
 
-_MOVE = Strategy.MOVE  # read per plan built and, in orchestrator and planner, per round
+_MOVE = Strategy.MOVE  # read per round in orchestrator and planner
 
 
 # ---------------------------------------------------------------------------
@@ -308,12 +309,6 @@ class Box:
     x1: float
     y1: float
 
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.x0 < self.x1 <= 1.0):
-            raise OutOfRangeError("box.x", (self.x0, self.x1))
-        if not (0.0 <= self.y0 < self.y1 <= 1.0):
-            raise OutOfRangeError("box.y", (self.y0, self.y1))
-
     @property
     def area(self) -> float:
         return (self.x1 - self.x0) * (self.y1 - self.y0)
@@ -339,32 +334,17 @@ class VisibleObject:
     box: Box
     range_m: float
 
-    def __post_init__(self) -> None:
-        if self.cls is _UNKNOWN_CLASS:
-            raise ValueError("visible objects must have a concrete class")
-        if self.range_m < 0:
-            raise OutOfRangeError("range_m", self.range_m)
-
 
 @value_type
 class CameraView:
     """One camera's symbolic frame: detections plus deficit regions (the
-    masked image boxes).
-
-    An object fully covered by a deficit region cannot be visible.
-    """
+    masked image boxes). No visible box lies inside a deficit box, each box is
+    a non-empty part of the image and each range is >= 0: ``simenv.perceive``,
+    the one producer, builds them so, and nothing here checks it."""
 
     view: ViewName
     visible_objects: tuple[VisibleObject, ...]
     deficits: tuple[Box, ...]
-
-    def __post_init__(self) -> None:
-        for d in self.deficits:
-            for o in self.visible_objects:
-                if d.contains(o.box):
-                    raise ValueError(
-                        f"visible {o.cls.value} box lies fully inside a deficit region"
-                    )
 
 
 @value_type
@@ -384,10 +364,6 @@ class Surrounding:
     traffic_density: TrafficDensity
     nearest_obstacle_m: Optional[float] = None
 
-    def __post_init__(self) -> None:
-        if self.nearest_obstacle_m is not None and self.nearest_obstacle_m < 0:
-            raise OutOfRangeError("nearest_obstacle_m", self.nearest_obstacle_m)
-
 
 @value_type
 class EnvironmentSnapshot:
@@ -403,9 +379,6 @@ class EnvironmentSnapshot:
 
     def __post_init__(self) -> None:
         p = self.perception
-        if len(p) != 3 or p[0].view != _LEFT or p[1].view != _FRONT or p[2].view != _RIGHT:
-            got = tuple(v.view for v in p)
-            raise ValueError(f"perception views must be ordered left/front/right, got {got}")
         has_deficit = bool(p[0].deficits or p[1].deficits or p[2].deficits)
         object.__setattr__(self, "has_deficit", has_deficit)
 
@@ -428,23 +401,15 @@ class Hazard:
 @value_type
 class MotionPlan:
     """Either a move sequence or a stop-observe-move wait; exactly the fields
-    for the chosen strategy are present. The wait cap is applied where a
-    wait becomes stop pairs (``planner.expand_stop_observe_move``), not here."""
+    for the chosen strategy are present, as ``backend._parse_plan`` and
+    ``planner.plan_motion`` build them, and a wait is never negative
+    (``_parse_plan`` refuses one). The wait cap is applied where a wait
+    becomes stop pairs (``planner.expand_stop_observe_move``), not here."""
 
     strategy: Strategy
     sequence: Optional[ActionSequence] = None
     wait_ticks: Optional[int] = None
     move_trigger: Optional[ExecutionCondition] = None
-
-    def __post_init__(self) -> None:
-        if self.strategy is _MOVE:
-            if self.sequence is None or self.wait_ticks is not None or self.move_trigger is not None:
-                raise ValueError("move plan carries a sequence and nothing else")
-        else:
-            if self.sequence is not None or self.wait_ticks is None or self.move_trigger is None:
-                raise ValueError("stop-observe-move plan carries wait_ticks and move_trigger only")
-            if self.wait_ticks < 0:
-                raise OutOfRangeError("wait_ticks", self.wait_ticks)
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +454,3 @@ class VehicleMeasurements:
     a_x: float
     omega_z: float
     d_follow: float = math.inf
-
-    def __post_init__(self) -> None:
-        if self.v < 0:
-            raise OutOfRangeError("v", self.v)

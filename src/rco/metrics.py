@@ -1,9 +1,9 @@
 """Episode scoring: route completion, infraction score, driving score,
 average speed.
 
-The infraction score multiplies one penalty coefficient per event; when a
-signal class is masked by the deficit policy, violations of that signal are
-excluded from scoring (the agent could not have seen it).
+The infraction score multiplies one penalty coefficient per event; a
+violation of a signal whose class the deficit policy masks at the violation's
+tick is excluded from scoring (the agent could not have seen it).
 """
 
 from __future__ import annotations
@@ -37,12 +37,14 @@ def completion_pct(route: Route, best_progress: float) -> float:
     return clamp(best_progress / route.length * 100.0, 0.0, 100.0)
 
 
-def _excluded(kind: InfractionKind, deficit_policy: DeficitPolicy) -> bool:
-    if kind is InfractionKind.RED_LIGHT:
-        return ObjectClass.TRAFFIC_LIGHT in deficit_policy.classes
-    if kind is InfractionKind.STOP_SIGN:
-        return ObjectClass.STOP_SIGN in deficit_policy.classes
-    return False
+# The signal class whose masking excuses each kind of signal violation.
+_SIGNAL_CLASS = {InfractionKind.RED_LIGHT: ObjectClass.TRAFFIC_LIGHT,
+                 InfractionKind.STOP_SIGN: ObjectClass.STOP_SIGN}
+
+
+def _excluded(e: InfractionEvent, deficit_policy: DeficitPolicy) -> bool:
+    """Whether ``e`` violates a signal whose class is masked at ``e``'s tick."""
+    return _SIGNAL_CLASS.get(e.kind) in deficit_policy.classes and deficit_policy.active(e.tick)
 
 
 def infraction_score(
@@ -52,7 +54,7 @@ def infraction_score(
 ) -> float:
     score = 1.0
     for e in events:
-        if _excluded(e.kind, deficit_policy):
+        if _excluded(e, deficit_policy):
             continue
         score *= penalties[e.kind]
     return score

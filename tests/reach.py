@@ -12,7 +12,7 @@ It traces, in this process, a fixed list of ``rco`` commands:
   ``bench/fakeserver.py``, with a bearer token set;
 - ``rco run --config`` with a file that sets every ``Overrides`` key;
 - ``rco run`` on a copy of the bundled table with two answers that break the
-  schema, the table the CI smoke step builds;
+  schema, the first two of the three that the CI smoke step breaks;
 - ``rco replay`` on every decision log those runs write.
 
 Every executable line of ``src/rco`` (read from the line tables of its code

@@ -140,9 +140,11 @@ class TestParseStructured:
         assert exc.value.field == "condition"
 
     def test_negative_wait_rejected(self):
-        raw = '{"strategy":"stop_observe_move","wait":-2,"trigger":"consistent_no_immediate_hazard"}'
-        with pytest.raises(SchemaViolation):
+        # The one check of a wait's sign: MotionPlan itself checks nothing.
+        raw = '{"strategy":"stop_observe_move","wait":-1,"trigger":"consistent_no_immediate_hazard"}'
+        with pytest.raises(SchemaViolation) as exc:
             parse_structured(raw, Purpose.SHORT_TERM_MOTION)
+        assert exc.value.field == "wait"
 
     def test_nonpositive_constraint_rejected(self):
         raw = '{"v_max":0,"d_min":5,"ac_max":3,"de_max":5,"psi_max":0.6,"d_brake":10}'

@@ -78,6 +78,19 @@ class TestInfractionScore:
         events = [ev(InfractionKind.STOP_SIGN), ev(InfractionKind.STOP_SIGN, tick=5)]
         assert infraction_score(events, policy) == 1.0
 
+    @pytest.mark.parametrize(
+        "kind,signal",
+        [(InfractionKind.RED_LIGHT, ObjectClass.TRAFFIC_LIGHT),
+         (InfractionKind.STOP_SIGN, ObjectClass.STOP_SIGN)],
+    )
+    def test_violation_outside_the_window_counts(self, kind, signal):
+        # The signal is masked on ticks 10 to 19 only; on tick 9 or 20 the
+        # agent could see it.
+        policy = DeficitPolicy(frozenset({signal}), (10, 20))
+        assert infraction_score([ev(kind, tick=10), ev(kind, tick=19)], policy) == 1.0
+        assert infraction_score([ev(kind, tick=20)], policy) == DEFAULT_PENALTIES[kind]
+        assert infraction_score([ev(kind, tick=9)], policy) == DEFAULT_PENALTIES[kind]
+
     def test_collision_products(self):
         events = [ev(InfractionKind.COLLISION_PEDESTRIAN), ev(InfractionKind.COLLISION_VEHICLE)]
         assert infraction_score(events) == pytest.approx(0.5 * 0.6)

@@ -53,6 +53,28 @@ class TestHandover:
         assert len(out.records) == round(out.result.game_time_s / 0.1)
         assert [r["tick"] for r in out.records] == list(range(len(out.records)))
 
+    def test_a_deficit_at_tick_zero_engages_from_rest(self):
+        # traffic_light_hazard with its masked light 30 m ahead, in view on
+        # tick 0, a plan that opens with acceleration and a yaw-rate limit of
+        # 1e-9 rad/s. The first override tick then reads the starting state:
+        # the previous throttle is 0, so acceleration gives 0.2, and the ego's
+        # yaw rate is exactly 0, so even that limit does not fire.
+        scenario = json.loads((bundled_scenario_dir() / "traffic_light_hazard.json").read_text())
+        scenario["traffic_lights"][0].update(position=[30, 3.5], stop_line_s=30)
+        table = backend().table
+        table["short_term_motion"]["traffic_light_hazard"]["pairs"][0]["speed"] = "acceleration"
+        table["safety_constraints"]["traffic_light_hazard"]["psi_max"] = 1e-9
+        out = run_episode(Scenario.from_json(scenario), Mode.RCO, ScriptedBackend(table))
+        assert out.records[0] == {
+            "schema": 1, "tick": 0, "active": True,
+            "classification": "consistent_no_immediate_hazard",
+            "hazard_ratio": 0.0009595096528017758, "verdict": "execute", "source": "pair",
+            "action": {"throttle": 0.2, "brake": 0.0, "steer": 0.0},
+            "triggered_constraints": [], "planning_events": 1, "backend_calls": 3,
+            "sc_refreshed": True, "denied": [], "direction_mismatch": False,
+            "sequence_len": 4, "wait_elapsed": 0,
+        }
+
 
 class TestModes:
     def test_baseline_ticks_never_activate_override(self):

@@ -214,6 +214,16 @@ class TestPerception:
         assert near_box.box.area > far_box.box.area
         assert near_box.range_m < far_box.range_m
 
+    def test_a_bus_in_front_is_drawn_3_2_m_tall(self):
+        # A bus 20 m dead ahead spans 3.2 m about the horizon, seen through
+        # the vertical field of view.
+        sc = straight_scenario(actors=[standing(ObjectClass.BUS, 20.0, 0.0)])
+        front = perceive(world_from_scenario(sc), DeficitPolicy()).view(ViewName.FRONT)
+        (bus,) = front.visible_objects
+        half_h = math.atan2(3.2 / 2.0, 20.0) / simenv.FOV_V
+        assert bus.cls is ObjectClass.BUS
+        assert (bus.box.y0, bus.box.y1) == (0.5 - half_h, 0.5 + half_h)
+
     def test_masking_does_not_touch_dynamics(self):
         policy = DeficitPolicy(frozenset({ObjectClass.PEDESTRIAN}), (0, 100))
         sc_masked = straight_scenario(actors=[standing(ObjectClass.PEDESTRIAN, 20, 0.5)], policy=policy)
@@ -903,6 +913,17 @@ class TestPerceiveEqualsReference:
         assert snap == expected
         assert snap.has_deficit == any(v.deficits for v in expected.perception)
         assert snap.has_deficit == any(v.deficits for v in snap.perception)
+        # The rules the perception types do not check: perceive, their one
+        # producer, must hold them on every scene.
+        assert tuple(v.view for v in snap.perception) == VIEW_ORDER
+        for view in snap.perception:
+            for box in (*(o.box for o in view.visible_objects), *view.deficits):
+                assert 0.0 <= box.x0 < box.x1 <= 1.0 and 0.0 <= box.y0 < box.y1 <= 1.0
+            for o in view.visible_objects:
+                assert o.cls is not ObjectClass.UNKNOWN and o.range_m >= 0.0
+                assert not any(d.contains(o.box) for d in view.deficits)
+        nearest = snap.surrounding.nearest_obstacle_m
+        assert nearest is None or nearest >= 0.0
 
     @given(rng=_ranges, rel=_bearings, cls=st.sampled_from(sorted(simenv._CLASS_DIMS)))
     @settings(max_examples=300, deadline=None)
