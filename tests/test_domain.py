@@ -349,11 +349,18 @@ class TestValueTypes:
             lambda: SafetyConstraints(8.0, 6.0, 2.5, 6.0, 0.5, -1.0),
             lambda: planner.PlannerConfig(wait_cap=0),
             lambda: simenv.DeficitPolicy(window=(5, 2)),
+            lambda: verifier.VerifierConfig(history_len=1),
+            lambda: safety.SafetyGains(delta_brake=0.0),
+            lambda: simenv.VehicleParams(dt=0.0),
         ],
-        ids=["action", "safety_constraints", "planner_config", "deficit_policy"],
+        ids=[
+            "action", "safety_constraints", "planner_config", "deficit_policy",
+            "verifier_config", "safety_gains", "vehicle_params",
+        ],
     )
     def test_post_init_still_rejects_bad_values(self, build):
         # Types that outside input builds (a log line, a model answer, a flag,
-        # a scenario file) keep their checks under the generated __init__.
+        # a scenario file) keep their checks under the generated __init__, and
+        # so does VehicleParams, whose dt check underwrites the standing ego.
         with pytest.raises(ValueError):
             build()
