@@ -103,12 +103,8 @@ class BackendRequest:
     payload: str  # canonical JSON of the routing field: scenario_key
 
     def scenario_key(self) -> str:
-        """The payload's routing key; "" when it is missing or not a string."""
-        try:
-            key = json.loads(self.payload).get("scenario_key")
-        except (json.JSONDecodeError, AttributeError):
-            return ""
-        return key if isinstance(key, str) else ""
+        """The payload's routing key; every payload the program builds holds one."""
+        return json.loads(self.payload)["scenario_key"]
 
 
 @value_type

@@ -50,8 +50,6 @@ _MOVE_FORWARD = Behavior.MOVE_FORWARD
 
 def map_speed_control(speed: SpeedControl, prev_throttle: float) -> tuple[float, float]:
     """Translate a speed token to (throttle, brake), both clamped to [0, 1]."""
-    if not 0.0 <= prev_throttle <= 1.0:
-        raise ValueError(f"prev_throttle out of range: {prev_throttle}")
     if speed is _CONSTANT_SPEED:
         return 0.7, 0.0
     if speed is _DECELERATION:
@@ -73,13 +71,9 @@ def compute_steer(
     kd: float = KD,
 ) -> tuple[float, float]:
     """One PD step toward ``target_point``; returns (steer, heading error)."""
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
     x, y, heading = ego_pose
     dx = target_point[0] - x
     dy = target_point[1] - y
-    if dx == 0.0 and dy == 0.0:
-        raise ValueError(f"target {target_point} coincides with ego position")
     bearing = math.atan2(dy, dx)
     error = wrap_angle(heading - bearing)
     derivative = (error - prev_error) / dt

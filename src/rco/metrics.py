@@ -61,16 +61,10 @@ def infraction_score(
 
 
 def driving_score(rc: float, is_score: float) -> float:
-    if not 0.0 <= rc <= 100.0:
-        raise ValueError(f"rc out of [0,100]: {rc}")
-    if not 0.0 <= is_score <= 1.0:
-        raise ValueError(f"is_score out of [0,1]: {is_score}")
     return rc * is_score
 
 
 def average_speed(route_length_m: float, game_time_s: float) -> float:
-    if game_time_s <= 0.0:
-        raise ValueError(f"game time must be positive, got {game_time_s}")
     return route_length_m / game_time_s
 
 

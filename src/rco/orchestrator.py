@@ -182,18 +182,18 @@ def step(
     backend: Backend,
     cfg: OrchestratorConfig,
 ) -> StepResult:
-    """Advance the override by one tick; always emits an action.
+    """Advance the engaged override by one tick; always emits an action.
 
-    Under a consistent window the pending head executes or a wait past its
-    stop pairs holds a stop. Otherwise one denial rule (a head no condition
-    admits, or a wait under an inconsistent window) counts a replan, and one
-    planning round follows. Under an inconsistent window the fail-safe stop
-    holds the plan that a denial made; every other fail-safe stop drops the
-    plan. The next state and the record are built once, after the loop.
+    ``state`` must be engaged (``engage`` returned it active): its callers,
+    ``runner`` and the benchmark driver, call it only then, and it is not
+    checked here. Under a consistent window the pending head executes or a
+    wait past its stop pairs holds a stop. Otherwise one denial rule (a head
+    no condition admits, or a wait under an inconsistent window) counts a
+    replan, and one planning round follows. Under an inconsistent window the
+    fail-safe stop holds the plan that a denial made; every other fail-safe
+    stop drops the plan. The next state and the record are built once, after
+    the loop.
     """
-    if not state.active:
-        raise ValueError("step() requires an engaged override; call engage() first")
-
     condition, ratio, consistency = verifier.classify(history, cfg.verifier, state.consistency)
     context: _Context = (
         env.surrounding.weather,

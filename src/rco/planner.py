@@ -55,10 +55,6 @@ def infer_hazards(
 ) -> tuple[tuple[Hazard, ...], Strategy]:
     """Query the backend over the frame window; fall back to
     (no hazards, stop-observe-move) on any failure."""
-    if len(history) != cfg.history_len:
-        raise ValueError(
-            f"hazard inference needs exactly {cfg.history_len} frames, got {len(history)}"
-        )
     answer = backend_mod.ask(backend, backend_mod.hazard_request(history, scenario_key))
     if answer is None:
         return (), _STOP_OBSERVE_MOVE
@@ -101,6 +97,4 @@ def expand_stop_observe_move(
     under either consistent classification, and the control loop verifies
     wait sequences accordingly (replan only on inconsistency).
     """
-    if plan.strategy is not _STOP_OBSERVE_MOVE:
-        raise ValueError(f"cannot expand a {plan.strategy.value} plan")
     return ActionSequence((STOP_PAIR,) * min(plan.wait_ticks, wait_cap), created_tick)

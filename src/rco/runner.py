@@ -41,18 +41,19 @@ class Overrides:
     penalties: Optional[dict[str, float]] = None
 
     def orchestrator_config(self, scenario_key: str, dt: float) -> OrchestratorConfig:
-        history_len = None if self.history_len is None else max(2, self.history_len)
+        planner = PlannerConfig(**given(
+            max_steps=self.n_max,
+            history_len=self.history_len,
+            wait_cap=self.wait_cap,
+            replan_budget=self.replan_budget,
+        ))
+        # The verifier reads the planner's checked history_len, at least the two frames it compares.
         return OrchestratorConfig(
-            planner=PlannerConfig(**given(
-                max_steps=self.n_max,
-                history_len=self.history_len,
-                wait_cap=self.wait_cap,
-                replan_budget=self.replan_budget,
-            )),
+            planner=planner,
             verifier=VerifierConfig(**given(
                 shift_threshold=self.shift_threshold,
                 hazard_ratio_threshold=self.hazard_ratio_threshold,
-                history_len=history_len,
+                history_len=max(2, planner.history_len),
             )),
             gains=SafetyGains(**given(
                 delta_throttle=self.delta_throttle, delta_brake=self.delta_brake

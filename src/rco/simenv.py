@@ -721,8 +721,6 @@ def detect_infractions(w_prev: WorldState, w_next: WorldState) -> list[Infractio
     Collisions are reported once per contiguous overlap episode (at its first
     tick); line crossings are instantaneous and naturally deduplicated.
     """
-    if w_next.tick != w_prev.tick + 1:
-        raise ValueError("detect_infractions needs consecutive states")
     events: list[InfractionEvent] = []
     # w_prev's set was computed when it was the previous step's w_next.
     started = w_next.collisions - w_prev.collisions
@@ -791,10 +789,7 @@ def base_agent(w: WorldState, hidden: frozenset[int] = frozenset()) -> Action:
     if brake:
         return FAIL_SAFE_STOP
 
-    target = route.target_point(progress)
-    if (target[0], target[1]) == (w.ego.x, w.ego.y):
-        return FAIL_SAFE_STOP  # at route end
-    steer, _ = compute_steer(w.ego.pose, target, 0.0, w.params.dt, kd=0.0)
+    steer, _ = compute_steer(w.ego.pose, route.target_point(progress), 0.0, w.params.dt, kd=0.0)
     if creep:
         return Action(0.25, 0.0, steer)
     return Action(0.7, 0.0, steer)

@@ -118,17 +118,6 @@ def union_area(boxes: Iterable[Box]) -> float:
     return total
 
 
-def _validate_history(history: Sequence[EnvironmentSnapshot]) -> None:
-    if len(history) < 2:
-        raise ValueError(f"need at least 2 frames, got {len(history)}")
-    prev = history[0].tick
-    for s in history[1:]:
-        if s.tick <= prev:
-            ticks = [f.tick for f in history]
-            raise ValueError(f"ticks must be strictly increasing, got {ticks}")
-        prev = s.tick
-
-
 def _greedy_match_max_shift(prev: CameraView, cur: CameraView) -> float:
     """Greedy nearest-centroid matching of equal-count deficit lists; returns
     the largest matched centroid displacement."""
@@ -179,7 +168,6 @@ def check_deficit_consistency(
 ) -> ConsistencyReason:
     """The first inconsistent transition of the window, oldest first, or
     ``CONSISTENT``."""
-    _validate_history(history)
     window = history[-cfg.history_len:]
     for prev, cur in zip(window, window[1:]):
         reason = check_transition(prev, cur, cfg.shift_threshold)
@@ -248,14 +236,14 @@ def classify(
     """The condition the window satisfies (None: inconsistent, so replan),
     the newest frame's proximity ratio, and the window's consistency run.
 
-    Immediate hazard iff the ratio strictly exceeds the threshold. A single
-    frame has no transitions to compare, so it is vacuously consistent.
-    Given the run of the previous window, a window that extends it by one
-    frame costs one transition check instead of a scan.
+    ``history`` is the window ``runner`` builds: non-empty, with strictly
+    increasing ticks; it is not checked here. Immediate hazard iff the ratio
+    strictly exceeds the threshold. A single frame has no transitions to
+    compare, so it is vacuously consistent. Given the run of the previous
+    window, a window that extends it by one frame costs one transition check
+    instead of a scan.
     """
     ratio = hazard_proximity_ratio(history[-1], cfg.front_view_only)
-    if len(history) >= 2:
-        _validate_history(history)
     run = _extend_run(tuple(history[-cfg.history_len:]), cfg.shift_threshold, run)
     if run.break_tick is not None:
         return None, ratio, run

@@ -11,8 +11,9 @@ It traces, in this process, a fixed list of ``rco`` commands:
 - ``rco run --backend http`` on each bundled scenario against
   ``bench/fakeserver.py``, with a bearer token set;
 - ``rco run --config`` with a file that sets every ``Overrides`` key;
-- ``rco run`` on a copy of the bundled table with two answers that break the
-  schema, the first two of the three that the CI smoke step breaks;
+- ``rco run`` on a copy of the bundled table with the three answers that the
+  CI smoke step breaks: an unknown speed token, pairs that are an object, not
+  a list, and a wait of -1;
 - ``rco replay`` on every decision log those runs write.
 
 Every executable line of ``src/rco`` (read from the line tables of its code
@@ -139,6 +140,7 @@ def _commands(tmp: Path, server_url: str) -> Iterator[list[str]]:
     motion = bad["short_term_motion"]
     motion["traffic_light_benign"]["pairs"][0]["speed"] = "warp_speed"
     motion["traffic_light_hazard"]["pairs"] = motion["traffic_light_hazard"]["pairs"][0]
+    motion["pedestrian_cross"]["wait"] = -1
     bad_table = tmp / "bad_table.json"
     bad_table.write_text(json.dumps(bad), encoding="utf-8")
     yield ["run", "--mode", "rco", "--scripted-table", str(bad_table),

@@ -256,6 +256,25 @@ class TestRunCommand:
         ])
         assert code == 2
 
+    # The text each config's error holds: it names the key it rejects (n_max by
+    # the planner's name, max_steps), or the file when the file is no object.
+    NAMED = {
+        '{"n_max": 2.5}': "max_steps must be",
+        '{"n_max": true}': "max_steps must be",
+        '{"wait_cap": 2.5}': "wait_cap must be",
+        '{"history_len": 6.0}': "history_len must be",
+        '{"penalties": {"collision_pedestrian": 5}}': "penalty collision_pedestrian out of",
+        '{"penalties": {"collision_pedestrian": NaN}}': "penalty collision_pedestrian must be",
+        '{"penalties": [1]}': "penalties must be",
+        "5": "the config must be",
+        '{"delta_throttle": true}': "delta_throttle must be",
+        '{"delta_brake": true}': "delta_brake must be",
+        '{"hazard_ratio_threshold": "0.5"}': "hazard_ratio_threshold must be",
+        '{"history_len": "5"}': "history_len must be",
+        '{"history_len": [1]}': "history_len must be",
+        '{"history_len": {}}': "history_len must be",
+    }
+
     @pytest.mark.parametrize(
         "config, argv",
         [
@@ -270,6 +289,9 @@ class TestRunCommand:
             ('{"delta_throttle": true}', ["--mode", "rco"]),
             ('{"delta_brake": true}', ["--mode", "rco"]),
             ('{"hazard_ratio_threshold": "0.5"}', ["--mode", "rco"]),
+            ('{"history_len": "5"}', ["--mode", "rco"]),
+            ('{"history_len": [1]}', ["--mode", "rco"]),
+            ('{"history_len": {}}', ["--mode", "rco"]),
         ],
     )
     def test_config_value_of_wrong_type_or_range_is_config_error(
@@ -280,7 +302,9 @@ class TestRunCommand:
         cfg.write_text(config)
         code = main(["run", *argv, "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert self.NAMED[config] in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", [["run"], ["sweep", "--limits", "1"]])

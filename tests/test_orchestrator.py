@@ -319,11 +319,6 @@ class TestRecords:
         ):
             assert key in rec
 
-    def test_step_requires_engagement(self):
-        history = quiet_history()
-        with pytest.raises(ValueError):
-            step(initial_state(), history[-1], history, CALM, POSE, backend(), cfg_for("move2"))
-
     def test_note_external_action_updates_prev(self):
         state = note_external_action(initial_state(), Action(0.5, 0.0, 0.1))
         assert state.prev_action == Action(0.5, 0.0, 0.1)

@@ -85,10 +85,6 @@ class TestInferHazards:
         hazards, strategy = infer_hazards(history(), scripted(), CFG, scenario_key="who")
         assert (hazards, strategy) == ((), Strategy.STOP_OBSERVE_MOVE)
 
-    def test_wrong_history_length_is_caller_error(self):
-        with pytest.raises(ValueError):
-            infer_hazards(history(3), scripted(), CFG)
-
     def test_deterministic(self):
         a = infer_hazards(history(), scripted(), CFG, scenario_key="pedestrian_cross")
         b = infer_hazards(history(), scripted(), CFG, scenario_key="pedestrian_cross")
@@ -210,11 +206,6 @@ class TestExpandStopObserveMove:
     def test_wait_beyond_cap_truncates(self):
         seq = expand_stop_observe_move(self.wait_plan(80), wait_cap=50)
         assert len(seq) == 50
-
-    def test_wrong_strategy_rejected(self):
-        plan = MotionPlan(Strategy.MOVE, sequence=ActionSequence((), 0))
-        with pytest.raises(ValueError, match="cannot expand a move plan"):
-            expand_stop_observe_move(plan, wait_cap=50)
 
     @given(wait=st.integers(0, 200), cap=st.integers(1, 100))
     def test_length_never_exceeds_cap(self, wait, cap):

@@ -9,9 +9,10 @@ import pytest
 import test_simenv
 
 from rco import backend as backend_mod
-from rco import metrics, orchestrator, runner, simenv, verifier
+from rco import controlmap, metrics, orchestrator, planner, runner, simenv, verifier
 from rco.backend import ScriptedBackend
 from rco.cli import bundled_scenario_dir
+from rco.domain import Strategy
 from rco.runner import STOP, Mode, Overrides, run_episode
 from rco.simenv import Scenario, VehicleParams
 
@@ -148,6 +149,63 @@ class TestPolicies:
         assert actions.index(STOP) == halt
         assert actions[halt:] == [STOP] * 50
         assert perceived == list(range(halt + 1))
+
+
+class TestCalleePreconditions:
+    def test_the_bundled_rco_suite_gives_each_callee_what_it_assumes(self, monkeypatch):
+        # These callees do not check their arguments: the rco loop that calls
+        # them guarantees what they assume. Spy on every call of the bundled
+        # suite and check each call's arguments against that assumption.
+        seen: dict[str, list[bool]] = {}
+        tick = [None]  # the tick of the step in progress
+
+        def spy(module, name, holds):
+            real = getattr(module, name)
+
+            def spying(*args, **kwargs):
+                seen.setdefault(name, []).append(holds(*args, **kwargs))
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, spying)
+
+        def engaged(state, env, *args):
+            tick[0] = env.tick
+            return state.active
+
+        def increasing_to_now(history, *args):
+            ticks = [s.tick for s in history]
+            return bool(ticks) and ticks[-1] == tick[0] and all(
+                a < b for a, b in zip(ticks, ticks[1:])
+            )
+
+        spy(orchestrator, "step", engaged)
+        spy(verifier, "classify", increasing_to_now)
+        spy(planner, "infer_hazards", lambda history, backend, cfg, *args: (
+            len(history) == cfg.history_len
+        ))
+        spy(planner, "expand_stop_observe_move", lambda plan, *args: (
+            plan.strategy is Strategy.STOP_OBSERVE_MOVE
+        ))
+        spy(simenv, "detect_infractions", lambda w_prev, w_next: w_next.tick == w_prev.tick + 1)
+        spy(controlmap, "map_speed_control", lambda speed, prev_throttle: (
+            0.0 <= prev_throttle <= 1.0
+        ))
+        for module in (controlmap, simenv):  # the override's steering and the base agent's
+            spy(module, "compute_steer", lambda pose, target, prev_error, dt, *args, **kw: (
+                dt > 0.0 and tuple(target) != pose[:2]
+            ))
+
+        for path in sorted(bundled_scenario_dir().glob("*.json")):
+            result = run_episode(Scenario.load(str(path)), Mode.RCO, backend()).result
+            assert 0.0 <= result.rc <= 100.0 and 0.0 <= result.is_score <= 1.0, path.name
+            assert result.game_time_s > 0.0, path.name
+
+        assert sorted(seen) == sorted([
+            "step", "classify", "infer_hazards", "expand_stop_observe_move",
+            "detect_infractions", "map_speed_control", "compute_steer",
+        ])
+        for name, holds in seen.items():
+            assert all(holds), f"{name}: {holds.count(False)} of {len(holds)} calls"
 
 
 class TestPlanAheadEconomy:

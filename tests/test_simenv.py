@@ -347,11 +347,6 @@ class TestInfractions:
             w = w2
         assert [e.kind for e in events] == [InfractionKind.COLLISION_PEDESTRIAN] * 2
 
-    def test_consecutive_states_required(self):
-        w = world_from_scenario(straight_scenario())
-        with pytest.raises(ValueError):
-            detect_infractions(w, w)
-
 
 class TestBaseAgent:
     def test_clear_road_cruises(self):
