@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import functools
 import inspect
 import json
+import math
 
 import pytest
 import test_simenv
@@ -151,6 +153,22 @@ class TestPolicies:
         assert perceived == list(range(halt + 1))
 
 
+def spy_on(monkeypatch, seen, module, name, holds):
+    """Wrap ``module.name`` so that each call appends ``holds(*args)`` to ``seen[name]``."""
+    real = getattr(module, name)
+
+    def spying(*args, **kwargs):
+        seen.setdefault(name, []).append(holds(*args, **kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spying)
+
+
+def steers_in_domain(pose, target, prev_error, dt, *args, **kwargs):
+    """compute_steer's assumption: a positive dt and a target off the ego."""
+    return dt > 0.0 and tuple(target) != pose[:2]
+
+
 class TestCalleePreconditions:
     def test_the_bundled_rco_suite_gives_each_callee_what_it_assumes(self, monkeypatch):
         # These callees do not check their arguments: the rco loop that calls
@@ -158,15 +176,7 @@ class TestCalleePreconditions:
         # suite and check each call's arguments against that assumption.
         seen: dict[str, list[bool]] = {}
         tick = [None]  # the tick of the step in progress
-
-        def spy(module, name, holds):
-            real = getattr(module, name)
-
-            def spying(*args, **kwargs):
-                seen.setdefault(name, []).append(holds(*args, **kwargs))
-                return real(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, spying)
+        spy = functools.partial(spy_on, monkeypatch, seen)
 
         def engaged(state, env, *args):
             tick[0] = env.tick
@@ -191,9 +201,7 @@ class TestCalleePreconditions:
             0.0 <= prev_throttle <= 1.0
         ))
         for module in (controlmap, simenv):  # the override's steering and the base agent's
-            spy(module, "compute_steer", lambda pose, target, prev_error, dt, *args, **kw: (
-                dt > 0.0 and tuple(target) != pose[:2]
-            ))
+            spy(module, "compute_steer", steers_in_domain)
 
         for path in sorted(bundled_scenario_dir().glob("*.json")):
             result = run_episode(Scenario.load(str(path)), Mode.RCO, backend()).result
@@ -206,6 +214,76 @@ class TestCalleePreconditions:
         ])
         for name, holds in seen.items():
             assert all(holds), f"{name}: {holds.count(False)} of {len(holds)} calls"
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_the_world_loop_gives_its_callees_what_they_assume_in_every_mode(
+        self, mode, monkeypatch
+    ):
+        # The world loop, whatever the policy, guarantees these: the episode
+        # ends before the base agent drives at the route end, infractions are
+        # read from consecutive states, and the base agent steers with a
+        # positive dt toward a target off the ego.
+        seen: dict[str, list[bool]] = {}
+        spy = functools.partial(spy_on, monkeypatch, seen)
+        spy(simenv, "base_agent", lambda w, *args: w.ego_progress < w.scenario.route.length)
+        spy(simenv, "detect_infractions", lambda w_prev, w_next: w_next.tick == w_prev.tick + 1)
+        spy(simenv, "compute_steer", steers_in_domain)
+
+        for path in sorted(bundled_scenario_dir().glob("*.json")):
+            result = run_episode(Scenario.load(str(path)), mode, backend()).result
+            assert 0.0 <= result.rc <= 100.0 and 0.0 <= result.is_score <= 1.0, path.name
+            assert result.game_time_s > 0.0, path.name
+
+        assert sorted(seen) == ["base_agent", "compute_steer", "detect_infractions"]
+        for name, holds in seen.items():
+            assert all(holds), f"{name}: {holds.count(False)} of {len(holds)} calls"
+
+    def test_every_request_of_the_bundled_rco_suite_carries_its_scenario_key(
+        self, monkeypatch
+    ):
+        # BackendRequest.scenario_key reads the key without a fallback: every
+        # request the override builds routes by the name of its own scenario.
+        keys: list = []
+        real = ScriptedBackend.call
+        monkeypatch.setattr(
+            ScriptedBackend, "call", lambda self, req: keys.append(req.scenario_key()) or real(self, req)
+        )
+        for path in sorted(bundled_scenario_dir().glob("*.json")):
+            sc = Scenario.load(str(path))
+            keys.clear()
+            run_episode(sc, Mode.RCO, backend())
+            assert keys and set(keys) == {sc.name}, path.name
+
+
+def one_tick_limit(d: dict) -> None:
+    d["time_limit_ticks"] = 1
+
+
+def one_centimetre_route(d: dict) -> None:
+    (x0, y0), (x1, y1) = d["route"]["waypoints"][:2]
+    scale = 0.01 / math.hypot(x1 - x0, y1 - y0)
+    d["route"] = {
+        "waypoints": [[x0, y0], [x0 + (x1 - x0) * scale, y0 + (y1 - y0) * scale]],
+        "geometry": d["route"]["geometry"][:1],
+    }
+
+
+class TestEveryEpisodeRunsATick:
+    # average_speed divides by the game time unchecked. A scenario's time limit
+    # is at least one tick and its route, which the ego starts on, is longer
+    # than 0 m, so the world loop runs at least one tick.
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("shorten", [one_tick_limit, one_centimetre_route])
+    def test_the_shortest_episodes_have_positive_game_time(self, shorten, mode):
+        d = json.loads((bundled_scenario_dir() / "pedestrian_cross.json").read_text())
+        shorten(d)
+        out = run_episode(Scenario.from_json(d), mode, backend())
+        dt = VehicleParams().dt
+        assert len(out.records) >= 1
+        assert out.result.game_time_s == len(out.records) * dt
+        assert out.result.as_speed == Scenario.from_json(d).route.length / out.result.game_time_s
+        if shorten is one_tick_limit:
+            assert len(out.records) == 1
 
 
 class TestPlanAheadEconomy:
