@@ -187,6 +187,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     scenarios = load_scenarios(discover_scenarios(args.scenarios))
     overrides = _merge_overrides(args)
+    if overrides.n_max is not None:  # every run's n_max comes from --limits, so it would go unread
+        raise ConfigError("sweep takes its step limits from --limits, not from n_max")
     try:
         limits = [int(x) for x in args.limits.split(",") if x.strip()]
     except ValueError as exc:

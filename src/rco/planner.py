@@ -31,12 +31,12 @@ class PlannerConfig:
     """Planning limits: frame history, plan-ahead steps, wait cap and replan budget."""
 
     history_len: int = 5  # frames fed to hazard inference
-    max_steps: int = 5  # plan-ahead limit per move sequence
+    n_max: int = 5  # plan-ahead limit per move sequence
     wait_cap: int = 50  # ticks a stop-observe-move episode may hold
     replan_budget: int = 3  # consecutive denials before forced fail-safe
 
     def __post_init__(self) -> None:
-        for name in ("history_len", "max_steps", "wait_cap", "replan_budget"):
+        for name in ("history_len", "n_max", "wait_cap", "replan_budget"):
             value = typed(getattr(self, name), int, name)  # a bool or a float is no count
             if not 0 < value <= 10_000:  # it sizes a frame window, plan or wait
                 raise ValueError(f"{name} out of [1,10000]: {value}")
@@ -83,7 +83,7 @@ def plan_motion(
             _STOP_OBSERVE_MOVE, wait_ticks=cfg.wait_cap, move_trigger=FALLBACK_TRIGGER
         )
     if plan.strategy is _MOVE:
-        seq = ActionSequence(plan.sequence.pairs[:cfg.max_steps], current_snapshot.tick)
+        seq = ActionSequence(plan.sequence.pairs[:cfg.n_max], current_snapshot.tick)
         return MotionPlan(_MOVE, sequence=seq)
     return plan
 

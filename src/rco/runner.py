@@ -42,7 +42,7 @@ class Overrides:
 
     def orchestrator_config(self, scenario_key: str, dt: float) -> OrchestratorConfig:
         planner = PlannerConfig(**given(
-            max_steps=self.n_max,
+            n_max=self.n_max,
             history_len=self.history_len,
             wait_cap=self.wait_cap,
             replan_budget=self.replan_budget,

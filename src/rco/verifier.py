@@ -163,19 +163,6 @@ def check_transition(
     return _CONSISTENT
 
 
-def check_deficit_consistency(
-    history: Sequence[EnvironmentSnapshot], cfg: VerifierConfig
-) -> ConsistencyReason:
-    """The first inconsistent transition of the window, oldest first, or
-    ``CONSISTENT``."""
-    window = history[-cfg.history_len:]
-    for prev, cur in zip(window, window[1:]):
-        reason = check_transition(prev, cur, cfg.shift_threshold)
-        if reason is not _CONSISTENT:
-            return reason
-    return _CONSISTENT
-
-
 @value_type
 class ConsistencyRun:
     """A classified window, the shift threshold it was judged under, and the

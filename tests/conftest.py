@@ -1,5 +1,5 @@
 """Shared builders for perception snapshots, backend stubs and model answers,
-and the list of the program's value types."""
+the full-scan consistency reference, and the list of the program's value types."""
 
 from __future__ import annotations
 
@@ -37,6 +37,7 @@ from rco.domain import (
     VisibleObject,
     Weather,
 )
+from rco.verifier import ConsistencyReason, VerifierConfig, check_transition
 
 DEFAULT_NAVI = Navigation((50.0, 0.0), RoadGeometry.STRAIGHT)
 DEFAULT_SURROUNDING = Surrounding(Weather.CLEAR, Daylight.DAY, TrafficDensity.LOW)
@@ -83,6 +84,20 @@ def history_of_counts(counts: Sequence[int], start_tick: int = 0) -> list[Enviro
         boxes = [Box(0.1 + 0.11 * j, 0.4, 0.15 + 0.11 * j, 0.5) for j in range(n)]
         frames.append(snapshot(tick=start_tick + i, front_deficits=boxes))
     return frames
+
+
+def check_deficit_consistency(
+    history: Sequence[EnvironmentSnapshot], cfg: VerifierConfig
+) -> ConsistencyReason:
+    """The full-scan reference for the consistency run ``verifier.classify``
+    carries: the window's first inconsistent transition, oldest first, or
+    ``CONSISTENT``."""
+    window = history[-cfg.history_len:]
+    for prev, cur in zip(window, window[1:]):
+        reason = check_transition(prev, cur, cfg.shift_threshold)
+        if reason is not ConsistencyReason.CONSISTENT:
+            return reason
+    return ConsistencyReason.CONSISTENT
 
 
 class StubBackend:

@@ -11,8 +11,8 @@ It traces, in this process, a fixed list of ``rco`` commands:
 - ``rco run --backend http`` on each bundled scenario against
   ``bench/fakeserver.py``, with a bearer token set;
 - ``rco run --config`` with a file that sets every ``Overrides`` key;
-- ``rco run`` on a copy of the bundled table with the three answers that the
-  CI smoke step breaks: an unknown speed token, pairs that are an object, not
+- ``rco run`` on ``tests/broken_table.py``'s copy of the bundled table, with
+  three broken answers: an unknown speed token, pairs that are an object, not
   a list, and a wait of -1;
 - ``rco replay`` on every decision log those runs write.
 
@@ -106,6 +106,7 @@ def _commands(tmp: Path, server_url: str) -> Iterator[list[str]]:
     """The traced commands, each as the argv of ``cli.main``; a command that
     needs a file or an environment variable sets it up before it is yielded."""
     from rco import cli
+    from broken_table import write_broken_table
     import gen_dense
 
     out = tmp / "out"
@@ -136,13 +137,8 @@ def _commands(tmp: Path, server_url: str) -> Iterator[list[str]]:
     config.write_text(json.dumps(CONFIG), encoding="utf-8")
     yield ["run", "--mode", "rco", "--config", str(config), "--out", str(out / "config")]
 
-    bad = json.loads((PACKAGE / "data" / "scripted_responses.json").read_text(encoding="utf-8"))
-    motion = bad["short_term_motion"]
-    motion["traffic_light_benign"]["pairs"][0]["speed"] = "warp_speed"
-    motion["traffic_light_hazard"]["pairs"] = motion["traffic_light_hazard"]["pairs"][0]
-    motion["pedestrian_cross"]["wait"] = -1
     bad_table = tmp / "bad_table.json"
-    bad_table.write_text(json.dumps(bad), encoding="utf-8")
+    write_broken_table(bad_table)
     yield ["run", "--mode", "rco", "--scripted-table", str(bad_table),
            "--out", str(out / "bad-table")]
 

@@ -34,12 +34,11 @@ from rco.simenv import DeficitPolicy, InfractionEvent, InfractionKind, Scenario
 from rco.verifier import (
     ConsistencyReason,
     VerifierConfig,
-    check_deficit_consistency,
     classify_condition,
     hazard_proximity_ratio,
     union_area,
 )
-from conftest import history_of_counts, snapshot
+from conftest import check_deficit_consistency, history_of_counts, snapshot
 
 
 def load_scenario(name: str) -> Scenario:
@@ -237,7 +236,7 @@ def _fuzz_episode(key: str, seed: int, ticks: int) -> None:
             assert result.action == Action(0.0, 0.8, 0.0)
         # sequence bounds
         if state.wait_trigger is None:
-            assert len(state.sequence) <= cfg.planner.max_steps
+            assert len(state.sequence) <= cfg.planner.n_max
         else:
             assert len(state.sequence) <= cfg.planner.wait_cap
 

@@ -15,12 +15,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rco import cli, orchestrator, safety
-from rco.backend import ScriptedBackend
+from rco.backend import SchemaViolation, ScriptedBackend
 from rco.cli import bundled_scenario_dir, main
 from rco.domain import FAIL_SAFE_STOP, Action, ExecutionCondition
 from rco.orchestrator import base_record
 from rco.runner import Mode, Overrides, run_episode
 from rco.simenv import InfractionKind, Scenario
+from broken_table import write_broken_table
 
 
 def scenario_path(name: str) -> str:
@@ -256,11 +257,11 @@ class TestRunCommand:
         ])
         assert code == 2
 
-    # The text each config's error holds: it names the key it rejects (n_max by
-    # the planner's name, max_steps), or the file when the file is no object.
+    # The text each config's error holds: it names the key it rejects, or the
+    # file when the file is no object.
     NAMED = {
-        '{"n_max": 2.5}': "max_steps must be",
-        '{"n_max": true}': "max_steps must be",
+        '{"n_max": 2.5}': "n_max must be a number (JSON int), got 2.5",
+        '{"n_max": true}': "n_max must be",
         '{"wait_cap": 2.5}': "wait_cap must be",
         '{"history_len": 6.0}': "history_len must be",
         '{"penalties": {"collision_pedestrian": 5}}': "penalty collision_pedestrian out of",
@@ -337,6 +338,34 @@ class TestRunCommand:
         assert "penalties must be a JSON object" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_broken_scripted_answers_are_refused_and_fallen_back_from(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # An answer that breaks the schema is a schema violation when it is
+        # asked for, and its caller falls back rather than crashes.
+        refused = set()
+        call = ScriptedBackend.call
+
+        def recording(backend, req):
+            try:
+                return call(backend, req)
+            except SchemaViolation as exc:
+                if exc.field != "scenario_key":  # a key with no entry, which no parser sees
+                    refused.add((req.scenario_key(), req.purpose.value, exc.field))
+                raise
+
+        monkeypatch.setattr(ScriptedBackend, "call", recording)
+        table = tmp_path / "broken_table.json"
+        write_broken_table(table)
+        argv = ["run", "--mode", "rco", "--scripted-table", str(table)]
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().err == ""
+        assert refused == {
+            ("traffic_light_benign", "short_term_motion", "speed"),
+            ("traffic_light_hazard", "short_term_motion", "pairs"),
+            ("pedestrian_cross", "short_term_motion", "wait"),
+        }
+
     @pytest.mark.parametrize("url", ["file:///etc/hostname", "localhost:8000/v1/chat/completions"])
     def test_unusable_backend_url_is_config_error(self, tmp_path, capsys, monkeypatch, url):
         monkeypatch.setenv("RCO_BACKEND_URL", url)
@@ -406,6 +435,23 @@ class TestSweepCommand:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_n_max_is_config_error(self, tmp_path, capsys, monkeypatch, source):
+        # Every limit replaces n_max, so a set n_max once went unread: the
+        # sweep.csv came out byte for byte as without it.
+        monkeypatch.setattr(cli, "run_episode", None)  # no episode may start
+        argv = ["--n-max", "3"]
+        if source == "config":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text('{"n_max": 3}', encoding="utf-8")
+            argv = ["--config", str(cfg)]
+        code = main(["sweep", *argv, "--limits", "1", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "config error: sweep takes its step limits from --limits, not from n_max" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "o").exists()
+
     def test_episodes_run_in_the_calling_process_in_task_order(self, tmp_path, monkeypatch):
         # The baseline over every scenario first, then each limit in the order given.
         calls = []
@@ -445,7 +491,7 @@ class TestOneBackendPerCommand:
 # defaults, and every place it must land in the orchestrator config or the
 # penalty table.
 KNOBS = {
-    "n_max": ("7", 7, lambda c, p: (c.planner.max_steps,)),
+    "n_max": ("7", 7, lambda c, p: (c.planner.n_max,)),
     "history_len": ("6", 6, lambda c, p: (c.planner.history_len, c.verifier.history_len)),
     "wait_cap": ("11", 11, lambda c, p: (c.planner.wait_cap,)),
     "replan_budget": ("4", 4, lambda c, p: (c.planner.replan_budget,)),
@@ -715,6 +761,9 @@ class TestReplayCommand:
         captured = capsys.readouterr()
         assert f"decision log {log} line 1 is malformed" in captured.err
         assert field in captured.err
+        kind = orchestrator.RECORD[field][0]
+        if kind is str or kind is list and type(value) is list:  # a token outside the vocabulary
+            assert f"{field} holds what no written log holds" in captured.err
         assert captured.out == ""
 
     def test_every_written_token_replays(self, tmp_path, capsys):

@@ -223,6 +223,8 @@ class TestReplayHoldsTheWritingTypes:
         captured = capsys.readouterr()
         assert f"decision log {log} line 1 is malformed" in captured.err
         assert field in captured.err
+        if value != "<missing>":
+            assert f"{field} must be a JSON list" in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize("value", [1, "yes", 0, "<missing>"])
@@ -238,6 +240,8 @@ class TestReplayHoldsTheWritingTypes:
         captured = capsys.readouterr()
         assert f"config error: decision log {log} line 1 is malformed" in captured.err
         assert "active" in captured.err
+        if value != "<missing>":
+            assert "active must be a JSON bool" in captured.err
         assert captured.out == ""
 
     def test_range_ends_and_int_fields_print_as_before(self, tmp_path, capsys):
@@ -452,7 +456,7 @@ class TestCountBound:
     # A count sizes a per-round window, plan or wait: a padded window of 10**9
     # frames never finished, and a fallback wait of 10**400 stop pairs raised
     # OverflowError inside an episode.
-    @pytest.mark.parametrize("name", ["history_len", "max_steps", "wait_cap", "replan_budget"])
+    @pytest.mark.parametrize("name", ["history_len", "n_max", "wait_cap", "replan_budget"])
     def test_count_is_at_most_ten_thousand(self, name):
         assert getattr(PlannerConfig(**{name: 10_000}), name) == 10_000
         with pytest.raises(ValueError, match=rf"{name} out of \[1,10000\]"):
@@ -473,14 +477,15 @@ class TestCountBound:
         cfg.write_text(config, encoding="utf-8")
         code = main(["run", *argv, "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 2
-        assert "out of [1,10000]" in capsys.readouterr().err
+        name = argv[0][2:].replace("-", "_") if argv else next(iter(json.loads(config)))
+        assert f"{name} out of [1,10000]" in capsys.readouterr().err  # the key the user wrote
         assert not (tmp_path / "o").exists()
 
     def test_huge_sweep_limit_is_config_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "run_episode", None)
         code = main(["sweep", "--limits", "1,20000", "--out", str(tmp_path / "o")])
         assert code == 2
-        assert "max_steps out of [1,10000]" in capsys.readouterr().err
+        assert "n_max out of [1,10000]" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", [["run"], ["sweep", "--limits", "1"]])

@@ -425,7 +425,7 @@ class TestFuzzLoop:
             assert -1.0 <= result.action.steer <= 1.0
             assert result.record["source"] in ("pair", "stop_wait", "failsafe")
             if state.wait_trigger is None:
-                assert len(state.sequence) <= cfg.planner.max_steps
+                assert len(state.sequence) <= cfg.planner.n_max
             else:
                 assert len(state.sequence) <= cfg.planner.wait_cap
 

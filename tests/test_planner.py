@@ -98,7 +98,7 @@ class TestPlanMotion:
     def test_move_plan_truncated_to_step_limit(self):
         plan = self.plan(scripted(), key="traffic_light_benign")  # 8 scripted pairs
         assert plan.strategy is Strategy.MOVE
-        assert len(plan.sequence) == CFG.max_steps == 5
+        assert len(plan.sequence) == CFG.n_max == 5
         assert plan.sequence.created_tick == 9
 
     def test_wait_plan_passes_through(self):
@@ -140,8 +140,8 @@ class TestPlanMotion:
         assert plan == sent
         assert len(expand_stop_observe_move(plan, CFG.wait_cap)) == CFG.wait_cap
 
-    @given(n=st.integers(0, 20), max_steps=st.integers(1, 10))
-    def test_move_plan_never_exceeds_the_step_limit(self, n, max_steps):
+    @given(n=st.integers(0, 20), n_max=st.integers(1, 10))
+    def test_move_plan_never_exceeds_the_step_limit(self, n, n_max):
         # Alternating speeds, so that any slice but the prefix compares unequal.
         speeds = [SpeedControl.CONSTANT_SPEED, SpeedControl.ACCELERATION] * 10
         pairs = tuple(
@@ -152,13 +152,13 @@ class TestPlanMotion:
             for speed in speeds[:n]
         )
         sent = MotionPlan(Strategy.MOVE, sequence=ActionSequence(pairs, 0))
-        cfg = PlannerConfig(max_steps=max_steps)
+        cfg = PlannerConfig(n_max=n_max)
         plan = self.plan(StubBackend(parsed=sent), cfg=cfg)
         if n == 0:  # an empty move plan becomes the full wait
             assert plan.strategy is Strategy.STOP_OBSERVE_MOVE
             return
-        assert plan.sequence == ActionSequence(pairs[:max_steps], 9)  # the prefix, from tick 9
-        assert len(plan.sequence) <= max_steps
+        assert plan.sequence == ActionSequence(pairs[:n_max], 9)  # the prefix, from tick 9
+        assert len(plan.sequence) <= n_max
 
     @settings(max_examples=100, deadline=None)
     @given(raw=st.text(max_size=120))
@@ -218,7 +218,7 @@ class TestPlannerConfig:
         with pytest.raises(ValueError):
             PlannerConfig(history_len=0)
         with pytest.raises(ValueError):
-            PlannerConfig(max_steps=-1)
+            PlannerConfig(n_max=-1)
         with pytest.raises(ValueError):
             PlannerConfig(wait_cap=0)
         with pytest.raises(ValueError):

@@ -23,14 +23,13 @@ from rco.verifier import (
     ConsistencyReason,
     VerifierConfig,
     _greedy_match_max_shift,
-    check_deficit_consistency,
     check_transition,
     classify,
     classify_condition,
     hazard_proximity_ratio,
     union_area,
 )
-from conftest import history_of_counts, snapshot
+from conftest import check_deficit_consistency, history_of_counts, snapshot
 
 CFG = VerifierConfig()
 
